@@ -155,10 +155,12 @@ func (l *Log) EventsSince(from int64) (events []Event, next int64, lost int64) {
 		lost = firstRetained - from
 		from = firstRetained
 	}
-	all := l.snapshotLocked()
-	// all[i] has sequence firstRetained+1+i; skip to the first event after from.
-	skip := from - firstRetained
-	events = all[skip:]
+	// Logical index i (oldest first) has sequence firstRetained+1+i and sits
+	// at ring slot (start+i) mod len. Copy only the unread tail (from, next].
+	skip := int(from - firstRetained)
+	events = make([]Event, len(l.events)-skip)
+	copied := copy(events, l.events[(l.start+skip)%len(l.events):])
+	copy(events[copied:], l.events)
 	return events, next, lost
 }
 

@@ -1,6 +1,9 @@
 package audit
 
 import (
+	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -180,6 +183,46 @@ func TestEventsSinceReportsOverwrittenEvents(t *testing.T) {
 	// Accounting is exact: consumed + lost covers every sequence number.
 	if int64(len(events))+lost != next-cursor {
 		t.Fatalf("events(%d) + lost(%d) != next-cursor(%d)", len(events), lost, next-cursor)
+	}
+}
+
+func TestEventsSinceCopiesTheUnreadTail(t *testing.T) {
+	// Event i (1-based) is named by its sequence, so each case checks the
+	// exact window (from, next] it gets back.
+	cases := []struct {
+		name       string
+		capacity   int
+		recorded   int
+		from       int64
+		want       []int
+		wantLost   int64
+		wantCursor int64
+	}{
+		{name: "unwrapped ring", capacity: 8, recorded: 5, from: 2, want: []int{3, 4, 5}, wantCursor: 5},
+		{name: "unwrapped ring from zero", capacity: 0, recorded: 3, from: 0, want: []int{1, 2, 3}, wantCursor: 3},
+		{name: "wrapped ring, tail after the wrap point", capacity: 4, recorded: 10, from: 8, want: []int{9, 10}, wantCursor: 10},
+		{name: "wrapped ring, tail across the wrap point", capacity: 4, recorded: 9, from: 6, want: []int{7, 8, 9}, wantCursor: 9},
+		{name: "from before the first retained event", capacity: 4, recorded: 10, from: 3, want: []int{7, 8, 9, 10}, wantLost: 3, wantCursor: 10},
+		{name: "from at next", capacity: 4, recorded: 10, from: 10, wantCursor: 10},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l := NewLog()
+			l.SetCapacity(tc.capacity)
+			for i := 1; i <= tc.recorded; i++ {
+				l.Record(Event{Securable: fmt.Sprint(i)})
+			}
+			events, next, lost := l.EventsSince(tc.from)
+			var got []int
+			for _, e := range events {
+				n, _ := strconv.Atoi(e.Securable)
+				got = append(got, n)
+			}
+			if !reflect.DeepEqual(got, tc.want) || lost != tc.wantLost || next != tc.wantCursor {
+				t.Fatalf("EventsSince(%d) = %v, next=%d, lost=%d; want %v, next=%d, lost=%d",
+					tc.from, got, next, lost, tc.want, tc.wantCursor, tc.wantLost)
+			}
+		})
 	}
 }
 

@@ -81,8 +81,8 @@ type ChurnResult struct {
 	CommitRetries       int64 `json:"commit_retries"`
 
 	// Deletion-vector DML.
-	DeleteMatchedFiles int  `json:"delete_matched_files"`
-	DeleteRowsMasked   int  `json:"delete_rows_masked"`
+	DeleteMatchedFiles int   `json:"delete_matched_files"`
+	DeleteRowsMasked   int   `json:"delete_rows_masked"`
 	DeletePuts         int64 `json:"delete_puts"`
 	DVMaskedScanRows   int64 `json:"dv_masked_scan_rows"`
 	ResultsIdentical   bool  `json:"results_identical_par_1_2_8_row"`

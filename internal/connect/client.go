@@ -176,6 +176,9 @@ func (c *Client) executePlanOnce(body []byte) (*types.Batch, error) {
 	}
 	defer resp.Body.Close()
 	opID := resp.Header.Get("X-Operation-Id")
+	// Release on every exit, failures included: the service keeps each
+	// operation, a failed one too, until it is released or swept.
+	defer c.release(opID)
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeHTTPError(resp)
 	}
@@ -194,7 +197,6 @@ func (c *Client) executePlanOnce(body []byte) (*types.Batch, error) {
 	} else if streamErr != nil {
 		return nil, streamErr
 	}
-	defer c.release(opID)
 	if schema == nil {
 		schema = &types.Schema{}
 	}

@@ -282,6 +282,63 @@ func TestReleaseFreesOperation(t *testing.T) {
 	}
 }
 
+func TestOperationTableStaysBounded(t *testing.T) {
+	schema, batches := intBatches([]int64{1})
+	fb := &fakeBackend{schema: schema, batches: batches}
+	svc, ts := newTestService(t, fb)
+	now := time.Unix(1000, 0)
+	svc.SetClock(func() time.Time { return now })
+	held := func() int {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		return len(svc.operations)
+	}
+	drain := func(resp *http.Response) {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+
+	// The client releases a failed operation as it does a successful one.
+	fb.err = errors.New("boom")
+	c := Dial(ts.URL, "tok")
+	for i := 0; i < 10; i++ {
+		if _, err := c.Sql("SELECT 1").Collect(); err == nil {
+			t.Fatal("failing statement succeeded")
+		}
+	}
+	if n := held(); n != 0 {
+		t.Fatalf("%d failed operations left behind by the client", n)
+	}
+
+	// Clients that never release, failing or not, on sessions that go idle:
+	// each sweep tombstones the idle operations and evicts the tombstones of
+	// the sweep before, so at most two windows of operations are held.
+	const maxAge = 10 * time.Minute
+	const perWindow = 6
+	for round := 0; round < 5; round++ {
+		for i := 0; i < perWindow; i++ {
+			fb.err = nil
+			if i%2 == 0 {
+				fb.err = errors.New("boom")
+			}
+			resp, _ := execRaw(t, ts, "tok", "s"+string(rune('a'+round)))
+			drain(resp)
+		}
+		now = now.Add(maxAge + time.Second)
+		if ops, _ := svc.SweepIdle(maxAge); ops != perWindow {
+			t.Fatalf("round %d: tombstoned %d operations, want %d", round, ops, perWindow)
+		}
+		if n := held(); n > 2*perWindow {
+			t.Fatalf("round %d: %d operations held, want at most %d", round, n, 2*perWindow)
+		}
+	}
+	now = now.Add(maxAge + time.Second)
+	svc.SweepIdle(maxAge)
+	if n := held(); n != 0 {
+		t.Fatalf("%d operations held after every session closed and every tombstone aged out", n)
+	}
+}
+
 func TestDataFrameBuilderShapes(t *testing.T) {
 	schema, batches := intBatches([]int64{1})
 	_, ts := newTestService(t, &fakeBackend{schema: schema, batches: batches})

@@ -85,6 +85,9 @@ type operation struct {
 	batches    []*types.Batch
 	errMsg     string
 	lastAccess time.Time
+	// tombstonedAt is when SweepIdle tombstoned the operation; the
+	// tombstone itself is evicted one further maxAge later.
+	tombstonedAt time.Time
 }
 
 // Service is the Connect endpoint: it terminates HTTP, authenticates,
@@ -515,27 +518,36 @@ func (s *Service) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 
 // SweepIdle tombstones operations and closes sessions idle longer than
 // maxAge — the lifecycle management §3.2.3 describes (abandon and tombstone
-// executions whose clients disappeared). It returns how many operations were
-// tombstoned and sessions closed.
+// executions whose clients disappeared). The operations of a closed session
+// are tombstoned with it. A tombstone answers reattach with 410 Gone for one
+// further maxAge and is then evicted, so the operation table stays bounded
+// by the operations of the last two maxAge windows. It returns how many
+// operations were tombstoned and sessions closed.
 func (s *Service) SweepIdle(maxAge time.Duration) (ops, sessions int) {
 	now := s.clock()
-	var closed []string
+	closed := map[string]bool{}
 	s.mu.Lock()
-	for _, op := range s.operations {
-		if op.state != OpTombstoned && now.Sub(op.lastAccess) > maxAge {
+	for id, last := range s.sessions {
+		if now.Sub(last) > maxAge {
+			delete(s.sessions, id)
+			closed[id] = true
+		}
+	}
+	for id, op := range s.operations {
+		switch {
+		case op.state == OpTombstoned:
+			if now.Sub(op.tombstonedAt) > maxAge {
+				delete(s.operations, id)
+			}
+		case now.Sub(op.lastAccess) > maxAge || closed[op.sessionID]:
 			op.state = OpTombstoned
+			op.tombstonedAt = now
 			op.batches = nil // free buffered results
 			ops++
 		}
 	}
-	for id, last := range s.sessions {
-		if now.Sub(last) > maxAge {
-			delete(s.sessions, id)
-			closed = append(closed, id)
-		}
-	}
 	s.mu.Unlock()
-	for _, id := range closed {
+	for id := range closed {
 		s.backend.CloseSession(id)
 	}
 	return ops, len(closed)

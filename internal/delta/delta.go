@@ -563,9 +563,19 @@ func (l *Log) writeDataFiles(cred *storage.Credential, version int64, schema *ty
 		if err != nil {
 			return nil, err
 		}
+		// Every writer holds its own handle, so two writers racing for the
+		// same version draw the same names from their sequences: write only
+		// to a fresh name, or one would overwrite the other's data.
 		path := dataPath(l.prefix, version, l.fileSeq.Add(1))
-		if err := l.store.Put(cred, path, data); err != nil {
-			return nil, err
+		for {
+			err := l.store.PutIfAbsent(cred, path, data)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, storage.ErrAlreadyExists) {
+				return nil, err
+			}
+			path = dataPath(l.prefix, version, l.fileSeq.Add(1))
 		}
 		actions = append(actions, Action{Add: &AddFile{
 			Path: path, NumRecords: int64(b.NumRows()), SizeBytes: int64(len(data)),

@@ -48,7 +48,7 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-func hashInt64(v int64) uint64   { return mix64(uint64(v) ^ hashIntTag) }
+func hashInt64(v int64) uint64 { return mix64(uint64(v) ^ hashIntTag) }
 func hashBytes(s string) uint64 {
 	h := hashOffset64
 	for i := 0; i < len(s); i++ {

@@ -118,12 +118,12 @@ func TestPruningEquivalence(t *testing.T) {
 
 	preds := generatePruningPredicates(80, 23, files*rowsPerFile)
 	preds = append(preds,
-		"score = 48.0",        // NaN file overlap: NaN == anything is true in this engine
-		"score < 0",           // prunable everywhere except NaN files
-		"v IS NULL",           // null-count pruning
+		"score = 48.0",            // NaN file overlap: NaN == anything is true in this engine
+		"score < 0",               // prunable everywhere except NaN files
+		"v IS NULL",               // null-count pruning
 		"v IS NOT NULL AND v < 0", // impossible range: every file pruned
 		"id >= 100 AND id < 148",  // exactly one file
-		"cat = 'nosuch'",      // strings: min/max cover all cats, nothing pruned
+		"cat = 'nosuch'",          // strings: min/max cover all cats, nothing pruned
 	)
 	for _, p := range preds {
 		q := "SELECT id, v, score, cat FROM clustered WHERE " + p + " ORDER BY id"

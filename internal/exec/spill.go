@@ -166,7 +166,6 @@ func (sp *spillPartitions) scatter(b *types.Batch, hashes []uint64) error {
 	return nil
 }
 
-
 // Size estimators used for spill thresholds. Deliberately cheap and
 // deterministic: payload bytes, not allocator truth.
 

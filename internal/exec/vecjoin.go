@@ -54,8 +54,8 @@ type vecJoinOp struct {
 	emittedTail bool
 
 	// Spill state (Grace hash join).
-	spillFiles []*spillFile      // every temp file ever created, for cleanup
-	rightParts *spillPartitions  // non-nil => the build overflowed
+	spillFiles []*spillFile     // every temp file ever created, for cleanup
+	rightParts *spillPartitions // non-nil => the build overflowed
 	leftParts  *spillPartitions
 	rightRID   int64
 	leftRID    int64

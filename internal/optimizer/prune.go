@@ -2,13 +2,15 @@ package optimizer
 
 import (
 	"sort"
+	"strings"
 
 	"lakeguard/internal/plan"
 )
 
 // pruneColumns narrows Scan and RemoteScan leaves to the columns actually
-// referenced above them, descending through intervening filters. For remote
-// scans this becomes the pushed projection of the eFGAC subquery.
+// referenced above them, descending through intervening filters and through
+// the policy barriers of governed tables. For remote scans this becomes the
+// pushed projection of the eFGAC subquery.
 func pruneColumns(n plan.Node) plan.Node {
 	return plan.Transform(n, func(x plan.Node) plan.Node {
 		switch t := x.(type) {
@@ -65,9 +67,10 @@ func remapExprs(exprs []plan.Expr, remap map[int]int) []plan.Expr {
 	return out
 }
 
-// tryPrune descends through Filter nodes to a Scan or RemoteScan leaf and
-// narrows it to the used columns, returning the rewritten subtree and the
-// old→new ordinal mapping. A nil map means "no change".
+// tryPrune descends through Filter nodes and governed-table barriers to a
+// Scan or RemoteScan leaf and narrows it to the used columns, returning the
+// rewritten subtree and the old→new ordinal mapping. A nil map means "no
+// change".
 func tryPrune(n plan.Node, used map[int]bool) (plan.Node, map[int]int) {
 	switch t := n.(type) {
 	case *plan.Filter:
@@ -83,22 +86,28 @@ func tryPrune(n plan.Node, used map[int]bool) (plan.Node, map[int]int) {
 		cond := remapExprs([]plan.Expr{t.Cond}, remap)[0]
 		return &plan.Filter{Cond: cond, Child: child}, remap
 
+	case *plan.SecureView:
+		return pruneBarrier(t, used)
+
 	case *plan.Scan:
-		if t.ProjectedCols != nil {
-			return n, nil
-		}
 		collectRefs(t.PushedFilters, used)
-		total := t.TableSchema.Len()
+		total := t.Schema().Len()
 		keep := sortedKeys(used, total)
 		if len(keep) == total {
 			return n, nil
 		}
 		remap := make(map[int]int, len(keep))
+		cols := make([]int, len(keep))
 		for ni, oi := range keep {
 			remap[oi] = ni
+			cols[ni] = oi
+			if t.ProjectedCols != nil {
+				// An inner projection already narrowed this scan: compose.
+				cols[ni] = t.ProjectedCols[oi]
+			}
 		}
 		sc := *t
-		sc.ProjectedCols = keep
+		sc.ProjectedCols = cols
 		sc.PushedFilters = remapExprs(sc.PushedFilters, remap)
 		return &sc, remap
 
@@ -125,6 +134,106 @@ func tryPrune(n plan.Node, used map[int]bool) (plan.Node, map[int]int) {
 		return &rs, remap
 	}
 	return n, nil
+}
+
+// pruneBarrier narrows a governed table's SecureView to the outputs used
+// above it. The barrier's interior is the analyzer-injected policy chain
+// [Project masks] → [Filter rowFilter] → Scan, and the rewrite never changes
+// what it evaluates, only what it carries: unused items are dropped from the
+// mask projection (a query that does not select a masked column never
+// computes its mask) and the scan below is narrowed to what the kept items,
+// the row filter and its pushed form still read. A mask is dropped only
+// when its raw column leaves the barrier entirely — when a kept item, the
+// row filter or another mask still reads the raw column, its mask stays
+// (the sentinel's mask-before-use invariant). View and materialized-view
+// barriers are left as they are.
+func pruneBarrier(sv *plan.SecureView, used map[int]bool) (plan.Node, map[int]int) {
+	if !hasPolicyKind(sv, "column_mask") {
+		if !hasPolicyKind(sv, "row_filter") {
+			return sv, nil
+		}
+		child, remap := tryPrune(sv.Child, used)
+		if remap == nil {
+			return sv, nil
+		}
+		return sv.WithChildren([]plan.Node{child}), remap
+	}
+	proj, ok := sv.Child.(*plan.Project)
+	if !ok {
+		return sv, nil
+	}
+	keep := map[int]bool{}
+	for k := range used {
+		if k >= 0 && k < len(proj.Exprs) {
+			keep[k] = true
+		}
+	}
+	if len(keep) == 0 {
+		// COUNT(*) and friends need rows, not values: carry one column,
+		// preferring a pass-through one that computes no mask.
+		keep[passThroughItem(proj.Exprs)] = true
+	}
+	var child plan.Node
+	var remap map[int]int
+	for {
+		inner := map[int]bool{}
+		for i := range keep {
+			collectRefs(proj.Exprs[i:i+1], inner)
+		}
+		child, remap = tryPrune(proj.Child, inner)
+		raw := map[string]bool{}
+		for _, f := range child.Schema().Fields {
+			raw[strings.ToLower(f.Name)] = true
+		}
+		grew := false
+		for i, e := range proj.Exprs {
+			if _, passThrough := e.(*plan.BoundRef); passThrough || keep[i] {
+				continue
+			}
+			if raw[strings.ToLower(plan.OutputName(e))] {
+				keep[i] = true // the raw column stays, so its mask does too
+				grew = true
+			}
+		}
+		if !grew {
+			break
+		}
+	}
+	if len(keep) == len(proj.Exprs) && remap == nil {
+		return sv, nil
+	}
+	idx := sortedKeys(keep, len(proj.Exprs))
+	outRemap := make(map[int]int, len(idx))
+	exprs := make([]plan.Expr, len(idx))
+	for ni, oi := range idx {
+		outRemap[oi] = ni
+		exprs[ni] = proj.Exprs[oi]
+	}
+	if remap != nil {
+		exprs = remapExprs(exprs, remap)
+	}
+	np := &plan.Project{Exprs: exprs, Child: child, OutSchema: proj.OutSchema.Project(idx)}
+	return sv.WithChildren([]plan.Node{np}), outRemap
+}
+
+func hasPolicyKind(sv *plan.SecureView, kind string) bool {
+	for _, k := range sv.PolicyKinds {
+		if k == kind {
+			return true
+		}
+	}
+	return false
+}
+
+// passThroughItem returns the first projection item that is a plain column
+// reference, or 0 when every item computes something.
+func passThroughItem(exprs []plan.Expr) int {
+	for i, e := range exprs {
+		if _, ok := e.(*plan.BoundRef); ok {
+			return i
+		}
+	}
+	return 0
 }
 
 // sortedKeys returns the used ordinals sorted ascending, clamped to the

@@ -19,6 +19,11 @@ const (
 
 const victimSQL = "SELECT amount, seller FROM sales"
 
+// prunedVictimSQL does not select the masked column, so column pruning drops
+// seller and its mask from the barrier; the attacks built on it re-read the
+// raw column inside the barrier without restoring the mask.
+const prunedVictimSQL = "SELECT amount FROM sales"
+
 // standardAttack seeds a standard-compute fixture with the given sabotage
 // rules and runs the victim query through the full server pipeline.
 func standardAttack(q string, rules ...optimizer.Rule) func() (*Fixture, error) {
@@ -109,8 +114,38 @@ func sabotageBarrier(build func(proj *plan.Project, sc *plan.Scan, idx int) plan
 	}
 }
 
-// Corpus is the bypass corpus: one case per known attack class against the
-// plan pipeline. Every case must be blocked by the sentinel with the listed
+// replaceSeller rewrites the barrier's projection, swapping the seller item
+// for item (renaming its output field to name). Every reference to seller
+// inside item is rebound to the raw column of the widened scan.
+func replaceSeller(item plan.Expr, name string) optimizer.Rule {
+	return sabotageBarrier(func(proj *plan.Project, sc *plan.Scan, idx int) plan.Node {
+		exprs := append([]plan.Expr{}, proj.Exprs...)
+		fields := append([]types.Field{}, proj.OutSchema.Fields...)
+		for i, e := range exprs {
+			if plan.OutputName(e) == "seller" {
+				exprs[i] = plan.TransformExpr(item, func(x plan.Expr) plan.Expr {
+					if b, ok := x.(*plan.BoundRef); ok && b.Name == "seller" {
+						return rawSeller(idx)
+					}
+					return x
+				})
+				fields[i].Name = name
+			}
+		}
+		return &plan.Project{Exprs: exprs, Child: sc, OutSchema: &types.Schema{Fields: fields}}
+	})
+}
+
+// readRawUnderPrunedMask interposes an operator that reads raw seller
+// between the (pruned, seller-free) mask projection and the widened scan.
+func readRawUnderPrunedMask(reader func(sc *plan.Scan, raw *plan.BoundRef) plan.Node) optimizer.Rule {
+	return sabotageBarrier(func(proj *plan.Project, sc *plan.Scan, idx int) plan.Node {
+		return &plan.Project{Exprs: proj.Exprs, OutSchema: proj.OutSchema, Child: reader(sc, rawSeller(idx))}
+	})
+}
+
+// Corpus is the bypass corpus: at least one case per known attack class
+// against the plan pipeline. Every case must be blocked by the sentinel with the listed
 // invariants and, where a label applies, a label-attributed deny audit event.
 var Corpus = []Case{
 	{
@@ -360,6 +395,83 @@ var Corpus = []Case{
 			return nil, sealed.Check()
 		},
 		WantInvariants: []sentinel.Invariant{sentinel.InvSeal},
+	},
+	{
+		Name:  "mask-dropped-raw-output",
+		Class: "mask-laundering",
+		Description: "A rewrite drops the column mask and outputs the raw " +
+			"masked column in its place as a plain column reference.",
+		Attack:         standardAttack(victimSQL, replaceSeller(rawSeller(0), "seller")),
+		WantInvariants: []sentinel.Invariant{sentinel.InvColumnMask},
+		WantLabel:      maskLabel,
+	},
+	{
+		Name:  "mask-dropped-raw-alias",
+		Class: "mask-laundering",
+		Description: "A rewrite drops the column mask and outputs the raw " +
+			"masked column under a fresh alias, so no item is named seller.",
+		Attack:         standardAttack(victimSQL, replaceSeller(plan.As(rawSeller(0), "s"), "s")),
+		WantInvariants: []sentinel.Invariant{sentinel.InvColumnMask},
+		WantLabel:      maskLabel,
+	},
+	{
+		Name:  "mask-swapped-same-name",
+		Class: "mask-laundering",
+		Description: "A rewrite replaces the mask with a different expression " +
+			"over the raw column under the mask's own output name.",
+		Attack: standardAttack(victimSQL, replaceSeller(plan.As(&plan.ScalarFunc{
+			Name: "substr", ResultKind: types.KindString,
+			Args: []plan.Expr{rawSeller(0), plan.Lit(types.Int64(1)), plan.Lit(types.Int64(1))},
+		}, "seller"), "seller")),
+		WantInvariants: []sentinel.Invariant{sentinel.InvColumnMask},
+		WantLabel:      maskLabel,
+	},
+	{
+		Name:  "pruned-mask-pushed-filter",
+		Class: "implicit-flow",
+		Description: "The query never selects the masked column, so pruning " +
+			"drops its mask; a rewrite then widens the scan and pushes a " +
+			"predicate over the raw column into it.",
+		Attack: standardAttack(prunedVictimSQL, readRawUnderPrunedMask(
+			func(sc *plan.Scan, raw *plan.BoundRef) plan.Node {
+				cp := *sc
+				cp.PushedFilters = append(append([]plan.Expr{}, sc.PushedFilters...),
+					&plan.Binary{Op: plan.OpEq, L: raw, R: plan.Lit(types.String("ann")), ResultKind: types.KindBool})
+				return &cp
+			})),
+		WantInvariants: []sentinel.Invariant{sentinel.InvColumnMask},
+		WantLabel:      maskLabel,
+	},
+	{
+		Name:  "pruned-mask-sort-key",
+		Class: "implicit-flow",
+		Description: "The query never selects the masked column; a rewrite " +
+			"orders the barrier's rows by the raw column under the pruned " +
+			"mask projection, leaking it through row order.",
+		Attack: standardAttack(prunedVictimSQL, readRawUnderPrunedMask(
+			func(sc *plan.Scan, raw *plan.BoundRef) plan.Node {
+				return &plan.Sort{Orders: []plan.SortOrder{{Expr: raw}}, Child: sc}
+			})),
+		WantInvariants: []sentinel.Invariant{sentinel.InvColumnMask},
+		WantLabel:      maskLabel,
+	},
+	{
+		Name:  "pruned-mask-join-key",
+		Class: "implicit-flow",
+		Description: "The query never selects the masked column; a rewrite " +
+			"semi-joins the barrier's scan with a probe list on the raw " +
+			"column, leaking it through which rows survive.",
+		Attack: standardAttack(prunedVictimSQL, readRawUnderPrunedMask(
+			func(sc *plan.Scan, raw *plan.BoundRef) plan.Node {
+				probe := types.NewBatchBuilder(types.NewSchema(
+					types.Field{Name: "guess", Kind: types.KindString}), 1)
+				probe.Column(0).AppendString("ann")
+				guess := &plan.BoundRef{Index: sc.Schema().Len(), Name: "guess", Kind: types.KindString}
+				return &plan.Join{Type: plan.JoinLeftSemi, L: sc, R: &plan.LocalRelation{Data: probe.Build()},
+					Cond: &plan.Binary{Op: plan.OpEq, L: raw, R: guess, ResultKind: types.KindBool}}
+			})),
+		WantInvariants: []sentinel.Invariant{sentinel.InvColumnMask},
+		WantLabel:      maskLabel,
 	},
 }
 

@@ -32,6 +32,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"sort"
 	"strings"
 
 	"lakeguard/internal/eval"
@@ -240,6 +241,7 @@ func Verify(analyzed, optimized plan.Node) *Report {
 		r.violate(InvBarrier, "plan", fmt.Sprintf(
 			"analyzed plan has %d policy barriers, optimized plan has %d",
 			len(obligations), len(barriers)))
+		r.reportVanished(obligations, barriers)
 	}
 	n := len(barriers)
 	if len(obligations) < n {
@@ -273,6 +275,34 @@ func Verify(analyzed, optimized plan.Node) *Report {
 	// discharged in the optimized plan before reaching any sink.
 	r.verifyDataflow(obligations, optimized)
 	return r
+}
+
+// reportVanished names every label of each analyzed barrier that has no
+// same-named barrier left in the optimized plan. A vanished barrier's
+// obligations are undischarged whatever the rest of the plan now reads, so
+// the attribution must not depend on which raw columns a forged replacement
+// happens to expose at which ordinals.
+func (r *Report) reportVanished(obligations []*obligation, barriers []*plan.SecureView) {
+	left := map[string]int{}
+	for _, sv := range barriers {
+		left[sv.Name]++
+	}
+	for _, o := range obligations {
+		if left[o.name] > 0 {
+			left[o.name]--
+			continue
+		}
+		labels := make([]string, len(o.labels))
+		for i, l := range o.labels {
+			labels[i] = l.String()
+		}
+		if len(labels) == 0 {
+			labels = []string{"none"}
+		}
+		r.violate(InvBarrier, o.name, fmt.Sprintf(
+			"policy barrier vanished from the optimized plan; its obligations are undischarged: %s",
+			strings.Join(labels, ", ")))
+	}
 }
 
 func (r *Report) violate(inv Invariant, securable, detail string) {
@@ -404,51 +434,7 @@ func (r *Report) verifyBarrier(o *obligation, sv *plan.SecureView) {
 
 	// (b) masks rewrite raw values before anything else observes them.
 	if o.hasKind("column_mask") {
-		okMask := true
-		proj, isProj := sv.Child.(*plan.Project)
-		if !isProj {
-			okMask = false
-			r.violate(InvColumnMask, o.name, fmt.Sprintf(
-				"mask projection is no longer the barrier's first operator (found %T)", sv.Child))
-		} else {
-			for col, want := range o.masks {
-				found := false
-				for _, e := range proj.Exprs {
-					if strings.EqualFold(plan.OutputName(e), col) {
-						found = true
-						if canonical(normalize(e)) != canonical(want) {
-							okMask = false
-							r.violate(InvColumnMask, o.name, fmt.Sprintf(
-								"mask for column %q altered: have %s, policy requires %s",
-								col, redacted(normalize(e)), redacted(want)))
-						}
-						break
-					}
-				}
-				if !found {
-					okMask = false
-					r.violate(InvColumnMask, o.name, fmt.Sprintf("mask for column %q dropped from the projection", col))
-				}
-			}
-			// Nothing below the mask projection may observe a masked raw
-			// column, except the policy's own row-filter conjuncts (row
-			// filters see unmasked values by design).
-			allowed := map[string]bool{}
-			for _, pc := range o.policyConjuncts {
-				allowed[canonical(pc)] = true
-			}
-			for _, ref := range exprsBelow(proj.Child) {
-				if !refersToAny(ref, o.masks) {
-					continue
-				}
-				if !allowed[canonical(normalize(ref))] {
-					okMask = false
-					r.violate(InvColumnMask, o.name, fmt.Sprintf(
-						"expression %s observes a masked column below the mask projection", redacted(normalize(ref))))
-				}
-			}
-		}
-		if okMask {
+		if r.verifyMasks(o, sv) {
 			r.clear(sv, InvColumnMask)
 		}
 	}
@@ -465,6 +451,80 @@ func (r *Report) verifyBarrier(o *obligation, sv *plan.SecureView) {
 	if len(r.Violations) == before {
 		r.clear(sv, InvBarrier)
 	}
+}
+
+// verifyMasks proves invariant (b) for one barrier. Every masked column the
+// barrier outputs, under any name, is its mask expression; every masked
+// column read at or below the mask projection is read only by that mask or
+// by the policy's own row-filter conjuncts (row filters see unmasked values
+// by design). A mask may be absent only when its raw column is absent from
+// the barrier entirely — column pruning drops the masks of columns a query
+// never reads, and a column that is neither carried nor read cannot leak.
+// Every violation names the mask label it leaves undischarged.
+func (r *Report) verifyMasks(o *obligation, sv *plan.SecureView) bool {
+	proj, isProj := sv.Child.(*plan.Project)
+	if !isProj {
+		r.violate(InvColumnMask, o.name, fmt.Sprintf(
+			"mask projection is no longer the barrier's first operator (found %T)", sv.Child))
+		return false
+	}
+	ok := true
+	fail := func(col, detail string) {
+		ok = false
+		r.violate(InvColumnMask, o.name, fmt.Sprintf("%s (obligation %s undischarged)", detail, o.maskLabel(col)))
+	}
+	output := map[string]bool{}
+	for _, e := range proj.Exprs {
+		name := strings.ToLower(plan.OutputName(e))
+		if want, masked := o.masks[name]; masked {
+			output[name] = true
+			if canonical(normalize(e)) != canonical(want) {
+				fail(name, fmt.Sprintf("mask for column %q altered: have %s, policy requires %s",
+					name, redacted(normalize(e)), redacted(want)))
+			}
+			continue
+		}
+		for _, col := range maskedRefs(e, o.masks) {
+			fail(col, fmt.Sprintf("projection item %s outputs raw masked column %q as %q",
+				redacted(normalize(e)), col, name))
+		}
+	}
+	below := exprsBelow(proj.Child)
+	raw := map[string]bool{}
+	plan.Walk(proj.Child, func(x plan.Node) bool {
+		for _, f := range x.Schema().Fields {
+			raw[strings.ToLower(f.Name)] = true
+		}
+		return true
+	})
+	allowed := map[string]bool{}
+	for _, pc := range o.policyConjuncts {
+		allowed[canonical(pc)] = true
+	}
+	for _, e := range below {
+		cols := maskedRefs(e, o.masks)
+		for _, col := range cols {
+			raw[col] = true
+		}
+		if len(cols) == 0 || allowed[canonical(normalize(e))] {
+			continue
+		}
+		for _, col := range cols {
+			fail(col, fmt.Sprintf("expression %s observes masked column %q below the mask projection",
+				redacted(normalize(e)), col))
+		}
+	}
+	for col := range o.masks {
+		if !output[col] && raw[col] {
+			fail(col, fmt.Sprintf("mask for column %q dropped while the raw column is still carried or read inside the barrier", col))
+		}
+	}
+	return ok
+}
+
+// maskLabel is the column_mask label this barrier seeded for one column.
+func (o *obligation) maskLabel(col string) plan.Label {
+	return plan.Label{Kind: plan.LabelColumnMask, Securable: o.name, Column: col, Instance: o.instance}
 }
 
 // verifyBindings walks a barrier subtree checking every BoundRef against the
@@ -678,6 +738,10 @@ func exprsBelow(n plan.Node) []plan.Expr {
 			if t.Cond != nil {
 				out = append(out, t.Cond)
 			}
+		case *plan.Sort:
+			for _, o := range t.Orders {
+				out = append(out, o.Expr)
+			}
 		case *plan.Aggregate:
 			out = append(out, t.GroupBy...)
 			out = append(out, t.Aggs...)
@@ -689,20 +753,29 @@ func exprsBelow(n plan.Node) []plan.Expr {
 	return out
 }
 
-// refersToAny reports whether e references one of the masked columns by
-// name.
-func refersToAny(e plan.Expr, masked map[string]plan.Expr) bool {
-	return plan.ExprContains(e, func(x plan.Expr) bool {
+// maskedRefs lists, sorted and without repeats, the masked columns e
+// references by name.
+func maskedRefs(e plan.Expr, masked map[string]plan.Expr) []string {
+	seen := map[string]bool{}
+	plan.WalkExpr(e, func(x plan.Expr) bool {
+		var name string
 		switch t := x.(type) {
 		case *plan.BoundRef:
-			_, ok := masked[strings.ToLower(t.Name)]
-			return ok
+			name = t.Name
 		case *plan.ColumnRef:
-			_, ok := masked[strings.ToLower(t.Name)]
-			return ok
+			name = t.Name
 		}
-		return false
+		if _, ok := masked[strings.ToLower(name)]; ok {
+			seen[strings.ToLower(name)] = true
+		}
+		return true
 	})
+	out := make([]string, 0, len(seen))
+	for c := range seen {
+		out = append(out, c)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // collectUDFKeys records the trust-domain keys of every UDF call in a

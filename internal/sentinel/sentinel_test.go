@@ -416,3 +416,46 @@ func TestViolationErrorMessage(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// prunedQuery selects only seller and date: the optimizer drops amount's
+// mask and stops scanning amount.
+func prunedQuery() plan.Node {
+	return &plan.Project{
+		Exprs:     []plan.Expr{ref(2, "seller", types.KindString), ref(1, "date", types.KindString)},
+		Child:     governedSales(),
+		OutSchema: types.NewSchema(types.Field{Name: "seller", Kind: types.KindString}, types.Field{Name: "date", Kind: types.KindString}),
+	}
+}
+
+func TestMaskPrunedWithItsRawColumnIsClean(t *testing.T) {
+	analyzed := prunedQuery()
+	optimized := optimizer.Optimize(analyzed, optimizer.DefaultOptions())
+	if plan.Contains(optimized, func(n plan.Node) bool {
+		sc, ok := n.(*plan.Scan)
+		return ok && sc.Schema().Len() == 4
+	}) {
+		t.Fatalf("expected the scan under the barrier to be pruned:\n%s", plan.Explain(optimized))
+	}
+	mustClean(t, Verify(analyzed, optimized))
+}
+
+func TestMaskPrunedWhileRawColumnCarried(t *testing.T) {
+	// A rewrite that drops amount's mask but keeps the raw amount flowing
+	// into the barrier (nothing reads it yet) breaks (b): a mask may be
+	// absent only when its raw column is absent from the barrier entirely.
+	analyzed := prunedQuery()
+	optimized := optimizer.Optimize(analyzed, optimizer.DefaultOptions())
+	broken := plan.Transform(optimized, func(x plan.Node) plan.Node {
+		sc, ok := x.(*plan.Scan)
+		if !ok || sc.ProjectedCols == nil {
+			return x
+		}
+		cp := *sc
+		cp.ProjectedCols = append(append([]int{}, sc.ProjectedCols...), 0)
+		return &cp
+	})
+	v := mustViolate(t, Verify(analyzed, broken), InvColumnMask)
+	if !strings.Contains(v.Detail, "column_mask:main.default.sales.amount") {
+		t.Errorf("violation should name the mask label, got %q", v.Detail)
+	}
+}

@@ -79,10 +79,10 @@ type Store struct {
 	getCount atomic.Int64
 	putCount atomic.Int64
 	// registry counters (nil until SetMetrics; nil-safe no-ops).
-	mGetOps   *telemetry.Counter
-	mGetBytes *telemetry.Counter
-	mPutOps   *telemetry.Counter
-	mPutBytes *telemetry.Counter
+	mGetOps    *telemetry.Counter
+	mGetBytes  *telemetry.Counter
+	mPutOps    *telemetry.Counter
+	mPutBytes  *telemetry.Counter
 	mHeadOps   *telemetry.Counter
 	mListOps   *telemetry.Counter
 	mGetSaved  *telemetry.Counter
