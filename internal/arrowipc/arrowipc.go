@@ -3,7 +3,7 @@
 // more record-batch messages and an end marker; each message is a
 // length-prefixed frame. The format is used for Connect query results, Delta
 // data files, and sandbox IPC, so encode/decode must be an exact identity on
-// every batch (property-tested).
+// every batch (property-tested and fuzzed).
 //
 // Frame layout (all integers little-endian):
 //
@@ -15,6 +15,11 @@
 //	column    := u8 hasNulls | [bitmapBytes] | buffer
 //	buffer    := ints: 8*n bytes | floats: 8*n bytes
 //	           | strings: u32 offsets[n+1] | bytes
+//	           | nulls: empty (the bitmap is always present when n > 0)
+//
+// Decoding is columnar: a stream's batch frames decode straight into one
+// batch whose columns are allocated once, sized from the frames' row counts,
+// and each string column becomes one string per frame that its rows slice.
 package arrowipc
 
 import (
@@ -23,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"lakeguard/internal/types"
 )
@@ -38,6 +44,14 @@ const (
 // prefixes (64 MiB).
 const MaxFrameSize = 64 << 20
 
+// frameHeaderLen is the u32 length plus the u8 message type.
+const frameHeaderLen = 5
+
+// readChunk is how much of a frame body a stream reader allocates before
+// the bytes arrive; larger bodies grow as they are read, so a corrupt
+// length prefix costs at most this much memory, not MaxFrameSize.
+const readChunk = 1 << 20
+
 // ErrClosed is returned when reading past the end marker.
 var ErrClosed = errors.New("arrowipc: stream closed")
 
@@ -52,8 +66,11 @@ type Writer struct {
 // NewWriter starts a stream by writing the schema message.
 func NewWriter(w io.Writer, schema *types.Schema) (*Writer, error) {
 	wr := &Writer{w: w, schema: schema}
-	payload := appendSchema(nil, schema)
-	if err := wr.writeFrame(msgSchema, payload); err != nil {
+	frame, err := appendSchemaFrame(nil, schema)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := w.Write(frame); err != nil {
 		return nil, err
 	}
 	return wr, nil
@@ -67,8 +84,13 @@ func (wr *Writer) WriteBatch(b *types.Batch) error {
 	if !b.Schema.Equal(wr.schema) {
 		return fmt.Errorf("arrowipc: batch schema %s does not match stream schema %s", b.Schema, wr.schema)
 	}
-	wr.buf = appendBatch(wr.buf[:0], b)
-	return wr.writeFrame(msgBatch, wr.buf)
+	frame, err := appendBatchFrame(wr.buf[:0], b, batchLen(b))
+	if err != nil {
+		return err
+	}
+	wr.buf = frame
+	_, err = wr.w.Write(frame)
+	return err
 }
 
 // Close writes the end marker. The underlying writer is not closed.
@@ -77,37 +99,27 @@ func (wr *Writer) Close() error {
 		return nil
 	}
 	wr.closed = true
-	return wr.writeFrame(msgEnd, nil)
+	end, _ := appendFrameHeader(wr.buf[:0], msgEnd, 0) // an empty payload is within every limit
+	_, err := wr.w.Write(end)
+	return err
 }
 
-func (wr *Writer) writeFrame(msgType byte, payload []byte) error {
-	if len(payload)+1 > MaxFrameSize {
-		return fmt.Errorf("arrowipc: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = msgType
-	if _, err := wr.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := wr.w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Reader decodes a stream written by Writer.
+// Reader decodes a stream written by Writer, either from an io.Reader or —
+// for DecodeBatch — in place from a byte slice.
 type Reader struct {
 	r      io.Reader
+	data   []byte // the unread stream when r is nil
+	hdr    [4]byte
 	schema *types.Schema
 	done   bool
 }
 
 // NewReader consumes the schema message and prepares to read batches.
 func NewReader(r io.Reader) (*Reader, error) {
-	rd := &Reader{r: r}
+	return openReader(&Reader{r: r})
+}
+
+func openReader(rd *Reader) (*Reader, error) {
 	msgType, payload, err := rd.readFrame()
 	if err != nil {
 		return nil, err
@@ -115,7 +127,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if msgType != msgSchema {
 		return nil, fmt.Errorf("arrowipc: expected schema message, got type %d", msgType)
 	}
-	schema, _, err := decodeSchema(payload)
+	schema, err := decodeSchema(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +138,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Schema returns the stream schema.
 func (rd *Reader) Schema() *types.Schema { return rd.schema }
 
-// Next returns the next batch, or io.EOF after the end marker.
+// Next returns the next batch, or io.EOF after the end marker. A stream that
+// stops before its end marker fails with io.ErrUnexpectedEOF.
 func (rd *Reader) Next() (*types.Batch, error) {
 	if rd.done {
 		return nil, io.EOF
@@ -137,7 +150,11 @@ func (rd *Reader) Next() (*types.Batch, error) {
 	}
 	switch msgType {
 	case msgBatch:
-		return decodeBatch(payload, rd.schema)
+		b, _, err := decodeFrames(rd.schema, [][]byte{payload})
+		if err != nil {
+			return nil, err
+		}
+		return b, nil
 	case msgEnd:
 		rd.done = true
 		return nil, io.EOF
@@ -160,27 +177,131 @@ func (rd *Reader) ReadAll() ([]*types.Batch, error) {
 	}
 }
 
-func (rd *Reader) readFrame() (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(rd.r, hdr[:]); err != nil {
-		return 0, nil, err
+// Drain reads every remaining frame and decodes all their batches into one
+// batch, presized from the frames' row counts, with no batch per frame and
+// no concat. frames is the number of batch frames in that batch. When the
+// stream breaks or a frame is corrupt, Drain returns the batch of the frames
+// before the fault, their count, and the error — so a re-sent stream can be
+// resumed at batch index frames.
+func (rd *Reader) Drain() (b *types.Batch, frames int, err error) {
+	var payloads [][]byte
+	var readErr error
+	for !rd.done && readErr == nil {
+		msgType, payload, ferr := rd.readFrame()
+		switch {
+		case ferr != nil:
+			readErr = ferr
+		case msgType == msgBatch:
+			payloads = append(payloads, payload)
+		case msgType == msgEnd:
+			rd.done = true
+		default:
+			readErr = fmt.Errorf("arrowipc: unexpected message type %d", msgType)
+		}
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	b, frames, err = decodeFrames(rd.schema, payloads)
+	if err == nil {
+		err = readErr
+	}
+	return b, frames, err
+}
+
+func (rd *Reader) readFrame() (byte, []byte, error) {
+	if rd.r == nil {
+		return rd.sliceFrame()
+	}
+	if _, err := io.ReadFull(rd.r, rd.hdr[:]); err != nil {
+		return 0, nil, noEOF(err)
+	}
+	n := binary.LittleEndian.Uint32(rd.hdr[:])
 	if n == 0 || n > MaxFrameSize {
 		return 0, nil, fmt.Errorf("arrowipc: invalid frame length %d", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(rd.r, body); err != nil {
+	body, err := readBody(rd.r, int(n))
+	if err != nil {
 		return 0, nil, err
 	}
 	return body[0], body[1:], nil
 }
 
-// --- payload encoding ---
+// sliceFrame returns the next frame of an in-place stream without copying.
+func (rd *Reader) sliceFrame() (byte, []byte, error) {
+	if len(rd.data) < 4 {
+		return 0, nil, io.ErrUnexpectedEOF
+	}
+	n := binary.LittleEndian.Uint32(rd.data)
+	if n == 0 || n > MaxFrameSize {
+		return 0, nil, fmt.Errorf("arrowipc: invalid frame length %d", n)
+	}
+	if int(n) > len(rd.data)-4 {
+		return 0, nil, io.ErrUnexpectedEOF
+	}
+	body := rd.data[4 : 4+n]
+	rd.data = rd.data[4+n:]
+	return body[0], body[1:], nil
+}
 
-func appendSchema(buf []byte, s *types.Schema) []byte {
+// readBody reads an n-byte frame body, allocating at most readChunk ahead
+// of the bytes that have actually arrived.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, min(n, readChunk))
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, noEOF(err)
+	}
+	for len(body) < n {
+		have := len(body)
+		body = slices.Grow(body, min(n-have, have))
+		body = body[:min(n, cap(body))]
+		if _, err := io.ReadFull(r, body[have:]); err != nil {
+			return nil, noEOF(err)
+		}
+	}
+	return body, nil
+}
+
+// noEOF turns a clean EOF into io.ErrUnexpectedEOF: a stream may end only
+// at its end marker, so running out of bytes anywhere else is truncation.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// --- encoding ---
+
+// appendFrameHeader grows buf to hold a whole frame with a plen-byte payload
+// and appends the frame header.
+func appendFrameHeader(buf []byte, msgType byte, plen int) ([]byte, error) {
+	if plen+1 > MaxFrameSize {
+		return buf, fmt.Errorf("arrowipc: frame of %d bytes exceeds limit", plen)
+	}
+	buf = slices.Grow(buf, frameHeaderLen+plen)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(plen+1))
+	return append(buf, msgType), nil
+}
+
+func schemaLen(s *types.Schema) int {
+	n := 2
+	for _, f := range s.Fields {
+		n += 4 + len(f.Name)
+	}
+	return n
+}
+
+func appendSchemaFrame(buf []byte, s *types.Schema) ([]byte, error) {
+	if len(s.Fields) > math.MaxUint16 {
+		return nil, fmt.Errorf("arrowipc: %d fields exceed the format's limit", len(s.Fields))
+	}
+	buf, err := appendFrameHeader(buf, msgSchema, schemaLen(s))
+	if err != nil {
+		return nil, err
+	}
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s.Fields)))
 	for _, f := range s.Fields {
+		if len(f.Name) > math.MaxUint16 {
+			return nil, fmt.Errorf("arrowipc: field name of %d bytes exceeds the format's limit", len(f.Name))
+		}
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(f.Name)))
 		buf = append(buf, f.Name...)
 		buf = append(buf, byte(f.Kind))
@@ -190,24 +311,27 @@ func appendSchema(buf []byte, s *types.Schema) []byte {
 			buf = append(buf, 0)
 		}
 	}
-	return buf
+	return buf, nil
 }
 
-func decodeSchema(buf []byte) (*types.Schema, int, error) {
+func decodeSchema(buf []byte) (*types.Schema, error) {
 	if len(buf) < 2 {
-		return nil, 0, errors.New("arrowipc: truncated schema")
+		return nil, errors.New("arrowipc: truncated schema")
 	}
 	n := int(binary.LittleEndian.Uint16(buf))
 	pos := 2
+	if n > (len(buf)-pos)/4 {
+		return nil, errors.New("arrowipc: truncated schema field")
+	}
 	s := &types.Schema{Fields: make([]types.Field, 0, n)}
 	for i := 0; i < n; i++ {
 		if pos+2 > len(buf) {
-			return nil, 0, errors.New("arrowipc: truncated schema field")
+			return nil, errors.New("arrowipc: truncated schema field")
 		}
 		nameLen := int(binary.LittleEndian.Uint16(buf[pos:]))
 		pos += 2
 		if pos+nameLen+2 > len(buf) {
-			return nil, 0, errors.New("arrowipc: truncated schema field body")
+			return nil, errors.New("arrowipc: truncated schema field body")
 		}
 		name := string(buf[pos : pos+nameLen])
 		pos += nameLen
@@ -215,219 +339,390 @@ func decodeSchema(buf []byte) (*types.Schema, int, error) {
 		nullable := buf[pos+1] == 1
 		pos += 2
 		if !kind.Valid() {
-			return nil, 0, fmt.Errorf("arrowipc: invalid kind %d for field %q", kind, name)
+			return nil, fmt.Errorf("arrowipc: invalid kind %d for field %q", kind, name)
 		}
 		s.Fields = append(s.Fields, types.Field{Name: name, Kind: kind, Nullable: nullable})
 	}
-	return s, pos, nil
+	return s, nil
 }
 
-func appendBatch(buf []byte, b *types.Batch) []byte {
+// batchLen is the exact payload length of b's batch frame.
+func batchLen(b *types.Batch) int {
+	n := b.NumRows()
+	l := 4
+	for _, col := range b.Cols {
+		l += 1 + payloadLen(col, n)
+		if hasBitmap(col, n) {
+			l += (n + 7) / 8
+		}
+	}
+	return l
+}
+
+// hasBitmap reports whether a column carries a validity bitmap on the wire:
+// when any row is NULL, and always for a non-empty NULL-typed column.
+func hasBitmap(col *types.Column, n int) bool {
+	return col.HasNulls() || (col.Kind() == types.KindNull && n > 0)
+}
+
+func payloadLen(col *types.Column, n int) int {
+	switch col.Kind() {
+	case types.KindBool, types.KindInt64, types.KindDate, types.KindTimestamp, types.KindFloat64:
+		return 8 * n
+	case types.KindString, types.KindBinary:
+		l := 4 * (n + 1)
+		for _, s := range col.Strings()[:n] {
+			l += len(s)
+		}
+		return l
+	}
+	return 0
+}
+
+// appendBatchFrame appends b's batch frame, whose payload is plen bytes.
+func appendBatchFrame(buf []byte, b *types.Batch, plen int) ([]byte, error) {
+	buf, err := appendFrameHeader(buf, msgBatch, plen)
+	if err != nil {
+		return nil, err
+	}
 	n := b.NumRows()
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
 	for _, col := range b.Cols {
 		buf = appendColumn(buf, col, n)
 	}
-	return buf
+	return buf, nil
 }
 
 func appendColumn(buf []byte, col *types.Column, n int) []byte {
-	hasNulls := col.HasNulls()
-	if hasNulls {
+	if hasBitmap(col, n) {
 		buf = append(buf, 1)
-		bitmap := make([]byte, (n+7)/8)
+		at := len(buf)
+		buf = append(buf, make([]byte, (n+7)/8)...)
+		bitmap := buf[at:]
+		allNull := col.Kind() == types.KindNull
 		for i := 0; i < n; i++ {
-			if col.IsNull(i) {
+			if allNull || col.IsNull(i) {
 				bitmap[i/8] |= 1 << (i % 8)
 			}
 		}
-		buf = append(buf, bitmap...)
 	} else {
 		buf = append(buf, 0)
 	}
 	switch col.Kind() {
 	case types.KindBool, types.KindInt64, types.KindDate, types.KindTimestamp:
-		for i := 0; i < n; i++ {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(col.Int64(i)))
+		at := len(buf)
+		buf = append(buf, make([]byte, 8*n)...)
+		for i, v := range col.Int64s()[:n] {
+			binary.LittleEndian.PutUint64(buf[at+8*i:], uint64(v))
 		}
 	case types.KindFloat64:
-		for i := 0; i < n; i++ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(col.Float64(i)))
+		at := len(buf)
+		buf = append(buf, make([]byte, 8*n)...)
+		for i, v := range col.Float64s()[:n] {
+			binary.LittleEndian.PutUint64(buf[at+8*i:], math.Float64bits(v))
 		}
 	case types.KindString, types.KindBinary:
+		strs := col.Strings()[:n]
 		off := uint32(0)
 		buf = binary.LittleEndian.AppendUint32(buf, off)
-		for i := 0; i < n; i++ {
-			off += uint32(len(col.StringAt(i)))
+		for _, s := range strs {
+			off += uint32(len(s))
 			buf = binary.LittleEndian.AppendUint32(buf, off)
 		}
-		for i := 0; i < n; i++ {
-			buf = append(buf, col.StringAt(i)...)
+		for _, s := range strs {
+			buf = append(buf, s...)
 		}
 	}
 	return buf
 }
 
-func decodeBatch(buf []byte, schema *types.Schema) (*types.Batch, error) {
-	if len(buf) < 4 {
-		return nil, errors.New("arrowipc: truncated batch")
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	pos := 4
-	cols := make([]*types.Column, schema.Len())
-	for ci, f := range schema.Fields {
-		col, next, err := decodeColumn(buf, pos, f.Kind, n)
-		if err != nil {
-			return nil, fmt.Errorf("arrowipc: column %q: %w", f.Name, err)
-		}
-		cols[ci] = col
-		pos = next
-	}
-	return types.NewBatch(schema, cols)
+// EncodedLen returns the exact length of EncodeBatch(b), so a caller can
+// place the stream behind its own header in one allocation.
+func EncodedLen(b *types.Batch) int {
+	total, _ := streamLen(b)
+	return total
 }
 
-func decodeColumn(buf []byte, pos int, kind types.Kind, n int) (*types.Column, int, error) {
+// streamLen returns the length of b's single-batch stream and of its batch
+// payload.
+func streamLen(b *types.Batch) (total, plen int) {
+	plen = batchLen(b)
+	return 3*frameHeaderLen + schemaLen(b.Schema) + plen, plen
+}
+
+// AppendEncoded appends the single-batch stream EncodeBatch returns to dst,
+// growing dst at most once.
+func AppendEncoded(dst []byte, b *types.Batch) ([]byte, error) {
+	total, plen := streamLen(b)
+	return appendStream(slices.Grow(dst, total), b, plen)
+}
+
+// EncodeBatch serializes a single batch (schema included) into one buffer
+// of exactly EncodedLen(b) bytes.
+func EncodeBatch(b *types.Batch) ([]byte, error) {
+	total, plen := streamLen(b)
+	return appendStream(make([]byte, 0, total), b, plen)
+}
+
+// appendStream writes b's schema, batch and end frames into dst, which has
+// room for them.
+func appendStream(dst []byte, b *types.Batch, plen int) ([]byte, error) {
+	dst, err := appendSchemaFrame(dst, b.Schema)
+	if err != nil {
+		return nil, err
+	}
+	if dst, err = appendBatchFrame(dst, b, plen); err != nil {
+		return nil, err
+	}
+	return appendFrameHeader(dst, msgEnd, 0)
+}
+
+// --- decoding ---
+
+// DecodeBatch reverses EncodeBatch. It reads frames in place from data and
+// decodes every batch in the stream into one batch; the result shares no
+// memory with data.
+func DecodeBatch(data []byte) (*types.Batch, error) {
+	rd, err := openReader(&Reader{data: data})
+	if err != nil {
+		return nil, err
+	}
+	b, _, err := rd.Drain()
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// rowBits is the fewest payload bits a row costs in a column of kind k: 64
+// for ints and floats, 32 for a string offset, 1 for a NULL-typed column's
+// bitmap bit.
+func rowBits(k types.Kind) int {
+	switch k {
+	case types.KindString, types.KindBinary:
+		return 32
+	case types.KindNull:
+		return 1
+	}
+	return 64
+}
+
+// frameRows returns the row count a batch payload claims, rejecting one its
+// bytes cannot hold before anything is reserved for it. A schema without
+// fields has no rows.
+func frameRows(payload []byte, schema *types.Schema) (int, error) {
+	if len(payload) < 4 {
+		return 0, errors.New("arrowipc: truncated batch")
+	}
+	if schema.Len() == 0 {
+		return 0, nil
+	}
+	n := int(binary.LittleEndian.Uint32(payload))
+	bits := 0
+	for _, f := range schema.Fields {
+		bits += rowBits(f.Kind)
+	}
+	if n > 8*(len(payload)-4)/bits {
+		return 0, fmt.Errorf("arrowipc: batch claims %d rows in %d payload bytes", n, len(payload)-4)
+	}
+	return n, nil
+}
+
+// decodeFrames decodes batch payloads into one batch whose columns are
+// allocated once, sized from the payloads' row counts. frames is how many
+// payloads the batch holds; on a corrupt payload decodeFrames returns the
+// batch of the payloads before it, their count, and the error.
+func decodeFrames(schema *types.Schema, payloads [][]byte) (b *types.Batch, frames int, err error) {
+	total := 0
+	counts := make([]int, len(payloads))
+	for i, p := range payloads {
+		n, rerr := frameRows(p, schema)
+		if rerr != nil {
+			payloads, err = payloads[:i], rerr
+			break
+		}
+		counts[i] = n
+		total += n
+	}
+	sinks := make([]colSink, schema.Len())
+	for i, f := range schema.Fields {
+		sinks[i] = newColSink(f.Kind, total)
+	}
+	rows := 0
+	for i, p := range payloads {
+		n := counts[i]
+		if derr := decodeColumns(sinks, schema, p, rows, n); derr != nil {
+			payloads, err = payloads[:i], derr
+			break
+		}
+		rows += n
+	}
+	cols := make([]*types.Column, len(sinks))
+	for i := range sinks {
+		cols[i] = sinks[i].build(rows)
+	}
+	return &types.Batch{Schema: schema, Cols: cols}, len(payloads), err
+}
+
+func decodeColumns(sinks []colSink, schema *types.Schema, payload []byte, off, n int) error {
+	pos := 4
+	for ci := range sinks {
+		next, err := sinks[ci].decode(payload, pos, off, n)
+		if err != nil {
+			return fmt.Errorf("arrowipc: column %q: %w", schema.Fields[ci].Name, err)
+		}
+		pos = next
+	}
+	return nil
+}
+
+// colSink is one column being decoded: its payload is allocated once for
+// every row of a drain and filled frame by frame.
+type colSink struct {
+	kind  types.Kind
+	total int
+	ints  []int64
+	flts  []float64
+	strs  []string
+	nulls []bool // allocated at the first NULL
+}
+
+func newColSink(kind types.Kind, total int) colSink {
+	s := colSink{kind: kind, total: total}
+	switch kind {
+	case types.KindBool, types.KindInt64, types.KindDate, types.KindTimestamp:
+		s.ints = make([]int64, total)
+	case types.KindFloat64:
+		s.flts = make([]float64, total)
+	case types.KindString, types.KindBinary:
+		s.strs = make([]string, total)
+	}
+	return s
+}
+
+// decode reads one column of an n-row batch payload at buf[pos:] into rows
+// [off, off+n) and returns the position after it. NULL rows keep a zero
+// payload.
+func (s *colSink) decode(buf []byte, pos, off, n int) (int, error) {
 	if pos >= len(buf) {
-		return nil, 0, errors.New("truncated column header")
+		return 0, errors.New("truncated column header")
 	}
 	hasNulls := buf[pos] == 1
 	pos++
 	var bitmap []byte
 	if hasNulls {
 		bl := (n + 7) / 8
-		if pos+bl > len(buf) {
-			return nil, 0, errors.New("truncated null bitmap")
+		if bl > len(buf)-pos {
+			return 0, errors.New("truncated null bitmap")
 		}
 		bitmap = buf[pos : pos+bl]
 		pos += bl
 	}
-	isNull := func(i int) bool {
-		return bitmap != nil && bitmap[i/8]&(1<<(i%8)) != 0
-	}
-	b := types.NewBuilder(kind, n)
-	switch kind {
+	switch s.kind {
 	case types.KindBool, types.KindInt64, types.KindDate, types.KindTimestamp:
-		if pos+8*n > len(buf) {
-			return nil, 0, errors.New("truncated int buffer")
+		if 8*n > len(buf)-pos {
+			return 0, errors.New("truncated int buffer")
 		}
-		for i := 0; i < n; i++ {
-			if isNull(i) {
-				b.AppendNull()
-			} else {
-				b.AppendInt64(int64(binary.LittleEndian.Uint64(buf[pos+8*i:])))
-			}
+		dst := s.ints[off : off+n]
+		for i := range dst {
+			dst[i] = int64(binary.LittleEndian.Uint64(buf[pos+8*i:]))
 		}
 		pos += 8 * n
 	case types.KindFloat64:
-		if pos+8*n > len(buf) {
-			return nil, 0, errors.New("truncated float buffer")
+		if 8*n > len(buf)-pos {
+			return 0, errors.New("truncated float buffer")
 		}
-		for i := 0; i < n; i++ {
-			if isNull(i) {
-				b.AppendNull()
-			} else {
-				b.AppendFloat64(math.Float64frombits(binary.LittleEndian.Uint64(buf[pos+8*i:])))
-			}
+		dst := s.flts[off : off+n]
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[pos+8*i:]))
 		}
 		pos += 8 * n
 	case types.KindString, types.KindBinary:
-		if pos+4*(n+1) > len(buf) {
-			return nil, 0, errors.New("truncated offsets")
+		if 4*(n+1) > len(buf)-pos {
+			return 0, errors.New("truncated offsets")
 		}
-		offsets := make([]uint32, n+1)
-		for i := range offsets {
-			offsets[i] = binary.LittleEndian.Uint32(buf[pos+4*i:])
-		}
+		offsets := buf[pos : pos+4*(n+1)]
 		pos += 4 * (n + 1)
-		total := int(offsets[n])
-		if pos+total > len(buf) {
-			return nil, 0, errors.New("truncated string data")
+		size := int(binary.LittleEndian.Uint32(offsets[4*n:]))
+		if size > len(buf)-pos {
+			return 0, errors.New("truncated string data")
 		}
-		data := buf[pos : pos+total]
-		for i := 0; i < n; i++ {
-			if isNull(i) {
-				b.AppendNull()
+		// One string per column per frame; every row is a substring of it.
+		slab := string(buf[pos : pos+size])
+		dst := s.strs[off : off+n]
+		for i := range dst {
+			if bitmap != nil && bitmap[i/8]&(1<<(i%8)) != 0 {
 				continue
 			}
-			lo, hi := offsets[i], offsets[i+1]
-			if lo > hi || int(hi) > total {
-				return nil, 0, errors.New("invalid string offsets")
+			lo := binary.LittleEndian.Uint32(offsets[4*i:])
+			hi := binary.LittleEndian.Uint32(offsets[4*i+4:])
+			if lo > hi || int(hi) > size {
+				return 0, errors.New("invalid string offsets")
 			}
-			b.AppendString(string(data[lo:hi]))
+			dst[i] = slab[lo:hi]
 		}
-		pos += total
+		pos += size
+	case types.KindNull:
+		if n > 0 && bitmap == nil {
+			return 0, errors.New("NULL-typed column without a null bitmap")
+		}
+		return pos, nil
 	default:
-		return nil, 0, fmt.Errorf("unsupported kind %v", kind)
+		return 0, fmt.Errorf("unsupported kind %v", s.kind)
 	}
-	return b.Build(), pos, nil
+	for i := 0; bitmap != nil && i < n; i++ {
+		if bitmap[i/8]&(1<<(i%8)) == 0 {
+			continue
+		}
+		if s.nulls == nil {
+			s.nulls = make([]bool, s.total)
+		}
+		s.nulls[off+i] = true
+		switch {
+		case s.ints != nil:
+			s.ints[off+i] = 0
+		case s.flts != nil:
+			s.flts[off+i] = 0
+		}
+	}
+	return pos, nil
 }
 
-// EncodeBatch serializes a single batch (schema included) to bytes.
-func EncodeBatch(b *types.Batch) ([]byte, error) {
-	var buf sliceWriter
-	w, err := NewWriter(&buf, b.Schema)
-	if err != nil {
-		return nil, err
+// build returns the first n decoded rows as a column.
+func (s *colSink) build(n int) *types.Column {
+	var nulls []bool
+	if s.nulls != nil {
+		nulls = s.nulls[:n]
 	}
-	if err := w.WriteBatch(b); err != nil {
-		return nil, err
+	switch s.kind {
+	case types.KindBool, types.KindInt64, types.KindDate, types.KindTimestamp:
+		return types.NewInt64Column(s.kind, s.ints[:n], nulls)
+	case types.KindFloat64:
+		return types.NewFloat64Column(s.flts[:n], nulls)
+	case types.KindString, types.KindBinary:
+		return types.NewStringColumn(s.kind, s.strs[:n], nulls)
 	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return buf.data, nil
+	return types.ConstColumn(types.Null(s.kind), n)
 }
 
-// DecodeBatch reverses EncodeBatch. Multiple batches in the stream are
-// concatenated into one.
-func DecodeBatch(data []byte) (*types.Batch, error) {
-	rd, err := NewReader(&sliceReader{data: data})
-	if err != nil {
-		return nil, err
-	}
-	batches, err := rd.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	return ConcatBatches(rd.Schema(), batches)
-}
-
-// ConcatBatches merges batches sharing a schema into one batch. An empty
-// input yields an empty batch of the given schema.
+// ConcatBatches merges batches sharing a schema into one batch. It checks
+// every input's schema — a lone batch's too — before anything else, returns
+// a lone batch unchanged, and otherwise appends column-wise into columns
+// allocated once. An empty input yields an empty batch of the given schema.
 func ConcatBatches(schema *types.Schema, batches []*types.Batch) (*types.Batch, error) {
 	total := 0
-	for _, b := range batches {
-		total += b.NumRows()
-	}
-	bb := types.NewBatchBuilder(schema, total)
 	for _, b := range batches {
 		if !b.Schema.Equal(schema) {
 			return nil, fmt.Errorf("arrowipc: cannot concat mismatched schema %s vs %s", b.Schema, schema)
 		}
-		for i := 0; i < b.NumRows(); i++ {
-			bb.AppendRow(b.Row(i))
-		}
+		total += b.NumRows()
+	}
+	if len(batches) == 1 {
+		return batches[0], nil
+	}
+	bb := types.NewBatchBuilder(schema, total)
+	for _, b := range batches {
+		bb.AppendBatch(b)
 	}
 	return bb.Build(), nil
-}
-
-type sliceWriter struct{ data []byte }
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	s.data = append(s.data, p...)
-	return len(p), nil
-}
-
-type sliceReader struct {
-	data []byte
-	pos  int
-}
-
-func (s *sliceReader) Read(p []byte) (int, error) {
-	if s.pos >= len(s.data) {
-		return 0, io.EOF
-	}
-	n := copy(p, s.data[s.pos:])
-	s.pos += n
-	return n, nil
 }

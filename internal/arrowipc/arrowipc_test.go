@@ -24,45 +24,69 @@ func sampleSchema() *types.Schema {
 
 func sampleBatch(n int, seed int64) *types.Batch {
 	rng := rand.New(rand.NewSource(seed))
-	bb := types.NewBatchBuilder(sampleSchema(), n)
-	for i := 0; i < n; i++ {
-		row := []types.Value{
-			types.Int64(rng.Int63()),
-			types.String(string(rune('a' + i%26))),
-			types.Float64(rng.NormFloat64()),
-			types.Bool(i%2 == 0),
-			types.Date(int64(20000 + i)),
-			types.Binary([]byte{byte(i), 0xff, 0x00}),
-		}
-		// Sprinkle NULLs into nullable columns.
-		for c := 1; c < 6; c++ {
-			if rng.Intn(5) == 0 {
-				row[c] = types.Null(sampleSchema().Fields[c].Kind)
-			}
-		}
-		bb.AppendRow(row)
+	schema := sampleSchema()
+	cols := make([]*types.Builder, schema.Len())
+	for c, f := range schema.Fields {
+		cols[c] = types.NewBuilder(f.Kind, n)
 	}
-	return bb.Build()
+	for i := 0; i < n; i++ {
+		cols[0].AppendInt64(rng.Int63())
+		name := types.String(string(rune('a' + i%26)))
+		score := types.Float64(rng.NormFloat64())
+		// Sprinkle NULLs into nullable columns.
+		for c, v := range []types.Value{
+			name, score, types.Bool(i%2 == 0), types.Date(int64(20000 + i)),
+			types.Binary([]byte{byte(i), 0xff, 0x00}),
+		} {
+			if rng.Intn(5) == 0 {
+				v = types.Null(schema.Fields[c+1].Kind)
+			}
+			cols[c+1].Append(v)
+		}
+	}
+	return buildBatch(schema, cols)
 }
 
+func buildBatch(schema *types.Schema, builders []*types.Builder) *types.Batch {
+	cols := make([]*types.Column, len(builders))
+	for i, b := range builders {
+		cols[i] = b.Build()
+	}
+	return types.MustBatch(schema, cols)
+}
+
+// batchesEqual compares schemas field by field and every cell column by
+// column, NULLs by position and floats by bit pattern.
 func batchesEqual(a, b *types.Batch) bool {
-	if !a.Schema.Equal(b.Schema) || a.NumRows() != b.NumRows() {
+	if len(a.Schema.Fields) != len(b.Schema.Fields) || a.NumRows() != b.NumRows() || len(a.Cols) != len(b.Cols) {
 		return false
 	}
-	for i := 0; i < a.NumRows(); i++ {
-		ra, rb := a.Row(i), b.Row(i)
-		for c := range ra {
-			if ra[c].Null != rb[c].Null {
+	for i, f := range a.Schema.Fields {
+		if f != b.Schema.Fields[i] {
+			return false
+		}
+	}
+	for c, ca := range a.Cols {
+		cb := b.Cols[c]
+		if ca.Kind() != cb.Kind() {
+			return false
+		}
+		for i := 0; i < a.NumRows(); i++ {
+			va, vb := ca.Value(i), cb.Value(i)
+			if va.Null != vb.Null {
 				return false
 			}
-			if !ra[c].Null {
-				// NaN-safe float comparison.
-				if ra[c].Kind == types.KindFloat64 && math.IsNaN(ra[c].F) && math.IsNaN(rb[c].F) {
-					continue
-				}
-				if !ra[c].Equal(rb[c]) {
+			if va.Null {
+				continue
+			}
+			if va.Kind == types.KindFloat64 {
+				if math.Float64bits(va.F) != math.Float64bits(vb.F) {
 					return false
 				}
+				continue
+			}
+			if !va.Equal(vb) {
+				return false
 			}
 		}
 	}
@@ -190,11 +214,7 @@ func TestCorruptInput(t *testing.T) {
 func TestConcatBatches(t *testing.T) {
 	schema := types.NewSchema(types.Field{Name: "n", Kind: types.KindInt64})
 	mk := func(vals ...int64) *types.Batch {
-		bb := types.NewBatchBuilder(schema, len(vals))
-		for _, v := range vals {
-			bb.AppendRow([]types.Value{types.Int64(v)})
-		}
-		return bb.Build()
+		return types.MustBatch(schema, []*types.Column{types.NewInt64Column(types.KindInt64, vals, nil)})
 	}
 	got, err := ConcatBatches(schema, []*types.Batch{mk(1, 2), mk(3)})
 	if err != nil {
@@ -220,15 +240,16 @@ func TestPropertyRoundTrip(t *testing.T) {
 		if len(strs) < n {
 			n = len(strs)
 		}
-		bb := types.NewBatchBuilder(schema, n)
+		cols := []*types.Builder{types.NewBuilder(types.KindInt64, n), types.NewBuilder(types.KindString, n)}
 		for i := 0; i < n; i++ {
 			row := []types.Value{types.Int64(ints[i]), types.String(strs[i])}
-			if nullEvery > 0 && i%int(nullEvery+1) == 0 {
+			if nullEvery > 0 && i%(int(nullEvery)+1) == 0 {
 				row[i%2] = types.Null(schema.Fields[i%2].Kind)
 			}
-			bb.AppendRow(row)
+			cols[0].Append(row[0])
+			cols[1].Append(row[1])
 		}
-		b := bb.Build()
+		b := buildBatch(schema, cols)
 		data, err := EncodeBatch(b)
 		if err != nil {
 			return false
@@ -246,11 +267,8 @@ func TestPropertyRoundTrip(t *testing.T) {
 
 func TestFloatSpecialsRoundTrip(t *testing.T) {
 	schema := types.NewSchema(types.Field{Name: "f", Kind: types.KindFloat64, Nullable: true})
-	bb := types.NewBatchBuilder(schema, 4)
-	for _, f := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1)} {
-		bb.AppendRow([]types.Value{types.Float64(f)})
-	}
-	b := bb.Build()
+	b := types.MustBatch(schema, []*types.Column{types.NewFloat64Column(
+		[]float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1)}, nil)})
 	data, _ := EncodeBatch(b)
 	got, err := DecodeBatch(data)
 	if err != nil {

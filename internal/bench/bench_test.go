@@ -20,7 +20,7 @@ func TestTable2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	cfg := Table2Config{SimpleRows: 60_000, HashRows: 2_000, UDFCounts: []int{5, 10}, Repetitions: 5, Fuse: true}
+	cfg := Table2Config{SimpleRows: 60_000, HashRows: 2_000, UDFCounts: []int{5, 10}, Repetitions: table2Repetitions, Fuse: true}
 	rows, err := RunTable2(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -22,7 +24,7 @@ type Table2Config struct {
 	HashRows int
 	// UDFCounts are the "Num UDF" sweep points (paper: 1, 2, 5, 10).
 	UDFCounts []int
-	// Repetitions per measurement (median is reported).
+	// Repetitions per measurement (medians are reported).
 	Repetitions int
 	// Fuse toggles the UDF fusion optimization (ablation A1 sets false).
 	Fuse bool
@@ -61,18 +63,10 @@ func RunTable2(cfg Table2Config) ([]Table2Row, error) {
 	}
 	var out []Table2Row
 	for _, n := range cfg.UDFCounts {
-		row := Table2Row{NumUDFs: n}
-		var err error
-		row.SimpleIsolated, row.SimpleUnisolated, err = measurePair(cfg, cfg.SimpleRows, n, SimpleUDFBody, types.KindInt64)
+		row, err := measureRow(cfg, n)
 		if err != nil {
-			return nil, fmt.Errorf("bench: simple udf x%d: %w", n, err)
+			return nil, err
 		}
-		row.HashIsolated, row.HashUnisolated, err = measurePair(cfg, cfg.HashRows, n, HashUDFBody, types.KindString)
-		if err != nil {
-			return nil, fmt.Errorf("bench: hash udf x%d: %w", n, err)
-		}
-		row.SimpleOverheadPct = overheadPct(row.SimpleIsolated, row.SimpleUnisolated)
-		row.HashOverheadPct = overheadPct(row.HashIsolated, row.HashUnisolated)
 		out = append(out, row)
 	}
 	return out, nil
@@ -85,25 +79,70 @@ func overheadPct(isolated, unisolated time.Duration) float64 {
 	return (float64(isolated) - float64(unisolated)) / float64(unisolated) * 100
 }
 
-// measurePair times the same UDF query with and without isolation.
-func measurePair(cfg Table2Config, rows, numUDFs int, body string, returns types.Kind) (isolated, unisolated time.Duration, err error) {
-	isolated, err = measureOnce(cfg, rows, numUDFs, body, returns, false)
-	if err != nil {
-		return 0, 0, err
+// measureRow times the simple and the hash UDF query, each with and without
+// isolation. All four worlds are built and warmed up before any timing, and
+// every repetition runs the four queries back to back, so a swing in machine
+// load lands on every side rather than on whichever side happened to run
+// during it. Each side reports the median of its repetitions. An overhead is
+// the median of the per-repetition overheads: the isolated and unisolated
+// runs of one repetition are adjacent in time and share the machine's load,
+// so their ratio is steadier than a ratio of two separately taken medians.
+func measureRow(cfg Table2Config, numUDFs int) (Table2Row, error) {
+	row := Table2Row{NumUDFs: numUDFs}
+	sides := []struct {
+		name      string
+		rows      int
+		body      string
+		returns   types.Kind
+		inProcess bool
+		median    *time.Duration
+	}{
+		{"simple", cfg.SimpleRows, SimpleUDFBody, types.KindInt64, false, &row.SimpleIsolated},
+		{"simple", cfg.SimpleRows, SimpleUDFBody, types.KindInt64, true, &row.SimpleUnisolated},
+		{"hash", cfg.HashRows, HashUDFBody, types.KindString, false, &row.HashIsolated},
+		{"hash", cfg.HashRows, HashUDFBody, types.KindString, true, &row.HashUnisolated},
 	}
-	unisolated, err = measureOnce(cfg, rows, numUDFs, body, returns, true)
-	if err != nil {
-		return 0, 0, err
+	runs := make([]func() (time.Duration, error), len(sides))
+	for i, s := range sides {
+		run, err := prepareTimedRun(cfg, s.rows, numUDFs, s.body, s.returns, s.inProcess)
+		if err != nil {
+			return row, fmt.Errorf("bench: %s udf x%d: %w", s.name, numUDFs, err)
+		}
+		runs[i] = run
 	}
-	return isolated, unisolated, nil
+	reps := max(cfg.Repetitions, 1)
+	times := make([][]time.Duration, len(sides))
+	var simplePct, hashPct []float64
+	for rep := 0; rep < reps; rep++ {
+		for i, s := range sides {
+			d, err := runs[i]()
+			if err != nil {
+				return row, fmt.Errorf("bench: %s udf x%d: %w", s.name, numUDFs, err)
+			}
+			times[i] = append(times[i], d)
+		}
+		simplePct = append(simplePct, overheadPct(times[0][rep], times[1][rep]))
+		hashPct = append(hashPct, overheadPct(times[2][rep], times[3][rep]))
+	}
+	for i, s := range sides {
+		*s.median = median(times[i])
+	}
+	row.SimpleOverheadPct = medianPct(simplePct)
+	row.HashOverheadPct = medianPct(hashPct)
+	return row, nil
 }
 
-func measureOnce(cfg Table2Config, rows, numUDFs int, body string, returns types.Kind, inProcess bool) (time.Duration, error) {
+// prepareTimedRun builds a world for the UDF query, runs it once to warm up
+// (sandbox provisioning, plan caches) and returns a function timing one more
+// run of it. Each timed run starts from a collected heap, so it does not pay
+// for garbage the other side of the pair left behind.
+func prepareTimedRun(cfg Table2Config, rows, numUDFs int, body string, returns types.Kind, inProcess bool) (func() (time.Duration, error), error) {
 	w := NewWorld(sandbox.Config{}) // no cold-start delay: continuous overhead only
 	w.Engine.UnsafeInProcessUDFs = inProcess
 	w.Engine.FuseUDFs = cfg.Fuse
+	w.Engine.Parallelism = 1
 	if err := w.SeedPairs(rows); err != nil {
-		return 0, err
+		return nil, err
 	}
 	opts := optimizer.DefaultOptions()
 	opts.FuseUDFs = cfg.Fuse
@@ -114,19 +153,13 @@ func measureOnce(cfg Table2Config, rows, numUDFs int, body string, returns types
 		RegisterBenchUDFs(an, numUDFs, body, returns, Admin)
 	}, opts)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	// Warm up once (sandbox provisioning, plan caches), then take the
-	// median of the repetitions.
 	if _, err := w.Run(pl); err != nil {
-		return 0, err
+		return nil, err
 	}
-	reps := cfg.Repetitions
-	if reps < 1 {
-		reps = 1
-	}
-	times := make([]time.Duration, reps)
-	for i := range times {
+	return func() (time.Duration, error) {
+		runtime.GC()
 		start := time.Now()
 		got, err := w.Run(pl)
 		if err != nil {
@@ -135,9 +168,8 @@ func measureOnce(cfg Table2Config, rows, numUDFs int, body string, returns types
 		if got != rows {
 			return 0, fmt.Errorf("bench: expected %d rows, got %d", rows, got)
 		}
-		times[i] = time.Since(start)
-	}
-	return median(times), nil
+		return time.Since(start), nil
+	}, nil
 }
 
 // EnvironmentNoise estimates timing instability by running a fixed CPU
@@ -166,6 +198,11 @@ func EnvironmentNoise() float64 {
 		return 1
 	}
 	return float64(hi-lo) / float64(lo)
+}
+
+func medianPct(ps []float64) float64 {
+	sort.Float64s(ps)
+	return ps[len(ps)/2]
 }
 
 func median(ts []time.Duration) time.Duration {

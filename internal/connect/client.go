@@ -182,42 +182,40 @@ func (c *Client) executePlanOnce(body []byte) (*types.Batch, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeHTTPError(resp)
 	}
-	schema, batches, streamErr := readBatchStream(resp.Body)
-	if streamErr != nil && opID != "" {
-		// Reattach once from where we left off (idle-connection
-		// termination tolerance, §3.2.2).
-		schema2, rest, err2 := c.reattach(opID, len(batches))
-		if err2 != nil {
-			return nil, fmt.Errorf("connect: stream interrupted (%v) and reattach failed: %w", streamErr, err2)
-		}
-		if schema == nil {
-			schema = schema2
-		}
-		batches = append(batches, rest...)
-	} else if streamErr != nil {
+	batch, frames, streamErr := drainStream(resp.Body)
+	if streamErr == nil {
+		return batch, nil
+	}
+	if opID == "" {
 		return nil, streamErr
 	}
-	if schema == nil {
-		schema = &types.Schema{}
+	// Reattach once from the first frame not received (idle-connection
+	// termination tolerance, §3.2.2).
+	rest, _, err := c.reattach(opID, frames)
+	if err != nil {
+		return nil, fmt.Errorf("connect: stream interrupted (%v) and reattach failed: %w", streamErr, err)
 	}
-	return arrowipc.ConcatBatches(schema, batches)
+	if batch == nil || batch.NumRows() == 0 {
+		return rest, nil
+	}
+	return arrowipc.ConcatBatches(batch.Schema, []*types.Batch{batch, rest})
 }
 
-func (c *Client) reattach(opID string, start int) (*types.Schema, []*types.Batch, error) {
+func (c *Client) reattach(opID string, start int) (*types.Batch, int, error) {
 	req, err := c.newRequest(http.MethodGet,
 		"/v1/reattach?operation="+opID+"&start="+strconv.Itoa(start), nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, nil, decodeHTTPError(resp)
+		return nil, 0, decodeHTTPError(resp)
 	}
-	return readBatchStream(resp.Body)
+	return drainStream(resp.Body)
 }
 
 func (c *Client) release(opID string) {
@@ -233,24 +231,15 @@ func (c *Client) release(opID string) {
 	}
 }
 
-// readBatchStream decodes an arrowipc stream, returning whatever was
-// received plus the error that interrupted it (nil on clean end).
-func readBatchStream(r io.Reader) (*types.Schema, []*types.Batch, error) {
+// drainStream decodes an arrowipc stream into one batch. On an interrupted
+// stream it returns the batch of the frames received whole (nil when the
+// schema never arrived), how many there were, and the error.
+func drainStream(r io.Reader) (*types.Batch, int, error) {
 	rd, err := arrowipc.NewReader(r)
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	var batches []*types.Batch
-	for {
-		b, err := rd.Next()
-		if errors.Is(err, io.EOF) {
-			return rd.Schema(), batches, nil
-		}
-		if err != nil {
-			return rd.Schema(), batches, err
-		}
-		batches = append(batches, b)
-	}
+	return rd.Drain()
 }
 
 // AnalyzePlan returns the schema and (redacted) EXPLAIN text of a relation.

@@ -1,11 +1,19 @@
 package connect
 
 import (
+	"bytes"
+	"encoding/binary"
 	"net"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"lakeguard/internal/arrowipc"
+	"lakeguard/internal/types"
 )
 
 // flakyProxy forwards TCP bytes to a backend but cuts the connection after a
@@ -154,4 +162,151 @@ func TestClientFailsCleanlyWhenHeadersLost(t *testing.T) {
 	if _, err := c.Sql("SELECT n FROM t").Collect(); err == nil {
 		t.Fatal("expected an error when the response is cut before headers")
 	}
+}
+
+// mixedBatches is a multi-frame result with strings (empty ones included)
+// and NULLs in every nullable column.
+func mixedBatches(frames, rows int) (*types.Schema, []*types.Batch) {
+	schema := types.NewSchema(
+		types.Field{Name: "id", Kind: types.KindInt64},
+		types.Field{Name: "name", Kind: types.KindString, Nullable: true},
+		types.Field{Name: "score", Kind: types.KindFloat64, Nullable: true},
+	)
+	var out []*types.Batch
+	for f := 0; f < frames; f++ {
+		ids := types.NewBuilder(types.KindInt64, rows)
+		names := types.NewBuilder(types.KindString, rows)
+		scores := types.NewBuilder(types.KindFloat64, rows)
+		for i := 0; i < rows; i++ {
+			id := f*rows + i
+			ids.AppendInt64(int64(id))
+			if id%7 == 3 {
+				names.AppendNull()
+			} else {
+				names.AppendString(strings.Repeat("x", id%5) + strconv.Itoa(id))
+			}
+			if id%5 == 1 {
+				scores.AppendNull()
+			} else {
+				scores.AppendFloat64(float64(id) / 4)
+			}
+		}
+		out = append(out, types.MustBatch(schema, []*types.Column{ids.Build(), names.Build(), scores.Build()}))
+	}
+	return schema, out
+}
+
+// cutWriter passes a response through until left body bytes are written,
+// then drops the connection.
+type cutWriter struct {
+	http.ResponseWriter
+	left int
+}
+
+func (w *cutWriter) Write(p []byte) (int, error) {
+	if len(p) > w.left {
+		p = p[:w.left]
+	}
+	n, err := w.ResponseWriter.Write(p)
+	w.left -= n
+	if w.left == 0 {
+		w.ResponseWriter.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}
+	return n, err
+}
+
+// frameEnds returns the byte offset at which each frame of an arrowipc
+// stream ends: the schema frame first, then every batch frame.
+func frameEnds(t *testing.T, schema *types.Schema, batches []*types.Batch) []int {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := arrowipc.NewWriter(&buf, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		if err := w.WriteBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := buf.Bytes()
+	var ends []int
+	for pos := 0; pos < len(data); {
+		pos += 4 + int(binary.LittleEndian.Uint32(data[pos:]))
+		ends = append(ends, pos)
+	}
+	return ends
+}
+
+// TestReattachAfterKFramesMatchesUninterrupted cuts the first execute
+// response after k whole batch frames — exactly at the frame boundary, and a
+// few bytes into the next frame — and requires the client to reattach at
+// start=k and deliver the same answer, cell for cell, as an uninterrupted
+// run. A cut at a frame boundary must not pass for a complete stream.
+func TestReattachAfterKFramesMatchesUninterrupted(t *testing.T) {
+	schema, batches := mixedBatches(8, 50)
+	fb := &fakeBackend{schema: schema, batches: batches}
+	want, err := Dial(newHTTPServer(t, NewService(fb, TokenMap{"tok": "user@x"}).Handler()).URL, "tok").
+		Sql("SELECT * FROM t").Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.NumRows() != 8*50 {
+		t.Fatalf("uninterrupted run: %d rows", want.NumRows())
+	}
+	ends := frameEnds(t, schema, batches)
+	for _, k := range []int{0, 1, 3, 7} {
+		for _, extra := range []int{0, 3, 40} {
+			svc := NewService(fb, TokenMap{"tok": "user@x"})
+			var cut atomic.Bool
+			var starts []string
+			var mu sync.Mutex
+			h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/reattach" {
+					mu.Lock()
+					starts = append(starts, r.URL.Query().Get("start"))
+					mu.Unlock()
+				}
+				if r.URL.Path == "/v1/execute" && cut.CompareAndSwap(false, true) {
+					w = &cutWriter{ResponseWriter: w, left: ends[k] + extra}
+				}
+				svc.Handler().ServeHTTP(w, r)
+			})
+			got, err := Dial(newHTTPServer(t, h).URL, "tok").Sql("SELECT * FROM t").Collect()
+			if err != nil {
+				t.Fatalf("k=%d extra=%d: %v", k, extra, err)
+			}
+			mu.Lock()
+			if len(starts) != 1 || starts[0] != strconv.Itoa(k) {
+				t.Errorf("k=%d extra=%d: reattach starts %v, want [%d]", k, extra, starts, k)
+			}
+			mu.Unlock()
+			if !sameCells(want, got) {
+				t.Fatalf("k=%d extra=%d: reattached answer differs from the uninterrupted one", k, extra)
+			}
+		}
+	}
+}
+
+func newHTTPServer(t *testing.T, h http.Handler) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+func sameCells(a, b *types.Batch) bool {
+	if !a.Schema.Equal(b.Schema) || a.NumRows() != b.NumRows() {
+		return false
+	}
+	for c := range a.Cols {
+		for i := 0; i < a.NumRows(); i++ {
+			va, vb := a.Cols[c].Value(i), b.Cols[c].Value(i)
+			if va.Null != vb.Null || (!va.Null && !va.Equal(vb)) {
+				return false
+			}
+		}
+	}
+	return true
 }

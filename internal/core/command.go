@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"lakeguard/internal/analyzer"
+	"lakeguard/internal/arrowipc"
 	"lakeguard/internal/catalog"
 	"lakeguard/internal/exec"
 	"lakeguard/internal/optimizer"
@@ -94,27 +95,13 @@ func (s *Server) executeSQL(qctx context.Context, ctx catalog.RequestContext, st
 		if err != nil {
 			return nil, nil, err
 		}
-		b, err := concatBatches(schema, batches)
+		b, err := arrowipc.ConcatBatches(schema, batches)
 		if err != nil {
 			return nil, nil, err
 		}
 		return schema, b, nil
 	}
 	return s.executeDDL(qctx, ctx, st, stmt.Cmd)
-}
-
-func concatBatches(schema *types.Schema, batches []*types.Batch) (*types.Batch, error) {
-	total := 0
-	for _, b := range batches {
-		total += b.NumRows()
-	}
-	bb := types.NewBatchBuilder(schema, total)
-	for _, b := range batches {
-		for i := 0; i < b.NumRows(); i++ {
-			bb.AppendRow(b.Row(i))
-		}
-	}
-	return bb.Build(), nil
 }
 
 // executeDDL dispatches parsed DDL/DML commands to the catalog.

@@ -86,6 +86,31 @@ func TestEndToEndSQLOverWire(t *testing.T) {
 	}
 }
 
+// UNION branches may name their columns differently; the command path and
+// EXPLAIN ANALYZE concatenate the result under the left branch's names,
+// with and without a sort above the union.
+func TestUnionAllBranchNamesDifferOverWire(t *testing.T) {
+	e := newEnv(t, Config{Name: "std"})
+	c := e.client("tok-admin")
+	seedSales(t, c)
+	for _, q := range []string{
+		"SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales",
+		"SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales ORDER BY b",
+		"SELECT a FROM (SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales) u ORDER BY a",
+	} {
+		b, err := c.Sql(q).Collect()
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if b.NumRows() != 12 || b.Schema.Len() != 1 || b.Schema.Fields[0].Name != "a" {
+			t.Fatalf("%s: %d rows, schema %s\n%s", q, b.NumRows(), b.Schema, b.String())
+		}
+		if _, rows, err := c.SqlExplainAnalyze(q); err != nil || rows != 12 {
+			t.Fatalf("EXPLAIN ANALYZE %s: %d rows, %v", q, rows, err)
+		}
+	}
+}
+
 func TestDataFrameAPIOverWire(t *testing.T) {
 	e := newEnv(t, Config{Name: "std"})
 	c := e.client("tok-admin")
@@ -608,5 +633,18 @@ func TestRemoteScanSQLRendering(t *testing.T) {
 	bare := &plan.RemoteScan{Relation: "t", PushedLimit: -1}
 	if RenderRemoteSQL(bare) != "SELECT * FROM t" {
 		t.Errorf("bare = %q", RenderRemoteSQL(bare))
+	}
+}
+
+// A bare NULL literal has the NULL type; its column carries only a bitmap
+// on the wire and must reach the client.
+func TestSelectNullOverWire(t *testing.T) {
+	e := newEnv(t, Config{Name: "std"})
+	b, err := e.client("tok-admin").Sql("SELECT NULL AS x, 1 AS y").Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.NumRows() != 1 || b.Cols[0].Kind() != types.KindNull || !b.Cols[0].IsNull(0) || b.Cols[1].Int64(0) != 1 {
+		t.Fatalf("result:\n%s", b.String())
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"lakeguard/internal/analyzer"
+	"lakeguard/internal/arrowipc"
 	"lakeguard/internal/audit"
 	"lakeguard/internal/catalog"
 	"lakeguard/internal/cluster"
@@ -698,7 +699,7 @@ func (s *Server) executeAnalyze(qctx context.Context, sessionID, user string, pl
 	if err != nil {
 		return nil, "", err
 	}
-	b, err := concatBatches(schema, batches)
+	b, err := arrowipc.ConcatBatches(schema, batches)
 	if err != nil {
 		return nil, "", err
 	}

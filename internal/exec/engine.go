@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 
+	"lakeguard/internal/arrowipc"
 	"lakeguard/internal/delta"
 	"lakeguard/internal/eval"
 	"lakeguard/internal/plan"
@@ -206,19 +207,7 @@ func (e *Engine) ExecuteToBatch(qc *QueryContext, p plan.Node) (*types.Batch, er
 	if err != nil {
 		return nil, err
 	}
-	return concat(p.Schema(), batches)
-}
-
-func concat(schema *types.Schema, batches []*types.Batch) (*types.Batch, error) {
-	total := 0
-	for _, b := range batches {
-		total += b.NumRows()
-	}
-	bb := types.NewBatchBuilder(schema, total)
-	for _, b := range batches {
-		bb.AppendBatch(b)
-	}
-	return bb.Build(), nil
+	return arrowipc.ConcatBatches(p.Schema(), batches)
 }
 
 // build compiles a plan node into an operator tree, instrumenting each
@@ -332,7 +321,7 @@ func (e *Engine) buildNode(qc *QueryContext, p plan.Node) (operator, error) {
 			l.Close() // release the built left side (its span ends with it)
 			return nil, err
 		}
-		return &unionOp{children: []operator{l, r}}, nil
+		return &unionOp{children: []operator{l, r}, schema: t.Schema()}, nil
 	}
 	return nil, fmt.Errorf("exec: unsupported plan node %T", p)
 }

@@ -26,6 +26,12 @@ import (
 // workers drain their queued morsels without executing them. The consumer
 // surfaces exactly one wrapped error — the recorded root cause, not the
 // cascade of context cancellations it triggered.
+//
+// The producer queues a morsel's future before dispatching its work, so a
+// morsel a worker may run always has a future the consumer will await: a
+// failure can never be dropped between dispatch and gather. A producer that
+// stops on cancellation records why, so the consumer reports a truncated
+// stream as an error instead of a clean end of results.
 type exchange[M, T any] struct {
 	cancel  context.CancelFunc
 	futures chan *future[T]
@@ -34,8 +40,9 @@ type exchange[M, T any] struct {
 	mu      sync.Mutex
 	rootErr error
 
-	failed error
-	isZero func(T) bool // results to skip (nil = emit everything)
+	stopped error // set by the producer before closing futures on cancellation
+	failed  error
+	isZero  func(T) bool // results to skip (nil = emit everything)
 }
 
 type future[T any] struct {
@@ -110,7 +117,8 @@ func newExchange[M, T any](
 		defer close(ex.futures)
 		defer close(work)
 		for {
-			if ctx.Err() != nil {
+			if err := ctx.Err(); err != nil {
+				ex.stopped = err
 				return
 			}
 			m, done, err := source()
@@ -122,6 +130,7 @@ func newExchange[M, T any](
 				select {
 				case ex.futures <- f:
 				case <-ctx.Done():
+					ex.stopped = ctx.Err()
 				}
 				return
 			}
@@ -130,13 +139,17 @@ func newExchange[M, T any](
 			}
 			f := &future[T]{done: make(chan struct{})}
 			select {
-			case work <- exJob[M, T]{morsel: m, fut: f}:
+			case ex.futures <- f:
 			case <-ctx.Done():
+				ex.stopped = ctx.Err()
 				return
 			}
 			select {
-			case ex.futures <- f:
+			case work <- exJob[M, T]{morsel: m, fut: f}:
 			case <-ctx.Done():
+				// Already queued for the consumer: resolve it here.
+				f.err = ctx.Err()
+				close(f.done)
 				return
 			}
 		}
@@ -174,6 +187,10 @@ func (ex *exchange[M, T]) Next() (T, error) {
 	for {
 		f, ok := <-ex.futures
 		if !ok {
+			if ex.stopped != nil {
+				ex.failed = fmt.Errorf("exec: parallel worker: %w", ex.cause(ex.stopped))
+				return zero, ex.failed
+			}
 			return zero, io.EOF
 		}
 		<-f.done

@@ -252,6 +252,38 @@ func TestUnionAndDistinct(t *testing.T) {
 	}
 }
 
+// UNION's branches may name their columns differently; the result takes
+// the left branch's names, whether it is concatenated directly, sorted
+// above the union or sorted inside a branch.
+func TestUnionAllBranchNamesDiffer(t *testing.T) {
+	w := newWorld(t)
+	for _, q := range []string{
+		"SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales",
+		"SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales ORDER BY b",
+		"SELECT a FROM (SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales) u ORDER BY a",
+		"SELECT amount AS a FROM sales UNION SELECT amount AS b FROM sales",
+	} {
+		b := w.query(t, adminCtx(), q)
+		if b.Schema.Len() != 1 || b.Schema.Fields[0].Name != "a" {
+			t.Errorf("%s: schema %s, want (a DOUBLE)", q, b.Schema)
+		}
+		want := 12
+		if strings.Contains(q, "UNION SELECT") {
+			want = 6
+		}
+		if b.NumRows() != want {
+			t.Errorf("%s: %d rows, want %d", q, b.NumRows(), want)
+		}
+	}
+	sorted := w.query(t, adminCtx(),
+		"SELECT a FROM (SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales) u ORDER BY a")
+	for i := 1; i < sorted.NumRows(); i++ {
+		if sorted.Cols[0].Float64(i-1) > sorted.Cols[0].Float64(i) {
+			t.Fatalf("not sorted at row %d:\n%s", i, sorted.String())
+		}
+	}
+}
+
 func TestCaseAndScalarFunctions(t *testing.T) {
 	w := newWorld(t)
 	b := w.query(t, adminCtx(), `

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"lakeguard/internal/arrowipc"
 	"lakeguard/internal/delta"
 	"lakeguard/internal/eval"
 	"lakeguard/internal/faults"
@@ -355,7 +356,7 @@ func (o *sortOp) Next() (*types.Batch, error) {
 		}
 		batches = append(batches, b)
 	}
-	all, err := concat(o.schema, batches)
+	all, err := arrowipc.ConcatBatches(o.schema, batches)
 	if err != nil {
 		return nil, err
 	}
@@ -494,9 +495,14 @@ func (o *distinctOp) Next() (*types.Batch, error) {
 
 func (o *distinctOp) Close() error { return o.child.Close() }
 
-// unionOp concatenates child streams.
+// unionOp concatenates child streams. UNION's output takes the left
+// branch's column names, while a later branch may name its columns
+// differently (the analyzer matches only arity and kinds), so every batch
+// is relabelled with the union's schema — sharing its columns, copying
+// nothing — and downstream consumers see one schema for the whole stream.
 type unionOp struct {
 	children []operator
+	schema   *types.Schema
 	pos      int
 }
 
@@ -506,6 +512,9 @@ func (o *unionOp) Next() (*types.Batch, error) {
 		if err == io.EOF {
 			o.pos++
 			continue
+		}
+		if err == nil && b.Schema != o.schema {
+			b = &types.Batch{Schema: o.schema, Cols: b.Cols}
 		}
 		return b, err
 	}

@@ -1,9 +1,14 @@
 package sandbox
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
+
+	"lakeguard/internal/arrowipc"
 )
 
 // The request frame crosses a trust boundary: the decoder must reject
@@ -89,3 +94,23 @@ func TestConcurrentExecuteSerializedOnPipe(t *testing.T) {
 }
 
 var errTestWrongResult = errors.New("wrong result")
+
+// The request frame is the length-prefixed JSON spec header followed by the
+// arrowipc stream of the arguments, written into one exact-size buffer.
+func TestEncodeRequestOneExactBuffer(t *testing.T) {
+	req := &Request{Specs: []UDFSpec{sumSpec()}, Args: argBatch(5)}
+	frame, err := encodeRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _ := json.Marshal(req.Specs)
+	body, _ := arrowipc.EncodeBatch(req.Args)
+	want := binary.LittleEndian.AppendUint32(nil, uint32(len(header)))
+	want = append(append(want, header...), body...)
+	if !bytes.Equal(frame, want) {
+		t.Fatal("request frame bytes changed")
+	}
+	if cap(frame) != len(frame) {
+		t.Fatalf("request frame has cap %d for %d bytes, want one exact buffer", cap(frame), len(frame))
+	}
+}

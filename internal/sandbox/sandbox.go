@@ -414,15 +414,10 @@ func encodeRequest(req *Request) ([]byte, error) {
 	if len(header) > maxRequestHeader {
 		return nil, fmt.Errorf("sandbox: request header %d bytes exceeds limit %d", len(header), maxRequestHeader)
 	}
-	body, err := arrowipc.EncodeBatch(req.Args)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, 0, 4+len(header)+len(body))
+	out := make([]byte, 0, 4+len(header)+arrowipc.EncodedLen(req.Args))
 	out = append(out, byte(len(header)), byte(len(header)>>8), byte(len(header)>>16), byte(len(header)>>24))
 	out = append(out, header...)
-	out = append(out, body...)
-	return out, nil
+	return arrowipc.AppendEncoded(out, req.Args)
 }
 
 func decodeRequest(data []byte) ([]UDFSpec, *types.Batch, error) {

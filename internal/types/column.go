@@ -207,12 +207,13 @@ func (c *Column) Slice(from, to int) *Column {
 
 // Builder accumulates values into a Column.
 type Builder struct {
-	col Column
+	col  Column
+	hint int // capacity hint, so a NULL mask created mid-build is sized once
 }
 
 // NewBuilder creates a builder for the given kind with capacity hint n.
 func NewBuilder(kind Kind, n int) *Builder {
-	b := &Builder{col: Column{kind: kind}}
+	b := &Builder{col: Column{kind: kind}, hint: n}
 	switch kind {
 	case KindBool, KindInt64, KindDate, KindTimestamp:
 		b.col.ints = make([]int64, 0, n)
@@ -258,7 +259,7 @@ func (b *Builder) Append(v Value) {
 // AppendNull adds a NULL row.
 func (b *Builder) AppendNull() {
 	if b.col.nulls == nil {
-		b.col.nulls = make([]bool, b.col.n, b.col.n+1)
+		b.col.nulls = make([]bool, b.col.n, max(b.hint, b.col.n+1))
 	}
 	b.col.nulls = append(b.col.nulls, true)
 	switch b.col.kind {
@@ -284,7 +285,7 @@ func (b *Builder) AppendColumn(src *Column) {
 	}
 	if src.nulls != nil {
 		if b.col.nulls == nil {
-			b.col.nulls = make([]bool, b.col.n, b.col.n+src.n)
+			b.col.nulls = make([]bool, b.col.n, max(b.hint, b.col.n+src.n))
 		}
 		b.col.nulls = append(b.col.nulls, src.nulls...)
 	} else if b.col.nulls != nil {
