@@ -14,7 +14,6 @@ import (
 
 	"lakeguard/internal/admission"
 	"lakeguard/internal/connect"
-	"lakeguard/internal/plan"
 	"lakeguard/internal/proto"
 	"lakeguard/internal/telemetry"
 	"lakeguard/internal/types"
@@ -130,8 +129,8 @@ func (p *pacedBackend) Execute(ctx context.Context, sessionID, user string, pl *
 	}
 }
 
-func (p *pacedBackend) Analyze(sessionID, user string, rel plan.Node) (*types.Schema, string, error) {
-	return p.schema, "paced", nil
+func (p *pacedBackend) Explain(ctx context.Context, sessionID, user string, pl *proto.Plan, mode connect.ExplainMode) (*types.Schema, string, int, error) {
+	return p.schema, "paced", 0, nil
 }
 
 func (p *pacedBackend) CloseSession(string) {}

@@ -1,6 +1,7 @@
 package connect
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -11,9 +12,9 @@ import (
 
 	"lakeguard/internal/admission"
 	"lakeguard/internal/audit"
+	"lakeguard/internal/plan"
 	"lakeguard/internal/proto"
 	"lakeguard/internal/telemetry"
-	"lakeguard/internal/types"
 )
 
 // newAdmissionService wires a service with a 1-slot admission controller,
@@ -127,6 +128,70 @@ func TestShedResponseHeaders(t *testing.T) {
 	}
 }
 
+// The EXPLAIN endpoints pass the same front door as /v1/execute: while the
+// tenant's slots are held they are shed with 429 and Retry-After before the
+// backend runs, and once admitted the client's deadline reaches the backend.
+func TestExplainEndpointsAdmittedAndDeadlineBound(t *testing.T) {
+	schema, batches := intBatches([]int64{1})
+	fb := &fakeBackend{schema: schema, batches: batches}
+	_, ctrl, _, _, url := newAdmissionService(t, fb)
+	body, err := proto.EncodePlan(&plan.SQLRelation{Query: "SELECT 1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path, timeoutMillis string) *http.Response {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, url+path, bytes.NewReader(body))
+		req.Header.Set("Authorization", "Bearer tok")
+		req.Header.Set("X-Session-Id", "s1")
+		req.Header.Set(TimeoutHeader, timeoutMillis)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	paths := []string{"/v1/analyze", "/v1/analyzeVerified"}
+
+	busy, err := ctrl.Acquire(context.Background(), "occupier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		resp := post(path, "1")
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Errorf("%s with slots held: status = %d, want 429", path, resp.StatusCode)
+		}
+		if resp.Header.Get("Retry-After") == "" || resp.Header.Get(RetryAfterMillisHeader) == "" {
+			t.Errorf("%s: shed response lacks Retry-After headers: %v", path, resp.Header)
+		}
+	}
+	fb.mu.Lock()
+	ran := len(fb.explainDeadlines)
+	fb.mu.Unlock()
+	if ran != 0 {
+		t.Fatalf("backend ran %d shed EXPLAIN(s)", ran)
+	}
+	busy.Release()
+
+	for _, path := range paths {
+		if resp := post(path, "60000"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s once admitted: status = %d", path, resp.StatusCode)
+		}
+	}
+	fb.mu.Lock()
+	defer fb.mu.Unlock()
+	if len(fb.explainDeadlines) != len(paths) {
+		t.Fatalf("backend EXPLAIN calls = %d, want %d", len(fb.explainDeadlines), len(paths))
+	}
+	for i, ok := range fb.explainDeadlines {
+		if !ok {
+			t.Errorf("%s: backend context has no deadline despite %s", paths[i], TimeoutHeader)
+		}
+	}
+}
+
 // A shed client retries with backoff and succeeds once capacity frees up.
 func TestClientRetriesAfterShed(t *testing.T) {
 	schema, batches := intBatches([]int64{7})
@@ -163,22 +228,11 @@ func TestClientRetriesAfterShed(t *testing.T) {
 	}
 }
 
-// analyzeBackend is a Backend + AnalyzeExecutor whose profile reports the
-// admission queue wait stamped on the request context — the same contract the
-// core server honors.
-type analyzeBackend struct{ fakeBackend }
-
-func (a *analyzeBackend) ExecuteAnalyze(ctx context.Context, sessionID, user string, pl *proto.Plan) (*types.Batch, string, error) {
-	prof := telemetry.NewProfile()
-	prof.QueueWaitNanos = int64(telemetry.QueueWaitFrom(ctx))
-	return nil, prof.Render(), nil
-}
-
 // ExplainAnalyze surfaces the admission queue wait in its rendered profile
 // when the request had to wait for a slot.
 func TestExplainAnalyzeShowsQueueWait(t *testing.T) {
 	schema, batches := intBatches([]int64{1})
-	fb := &analyzeBackend{fakeBackend: fakeBackend{schema: schema, batches: batches}}
+	fb := &fakeBackend{schema: schema, batches: batches}
 	ctrl := admission.NewController(admission.Config{MaxConcurrent: 1})
 	svc := NewService(fb, TokenMap{"tok": "user@x"})
 	svc.SetAdmission(ctrl)

@@ -15,6 +15,7 @@ import (
 	"lakeguard/internal/arrowipc"
 	"lakeguard/internal/plan"
 	"lakeguard/internal/proto"
+	"lakeguard/internal/telemetry"
 	"lakeguard/internal/types"
 )
 
@@ -28,6 +29,9 @@ type fakeBackend struct {
 	mu         sync.Mutex
 	closed     []string
 	executions int
+	// explainDeadlines records, per Explain call, whether its context
+	// carried a deadline.
+	explainDeadlines []bool
 }
 
 func (f *fakeBackend) Execute(ctx context.Context, sessionID, user string, pl *proto.Plan) (*types.Schema, []*types.Batch, error) {
@@ -40,11 +44,23 @@ func (f *fakeBackend) Execute(ctx context.Context, sessionID, user string, pl *p
 	return f.schema, f.batches, nil
 }
 
-func (f *fakeBackend) Analyze(sessionID, user string, rel plan.Node) (*types.Schema, string, error) {
+// Explain renders the relation, or under ExplainAnalyze a profile carrying
+// the admission queue wait stamped on the request context, the same contract
+// the core server honors.
+func (f *fakeBackend) Explain(ctx context.Context, sessionID, user string, pl *proto.Plan, mode ExplainMode) (*types.Schema, string, int, error) {
+	_, hasDeadline := ctx.Deadline()
+	f.mu.Lock()
+	f.explainDeadlines = append(f.explainDeadlines, hasDeadline)
+	f.mu.Unlock()
 	if f.err != nil {
-		return nil, "", f.err
+		return nil, "", 0, f.err
 	}
-	return f.schema, "Explain: " + rel.String(), nil
+	if mode == ExplainAnalyze {
+		prof := telemetry.NewProfile()
+		prof.QueueWaitNanos = int64(telemetry.QueueWaitFrom(ctx))
+		return f.schema, prof.Render(), 0, nil
+	}
+	return f.schema, "Explain: " + pl.Relation.String(), 0, nil
 }
 
 func (f *fakeBackend) CloseSession(sessionID string) {

@@ -15,7 +15,6 @@ import (
 	"lakeguard/internal/admission"
 	"lakeguard/internal/arrowipc"
 	"lakeguard/internal/audit"
-	"lakeguard/internal/plan"
 	"lakeguard/internal/proto"
 	"lakeguard/internal/telemetry"
 	"lakeguard/internal/types"
@@ -28,27 +27,30 @@ type Backend interface {
 	// schema and batches. ctx carries the caller's deadline into sandbox
 	// crossings and remote execution.
 	Execute(ctx context.Context, sessionID, user string, pl *proto.Plan) (*types.Schema, []*types.Batch, error)
-	// Analyze resolves a relation and returns its schema and an EXPLAIN
-	// rendering (redacted across SecureView barriers).
-	Analyze(sessionID, user string, rel plan.Node) (*types.Schema, string, error)
+	// Explain takes a query plan through the same governance gates as
+	// Execute and returns, instead of its rows, the result schema and the
+	// rendering mode selects. rows is the result row count under
+	// ExplainAnalyze and 0 otherwise.
+	Explain(ctx context.Context, sessionID, user string, pl *proto.Plan, mode ExplainMode) (schema *types.Schema, text string, rows int, err error)
 	// CloseSession releases session state (temp views, sandboxes).
 	CloseSession(sessionID string)
 }
 
-// VerifiedExplainer is an optional Backend extension: an EXPLAIN whose
-// rendering annotates each policy operator with the sentinel invariants that
-// cleared it (the `--explain-verified` surface). Backends without static
-// verification simply do not implement it.
-type VerifiedExplainer interface {
-	AnalyzeVerified(sessionID, user string, rel plan.Node) (*types.Schema, string, error)
-}
+// ExplainMode selects what Backend.Explain renders.
+type ExplainMode int
 
-// AnalyzeExecutor is an optional Backend extension: EXPLAIN ANALYZE — run
-// the query through the full governance pipeline and return the result with
-// an annotated operator profile (wall time, rows, batches, vectorization).
-type AnalyzeExecutor interface {
-	ExecuteAnalyze(ctx context.Context, sessionID, user string, pl *proto.Plan) (*types.Batch, string, error)
-}
+const (
+	// ExplainPlan renders the optimized plan, redacted across SecureView
+	// barriers (/v1/analyze).
+	ExplainPlan ExplainMode = iota
+	// ExplainVerified additionally annotates each policy operator with the
+	// sentinel invariants that cleared it (/v1/analyzeVerified, the
+	// `--explain-verified` surface).
+	ExplainVerified
+	// ExplainAnalyze executes the plan and renders its operator profile:
+	// wall time, rows, batches, vectorization (/v1/executeAnalyze).
+	ExplainAnalyze
+)
 
 // Authenticator maps bearer tokens to user identities.
 type Authenticator interface {
@@ -97,11 +99,13 @@ type Service struct {
 	backend Backend
 	auth    Authenticator
 	clock   func() time.Time
-	// tracer, when set, mints one trace per /v1/execute query; the trace ID
-	// is echoed to the client in the X-Trace-Id response header.
+	// tracer, when set, mints one trace per query request (execute and the
+	// three EXPLAIN endpoints); the trace ID is echoed to the client in the
+	// X-Trace-Id response header.
 	tracer *telemetry.Tracer
-	// admit, when set, gates /v1/execute and /v1/executeAnalyze behind the
-	// multi-tenant admission controller (nil admits everything).
+	// admit, when set, gates every query request (execute and the three
+	// EXPLAIN endpoints) behind the multi-tenant admission controller (nil
+	// admits everything).
 	admit *admission.Controller
 	// auditLog, when set, records one ADMISSION_SHED event per shed request.
 	auditLog *audit.Log
@@ -124,8 +128,8 @@ func NewService(backend Backend, auth Authenticator) *Service {
 // SetClock overrides the time source (tests).
 func (s *Service) SetClock(clock func() time.Time) { s.clock = clock }
 
-// SetTracer enables per-query distributed tracing: each /v1/execute and
-// /v1/executeAnalyze request becomes one trace rooted at the service entry.
+// SetTracer enables per-query distributed tracing: each execute or EXPLAIN
+// request becomes one trace rooted at the service entry.
 func (s *Service) SetTracer(t *telemetry.Tracer) { s.tracer = t }
 
 // SetAdmission gates query execution behind a multi-tenant admission
@@ -181,10 +185,14 @@ func (s *Service) admitRequest(ctx context.Context, w http.ResponseWriter, sessi
 // Handler returns the HTTP handler implementing the protocol.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/execute", s.handleExecute)
-	mux.HandleFunc("/v1/executeAnalyze", s.handleExecuteAnalyze)
-	mux.HandleFunc("/v1/analyze", s.handleAnalyze)
-	mux.HandleFunc("/v1/analyzeVerified", s.handleAnalyzeVerified)
+	mux.HandleFunc("/v1/execute", s.query(s.execute))
+	for path, mode := range map[string]ExplainMode{
+		"/v1/executeAnalyze":  ExplainAnalyze,
+		"/v1/analyze":         ExplainPlan,
+		"/v1/analyzeVerified": ExplainVerified,
+	} {
+		mux.HandleFunc(path, s.query(func(q *request) { s.explain(q, mode) }))
+	}
 	mux.HandleFunc("/v1/reattach", s.handleReattach)
 	mux.HandleFunc("/v1/release", s.handleRelease)
 	mux.HandleFunc("/v1/closeSession", s.handleCloseSession)
@@ -216,45 +224,72 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-func (s *Service) touchSession(sessionID string) {
-	s.mu.Lock()
-	s.sessions[sessionID] = s.clock()
-	s.mu.Unlock()
+// request is one authenticated, admitted query request.
+type request struct {
+	w               http.ResponseWriter
+	user, sessionID string
+	// ctx is bound to the client connection and the TimeoutHeader deadline,
+	// and carries the trace and the admission queue wait.
+	ctx  context.Context
+	root *telemetry.Span
+	body []byte
 }
 
-func (s *Service) handleExecute(w http.ResponseWriter, r *http.Request) {
-	user, sessionID, err := s.authenticate(r)
-	if err != nil {
-		writeError(w, http.StatusUnauthorized, err)
-		return
+// query wraps a query endpoint in the prelude every one of them shares:
+// authenticate, touch the session, derive the deadline-bound context, start
+// the trace, pass admission, read the bounded body. Admission runs before
+// the body is even read: a shed request costs microseconds and never touches
+// the plan decoder or a sandbox slot. The admission slot is held until
+// handle returns.
+func (s *Service) query(handle func(q *request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		user, sessionID, err := s.authenticate(r)
+		if err != nil {
+			writeError(w, http.StatusUnauthorized, err)
+			return
+		}
+		s.mu.Lock()
+		s.sessions[sessionID] = s.clock()
+		s.mu.Unlock()
+		ctx, cancel := requestContext(r)
+		defer cancel()
+		q := &request{w: w, user: user, sessionID: sessionID, ctx: ctx}
+		if s.tracer != nil {
+			// The root span covers the whole server-side request; its ID is
+			// echoed so clients can correlate with /debug/queries and the
+			// audit log.
+			q.ctx, q.root = s.tracer.StartTrace(q.ctx, "query")
+			q.root.SetAttr("user", user)
+			q.root.SetAttr("session", sessionID)
+			w.Header().Set("X-Trace-Id", q.root.TraceID())
+		}
+		ticket, err := s.admitRequest(q.ctx, w, sessionID, user)
+		if err != nil {
+			q.root.EndErr(err)
+			return
+		}
+		defer ticket.Release()
+		if qw := ticket.QueueWait(); qw > 0 {
+			q.ctx = telemetry.ContextWithQueueWait(q.ctx, qw)
+		}
+		if q.body, err = io.ReadAll(io.LimitReader(r.Body, 64<<20)); err != nil {
+			q.fail(err)
+			return
+		}
+		handle(q)
 	}
-	s.touchSession(sessionID)
-	ctx, cancel := requestContext(r)
-	defer cancel()
-	ctx, root := s.startTrace(ctx, w, sessionID, user)
+}
 
-	// Admission runs before the body is even read: a shed request costs
-	// microseconds and never touches the plan decoder or a sandbox slot.
-	ticket, err := s.admitRequest(ctx, w, sessionID, user)
-	if err != nil {
-		root.EndErr(err)
-		return
-	}
-	defer ticket.Release()
-	if qw := ticket.QueueWait(); qw > 0 {
-		ctx = telemetry.ContextWithQueueWait(ctx, qw)
-	}
+// fail ends the trace with err and writes it as a bad request.
+func (q *request) fail(err error) {
+	q.root.EndErr(err)
+	writeError(q.w, http.StatusBadRequest, err)
+}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+func (s *Service) execute(q *request) {
+	pl, err := proto.DecodeRootPlan(q.body)
 	if err != nil {
-		root.EndErr(err)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	pl, err := proto.DecodeRootPlan(body)
-	if err != nil {
-		root.EndErr(err)
-		writeError(w, http.StatusBadRequest, err)
+		q.fail(err)
 		return
 	}
 
@@ -262,22 +297,22 @@ func (s *Service) handleExecute(w http.ResponseWriter, r *http.Request) {
 	s.opSeq++
 	op := &operation{
 		id:         fmt.Sprintf("op-%d", s.opSeq),
-		sessionID:  sessionID,
+		sessionID:  q.sessionID,
 		state:      OpRunning,
 		lastAccess: s.clock(),
 	}
 	s.operations[op.id] = op
 	s.mu.Unlock()
 
-	schema, batches, err := s.backend.Execute(ctx, sessionID, user, pl)
-	root.EndErr(err)
+	schema, batches, err := s.backend.Execute(q.ctx, q.sessionID, q.user, pl)
+	q.root.EndErr(err)
 	s.mu.Lock()
 	if err != nil {
 		op.state = OpFailed
 		op.errMsg = err.Error()
 		s.mu.Unlock()
-		w.Header().Set("X-Operation-Id", op.id)
-		writeError(w, http.StatusBadRequest, err)
+		q.w.Header().Set("X-Operation-Id", op.id)
+		writeError(q.w, http.StatusBadRequest, err)
 		return
 	}
 	op.state = OpDone
@@ -285,76 +320,52 @@ func (s *Service) handleExecute(w http.ResponseWriter, r *http.Request) {
 	op.batches = batches
 	s.mu.Unlock()
 
-	w.Header().Set("X-Operation-Id", op.id)
-	s.streamBatches(w, op, 0)
+	q.w.Header().Set("X-Operation-Id", op.id)
+	s.streamBatches(q.w, op, 0)
 }
 
-// startTrace mints a trace for one query when tracing is enabled. The root
-// span covers the whole server-side request; its ID is echoed in the
-// X-Trace-Id response header so clients can correlate with /debug/queries
-// and the audit log.
-func (s *Service) startTrace(ctx context.Context, w http.ResponseWriter, sessionID, user string) (context.Context, *telemetry.Span) {
-	if s.tracer == nil {
-		return ctx, nil
+// explain serves the three EXPLAIN endpoints. /v1/executeAnalyze takes a
+// root plan and answers with the profile and row count; /v1/analyze and
+// /v1/analyzeVerified take a relation and answer with its schema and plan.
+func (s *Service) explain(q *request, mode ExplainMode) {
+	pl := &proto.Plan{}
+	var err error
+	if mode == ExplainAnalyze {
+		pl, err = proto.DecodeRootPlan(q.body)
+	} else {
+		pl.Relation, err = proto.DecodePlan(q.body)
 	}
-	ctx, root := s.tracer.StartTrace(ctx, "query")
-	root.SetAttr("user", user)
-	root.SetAttr("session", sessionID)
-	w.Header().Set("X-Trace-Id", root.TraceID())
-	return ctx, root
-}
-
-func (s *Service) handleExecuteAnalyze(w http.ResponseWriter, r *http.Request) {
-	ae, ok := s.backend.(AnalyzeExecutor)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, errors.New("connect: backend does not support EXPLAIN ANALYZE"))
-		return
-	}
-	user, sessionID, err := s.authenticate(r)
 	if err != nil {
-		writeError(w, http.StatusUnauthorized, err)
+		q.fail(err)
 		return
 	}
-	s.touchSession(sessionID)
-	ctx, cancel := requestContext(r)
-	defer cancel()
-	ctx, root := s.startTrace(ctx, w, sessionID, user)
-	ticket, err := s.admitRequest(ctx, w, sessionID, user)
+	schema, text, rows, err := s.backend.Explain(q.ctx, q.sessionID, q.user, pl, mode)
+	q.root.EndErr(err)
 	if err != nil {
-		root.EndErr(err)
+		writeError(q.w, http.StatusBadRequest, err)
 		return
 	}
-	defer ticket.Release()
-	if qw := ticket.QueueWait(); qw > 0 {
-		ctx = telemetry.ContextWithQueueWait(ctx, qw)
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-	if err != nil {
-		root.EndErr(err)
-		writeError(w, http.StatusBadRequest, err)
+	q.w.Header().Set("Content-Type", "application/json")
+	if mode == ExplainAnalyze {
+		_ = json.NewEncoder(q.w).Encode(struct {
+			Analyze string `json:"analyze"`
+			Rows    int    `json:"rows"`
+		}{Analyze: text, Rows: rows})
 		return
 	}
-	pl, err := proto.DecodeRootPlan(body)
-	if err != nil {
-		root.EndErr(err)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	batch, analyze, err := ae.ExecuteAnalyze(ctx, sessionID, user, pl)
-	root.EndErr(err)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	type fieldJSON struct {
+		Name     string `json:"name"`
+		Kind     uint8  `json:"kind"`
+		Nullable bool   `json:"nullable"`
 	}
 	resp := struct {
-		Analyze string `json:"analyze"`
-		Rows    int    `json:"rows"`
-	}{Analyze: analyze}
-	if batch != nil {
-		resp.Rows = batch.NumRows()
+		Fields  []fieldJSON `json:"fields"`
+		Explain string      `json:"explain"`
+	}{Explain: text}
+	for _, f := range schema.Fields {
+		resp.Fields = append(resp.Fields, fieldJSON{Name: f.Name, Kind: uint8(f.Kind), Nullable: f.Nullable})
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
+	_ = json.NewEncoder(q.w).Encode(resp)
 }
 
 // TimeoutHeader carries the client's per-query deadline in milliseconds; the
@@ -393,57 +404,6 @@ func (s *Service) streamBatches(w http.ResponseWriter, op *operation, start int)
 		}
 	}
 	_ = wr.Close()
-}
-
-func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	s.serveAnalyze(w, r, s.backend.Analyze)
-}
-
-func (s *Service) handleAnalyzeVerified(w http.ResponseWriter, r *http.Request) {
-	ve, ok := s.backend.(VerifiedExplainer)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, errors.New("connect: backend does not support verified explain"))
-		return
-	}
-	s.serveAnalyze(w, r, ve.AnalyzeVerified)
-}
-
-func (s *Service) serveAnalyze(w http.ResponseWriter, r *http.Request, analyze func(sessionID, user string, rel plan.Node) (*types.Schema, string, error)) {
-	user, sessionID, err := s.authenticate(r)
-	if err != nil {
-		writeError(w, http.StatusUnauthorized, err)
-		return
-	}
-	s.touchSession(sessionID)
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	rel, err := proto.DecodePlan(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	schema, explain, err := analyze(sessionID, user, rel)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	type fieldJSON struct {
-		Name     string `json:"name"`
-		Kind     uint8  `json:"kind"`
-		Nullable bool   `json:"nullable"`
-	}
-	resp := struct {
-		Fields  []fieldJSON `json:"fields"`
-		Explain string      `json:"explain"`
-	}{Explain: explain}
-	for _, f := range schema.Fields {
-		resp.Fields = append(resp.Fields, fieldJSON{Name: f.Name, Kind: uint8(f.Kind), Nullable: f.Nullable})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
 }
 
 func (s *Service) handleReattach(w http.ResponseWriter, r *http.Request) {

@@ -8,8 +8,6 @@ import (
 	"lakeguard/internal/analyzer"
 	"lakeguard/internal/arrowipc"
 	"lakeguard/internal/catalog"
-	"lakeguard/internal/exec"
-	"lakeguard/internal/optimizer"
 	"lakeguard/internal/plan"
 	"lakeguard/internal/proto"
 	"lakeguard/internal/session"
@@ -78,20 +76,16 @@ func (s *Server) executeSQL(qctx context.Context, ctx catalog.RequestContext, st
 	}
 	if stmt.Query != nil {
 		if stmt.Explain {
-			resolved, err := s.newAnalyzer(ctx, st).Analyze(stmt.Query)
+			c, err := s.compile(qctx, ctx, st, stmt.Query, nil)
 			if err != nil {
-				return nil, nil, err
-			}
-			optimized := optimizer.Optimize(resolved, s.opts)
-			if _, err := s.verifyOptimized(qctx, ctx, resolved, optimized); err != nil {
 				return nil, nil, err
 			}
 			schema := types.NewSchema(types.Field{Name: "plan", Kind: types.KindString})
 			bb := types.NewBatchBuilder(schema, 1)
-			bb.AppendRow([]types.Value{types.String(plan.ExplainRedacted(optimized))})
+			bb.AppendRow([]types.Value{types.String(plan.ExplainRedacted(c.optimized))})
 			return schema, bb.Build(), nil
 		}
-		schema, batches, err := s.runQuery(qctx, ctx, st, stmt.Query)
+		schema, batches, err := s.run(qctx, ctx, st, stmt.Query, "", nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -300,7 +294,7 @@ func (s *Server) executeCTAS(qctx context.Context, ctx catalog.RequestContext, s
 			return schema, b, nil
 		}
 	}
-	schema, batches, err := s.runQuery(qctx, ctx, st, c.Query)
+	schema, batches, err := s.run(qctx, ctx, st, c.Query, "", nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -315,16 +309,12 @@ func (s *Server) executeCTAS(qctx context.Context, ctx catalog.RequestContext, s
 	if err := s.cat.CreateTable(ctx, c.Name, tblSchema, c.IfNotExists, ""); err != nil {
 		return nil, nil, err
 	}
-	n := int64(0)
 	if len(batches) > 0 {
 		if _, err := s.cat.AppendToTable(ctx, c.Name, batches); err != nil {
 			return nil, nil, err
 		}
-		for _, b := range batches {
-			n += int64(b.NumRows())
-		}
 	}
-	outSchema, b := okBatch(fmt.Sprintf("table created with %d rows", n))
+	outSchema, b := okBatch(fmt.Sprintf("table created with %d rows", numRows(batches)))
 	return outSchema, b, nil
 }
 
@@ -336,7 +326,7 @@ func (s *Server) executeInsert(qctx context.Context, ctx catalog.RequestContext,
 	}
 	var data []*types.Batch
 	if input != nil {
-		_, batches, err := s.runQuery(qctx, ctx, st, input)
+		_, batches, err := s.run(qctx, ctx, st, input, "", nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -370,11 +360,7 @@ func (s *Server) executeInsert(qctx context.Context, ctx catalog.RequestContext,
 	if err != nil {
 		return nil, nil, err
 	}
-	n := int64(0)
-	for _, b := range data {
-		n += int64(b.NumRows())
-	}
-	schema, b := okBatch(fmt.Sprintf("inserted %d rows (version %d)", n, version))
+	schema, b := okBatch(fmt.Sprintf("inserted %d rows (version %d)", numRows(data), version))
 	return schema, b, nil
 }
 
@@ -400,33 +386,14 @@ func coerceBatch(b *types.Batch, schema *types.Schema) (*types.Batch, error) {
 }
 
 // refreshMaterializedView recomputes an MV by executing its stored body as
-// the owner and overwriting the backing storage.
+// the owner and overwriting the backing storage. The body runs with no
+// session state: it must never resolve the refresher's temp views.
 func (s *Server) refreshMaterializedView(qctx context.Context, ctx catalog.RequestContext, name []string) (*types.Schema, *types.Batch, error) {
 	viewText, err := s.cat.ViewTextForRefresh(ctx, name)
 	if err != nil {
 		return nil, nil, err
 	}
-	body, err := sql.ParseQuery(viewText)
-	if err != nil {
-		return nil, nil, err
-	}
-	resolved, err := analyzer.New(s.cat, ctx).Analyze(body)
-	if err != nil {
-		return nil, nil, err
-	}
-	optimized := optimizer.Optimize(resolved, s.opts)
-	report, err := s.verifyOptimized(qctx, ctx, resolved, optimized)
-	if err != nil {
-		return nil, nil, err
-	}
-	sealed, err := s.sealVerified(ctx, report, optimized)
-	if err != nil {
-		return nil, nil, err
-	}
-	qc := exec.NewQueryContext(s.cat, ctx)
-	qc.Context = qctx
-	qc.VerifiedPlan = sealed.Fingerprint()
-	batches, err := s.engine.Execute(qc, sealed.Plan)
+	_, batches, err := s.run(qctx, ctx, nil, &plan.SQLRelation{Query: viewText}, "", nil)
 	if err != nil {
 		return nil, nil, err
 	}

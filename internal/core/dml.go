@@ -104,13 +104,6 @@ func bindAssignments(set []plan.Assignment, target *types.Schema, scopes []dmlSc
 	return out, nil
 }
 
-func (s *Server) evalContext(ctx catalog.RequestContext) *eval.Context {
-	return &eval.Context{
-		User:          ctx.User,
-		IsGroupMember: func(g string) bool { return s.cat.IsGroupMember(ctx.User, g) },
-	}
-}
-
 // applyAssignments produces the updated copy of one row: the original values
 // with each SET column replaced by its expression over the combined row.
 func applyAssignments(target []types.Value, combined eval.RowFn, set []boundAssign, ectx *eval.Context) ([]types.Value, error) {
@@ -177,7 +170,7 @@ func (s *Server) executeRowDML(ctx catalog.RequestContext, table []string, op st
 			return 0, 0, err
 		}
 	}
-	ectx := s.evalContext(ctx)
+	ectx := exec.NewEvalContext(s.cat, ctx.User)
 	for attempt := 0; attempt < dmlAttempts; attempt++ {
 		snap, read, err := s.cat.OpenSnapshot(ctx, meta.FullName, -1)
 		if err != nil {
@@ -290,7 +283,7 @@ func (s *Server) executeMerge(qctx context.Context, ctx catalog.RequestContext, 
 		return nil, nil, fmt.Errorf("core: MERGE INSERT has %d values for %d columns of %s",
 			len(c.InsertValues), meta.Schema.Len(), meta.FullName)
 	}
-	srcSchema, srcBatches, err := s.runQuery(qctx, ctx, st, c.Source)
+	srcSchema, srcBatches, err := s.run(qctx, ctx, st, c.Source, "", nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -325,7 +318,7 @@ func (s *Server) executeMerge(qctx context.Context, ctx catalog.RequestContext, 
 		}
 		bInsert = append(bInsert, be)
 	}
-	ectx := s.evalContext(ctx)
+	ectx := exec.NewEvalContext(s.cat, ctx.User)
 	for attempt := 0; attempt < dmlAttempts; attempt++ {
 		snap, read, err := s.cat.OpenSnapshot(ctx, meta.FullName, -1)
 		if err != nil {

@@ -11,6 +11,7 @@ import (
 	"lakeguard/internal/plan"
 	"lakeguard/internal/sentinel"
 	"lakeguard/internal/sql"
+	"lakeguard/internal/telemetry"
 	"lakeguard/internal/types"
 )
 
@@ -53,6 +54,10 @@ func sentinelEvents(e *env) []audit.Event {
 	})
 }
 
+// TestSentinelCatchesDroppedPolicyFilter drives the sabotage through every
+// entry point of the query seam: each must be refused with the row-filter
+// violation and leave exactly one SENTINEL_VERIFY deny event attributed to
+// the user, session, plan fingerprint and the request's trace.
 func TestSentinelCatchesDroppedPolicyFilter(t *testing.T) {
 	// Sabotage: clear every pushed scan filter (the optimizer pushed the
 	// policy's region = 'US' there) and strip residual filters under
@@ -67,20 +72,56 @@ func TestSentinelCatchesDroppedPolicyFilter(t *testing.T) {
 			return x
 		})
 	})
+	e.service.SetTracer(telemetry.NewTracer())
 	seedFiltered(t, e)
+	adminC := e.client("tok-admin")
+	mustExec(t, adminC, "CREATE TABLE sink (amount DOUBLE)")
+	mustExec(t, adminC, "GRANT SELECT ON sink TO 'alice@corp.com'")
+	mustExec(t, adminC, "GRANT MODIFY ON sink TO 'alice@corp.com'")
+	mustExec(t, adminC, "CREATE MATERIALIZED VIEW mv AS SELECT amount FROM sales")
 
-	_, err := e.client("tok-alice").Sql("SELECT amount FROM sales").Collect()
-	wantViolation(t, err, sentinel.InvRowFilter)
+	const q = "SELECT amount FROM sales"
+	aliceC := e.client("tok-alice")
+	discard := func(_ any, err error) error { return err }
+	for _, tc := range []struct {
+		name string
+		user string
+		run  func() error
+	}{
+		{"connect execute", alice, func() error { return discard(aliceC.Table("sales").Select("amount").Collect()) }},
+		{"SQL SELECT", alice, func() error { return discard(aliceC.ExecSQL(q)) }},
+		{"SQL EXPLAIN", alice, func() error { return discard(aliceC.ExecSQL("EXPLAIN " + q)) }},
+		{"/v1/analyze", alice, func() error { return discard(aliceC.Sql(q).Explain()) }},
+		{"/v1/analyzeVerified", alice, func() error { return discard(aliceC.Sql(q).ExplainVerified()) }},
+		{"EXPLAIN ANALYZE", alice, func() error { return discard(aliceC.Sql(q).ExplainAnalyze()) }},
+		{"CTAS", alice, func() error { return discard(aliceC.ExecSQL("CREATE TABLE copied AS " + q)) }},
+		{"INSERT SELECT", alice, func() error { return discard(aliceC.ExecSQL("INSERT INTO sink " + q)) }},
+		{"MERGE source", alice, func() error {
+			return discard(aliceC.ExecSQL(`MERGE INTO sink AS t USING sales AS s ON t.amount = s.amount
+				WHEN NOT MATCHED THEN INSERT VALUES (s.amount)`))
+		}},
+		{"REFRESH MATERIALIZED VIEW", admin, func() error { return discard(adminC.ExecSQL("REFRESH MATERIALIZED VIEW mv")) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := len(sentinelDenies(e))
+			wantViolation(t, tc.run(), sentinel.InvRowFilter)
+			denies := sentinelDenies(e)
+			if len(denies) != before+1 {
+				t.Fatalf("SENTINEL_VERIFY deny events %d -> %d, want exactly one more", before, len(denies))
+			}
+			last := denies[len(denies)-1]
+			if last.User != tc.user || last.SessionID == "" ||
+				!strings.HasPrefix(last.Securable, "plan:") || last.TraceID == "" {
+				t.Errorf("deny event misattributed: %+v", last)
+			}
+		})
+	}
+}
 
-	evs := sentinelEvents(e)
-	if len(evs) == 0 {
-		t.Fatal("no SENTINEL_VERIFY audit event recorded")
-	}
-	last := evs[len(evs)-1]
-	if last.Decision != audit.DecisionDeny || last.User != alice ||
-		last.SessionID == "" || !strings.HasPrefix(last.Securable, "plan:") {
-		t.Errorf("deny event misattributed: %+v", last)
-	}
+func sentinelDenies(e *env) []audit.Event {
+	return e.cat.Audit().Events(func(ev audit.Event) bool {
+		return ev.Action == "SENTINEL_VERIFY" && ev.Decision == audit.DecisionDeny
+	})
 }
 
 func TestSentinelCatchesFilterPastMask(t *testing.T) {

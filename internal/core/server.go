@@ -14,13 +14,10 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"lakeguard/internal/analyzer"
-	"lakeguard/internal/arrowipc"
-	"lakeguard/internal/audit"
 	"lakeguard/internal/catalog"
 	"lakeguard/internal/cluster"
 	"lakeguard/internal/connect"
@@ -32,7 +29,6 @@ import (
 	"lakeguard/internal/sandbox"
 	"lakeguard/internal/sentinel"
 	"lakeguard/internal/session"
-	"lakeguard/internal/sql"
 	"lakeguard/internal/systemtables"
 	"lakeguard/internal/telemetry"
 	"lakeguard/internal/types"
@@ -334,11 +330,13 @@ func (s *Server) dedicatedGroupScope() string {
 	return ""
 }
 
-// newAnalyzer builds an analyzer bound to a session's temp state.
+// newAnalyzer builds an analyzer bound to a session's temp state; a nil
+// session resolves no temp views or functions.
 func (s *Server) newAnalyzer(ctx catalog.RequestContext, st *session.State) *analyzer.Analyzer {
 	a := analyzer.New(s.cat, ctx)
-	a.TempViews = st.TempViews
-	a.TempFuncs = st.TempFuncs
+	if st != nil {
+		a.TempViews, a.TempFuncs = st.TempViews, st.TempFuncs
+	}
 	return a
 }
 
@@ -382,100 +380,18 @@ func (s *Server) engineFor(env string) (*exec.Engine, error) {
 	return e, nil
 }
 
-// verifyOptimized is the mandatory sentinel gate between the optimizer and
-// everything that consumes an optimized plan (execution, EXPLAIN, MV
-// refresh). It statically proves the optimizer preserved every policy
-// obligation of the analyzed plan and records an audit event for the
-// verification itself — pass or fail — attributed to the requesting user,
-// session, and plan fingerprint. A violating plan never reaches the engine.
-func (s *Server) verifyOptimized(qctx context.Context, ctx catalog.RequestContext, resolved, optimized plan.Node) (*sentinel.Report, error) {
-	report := sentinel.VerifyCtx(qctx, resolved, optimized)
-	decision := audit.DecisionAllow
-	reason := fmt.Sprintf("verified: %d barrier(s), %d remote scan(s)", report.Barriers, report.RemoteScans)
-	err := report.Err()
-	if err != nil {
-		decision = audit.DecisionDeny
-		// The audit event enumerates every violation, not the error's
-		// first-plus-count summary: the trail must attribute each violated
-		// invariant and governance label.
-		parts := make([]string, len(report.Violations))
-		for i, v := range report.Violations {
-			parts[i] = v.String()
-		}
-		reason = strings.Join(parts, "; ")
-	}
-	s.cat.Audit().Record(audit.Event{
-		User: ctx.User, Compute: string(ctx.Compute), SessionID: ctx.SessionID,
-		Action: "SENTINEL_VERIFY", Securable: "plan:" + report.Fingerprint,
-		Decision: decision, Reason: reason, TraceID: ctx.TraceID,
-	})
-	return report, err
-}
-
-// sealVerified closes the time-of-check/time-of-use window between sentinel
-// verification and execution: the verified plan is deep-copied into a
-// private tree pinned to the verified fingerprint, and the seal is
-// re-checked immediately before the copy is handed to the engine. A plan
-// that drifted in that window — a hostile ExtraRule holding a reference, a
-// misbehaving cache — is refused with a SENTINEL_VERIFY deny audit event,
-// exactly like a plan that failed verification outright.
-func (s *Server) sealVerified(ctx catalog.RequestContext, report *sentinel.Report, optimized plan.Node) (*sentinel.Sealed, error) {
-	sealed, err := sentinel.Seal(optimized, report)
-	if err == nil {
-		err = sealed.Check()
-	}
-	if err != nil {
-		s.cat.Audit().Record(audit.Event{
-			User: ctx.User, Compute: string(ctx.Compute), SessionID: ctx.SessionID,
-			Action: "SENTINEL_VERIFY", Securable: "plan:" + report.Fingerprint,
-			Decision: audit.DecisionDeny, Reason: err.Error(), TraceID: ctx.TraceID,
-		})
-		return nil, err
-	}
-	return sealed, nil
-}
-
-// substituteSQL replaces SQLRelation nodes with their parsed plans.
-func substituteSQL(n plan.Node) (plan.Node, error) {
-	var firstErr error
-	out := plan.Transform(n, func(x plan.Node) plan.Node {
-		if sr, ok := x.(*plan.SQLRelation); ok {
-			q, err := sql.ParseQuery(sr.Query)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return x
-			}
-			return q
-		}
-		return x
-	})
-	return out, firstErr
-}
-
 // Execute implements connect.Backend. qctx bounds the whole execution: its
 // deadline propagates through sandbox crossings and eFGAC submissions, and
 // its span (if any) parents the whole server-side trace.
 func (s *Server) Execute(qctx context.Context, sessionID, user string, pl *proto.Plan) (*types.Schema, []*types.Batch, error) {
-	if qctx == nil {
-		qctx = context.Background()
-	}
-	qctx, sp := telemetry.StartSpan(qctx, "core.execute")
-	sp.SetAttr("cluster", s.cfg.Name)
-	sp.SetAttr("user", user)
-	start := time.Now()
-	schema, batches, err := s.execute(qctx, sessionID, user, pl)
-	s.met.hTotal.Observe(ms(time.Since(start)))
-	s.met.queries.Inc()
-	if err != nil {
-		s.met.errors.Inc()
-	}
-	sp.EndErr(err)
-	return schema, batches, err
+	return s.execute(qctx, sessionID, user, pl, nil)
 }
 
-func (s *Server) execute(qctx context.Context, sessionID, user string, pl *proto.Plan) (*types.Schema, []*types.Batch, error) {
+// execute runs one statement under the core.execute span; prof, when
+// non-nil, is the EXPLAIN ANALYZE profile of a query.
+func (s *Server) execute(qctx context.Context, sessionID, user string, pl *proto.Plan, prof *telemetry.Profile) (schema *types.Schema, batches []*types.Batch, err error) {
+	qctx, end := s.startQuery(qctx, user)
+	defer func() { end(err) }()
 	st, err := s.session(sessionID, user)
 	if err != nil {
 		return nil, nil, err
@@ -488,270 +404,67 @@ func (s *Server) execute(qctx context.Context, sessionID, user string, pl *proto
 		}
 		return schema, []*types.Batch{batch}, nil
 	}
-	schema, batches, err := s.runQueryEnv(qctx, ctx, st, pl.Relation, pl.WorkloadEnv)
-	if err != nil {
-		return nil, nil, err
-	}
-	if pl.AllowSpill && s.cfg.SpillThreshold > 0 {
+	schema, batches, err = s.run(qctx, ctx, st, pl.Relation, pl.WorkloadEnv, prof)
+	if err == nil && pl.AllowSpill && s.cfg.SpillThreshold > 0 {
 		return s.maybeSpill(ctx, schema, batches)
 	}
-	return schema, batches, nil
-}
-
-// runQuery analyzes, optimizes, and executes a relation in the default
-// environment.
-func (s *Server) runQuery(qctx context.Context, ctx catalog.RequestContext, st *session.State, rel plan.Node) (*types.Schema, []*types.Batch, error) {
-	return s.runQueryEnv(qctx, ctx, st, rel, "")
-}
-
-// runQueryEnv is runQuery pinned to a Workload Environment.
-func (s *Server) runQueryEnv(qctx context.Context, ctx catalog.RequestContext, st *session.State, rel plan.Node, env string) (*types.Schema, []*types.Batch, error) {
-	return s.runQueryProfiled(qctx, ctx, st, rel, env, nil)
-}
-
-// runQueryProfiled is the instrumented query driver: each phase (analyze,
-// optimize, verify, execute) runs under its own span, feeds the per-phase
-// latency histograms, and — when prof is non-nil — stamps the EXPLAIN
-// ANALYZE profile. When the server spools system tables, every query gets a
-// profile (so the history row carries operator totals) and a QueryRecord is
-// emitted on completion, success or error alike.
-func (s *Server) runQueryProfiled(qctx context.Context, ctx catalog.RequestContext, st *session.State, rel plan.Node, env string, prof *telemetry.Profile) (*types.Schema, []*types.Batch, error) {
-	spool := s.cfg.SystemTables
-	if spool == nil {
-		return s.runQueryPhases(qctx, ctx, st, rel, env, prof)
-	}
-	if prof == nil {
-		prof = telemetry.NewProfile()
-		prof.QueueWaitNanos = int64(telemetry.QueueWaitFrom(qctx))
-	}
-	sqlText := sqlTextOf(qctx, rel)
-	start := time.Now()
-	schema, batches, err := s.runQueryPhases(qctx, ctx, st, rel, env, prof)
-	if prof.TotalNanos == 0 {
-		prof.TotalNanos = int64(time.Since(start))
-	}
-	spool.RecordQuery(queryRecord(ctx, sqlText, prof, err))
 	return schema, batches, err
 }
 
-// sqlTextKey carries the raw statement text from the SQL command entry
-// point down to the history spooler.
-type sqlTextKey struct{}
-
-// withSQLText annotates a query context with the statement being executed.
-func withSQLText(qctx context.Context, text string) context.Context {
-	return context.WithValue(qctx, sqlTextKey{}, text)
-}
-
-// sqlTextOf extracts the original statement for the query-history row: the
-// annotated command text when the query entered as SQL, else the first
-// SQL-bearing relation in the submitted tree. Plans submitted as raw
-// relation trees spool a placeholder rather than a policy-leaking render.
-func sqlTextOf(qctx context.Context, rel plan.Node) string {
-	if text, ok := qctx.Value(sqlTextKey{}).(string); ok && text != "" {
-		return text
-	}
-	var text string
-	plan.Walk(rel, func(n plan.Node) bool {
-		if sr, ok := n.(*plan.SQLRelation); ok {
-			text = sr.Query
-			return false
-		}
-		return true
-	})
-	if text != "" {
-		return text
-	}
-	return "<relation plan>"
-}
-
-// queryRecord derives the spooled history row from a completed query.
-func queryRecord(ctx catalog.RequestContext, sqlText string, prof *telemetry.Profile, err error) systemtables.QueryRecord {
-	totals := prof.Totals()
-	rec := systemtables.QueryRecord{
-		Time:           time.Now(),
-		Tenant:         ctx.User,
-		SessionID:      ctx.SessionID,
-		TraceID:        ctx.TraceID,
-		SQLText:        sqlText,
-		Status:         "OK",
-		QueueWaitNanos: prof.QueueWaitNanos,
-		AnalyzeNanos:   prof.AnalyzeNanos,
-		OptimizeNanos:  prof.OptimizeNanos,
-		VerifyNanos:    prof.VerifyNanos,
-		ExecNanos:      prof.ExecNanos,
-		TotalNanos:     prof.TotalNanos,
-		RowsOut:        totals.RowsOut,
-		FilesScanned:   totals.FilesScanned,
-		FilesPruned:    totals.FilesPruned,
-		BytesRead:      totals.ReadBytes,
-		SpillBytes:     totals.SpillBytes,
-	}
-	if err != nil {
-		rec.Status = "ERROR"
-		rec.Error = err.Error()
-	}
-	return rec
-}
-
-// runQueryPhases runs the analyze → optimize → verify → seal → execute
-// pipeline.
-func (s *Server) runQueryPhases(qctx context.Context, ctx catalog.RequestContext, st *session.State, rel plan.Node, env string, prof *telemetry.Profile) (*types.Schema, []*types.Batch, error) {
-	engine, err := s.engineFor(env)
-	if err != nil {
-		return nil, nil, err
-	}
-	rel, err = substituteSQL(rel)
-	if err != nil {
-		return nil, nil, err
-	}
-	t0 := time.Now()
-	resolved, err := s.newAnalyzer(ctx, st).AnalyzeCtx(qctx, rel)
-	d := time.Since(t0)
-	s.met.hAnalyze.Observe(ms(d))
-	if prof != nil {
-		prof.AnalyzeNanos = int64(d)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	t0 = time.Now()
-	optimized := optimizer.OptimizeCtx(qctx, resolved, s.opts)
-	d = time.Since(t0)
-	s.met.hOptimize.Observe(ms(d))
-	if prof != nil {
-		prof.OptimizeNanos = int64(d)
-	}
-	t0 = time.Now()
-	report, err := s.verifyOptimized(qctx, ctx, resolved, optimized)
-	d = time.Since(t0)
-	s.met.hVerify.Observe(ms(d))
-	if prof != nil {
-		prof.VerifyNanos = int64(d)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	qc := exec.NewQueryContext(s.cat, ctx)
-	qc.Context = qctx
-	qc.Profile = prof
-	// Execute the sealed copy, never the optimizer's tree: nothing holding a
-	// reference to the verified plan can rewrite what actually runs.
-	sealed, err := s.sealVerified(ctx, report, optimized)
-	if err != nil {
-		return nil, nil, err
-	}
-	qc.VerifiedPlan = sealed.Fingerprint()
-	t0 = time.Now()
-	batches, err := engine.Execute(qc, sealed.Plan)
-	d = time.Since(t0)
-	s.met.hExec.Observe(ms(d))
-	if prof != nil {
-		prof.ExecNanos = int64(d)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	var rows int64
-	for _, b := range batches {
-		rows += int64(b.NumRows())
-	}
-	s.met.rowsOut.Add(rows)
-	return resolved.Schema(), batches, nil
-}
-
-// ExecuteAnalyze runs a query with EXPLAIN ANALYZE profiling: the same
-// governance gates as Execute (analysis, sentinel verification, credential
-// vending) run unchanged, and the rendered operator profile is returned
-// alongside the result.
-func (s *Server) ExecuteAnalyze(qctx context.Context, sessionID, user string, pl *proto.Plan) (*types.Batch, string, error) {
+// startQuery opens the core.execute span of one executed statement. The
+// returned func closes it and counts the statement in queries.total,
+// queries.errors and query.total_ms.
+func (s *Server) startQuery(qctx context.Context, user string) (context.Context, func(error)) {
 	if qctx == nil {
 		qctx = context.Background()
-	}
-	if pl.Command != nil {
-		return nil, "", fmt.Errorf("core: EXPLAIN ANALYZE supports queries only, not commands")
 	}
 	qctx, sp := telemetry.StartSpan(qctx, "core.execute")
 	sp.SetAttr("cluster", s.cfg.Name)
 	sp.SetAttr("user", user)
 	start := time.Now()
-	batch, text, err := s.executeAnalyze(qctx, sessionID, user, pl)
-	s.met.hTotal.Observe(ms(time.Since(start)))
-	s.met.queries.Inc()
-	if err != nil {
-		s.met.errors.Inc()
+	return qctx, func(err error) {
+		s.met.hTotal.Observe(ms(time.Since(start)))
+		s.met.queries.Inc()
+		if err != nil {
+			s.met.errors.Inc()
+		}
+		sp.EndErr(err)
 	}
-	sp.EndErr(err)
-	return batch, text, err
 }
 
-func (s *Server) executeAnalyze(qctx context.Context, sessionID, user string, pl *proto.Plan) (*types.Batch, string, error) {
+// Explain implements connect.Backend. ExplainPlan and ExplainVerified stop
+// after the seam's compile stage, so a plan that fails verification is
+// rejected exactly as execution would reject it; ExplainVerified annotates
+// each policy operator with the sentinel invariants that cleared it.
+// ExplainAnalyze executes the query as Execute does and renders its
+// operator profile.
+func (s *Server) Explain(qctx context.Context, sessionID, user string, pl *proto.Plan, mode connect.ExplainMode) (*types.Schema, string, int, error) {
+	if pl.Command != nil {
+		return nil, "", 0, errors.New("core: EXPLAIN supports queries only, not commands")
+	}
+	if mode == connect.ExplainAnalyze {
+		// The profile counts the query's own rows, so the result is never
+		// swapped for a spill manifest.
+		prof := telemetry.NewProfile()
+		schema, batches, err := s.execute(qctx, sessionID, user, &proto.Plan{Relation: pl.Relation, WorkloadEnv: pl.WorkloadEnv}, prof)
+		if err != nil {
+			return nil, "", 0, err
+		}
+		return schema, prof.Render(), int(numRows(batches)), nil
+	}
 	st, err := s.session(sessionID, user)
 	if err != nil {
-		return nil, "", err
+		return nil, "", 0, err
 	}
-	ctx := s.requestContext(qctx, sessionID, user)
-	prof := telemetry.NewProfile()
-	prof.QueueWaitNanos = int64(telemetry.QueueWaitFrom(qctx))
-	start := time.Now()
-	schema, batches, err := s.runQueryProfiled(qctx, ctx, st, pl.Relation, pl.WorkloadEnv, prof)
-	prof.TotalNanos = int64(time.Since(start))
+	c, err := s.compile(qctx, s.requestContext(qctx, sessionID, user), st, pl.Relation, nil)
 	if err != nil {
-		return nil, "", err
+		return nil, "", 0, err
 	}
-	b, err := arrowipc.ConcatBatches(schema, batches)
-	if err != nil {
-		return nil, "", err
+	text := plan.ExplainRedacted(c.optimized)
+	if mode == connect.ExplainVerified {
+		text = sentinel.ExplainVerified(c.optimized, c.report)
 	}
-	return b, prof.Render(), nil
-}
-
-// Analyze implements connect.Backend: schema plus policy-redacted EXPLAIN.
-func (s *Server) Analyze(sessionID, user string, rel plan.Node) (*types.Schema, string, error) {
-	st, err := s.session(sessionID, user)
-	if err != nil {
-		return nil, "", err
-	}
-	ctx := s.requestContext(context.Background(), sessionID, user)
-	rel, err = substituteSQL(rel)
-	if err != nil {
-		return nil, "", err
-	}
-	resolved, err := s.newAnalyzer(ctx, st).Analyze(rel)
-	if err != nil {
-		return nil, "", err
-	}
-	optimized := optimizer.Optimize(resolved, s.opts)
-	if _, err := s.verifyOptimized(context.Background(), ctx, resolved, optimized); err != nil {
-		return nil, "", err
-	}
-	return resolved.Schema(), plan.ExplainRedacted(optimized), nil
-}
-
-// AnalyzeVerified implements connect.VerifiedExplainer: like Analyze, but the
-// EXPLAIN output annotates each policy operator with the sentinel invariants
-// that cleared it (`--explain-verified`). A plan that fails verification is
-// rejected with the violation, exactly as execution would reject it.
-func (s *Server) AnalyzeVerified(sessionID, user string, rel plan.Node) (*types.Schema, string, error) {
-	st, err := s.session(sessionID, user)
-	if err != nil {
-		return nil, "", err
-	}
-	ctx := s.requestContext(context.Background(), sessionID, user)
-	rel, err = substituteSQL(rel)
-	if err != nil {
-		return nil, "", err
-	}
-	resolved, err := s.newAnalyzer(ctx, st).Analyze(rel)
-	if err != nil {
-		return nil, "", err
-	}
-	optimized := optimizer.Optimize(resolved, s.opts)
-	report, err := s.verifyOptimized(context.Background(), ctx, resolved, optimized)
-	if err != nil {
-		return nil, "", err
-	}
-	return resolved.Schema(), sentinel.ExplainVerified(optimized, report), nil
+	return c.resolved.Schema(), text, 0, nil
 }
 
 // CloseSession implements connect.Backend: the session's state is removed
@@ -802,8 +515,6 @@ type TempViewSnapshot = session.TempViewSnapshot
 type TempFuncSnapshot = session.TempFuncSnapshot
 
 var _ connect.Backend = (*Server)(nil)
-var _ connect.VerifiedExplainer = (*Server)(nil)
-var _ connect.AnalyzeExecutor = (*Server)(nil)
 
 // okBatch is the conventional result of a successful command.
 func okBatch(message string) (*types.Schema, *types.Batch) {

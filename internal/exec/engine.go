@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
+	"sync"
 
 	"lakeguard/internal/arrowipc"
 	"lakeguard/internal/delta"
@@ -41,10 +43,10 @@ type TableProvider interface {
 	OpenSnapshot(ctx security.RequestContext, table string, version int64) (*delta.Snapshot, func(path string) (*types.Batch, error), error)
 }
 
-// GroupChecker answers account-group membership questions (dynamic views,
-// IS_ACCOUNT_GROUP_MEMBER). catalog.Catalog satisfies it structurally.
+// GroupChecker resolves a principal's account groups for dynamic views and
+// IS_ACCOUNT_GROUP_MEMBER. catalog.Catalog satisfies it structurally.
 type GroupChecker interface {
-	IsGroupMember(user, group string) bool
+	GroupsOf(user string) []string
 }
 
 // Engine executes plans against governed tables with sandboxed user code.
@@ -137,17 +139,28 @@ func (qc *QueryContext) GoContext() context.Context {
 	return context.Background()
 }
 
-// NewQueryContext builds a query context wiring group membership to the
-// governance catalog (or any other GroupChecker).
+// NewQueryContext builds a query context whose evaluator resolves group
+// membership through the governance catalog (or any other GroupChecker), as
+// NewEvalContext describes.
 func NewQueryContext(groups GroupChecker, ctx security.RequestContext) *QueryContext {
-	return &QueryContext{
-		Ctx: ctx,
-		Eval: &eval.Context{
-			User:          ctx.User,
-			IsGroupMember: func(g string) bool { return groups.IsGroupMember(ctx.User, g) },
-		},
-		SessionID: ctx.SessionID,
-	}
+	return &QueryContext{Ctx: ctx, Eval: NewEvalContext(groups, ctx.User), SessionID: ctx.SessionID}
+}
+
+// NewEvalContext builds the evaluator's session context for one statement.
+// The user's group set is resolved once, on the first
+// IS_ACCOUNT_GROUP_MEMBER, and then frozen: every row the statement
+// evaluates, on every worker, answers against that one set, so a group change
+// landing mid-query can never split one answer between two identities.
+func NewEvalContext(groups GroupChecker, user string) *eval.Context {
+	groupsOf := sync.OnceValue(func() []string { return groups.GroupsOf(user) })
+	return &eval.Context{User: user, IsGroupMember: func(group string) bool {
+		for _, g := range groupsOf() {
+			if strings.EqualFold(g, group) {
+				return true
+			}
+		}
+		return false
+	}}
 }
 
 // operator is a pull-based batch iterator.

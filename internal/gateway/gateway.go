@@ -24,7 +24,6 @@ import (
 	"lakeguard/internal/connect"
 	"lakeguard/internal/core"
 	"lakeguard/internal/faults"
-	"lakeguard/internal/plan"
 	"lakeguard/internal/proto"
 	"lakeguard/internal/telemetry"
 	"lakeguard/internal/types"
@@ -185,38 +184,20 @@ func (g *Gateway) Execute(ctx context.Context, sessionID, user string, pl *proto
 	return schema, batches, err
 }
 
-// ExecuteAnalyze routes an EXPLAIN ANALYZE execution to the session's
-// cluster (it implements connect.AnalyzeExecutor).
-func (g *Gateway) ExecuteAnalyze(ctx context.Context, sessionID, user string, pl *proto.Plan) (*types.Batch, string, error) {
-	ctx, sp := telemetry.StartSpan(ctx, "gateway.execute")
+// Explain implements connect.Backend, routing to the session's cluster so
+// the plan, annotations and profile are those of the cluster that would
+// execute the query.
+func (g *Gateway) Explain(ctx context.Context, sessionID, user string, pl *proto.Plan, mode connect.ExplainMode) (*types.Schema, string, int, error) {
+	ctx, sp := telemetry.StartSpan(ctx, "gateway.explain")
 	srv, err := g.route(ctx, sessionID)
 	if err != nil {
 		sp.EndErr(err)
-		return nil, "", err
+		return nil, "", 0, err
 	}
 	sp.SetAttr("cluster", srv.ClusterManager().Name())
-	batch, text, err := srv.ExecuteAnalyze(ctx, sessionID, user, pl)
+	schema, text, rows, err := srv.Explain(ctx, sessionID, user, pl, mode)
 	sp.EndErr(err)
-	return batch, text, err
-}
-
-// Analyze implements connect.Backend.
-func (g *Gateway) Analyze(sessionID, user string, rel plan.Node) (*types.Schema, string, error) {
-	srv, err := g.route(context.Background(), sessionID)
-	if err != nil {
-		return nil, "", err
-	}
-	return srv.Analyze(sessionID, user, rel)
-}
-
-// AnalyzeVerified implements connect.VerifiedExplainer, routing to the
-// session's cluster so the annotated plan matches what would execute there.
-func (g *Gateway) AnalyzeVerified(sessionID, user string, rel plan.Node) (*types.Schema, string, error) {
-	srv, err := g.route(context.Background(), sessionID)
-	if err != nil {
-		return nil, "", err
-	}
-	return srv.AnalyzeVerified(sessionID, user, rel)
+	return schema, text, rows, err
 }
 
 // CloseSession implements connect.Backend.
@@ -440,5 +421,3 @@ func (g *Gateway) FleetStats() Stats {
 }
 
 var _ connect.Backend = (*Gateway)(nil)
-var _ connect.VerifiedExplainer = (*Gateway)(nil)
-var _ connect.AnalyzeExecutor = (*Gateway)(nil)

@@ -82,16 +82,25 @@ func TestChaosInjectedErrorKeepsSandboxHealthy(t *testing.T) {
 	}
 }
 
+// A call whose context is already cancelled never crosses the boundary. The
+// warm interpreter is idle, so its request channel is ready alongside
+// ctx.Done(); the calls are repeated because Go picks at random among ready
+// select cases, and a single call would pass by luck half of the time.
 func TestChaosContextCancelBeforeSendIsClean(t *testing.T) {
 	sb := New("alice", Config{})
 	defer sb.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := sb.Execute(ctx, &Request{Specs: []UDFSpec{sumSpec()}, Args: argBatch(1)}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if sb.Poisoned() {
-		t.Error("pre-send cancellation must not poison the sandbox")
+	for i := 0; i < 1000; i++ {
+		if _, err := sb.Execute(ctx, &Request{Specs: []UDFSpec{sumSpec()}, Args: argBatch(1)}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("call %d: err = %v", i, err)
+		}
+		if sb.Poisoned() {
+			t.Fatalf("call %d: pre-send cancellation poisoned the sandbox: %s", i, sb.PoisonReason())
+		}
+		if n := sb.Crossings(); n != 0 {
+			t.Fatalf("call %d: %d cancelled payload(s) crossed the boundary", i, n)
+		}
 	}
 	// The sandbox still works.
 	if _, err := sb.Execute(context.Background(), &Request{Specs: []UDFSpec{sumSpec()}, Args: argBatch(1)}); err != nil {

@@ -368,6 +368,13 @@ func (s *Sandbox) execute(ctx context.Context, req *Request) (*types.Batch, erro
 		timeoutC = timer.C
 	}
 
+	// Go picks at random among ready select cases, so an already-cancelled
+	// context must be refused here: otherwise the send below can still win,
+	// and the second select then poisons the sandbox over a request its
+	// caller had abandoned before it crossed.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	select {
 	case s.reqCh <- payload:
 	case <-s.done:
