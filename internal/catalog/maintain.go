@@ -147,7 +147,11 @@ func (c *Catalog) compactLog(log *delta.Log, cred *storage.Credential, targetByt
 	if targetBytes <= 0 {
 		targetBytes = defaultCompactTarget
 	}
-	const maxRecompute = 4
+	// Each recompute replans from the snapshot the conflicting commit left,
+	// so only a writer that lands again inside the next pass forces another.
+	// Under sustained DML (a DELETE every few milliseconds) a handful of
+	// passes is not enough; the budget matches Mutate's CAS retries.
+	const maxRecompute = 16
 	for attempt := 0; attempt < maxRecompute; attempt++ {
 		snap, err := log.Snapshot(cred, -1)
 		if err != nil {
@@ -207,7 +211,7 @@ func (c *Catalog) compactLog(log *delta.Log, cred *storage.Credential, targetByt
 		c.metric("compaction.bytes").Add(stats.BytesIn)
 		return stats, nil
 	}
-	return CompactionStats{}, fmt.Errorf("catalog: OPTIMIZE: %w after %d attempts", delta.ErrConcurrentCommit, 4)
+	return CompactionStats{}, fmt.Errorf("catalog: OPTIMIZE: %w after %d attempts", delta.ErrConcurrentCommit, maxRecompute)
 }
 
 // planCompaction groups consecutive candidate files (small, or past the DV

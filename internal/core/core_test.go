@@ -95,7 +95,8 @@ func TestUnionAllBranchNamesDifferOverWire(t *testing.T) {
 	seedSales(t, c)
 	for _, q := range []string{
 		"SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales",
-		"SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales ORDER BY b",
+		"SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales ORDER BY a",
+		"SELECT amount AS a FROM sales UNION ALL (SELECT amount AS b FROM sales ORDER BY b)",
 		"SELECT a FROM (SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales) u ORDER BY a",
 	} {
 		b, err := c.Sql(q).Collect()
@@ -108,6 +109,28 @@ func TestUnionAllBranchNamesDifferOverWire(t *testing.T) {
 		if _, rows, err := c.SqlExplainAnalyze(q); err != nil || rows != 12 {
 			t.Fatalf("EXPLAIN ANALYZE %s: %d rows, %v", q, rows, err)
 		}
+	}
+}
+
+// A trailing ORDER BY after a union sorts the whole union by the left
+// branch's names, over the wire as in process.
+func TestUnionTrailingOrderByOverWire(t *testing.T) {
+	e := newEnv(t, Config{Name: "std"})
+	c := e.client("tok-admin")
+	seedSales(t, c)
+	b, err := c.Sql("SELECT amount AS a FROM sales UNION ALL SELECT amount * 10 AS b FROM sales ORDER BY a DESC LIMIT 3").Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Sql("SELECT amount * 10 AS a FROM sales ORDER BY a DESC LIMIT 3").Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Schema.Fields[0].Name != "a" || canonical(b) != canonical(want) {
+		t.Fatalf("union top 3:\n%s\nwant the right branch's top 3:\n%s", b.String(), want.String())
+	}
+	if _, err := c.Sql("SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales ORDER BY b").Collect(); err == nil {
+		t.Fatal("ORDER BY a right-branch name resolved over the wire")
 	}
 }
 

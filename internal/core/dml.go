@@ -171,6 +171,16 @@ func (s *Server) executeRowDML(ctx catalog.RequestContext, table []string, op st
 		}
 	}
 	ectx := exec.NewEvalContext(s.cat, ctx.User)
+	// The WHERE compiles once per statement, with its identity bound, into a
+	// selection kernel; nil leaves it to the row interpreter.
+	var wherePred *eval.VecProg
+	if bWhere != nil {
+		kinds := make([]types.Kind, meta.Schema.Len())
+		for i, f := range meta.Schema.Fields {
+			kinds[i] = f.Kind
+		}
+		wherePred, _ = eval.CompileVecBound(bWhere, kinds, ectx)
+	}
 	for attempt := 0; attempt < dmlAttempts; attempt++ {
 		snap, read, err := s.cat.OpenSnapshot(ctx, meta.FullName, -1)
 		if err != nil {
@@ -210,25 +220,16 @@ func (s *Server) executeRowDML(ctx catalog.RequestContext, table []string, op st
 				if err != nil {
 					return 0, 0, err
 				}
-				var hits []int64
-				for r := 0; r < b.NumRows(); r++ {
-					if f.DV.Has(int64(r)) {
-						continue
-					}
-					row := b.Row(r)
-					rowFn := func(i int) types.Value { return row[i] }
-					if bWhere != nil {
-						ok, err := eval.EvalPredicate(bWhere, rowFn, ectx)
-						if err != nil {
-							return 0, 0, fmt.Errorf("core: %s WHERE: %w", op, err)
-						}
-						if !ok {
-							continue
-						}
-					}
-					hits = append(hits, int64(r))
+				rows, err := dmlMatches(b, f.DV, bWhere, wherePred, ectx)
+				if err != nil {
+					return 0, 0, fmt.Errorf("core: %s WHERE: %w", op, err)
+				}
+				hits := make([]int64, len(rows))
+				for i, r := range rows {
+					hits[i] = int64(r)
 					if updated != nil {
-						vals, err := applyAssignments(row, rowFn, bSet, ectx)
+						row := b.Row(r)
+						vals, err := applyAssignments(row, func(i int) types.Value { return row[i] }, bSet, ectx)
 						if err != nil {
 							return 0, 0, err
 						}
@@ -264,6 +265,47 @@ func (s *Server) executeRowDML(ctx catalog.RequestContext, table []string, op st
 		return matched, v, nil
 	}
 	return 0, 0, fmt.Errorf("core: %s on %s: %w after %d attempts", op, meta.FullName, delta.ErrConcurrentCommit, dmlAttempts)
+}
+
+// dmlMatches returns the live rows of one file batch that a DELETE/UPDATE
+// WHERE selects (every live row when where is nil). The deletion vector's
+// keep-list is the first selection; the compiled kernel narrows it without
+// boxing a row. The row interpreter serves a WHERE that did not compile.
+func dmlMatches(b *types.Batch, dv *delta.DeletionVector, where plan.Expr, pred *eval.VecProg, ectx *eval.Context) ([]int, error) {
+	n := b.NumRows()
+	var live []int // nil = every row
+	if dv.Cardinality() > 0 {
+		live = dv.KeepIndexes(n)
+	}
+	switch {
+	case where == nil:
+		if live == nil {
+			live = make([]int, n)
+			for i := range live {
+				live[i] = i
+			}
+		}
+		return live, nil
+	case pred != nil:
+		if live != nil && len(live) == 0 {
+			return nil, nil
+		}
+		return pred.Select(b.Cols, n, live, nil), nil
+	}
+	var out []int
+	for r := 0; r < n; r++ {
+		if dv.Has(int64(r)) {
+			continue
+		}
+		ok, err := eval.EvalPredicate(where, func(i int) types.Value { return b.Cols[i].Value(r) }, ectx)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out = append(out, r)
+		}
+	}
+	return out, nil
 }
 
 // executeMerge implements MERGE INTO on the same deletion-vector machinery:

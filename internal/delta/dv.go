@@ -43,7 +43,7 @@ func (dv *DeletionVector) Has(r int64) bool {
 // outside [0, n) are ignored (a corrupt vector can hide rows, never invent
 // them).
 func (dv *DeletionVector) KeepIndexes(n int) []int {
-	keep := make([]int, 0, n-int(dv.Cardinality()))
+	keep := make([]int, 0, max(n-int(dv.Cardinality()), 0))
 	for i := 0; i < n; i++ {
 		if !dv.Has(int64(i)) {
 			keep = append(keep, i)

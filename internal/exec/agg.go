@@ -32,7 +32,6 @@ type aggOp struct {
 	node     *plan.Aggregate
 	groupBE  *batchEval // evaluates GROUP BY expressions (may contain UDFs)
 	argBE    *batchEval // evaluates aggregate argument expressions
-	argExprs []plan.Expr
 	aggs     []*plan.AggFunc
 	parallel int // exchange workers for input evaluation (<=1 = serial)
 	done     bool
@@ -54,17 +53,10 @@ func (e *Engine) newAggOp(qc *QueryContext, node *plan.Aggregate, child operator
 		}
 	}
 	in := node.Child.Schema()
-	groupBE, err := e.newBatchEval(qc, node.GroupBy, in, nil)
-	if err != nil {
-		return nil, err
-	}
-	argBE, err := e.newBatchEval(qc, argExprs, in, nil)
-	if err != nil {
-		return nil, err
-	}
 	op := &aggOp{
 		child: child, qc: qc, engine: e, node: node,
-		groupBE: groupBE, argBE: argBE, argExprs: argExprs, aggs: aggs,
+		groupBE: e.newBatchEval(qc, node.GroupBy, in, nil), argBE: e.newBatchEval(qc, argExprs, in, nil),
+		aggs: aggs,
 	}
 	if w := e.workers(); w > 1 && !exprsHaveUDF(node.GroupBy) && !exprsHaveUDF(argExprs) {
 		op.parallel = w
@@ -184,22 +176,9 @@ func (o *aggOp) inputStream() (pull func() (*aggInput, error), cleanup func(), e
 			return evalAggInput(b, o.groupBE, o.argBE)
 		}, func() {}, nil
 	}
-	in := o.node.Child.Schema()
 	ex, err := newExchange(o.qc.GoContext(), o.parallel, batchSource(o.child),
 		func() (func(context.Context, *types.Batch) (*aggInput, error), error) {
-			groupBE, argBE := o.groupBE, o.argBE
-			if groupBE.progs == nil {
-				var werr error
-				if groupBE, werr = o.engine.newBatchEval(o.qc, o.node.GroupBy, in, nil); werr != nil {
-					return nil, werr
-				}
-			}
-			if argBE.progs == nil {
-				var werr error
-				if argBE, werr = o.engine.newBatchEval(o.qc, o.argExprs, in, nil); werr != nil {
-					return nil, werr
-				}
-			}
+			groupBE, argBE := o.groupBE.worker(), o.argBE.worker()
 			return func(_ context.Context, b *types.Batch) (*aggInput, error) {
 				return evalAggInput(b, groupBE, argBE)
 			}, nil

@@ -224,12 +224,18 @@ func (e *Engine) ExecuteToBatch(qc *QueryContext, p plan.Node) (*types.Batch, er
 }
 
 // build compiles a plan node into an operator tree, instrumenting each
-// operator when the query is traced or profiled. Untraced, unprofiled
-// queries skip straight to buildNode and pay nothing.
+// operator when the query is traced or profiled.
 func (e *Engine) build(qc *QueryContext, p plan.Node) (operator, error) {
+	return e.instrument(qc, p, func(sub *QueryContext) (operator, error) { return e.buildNode(sub, p) })
+}
+
+// instrument runs buildOp, the builder of plan node p's operator, under a
+// span and profile entry named for p when the query is traced or profiled.
+// Untraced, unprofiled queries call buildOp directly and pay nothing.
+func (e *Engine) instrument(qc *QueryContext, p plan.Node, buildOp func(*QueryContext) (operator, error)) (operator, error) {
 	ctx := qc.GoContext()
 	if qc.Profile == nil && telemetry.SpanFrom(ctx) == nil {
-		return e.buildNode(qc, p)
+		return buildOp(qc)
 	}
 	name, detail := opLabel(p)
 	var stats *telemetry.OpStats
@@ -240,7 +246,7 @@ func (e *Engine) build(qc *QueryContext, p plan.Node) (operator, error) {
 	sub := *qc
 	sub.Context = sctx
 	sub.opParent = stats
-	op, err := e.buildNode(&sub, p)
+	op, err := buildOp(&sub)
 	if err != nil {
 		span.EndErr(err)
 		return nil, err
@@ -299,19 +305,20 @@ func (e *Engine) buildNode(qc *QueryContext, p plan.Node) (operator, error) {
 		return e.buildJoin(qc, t)
 
 	case *plan.Sort:
-		child, err := e.build(qc, t.Child)
-		if err != nil {
-			return nil, err
-		}
-		orderExprs := make([]plan.Expr, len(t.Orders))
-		for i, ord := range t.Orders {
-			orderExprs[i] = ord.Expr
-		}
-		progs := compileVecExprs(orderExprs, t.Child.Schema(), nil)
-		return &sortOp{child: child, orders: t.Orders, progs: progs, qc: qc, schema: t.Schema()}, nil
+		return e.buildSort(qc, t, -1)
 
 	case *plan.Limit:
-		child, err := e.build(qc, t.Child)
+		// LIMIT over ORDER BY bounds the sort to the rows the limit can
+		// emit; the sort keeps its own instrumented node either way.
+		var child operator
+		var err error
+		if s, ok := t.Child.(*plan.Sort); ok {
+			child, err = e.instrument(qc, s, func(sub *QueryContext) (operator, error) {
+				return e.buildSort(sub, s, sortBound(t))
+			})
+		} else {
+			child, err = e.build(qc, t.Child)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -390,7 +397,7 @@ func (e *Engine) buildScan(qc *QueryContext, t *plan.Scan) (operator, error) {
 	src := &scanSource{
 		qc: qc, scan: t, snap: snap, files: files, read: read, stats: qc.opParent,
 		metrics: e.Metrics,
-		progs:   compileVecExprs(t.PushedFilters, t.Schema(), boolKinds(len(t.PushedFilters))),
+		progs:   e.compileVecExprs(qc, t.PushedFilters, t.Schema(), boolKinds(len(t.PushedFilters))),
 	}
 	// Register the scan so a hash join built above it can install runtime
 	// filters onto src before the first file is read.

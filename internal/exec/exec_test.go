@@ -259,7 +259,8 @@ func TestUnionAllBranchNamesDiffer(t *testing.T) {
 	w := newWorld(t)
 	for _, q := range []string{
 		"SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales",
-		"SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales ORDER BY b",
+		"SELECT amount AS a FROM sales UNION ALL (SELECT amount AS b FROM sales ORDER BY b)",
+		"SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales ORDER BY a",
 		"SELECT a FROM (SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales) u ORDER BY a",
 		"SELECT amount AS a FROM sales UNION SELECT amount AS b FROM sales",
 	} {
@@ -275,12 +276,41 @@ func TestUnionAllBranchNamesDiffer(t *testing.T) {
 			t.Errorf("%s: %d rows, want %d", q, b.NumRows(), want)
 		}
 	}
-	sorted := w.query(t, adminCtx(),
-		"SELECT a FROM (SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales) u ORDER BY a")
-	for i := 1; i < sorted.NumRows(); i++ {
-		if sorted.Cols[0].Float64(i-1) > sorted.Cols[0].Float64(i) {
-			t.Fatalf("not sorted at row %d:\n%s", i, sorted.String())
+	for _, q := range []string{
+		"SELECT a FROM (SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales) u ORDER BY a",
+		"SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales ORDER BY a",
+	} {
+		sorted := w.query(t, adminCtx(), q)
+		for i := 1; i < sorted.NumRows(); i++ {
+			if sorted.Cols[0].Float64(i-1) > sorted.Cols[0].Float64(i) {
+				t.Fatalf("%s: not sorted at row %d:\n%s", q, i, sorted.String())
+			}
 		}
+	}
+}
+
+// A trailing ORDER BY / LIMIT sorts the whole union by the left branch's
+// names; a right-branch name no longer resolves there.
+func TestUnionTrailingOrderByUsesLeftNames(t *testing.T) {
+	w := newWorld(t)
+	b := w.query(t, adminCtx(), "SELECT amount AS a FROM sales UNION ALL SELECT amount * 10 AS b FROM sales ORDER BY a DESC LIMIT 3")
+	if b.NumRows() != 3 || b.Schema.Fields[0].Name != "a" {
+		t.Fatalf("got %d rows, schema %s\n%s", b.NumRows(), b.Schema, b.String())
+	}
+	// The largest values come from the right branch (amount * 10), so the
+	// sort and limit ran over both branches.
+	all := w.query(t, adminCtx(), "SELECT amount * 10 AS a FROM sales ORDER BY a DESC LIMIT 3")
+	for i := 0; i < 3; i++ {
+		if b.Cols[0].Float64(i) != all.Cols[0].Float64(i) {
+			t.Fatalf("row %d = %v, want %v\n%s", i, b.Cols[0].Float64(i), all.Cols[0].Float64(i), b.String())
+		}
+	}
+	q, err := sql.ParseQuery("SELECT amount AS a FROM sales UNION ALL SELECT amount AS b FROM sales ORDER BY b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := analyzer.New(w.cat, adminCtx()).Analyze(q); err == nil {
+		t.Fatal("ORDER BY a right-branch name resolved; the union's columns are the left branch's")
 	}
 }
 

@@ -3,10 +3,8 @@ package exec
 import (
 	"context"
 	"io"
-	"sort"
 	"sync/atomic"
 
-	"lakeguard/internal/arrowipc"
 	"lakeguard/internal/delta"
 	"lakeguard/internal/eval"
 	"lakeguard/internal/faults"
@@ -133,25 +131,28 @@ func (s *scanSource) scanFileCtx(ctx context.Context, i int) (*types.Batch, erro
 	if err != nil {
 		return nil, err
 	}
-	// Deletion-vector masking runs on the raw file batch, before projection
-	// or filters: DV ordinals refer to the file's physical row order. Every
-	// downstream operator — and the serial/parallel equivalence guarantee —
-	// sees only surviving rows.
+	// Deletion-vector masking starts the selection: DV ordinals refer to the
+	// file's physical row order, so the keep-list indexes the raw batch, and
+	// filters narrow it from there. Every downstream operator — and the
+	// serial/parallel equivalence guarantee — sees only surviving rows.
+	var sel []int // nil = all rows
 	if f.DV.Cardinality() > 0 {
-		keep := f.DV.KeepIndexes(b.NumRows())
-		masked := b.NumRows() - len(keep)
-		b = b.Gather(keep)
+		sel = f.DV.KeepIndexes(b.NumRows())
+		masked := b.NumRows() - len(sel)
 		s.stats.AddDVMasked(masked)
 		if s.metrics != nil {
 			s.metrics.Counter("scan.rows.dv_masked").Add(int64(masked))
 		}
 	}
-	return s.applyScanOps(b)
+	return s.applyScanOps(b, sel)
 }
 
-func (s *scanSource) applyScanOps(b *types.Batch) (*types.Batch, error) {
-	// Projection first: when the optimizer prunes columns it remaps the
-	// pushed-filter ordinals to the projected layout.
+// applyScanOps projects a raw file batch, narrows the selection sel (nil =
+// every row) through the pushed filters and runtime filters, and gathers
+// the surviving rows of the projected columns once.
+func (s *scanSource) applyScanOps(b *types.Batch, sel []int) (*types.Batch, error) {
+	// Projection first, by reference: when the optimizer prunes columns it
+	// remaps the pushed-filter ordinals to the projected layout.
 	if s.scan.ProjectedCols != nil {
 		cols := make([]*types.Column, len(s.scan.ProjectedCols))
 		for i, c := range s.scan.ProjectedCols {
@@ -159,37 +160,21 @@ func (s *scanSource) applyScanOps(b *types.Batch) (*types.Batch, error) {
 		}
 		b = types.MustBatch(s.scan.Schema(), cols)
 	}
-	rfs := s.runtimeFilters()
-	if len(s.scan.PushedFilters) == 0 && len(rfs) == 0 {
-		return b, nil
-	}
-	// Conjuncts refine a selection vector in their original order; each runs
-	// only over the rows that survived the previous ones (same short-circuit
-	// the per-row loop had).
 	n := b.NumRows()
-	var sel []int // nil = all rows
+	// Conjuncts refine the selection in their original order; each runs only
+	// over the rows that survived the previous ones (same short-circuit the
+	// per-row loop had).
 	for fi, f := range s.scan.PushedFilters {
-		m := n
-		if sel != nil {
-			m = len(sel)
+		if sel != nil && len(sel) == 0 {
+			break
 		}
-		next := make([]int, 0, m)
+		next := make([]int, 0, rowsOf(n, sel))
 		if prog := s.progs[fi]; prog != nil {
 			s.stats.CountEval(true)
-			pred := prog.Run(b.Cols, n, sel)
-			nulls, vals := pred.NullMask(), pred.Int64s()
-			for j := 0; j < m; j++ {
-				if (nulls == nil || !nulls[j]) && vals[j] != 0 {
-					if sel == nil {
-						next = append(next, j)
-					} else {
-						next = append(next, sel[j])
-					}
-				}
-			}
+			next = prog.Select(b.Cols, n, sel, next)
 		} else {
 			s.stats.CountEval(false)
-			for j := 0; j < m; j++ {
+			for j, m := 0, rowsOf(n, sel); j < m; j++ {
 				i := j
 				if sel != nil {
 					i = sel[j]
@@ -205,14 +190,11 @@ func (s *scanSource) applyScanOps(b *types.Batch) (*types.Batch, error) {
 			}
 		}
 		sel = next
-		if len(sel) == 0 {
-			break
-		}
 	}
 	// Runtime filters refine the same selection after the pushed filters: the
 	// drop is an optimization (those rows cannot join), so it is attributed to
 	// the owning join's profile, not the scan's row counts.
-	for _, rf := range rfs {
+	for _, rf := range s.runtimeFilters() {
 		if sel != nil && len(sel) == 0 {
 			break
 		}
@@ -225,10 +207,17 @@ func (s *scanSource) applyScanOps(b *types.Batch) (*types.Batch, error) {
 			}
 		}
 	}
-	if sel == nil {
-		return b, nil
+	if sel == nil || len(sel) == n {
+		return b, nil // selections only ever shrink: n survivors are all rows
 	}
 	return b.Gather(sel), nil
+}
+
+func rowsOf(n int, sel []int) int {
+	if sel != nil {
+		return len(sel)
+	}
+	return n
 }
 
 // scanOp is the serial file-by-file scan.
@@ -256,18 +245,23 @@ func (o *scanOp) Close() error { return nil }
 
 // filterBatch keeps the rows where the predicate is true (not NULL, not
 // false). It returns the input batch unchanged when every row passes.
+// A compiled predicate selects the rows directly, with no boolean column.
 func filterBatch(b *types.Batch, be *batchEval) (*types.Batch, error) {
-	cols, err := be.run(b)
-	if err != nil {
-		return nil, err
-	}
-	pred := cols[0]
 	n := b.NumRows()
 	keep := make([]int, 0, n)
-	nulls, vals := pred.NullMask(), pred.Int64s()
-	for i := 0; i < n; i++ {
-		if (nulls == nil || !nulls[i]) && vals[i] != 0 {
-			keep = append(keep, i)
+	if be.progs != nil {
+		be.stats.CountEval(true)
+		keep = be.progs[0].Select(b.Cols, n, nil, keep)
+	} else {
+		cols, err := be.run(b)
+		if err != nil {
+			return nil, err
+		}
+		nulls, vals := cols[0].NullMask(), cols[0].Int64s()
+		for i := 0; i < n; i++ {
+			if (nulls == nil || !nulls[i]) && vals[i] != 0 {
+				keep = append(keep, i)
+			}
 		}
 	}
 	if len(keep) == n {
@@ -326,88 +320,6 @@ func (o *projectOp) Next() (*types.Batch, error) {
 }
 
 func (o *projectOp) Close() error { return o.child.Close() }
-
-// sortOp materializes and sorts its input. The input is concatenated
-// column-wise, sort keys are computed per column (vectorized when the order
-// expressions compile), and the output is one bulk Gather by the sorted
-// permutation.
-type sortOp struct {
-	child  operator
-	orders []plan.SortOrder
-	progs  []*eval.VecProg // per order expression; nil entries row-evaluate
-	qc     *QueryContext
-	schema *types.Schema
-	done   bool
-}
-
-func (o *sortOp) Next() (*types.Batch, error) {
-	if o.done {
-		return nil, io.EOF
-	}
-	o.done = true
-	var batches []*types.Batch
-	for {
-		b, err := o.child.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		batches = append(batches, b)
-	}
-	all, err := arrowipc.ConcatBatches(o.schema, batches)
-	if err != nil {
-		return nil, err
-	}
-	n := all.NumRows()
-
-	// One key column per ORDER BY expression.
-	keyCols := make([]*types.Column, len(o.orders))
-	for ki, ord := range o.orders {
-		if o.progs != nil && o.progs[ki] != nil {
-			keyCols[ki] = o.progs[ki].Run(all.Cols, n, nil)
-			continue
-		}
-		kind := ord.Expr.Type()
-		if kind == types.KindNull {
-			kind = types.KindString
-		}
-		kb := types.NewBuilder(kind, n)
-		for i := 0; i < n; i++ {
-			row := func(c int) types.Value { return all.Cols[c].Value(i) }
-			v, err := eval.Eval(ord.Expr, row, o.qc.Eval)
-			if err != nil {
-				return nil, err
-			}
-			kb.Append(v)
-		}
-		keyCols[ki] = kb.Build()
-	}
-
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		for ki, ord := range o.orders {
-			cmp, ok := keyCols[ki].Value(idx[a]).Compare(keyCols[ki].Value(idx[b]))
-			if !ok {
-				continue
-			}
-			if cmp != 0 {
-				if ord.Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-		}
-		return false
-	})
-	return all.Gather(idx), nil
-}
-
-func (o *sortOp) Close() error { return o.child.Close() }
 
 // limitOp truncates the stream.
 type limitOp struct {

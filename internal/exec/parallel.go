@@ -117,17 +117,21 @@ func schemaKinds(s *types.Schema) []types.Kind {
 }
 
 // compileVecExprs compiles each expression against the input schema,
-// independently. Entries are nil for expressions outside the vectorizable
-// subset or (when want != nil) whose result kind differs from want[i].
-func compileVecExprs(exprs []plan.Expr, in *types.Schema, want []types.Kind) []*eval.VecProg {
+// independently, with the statement's identity bound (qc.Eval): programs are
+// per statement and never outlive it. Entries are nil for expressions
+// outside the vectorizable subset or (when want != nil) whose result kind
+// differs from want[i]; each such row-interpreter fallback counts on
+// exec.vec.fallback.<node>, named for the first node the compiler rejected.
+func (e *Engine) compileVecExprs(qc *QueryContext, exprs []plan.Expr, in *types.Schema, want []types.Kind) []*eval.VecProg {
 	kinds := schemaKinds(in)
 	progs := make([]*eval.VecProg, len(exprs))
-	for i, e := range exprs {
-		p, ok := eval.CompileVec(e, kinds)
-		if !ok {
-			continue
+	for i, x := range exprs {
+		p, rejected := eval.CompileVecBound(x, kinds, qc.Eval)
+		if p != nil && want != nil && p.Kind() != want[i] {
+			p, rejected = nil, "ResultKind"
 		}
-		if want != nil && p.Kind() != want[i] {
+		if p == nil {
+			e.Metrics.Counter("exec.vec.fallback." + rejected).Inc()
 			continue
 		}
 		progs[i] = p
@@ -141,7 +145,7 @@ func allCompiled(progs []*eval.VecProg) bool {
 			return false
 		}
 	}
-	return len(progs) > 0
+	return true
 }
 
 // batchEval evaluates a fixed expression list over batches: through compiled
@@ -149,7 +153,7 @@ func allCompiled(progs []*eval.VecProg) bool {
 // through the row-interpreting exprRunner otherwise. Programs are immutable
 // and shared across workers; runners are per-worker.
 type batchEval struct {
-	progs  []*eval.VecProg // all non-nil => vectorized path
+	progs  []*eval.VecProg // non-nil => vectorized path
 	runner *exprRunner
 	stats  *telemetry.OpStats // vectorized-vs-fallback accounting (nil ok)
 }
@@ -167,37 +171,32 @@ func (be *batchEval) run(b *types.Batch) ([]*types.Column, error) {
 	return be.runner.run(b)
 }
 
+// worker returns the batchEval one exchange worker uses: the shared
+// programs, or a runner of its own.
+func (be *batchEval) worker() *batchEval {
+	if be.progs != nil {
+		return be
+	}
+	r := be.runner
+	return &batchEval{runner: r.engine.newExprRunner(r.qc, r.exprs), stats: be.stats}
+}
+
 // newBatchEval builds a batchEval for exprs; vectorized when possible, with
-// a fresh exprRunner fallback otherwise.
-func (e *Engine) newBatchEval(qc *QueryContext, exprs []plan.Expr, in *types.Schema, want []types.Kind) (*batchEval, error) {
-	if progs := compileVecExprs(exprs, in, want); allCompiled(progs) {
-		return &batchEval{progs: progs, stats: qc.opParent}, nil
+// an exprRunner fallback otherwise.
+func (e *Engine) newBatchEval(qc *QueryContext, exprs []plan.Expr, in *types.Schema, want []types.Kind) *batchEval {
+	if progs := e.compileVecExprs(qc, exprs, in, want); allCompiled(progs) {
+		return &batchEval{progs: progs, stats: qc.opParent}
 	}
-	runner, err := e.newExprRunner(qc, exprs)
-	if err != nil {
-		return nil, err
-	}
-	return &batchEval{runner: runner, stats: qc.opParent}, nil
+	return &batchEval{runner: e.newExprRunner(qc, exprs), stats: qc.opParent}
 }
 
 // buildFilter compiles a Filter node, parallelizing UDF-free predicates.
 func (e *Engine) buildFilter(qc *QueryContext, t *plan.Filter, child operator) (operator, error) {
 	exprs := []plan.Expr{t.Cond}
-	want := []types.Kind{types.KindBool}
-	be, err := e.newBatchEval(qc, exprs, t.Child.Schema(), want)
-	if err != nil {
-		child.Close()
-		return nil, err
-	}
+	be := e.newBatchEval(qc, exprs, t.Child.Schema(), []types.Kind{types.KindBool})
 	if w := e.workers(); w > 1 && !exprsHaveUDF(exprs) {
 		return newParallelMap(qc.GoContext(), child, w, func() (batchMapFn, error) {
-			wbe := be
-			if be.progs == nil {
-				var werr error
-				if wbe, werr = e.newBatchEval(qc, exprs, t.Child.Schema(), want); werr != nil {
-					return nil, werr
-				}
-			}
+			wbe := be.worker()
 			return func(_ context.Context, b *types.Batch) (*types.Batch, error) {
 				return filterBatch(b, wbe)
 			}, nil
@@ -208,21 +207,10 @@ func (e *Engine) buildFilter(qc *QueryContext, t *plan.Filter, child operator) (
 
 // buildProject compiles a Project node, parallelizing UDF-free expressions.
 func (e *Engine) buildProject(qc *QueryContext, t *plan.Project, child operator) (operator, error) {
-	want := schemaKinds(t.OutSchema)
-	be, err := e.newBatchEval(qc, t.Exprs, t.Child.Schema(), want)
-	if err != nil {
-		child.Close()
-		return nil, err
-	}
+	be := e.newBatchEval(qc, t.Exprs, t.Child.Schema(), schemaKinds(t.OutSchema))
 	if w := e.workers(); w > 1 && !exprsHaveUDF(t.Exprs) {
 		return newParallelMap(qc.GoContext(), child, w, func() (batchMapFn, error) {
-			wbe := be
-			if be.progs == nil {
-				var werr error
-				if wbe, werr = e.newBatchEval(qc, t.Exprs, t.Child.Schema(), want); werr != nil {
-					return nil, werr
-				}
-			}
+			wbe := be.worker()
 			return func(_ context.Context, b *types.Batch) (*types.Batch, error) {
 				return projectBatch(b, wbe, t.OutSchema)
 			}, nil

@@ -32,8 +32,8 @@ type exprRunner struct {
 	inProcessPrograms map[string]*udf.Program
 }
 
-func (e *Engine) newExprRunner(qc *QueryContext, exprs []plan.Expr) (*exprRunner, error) {
-	return &exprRunner{engine: e, qc: qc, exprs: exprs}, nil
+func (e *Engine) newExprRunner(qc *QueryContext, exprs []plan.Expr) *exprRunner {
+	return &exprRunner{engine: e, qc: qc, exprs: exprs}
 }
 
 // ensurePlan builds the UDF extraction plan against the real batch width.

@@ -73,17 +73,10 @@ func (e *Engine) newVecJoinOp(qc *QueryContext, t *plan.Join, l, r operator, lef
 		buildWorkers: e.workers(),
 	}
 	o.combined = o.leftSchema.Concat(o.rightSchema)
-	var err error
-	if o.leftBE, err = e.newBatchEval(qc, leftKeys, o.leftSchema, nil); err != nil {
-		return nil, err
-	}
-	if o.rightBE, err = e.newBatchEval(qc, rightKeys, o.rightSchema, nil); err != nil {
-		return nil, err
-	}
+	o.leftBE = e.newBatchEval(qc, leftKeys, o.leftSchema, nil)
+	o.rightBE = e.newBatchEval(qc, rightKeys, o.rightSchema, nil)
 	if len(residual) > 0 {
-		if o.residBE, err = e.newBatchEval(qc, residual, o.combined, boolKinds(len(residual))); err != nil {
-			return nil, err
-		}
+		o.residBE = e.newBatchEval(qc, residual, o.combined, boolKinds(len(residual)))
 	}
 	// Resolve runtime-filter targets: each equi-key that is a bare column
 	// reference traceable to a registered probe-side scan gets a filter
@@ -212,15 +205,9 @@ func (o *vecJoinOp) rightStream() (pull func() (*vecRightPart, error), cleanup f
 	}
 	ex, err := newExchange(o.qc.GoContext(), o.buildWorkers, batchSource(o.right),
 		func() (func(context.Context, *types.Batch) (*vecRightPart, error), error) {
-			be := o.rightBE
-			if be.progs == nil {
-				// The row-interpreting fallback is not concurrency-safe;
-				// vectorized programs are immutable and shared.
-				var werr error
-				if be, werr = o.e.newBatchEval(o.qc, o.rightKeys, o.rightSchema, nil); werr != nil {
-					return nil, werr
-				}
-			}
+			// The row-interpreting fallback is not concurrency-safe;
+			// vectorized programs are immutable and shared.
+			be := o.rightBE.worker()
 			return func(_ context.Context, b *types.Batch) (*vecRightPart, error) {
 				return o.makeRightPart(be, b)
 			}, nil

@@ -523,7 +523,9 @@ func (p *parser) parseSelect() (plan.Node, error) {
 	if distinct {
 		node = &plan.Distinct{Child: node}
 	}
-	return p.parseOrderLimit(node)
+	// ORDER BY / LIMIT belong to the enclosing query expression: after a
+	// union chain they sort the whole union, by the left branch's names.
+	return node, nil
 }
 
 // parseOrderLimit attaches optional ORDER BY and LIMIT/OFFSET clauses.
