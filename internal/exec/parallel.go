@@ -123,7 +123,11 @@ func schemaKinds(s *types.Schema) []types.Kind {
 // differs from want[i]; each such row-interpreter fallback counts on
 // exec.vec.fallback.<node>, named for the first node the compiler rejected.
 func (e *Engine) compileVecExprs(qc *QueryContext, exprs []plan.Expr, in *types.Schema, want []types.Kind) []*eval.VecProg {
-	kinds := schemaKinds(in)
+	return e.compileVecKinds(qc, exprs, schemaKinds(in), want)
+}
+
+// compileVecKinds is compileVecExprs against explicit input column kinds.
+func (e *Engine) compileVecKinds(qc *QueryContext, exprs []plan.Expr, kinds []types.Kind, want []types.Kind) []*eval.VecProg {
 	progs := make([]*eval.VecProg, len(exprs))
 	for i, x := range exprs {
 		p, rejected := eval.CompileVecBound(x, kinds, qc.Eval)

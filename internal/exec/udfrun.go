@@ -28,8 +28,12 @@ type exprRunner struct {
 	// row interpreter).
 	vecProgs []*eval.VecProg
 	vecTried bool
-	// inProcessPrograms caches compiled UDFs for the unsafe baseline.
-	inProcessPrograms map[string]*udf.Program
+	// argProgs holds, per UDF group in plan order, one vector kernel per
+	// argument expression (nil entries use the row interpreter); compiled
+	// on the group's first batch, a nil group is not compiled yet.
+	argProgs [][]*eval.VecProg
+	// inProcessFuncs caches bound UDFs for the unsafe baseline.
+	inProcessFuncs udf.Cache
 }
 
 func (e *Engine) newExprRunner(qc *QueryContext, exprs []plan.Expr) *exprRunner {
@@ -61,13 +65,15 @@ func (r *exprRunner) run(batch *types.Batch) ([]*types.Column, error) {
 	cols := append([]*types.Column{}, batch.Cols...)
 	n := batch.NumRows()
 
+	gi := 0
 	for _, wave := range r.plan.Waves {
 		for _, group := range wave {
 			var err error
-			cols, err = r.runGroup(group, cols, n)
+			cols, err = r.runGroup(gi, group, cols, n)
 			if err != nil {
 				return nil, err
 			}
+			gi++
 		}
 	}
 
@@ -119,13 +125,10 @@ func (r *exprRunner) run(batch *types.Batch) ([]*types.Column, error) {
 }
 
 // runGroup executes one fused sandbox crossing (or the unsafe in-process
-// baseline) and appends the result columns.
-func (r *exprRunner) runGroup(group optimizer.UDFGroup, cols []*types.Column, n int) ([]*types.Column, error) {
-	// Materialize argument columns by evaluating arg expressions over the
-	// current (extended) layout.
-	rowFn := func(i int) eval.RowFn {
-		return func(c int) types.Value { return cols[c].Value(i) }
-	}
+// baseline) and appends the result columns. gi numbers the group in plan
+// order.
+func (r *exprRunner) runGroup(gi int, group optimizer.UDFGroup, cols []*types.Column, n int) ([]*types.Column, error) {
+	progs := r.groupArgProgs(gi, group, cols)
 	argSchema := &types.Schema{}
 	var argCols []*types.Column
 	specs := make([]sandbox.UDFSpec, len(group.Calls))
@@ -137,20 +140,19 @@ func (r *exprRunner) runGroup(group optimizer.UDFGroup, cols []*types.Column, n 
 			ResultKind: call.Call.ResultKind,
 		}
 		for ai, argExpr := range call.Call.Args {
-			kind := argExpr.Type()
-			if kind == types.KindNull {
-				kind = types.KindString
-			}
-			b := types.NewBuilder(kind, n)
-			for i := 0; i < n; i++ {
-				v, err := eval.Eval(argExpr, rowFn(i), r.qc.Eval)
-				if err != nil {
+			kind := argKind(argExpr)
+			var col *types.Column
+			if p := progs[len(argCols)]; p != nil {
+				// A bare column reference comes back as that column, uncopied.
+				col = p.Run(cols, n, nil)
+			} else {
+				var err error
+				if col, err = r.evalRows(argExpr, kind, cols, n); err != nil {
 					return nil, err
 				}
-				b.Append(v)
 			}
 			spec.ArgCols = append(spec.ArgCols, len(argCols))
-			argCols = append(argCols, b.Build())
+			argCols = append(argCols, col)
 			argSchema.Fields = append(argSchema.Fields, types.Field{
 				Name:     fmt.Sprintf("a%d_%d", ci, ai),
 				Kind:     kind,
@@ -180,6 +182,56 @@ func (r *exprRunner) runGroup(group optimizer.UDFGroup, cols []*types.Column, n 
 		return nil, err
 	}
 	return append(cols, result...), nil
+}
+
+// argKind is the column kind an argument crosses the boundary as: its
+// static kind, with an untyped NULL sent as a STRING.
+func argKind(arg plan.Expr) types.Kind {
+	if k := arg.Type(); k != types.KindNull {
+		return k
+	}
+	return types.KindString
+}
+
+// groupArgProgs returns group gi's argument kernels, compiling them against
+// the current column kinds on first use.
+func (r *exprRunner) groupArgProgs(gi int, group optimizer.UDFGroup, cols []*types.Column) []*eval.VecProg {
+	if r.argProgs == nil {
+		groups := 0
+		for _, wave := range r.plan.Waves {
+			groups += len(wave)
+		}
+		r.argProgs = make([][]*eval.VecProg, groups)
+	}
+	if r.argProgs[gi] == nil {
+		var exprs []plan.Expr
+		var want []types.Kind
+		for _, call := range group.Calls {
+			for _, a := range call.Call.Args {
+				exprs = append(exprs, a)
+				want = append(want, argKind(a))
+			}
+		}
+		kinds := make([]types.Kind, len(cols))
+		for i, c := range cols {
+			kinds[i] = c.Kind()
+		}
+		r.argProgs[gi] = r.engine.compileVecKinds(r.qc, exprs, kinds, want)
+	}
+	return r.argProgs[gi]
+}
+
+// evalRows evaluates e row by row into a column of kind.
+func (r *exprRunner) evalRows(e plan.Expr, kind types.Kind, cols []*types.Column, n int) (*types.Column, error) {
+	b := types.NewBuilder(kind, n)
+	for i := 0; i < n; i++ {
+		v, err := eval.Eval(e, func(c int) types.Value { return cols[c].Value(i) }, r.qc.Eval)
+		if err != nil {
+			return nil, err
+		}
+		b.Append(v)
+	}
+	return b.Build(), nil
 }
 
 // executeSandboxed runs one fused request through the dispatcher. With
@@ -258,33 +310,22 @@ func (r *exprRunner) executeOnePartition(specs []sandbox.UDFSpec, args *types.Ba
 	return result.Cols, nil
 }
 
-// runInProcess is the pre-Lakeguard baseline: user code interpreted directly
-// in the engine process with ambient capabilities and no serialization
-// boundary. Benchmark use only.
+// runInProcess is the pre-Lakeguard baseline: user code run directly in
+// the engine process with ambient capabilities and no serialization
+// boundary, each spec over the whole batch on one reused frame. Benchmark
+// use only.
 func (r *exprRunner) runInProcess(specs []sandbox.UDFSpec, args *types.Batch) ([]*types.Column, error) {
-	if r.inProcessPrograms == nil {
-		r.inProcessPrograms = map[string]*udf.Program{}
-	}
 	n := args.NumRows()
 	out := make([]*types.Column, len(specs))
-	env := make(map[string]types.Value, 4)
 	for si, spec := range specs {
-		prog, ok := r.inProcessPrograms[spec.Body]
-		if !ok {
-			var err error
-			prog, err = udf.Compile(spec.Body)
-			if err != nil {
-				return nil, err
-			}
-			r.inProcessPrograms[spec.Body] = prog
+		f, err := r.inProcessFuncs.Func(spec.Body, spec.ArgNames)
+		if err != nil {
+			return nil, err
 		}
+		fr := f.NewFrame(nil)
 		b := types.NewBuilder(spec.ResultKind, n)
 		for i := 0; i < n; i++ {
-			clear(env)
-			for ai, col := range spec.ArgCols {
-				env[spec.ArgNames[ai]] = args.Cols[col].Value(i)
-			}
-			v, err := prog.Call(env, nil)
+			v, err := fr.CallRow(args.Cols, spec.ArgCols, i, udf.DefaultFuel)
 			if err != nil {
 				return nil, fmt.Errorf("exec: in-process udf %s: %w", spec.Name, err)
 			}

@@ -465,7 +465,7 @@ func runInterpreterLoop(reqCh <-chan []byte, respCh chan<- sandboxResp, done <-c
 			return resolver(rawURL)
 		}
 	}
-	programs := map[string]*udf.Program{}
+	funcs := &udf.Cache{}
 	for {
 		var payload []byte
 		select {
@@ -473,7 +473,7 @@ func runInterpreterLoop(reqCh <-chan []byte, respCh chan<- sandboxResp, done <-c
 		case <-done:
 			return
 		}
-		resp := interpretOne(payload, programs, caps, fuel, inj, done)
+		resp := interpretOne(payload, funcs, caps, fuel, inj, done)
 		select {
 		case respCh <- resp:
 		case <-done:
@@ -489,7 +489,7 @@ func runInterpreterLoop(reqCh <-chan []byte, respCh chan<- sandboxResp, done <-c
 // interpretOne serves one request, converting interpreter panics — real or
 // injected — into a structured crash response instead of taking down the
 // process: the supervision analog of a container dying alone.
-func interpretOne(payload []byte, programs map[string]*udf.Program, caps *udf.Capabilities, fuel int, inj *faults.Injector, done <-chan struct{}) (resp sandboxResp) {
+func interpretOne(payload []byte, funcs *udf.Cache, caps *udf.Capabilities, fuel int, inj *faults.Injector, done <-chan struct{}) (resp sandboxResp) {
 	defer func() {
 		if r := recover(); r != nil {
 			resp = sandboxResp{err: fmt.Sprint(r), crashed: true}
@@ -514,41 +514,33 @@ func interpretOne(payload []byte, programs map[string]*udf.Program, caps *udf.Ca
 			return sandboxResp{err: f.Err.Error()}
 		}
 	}
-	data, errStr := serveRequest(payload, programs, caps, fuel)
+	data, errStr := serveRequest(payload, funcs, caps, fuel)
 	return sandboxResp{data: data, err: errStr}
 }
 
-func serveRequest(payload []byte, programs map[string]*udf.Program, caps *udf.Capabilities, fuel int) ([]byte, string) {
+// serveRequest runs every spec over the whole argument batch, row by row,
+// each spec on one frame reused for all rows.
+func serveRequest(payload []byte, funcs *udf.Cache, caps *udf.Capabilities, fuel int) ([]byte, string) {
 	specs, args, err := decodeRequest(payload)
 	if err != nil {
 		return nil, err.Error()
 	}
 	outSchema := &types.Schema{Fields: make([]types.Field, len(specs))}
 	builders := make([]*types.Builder, len(specs))
-	compiled := make([]*udf.Program, len(specs))
+	frames := make([]*udf.Frame, len(specs))
 	for i, spec := range specs {
 		outSchema.Fields[i] = types.Field{Name: spec.Name, Kind: spec.ResultKind, Nullable: true}
 		builders[i] = types.NewBuilder(spec.ResultKind, args.NumRows())
-		p, ok := programs[spec.Body]
-		if !ok {
-			var cerr error
-			p, cerr = udf.Compile(spec.Body)
-			if cerr != nil {
-				return nil, cerr.Error()
-			}
-			programs[spec.Body] = p
+		f, err := funcs.Func(spec.Body, spec.ArgNames)
+		if err != nil {
+			return nil, err.Error()
 		}
-		compiled[i] = p
+		frames[i] = f.NewFrame(caps)
 	}
 	n := args.NumRows()
-	argEnv := make(map[string]types.Value, 4)
 	for row := 0; row < n; row++ {
 		for i, spec := range specs {
-			clear(argEnv)
-			for ai, col := range spec.ArgCols {
-				argEnv[spec.ArgNames[ai]] = args.Cols[col].Value(row)
-			}
-			v, err := compiled[i].CallFuel(argEnv, caps, fuel)
+			v, err := frames[i].CallRow(args.Cols, spec.ArgCols, row, fuel)
 			if err != nil {
 				return nil, fmt.Sprintf("udf %s at row %d: %v", spec.Name, row, err)
 			}

@@ -78,7 +78,8 @@ func (b *Batch) Gather(indices []int) *Batch {
 	return &Batch{Schema: b.Schema, Cols: cols}
 }
 
-// Slice returns rows [from, to) as a new batch.
+// Slice returns rows [from, to) as a new batch of column views (see
+// Column.Slice).
 func (b *Batch) Slice(from, to int) *Batch {
 	cols := make([]*Column, len(b.Cols))
 	for i, c := range b.Cols {

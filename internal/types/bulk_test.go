@@ -157,3 +157,18 @@ func BenchmarkConcatColumnWise(b *testing.B) {
 		_ = bb.Build()
 	}
 }
+
+// Slice shares the payload without copying, and an append to a sliced
+// payload reallocates instead of overwriting the source's next rows.
+func TestSliceIsCappedView(t *testing.T) {
+	c := intCol(t, []int64{10, 11, 12, 13, 14}, map[int]bool{4: true})
+	s := c.Slice(1, 3)
+	if &s.Int64s()[0] != &c.Int64s()[1] || &s.NullMask()[0] != &c.NullMask()[1] {
+		t.Fatal("Slice copied the payload")
+	}
+	_ = append(s.Int64s(), 99)
+	_ = append(s.NullMask(), true)
+	if c.Int64(3) != 13 || c.IsNull(3) {
+		t.Errorf("append through a slice wrote into the source: %v %v", c.Value(2), c.Value(3))
+	}
+}

@@ -188,19 +188,22 @@ func (c *Column) GatherPad(indices []int) *Column {
 	return out
 }
 
-// Slice returns a copy of rows [from, to) via bulk payload copies.
+// Slice returns rows [from, to) as a view sharing c's payload. Columns are
+// immutable, so sharing is safe; each view's capacity ends at `to`, so an
+// append to a sliced payload reallocates instead of writing through into
+// the rows that follow.
 func (c *Column) Slice(from, to int) *Column {
 	out := &Column{kind: c.kind, n: to - from}
 	if c.nulls != nil {
-		out.nulls = append([]bool(nil), c.nulls[from:to]...)
+		out.nulls = c.nulls[from:to:to]
 	}
 	switch {
 	case c.ints != nil:
-		out.ints = append([]int64(nil), c.ints[from:to]...)
+		out.ints = c.ints[from:to:to]
 	case c.flts != nil:
-		out.flts = append([]float64(nil), c.flts[from:to]...)
+		out.flts = c.flts[from:to:to]
 	case c.strs != nil:
-		out.strs = append([]string(nil), c.strs[from:to]...)
+		out.strs = c.strs[from:to:to]
 	}
 	return out
 }

@@ -6,33 +6,32 @@ import (
 	"lakeguard/internal/types"
 )
 
-func BenchmarkSimpleUDF(b *testing.B) {
-	p, err := Compile("return a + b")
+// benchCall binds src to names once and calls it b.N times on one frame,
+// the way a crossing runs each row.
+func benchCall(b *testing.B, src string, names []string, args ...value) {
+	p, err := Compile(src)
 	if err != nil {
 		b.Fatal(err)
 	}
-	args := map[string]value{"a": intVal(3), "b": intVal(4)}
+	fr := p.Bind(names).NewFrame(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Call(args, nil); err != nil {
+		for ai, v := range args {
+			fr.SetArg(ai, v)
+		}
+		if _, err := fr.Call(DefaultFuel); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+func BenchmarkSimpleUDF(b *testing.B) {
+	benchCall(b, "return a + b", []string{"a", "b"}, intVal(3), intVal(4))
+}
+
 func BenchmarkHashUDF100Iterations(b *testing.B) {
-	p, err := Compile("h = s\nfor i in range(100):\n    h = sha256(h)\nreturn h")
-	if err != nil {
-		b.Fatal(err)
-	}
-	args := map[string]value{"s": types.String("seed")}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Call(args, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchCall(b, "h = s\nfor i in range(100):\n    h = sha256(h)\nreturn h", []string{"s"}, types.String("seed"))
 }
 
 func BenchmarkCompile(b *testing.B) {

@@ -1,10 +1,12 @@
-// Package udf implements PyLite, a small Python-flavored interpreted
-// language for user-defined functions. User code in this system is *data*
-// (source text), never linked Go code: the interpreter evaluates it with an
-// explicit capability table and a fuel limit, so a sandbox can grant exactly
-// the authority it wants (e.g. HTTP egress to allow-listed hosts) and nothing
-// else. This reproduces the paper's setting where Python/Scala UDFs are
-// untrusted and must be contained.
+// Package udf implements PyLite, a small Python-flavored language for
+// user-defined functions. User code in this system is *data* (source text),
+// never linked Go code: a Program is parsed once, bound to its parameter
+// names once (compile.go: every variable becomes a slot of a reusable frame
+// and every node a Go closure), and run with an explicit capability table
+// and a fuel limit, so a sandbox can grant exactly the authority it wants
+// (e.g. HTTP egress to allow-listed hosts) and nothing else. This reproduces
+// the paper's setting where Python/Scala UDFs are untrusted and must be
+// contained.
 //
 // Language summary:
 //
@@ -17,7 +19,7 @@
 //
 // Expressions: int/float/string/bool literals, arithmetic (+ - * / %),
 // comparisons, and/or/not, conditional `a if c else b`, builtin calls
-// (sha256, upper, lower, len, substr, concat, str, int, float, abs, min,
+// (sha256, upper, lower, len, substr, str, int, float, abs, min,
 // max, http_get, ...).
 package udf
 
@@ -84,7 +86,7 @@ func (ifStmt) stmtNode()     {}
 func (forStmt) stmtNode()    {}
 func (whileStmt) stmtNode()  {}
 
-// Program is compiled PyLite source.
+// Program is parsed PyLite source; Bind compiles it for a caller.
 type Program struct {
 	body []stmt
 	src  string
