@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"time"
 
 	"lakeguard/internal/exec"
 	"lakeguard/internal/optimizer"
@@ -21,12 +20,10 @@ type JoinConfig struct {
 	// RowsPerFile sets probe-side file granularity (id is clustered, so the
 	// runtime filter can prune at file granularity).
 	RowsPerFile int
-	// BuildRows is the build-side (dims) table size for the kernel series.
+	// BuildRows is the build-side (dims) table size.
 	BuildRows int
 	// SpillBytes is the hash-table budget for the spill-equivalence series.
 	SpillBytes int64
-	// Repetitions per timed series; the minimum wall time is kept.
-	Repetitions int
 }
 
 // DefaultJoinConfig is the recorded experiment: a 400k-row probe side over
@@ -37,21 +34,14 @@ func DefaultJoinConfig() JoinConfig {
 		RowsPerFile: 4096,
 		BuildRows:   500,
 		SpillBytes:  1 << 20,
-		Repetitions: 3,
 	}
 }
 
 // JoinResult is the full recorded experiment, serialized to BENCH_join.json.
 type JoinResult struct {
-	Rows      int    `json:"rows"`
-	Files     int    `json:"files"`
-	BuildRows int    `json:"build_rows"`
-	Query     string `json:"query"`
-	// Kernel series: the same hash join executed by the row-at-a-time
-	// reference operator vs the vectorized probe, serial, no storage model.
-	RowWallMS    float64 `json:"row_probe_wall_ms"`
-	VecWallMS    float64 `json:"vec_probe_wall_ms"`
-	ProbeSpeedup float64 `json:"probe_speedup"`
+	Rows      int `json:"rows"`
+	Files     int `json:"files"`
+	BuildRows int `json:"build_rows"`
 	// Runtime-filter series: object-store GETs for a selective join with the
 	// build-side filter disabled vs enabled (composes with zone maps).
 	RFQuery        string  `json:"rf_query"`
@@ -129,55 +119,10 @@ func joinWorld(cfg JoinConfig) (*World, *telemetry.Registry, int, error) {
 	return w, m, files, nil
 }
 
-// RunJoin measures the vectorized-join experiment: probe-kernel speedup over
-// the row-at-a-time reference, runtime-filter GET reduction on a selective
-// join, and spilled-vs-in-memory result equivalence.
+// RunJoin measures the join experiment: runtime-filter GET reduction on a
+// selective join, and spilled-vs-in-memory result equivalence.
 func RunJoin(cfg JoinConfig) (*JoinResult, error) {
 	res := &JoinResult{Rows: cfg.Rows, BuildRows: cfg.BuildRows, SpillBytesLimit: cfg.SpillBytes}
-	res.Query = "SELECT COUNT(*) AS n, SUM(e.v) AS sv, MIN(d.label) AS lo FROM events e JOIN dims d ON e.v = d.k"
-
-	// Kernel series: fresh world per mode so neither run warms the other,
-	// serial execution so the comparison isolates the probe kernels.
-	kernel := func(rowPath bool) (time.Duration, error) {
-		w, _, files, err := joinWorld(cfg)
-		if err != nil {
-			return 0, err
-		}
-		res.Files = files
-		w.Engine.Parallelism = 1
-		w.Engine.DisableVecExec = rowPath
-		p, err := w.PreparePlan(res.Query, nil, optimizer.DefaultOptions())
-		if err != nil {
-			return 0, err
-		}
-		var best time.Duration
-		for rep := 0; rep < cfg.Repetitions; rep++ {
-			start := time.Now()
-			n, err := w.Run(p)
-			took := time.Since(start)
-			if err != nil {
-				return 0, err
-			}
-			if n == 0 {
-				return 0, fmt.Errorf("bench: join probe query returned no rows")
-			}
-			if rep == 0 || took < best {
-				best = took
-			}
-		}
-		return best, nil
-	}
-	rowWall, err := kernel(true)
-	if err != nil {
-		return nil, err
-	}
-	vecWall, err := kernel(false)
-	if err != nil {
-		return nil, err
-	}
-	res.RowWallMS = float64(rowWall) / float64(time.Millisecond)
-	res.VecWallMS = float64(vecWall) / float64(time.Millisecond)
-	res.ProbeSpeedup = float64(rowWall) / float64(vecWall)
 
 	// Runtime-filter series: a selective join whose build keys all live in
 	// one probe file's id range. Every other probe file must be skipped by
@@ -185,10 +130,11 @@ func RunJoin(cfg JoinConfig) (*JoinResult, error) {
 	// before any object-store GET.
 	res.RFQuery = "SELECT COUNT(*) AS n FROM events e JOIN (SELECT k FROM dims WHERE k < 16) t ON e.id = t.k"
 	rfSeries := func(disable bool) (int64, *telemetry.Registry, error) {
-		w, m, _, err := joinWorld(cfg)
+		w, m, files, err := joinWorld(cfg)
 		if err != nil {
 			return 0, nil, err
 		}
+		res.Files = files
 		w.Engine.DisableRuntimeFilters = disable
 		p, err := w.PreparePlan(res.RFQuery, nil, optimizer.DefaultOptions())
 		if err != nil {
@@ -252,11 +198,7 @@ func RunJoin(cfg JoinConfig) (*JoinResult, error) {
 // FormatJoin renders the experiment in the report layout.
 func FormatJoin(r *JoinResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Vectorized hash join: %d probe rows in %d files, %d build keys\n", r.Rows, r.Files, r.BuildRows)
-	fmt.Fprintf(&b, "query: %s\n\n", r.Query)
-	fmt.Fprintf(&b, "%-28s %12s %12s\n", "", "row probe", "vectorized")
-	fmt.Fprintf(&b, "%-28s %12.1f %12.1f\n", "probe wall ms (serial)", r.RowWallMS, r.VecWallMS)
-	fmt.Fprintf(&b, "\nvectorized probe %.1fx faster\n\n", r.ProbeSpeedup)
+	fmt.Fprintf(&b, "Hash join: %d probe rows in %d files, %d build keys\n\n", r.Rows, r.Files, r.BuildRows)
 	fmt.Fprintf(&b, "runtime filter (selective join): %d GETs -> %d GETs (%.1fx fewer), %d files pruned, %d probe rows filtered\n",
 		r.BaselineGets, r.FilteredGets, r.GetReduction, r.RFFilesPruned, r.RFRowsFiltered)
 	fmt.Fprintf(&b, "spill-to-storage: budget %d bytes -> %d partitions / %d bytes spilled, identical output: %v\n",

@@ -8,10 +8,10 @@ import (
 
 // Columnar hash kernel for join keys and group keys.
 //
-// The exec layer's row-at-a-time path hashes a key row by combining
-// types.Value.Hash() per column with an FNV-1a fold. That is correct but
-// boxes every value and walks a maphash per row. HashColumns produces a
-// 64-bit hash per row column-at-a-time over raw payload slices instead.
+// Hashing a key row by combining types.Value.Hash() per column with an
+// FNV-1a fold is correct but boxes every value and walks a maphash per row.
+// HashColumns produces a 64-bit hash per row column-at-a-time over raw
+// payload slices instead.
 //
 // The kernel does not reproduce Value.Hash bit-for-bit (Value.Hash uses a
 // process-seeded maphash); what correctness requires is that it induces the
@@ -24,8 +24,8 @@ import (
 //     integral DOUBLE hash as the int64 value, so 3 and 3.0 collide the way
 //     Compare/Equal say they must;
 //   - non-integral DOUBLEs hash their bit pattern (NaN lands in its own
-//     class — the row path also resolves NaN equality after hashing, not by
-//     hash, so this matches);
+//     class; NaN equality is resolved after hashing, not by hash, so hash
+//     joins and groups never pair NaN with non-NaN);
 //   - STRING/BINARY hash their bytes.
 const (
 	hashOffset64 uint64 = 14695981039346656037 // FNV-1a offset basis
@@ -68,8 +68,8 @@ func hashFloat64(f float64) uint64 {
 }
 
 // HashColumns computes one 64-bit hash per row over n rows of the given key
-// columns, combining columns with the same FNV-1a fold the row path uses for
-// multi-column keys. out is reused when it has capacity; the (possibly
+// columns, combining columns with an FNV-1a fold for multi-column keys. With
+// no columns every row gets the same hash (keyless joins rely on it). out is reused when it has capacity; the (possibly
 // reallocated) slice is returned.
 func HashColumns(cols []*types.Column, n int, out []uint64) []uint64 {
 	if cap(out) < n {

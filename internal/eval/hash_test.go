@@ -40,10 +40,10 @@ func TestHashColumnsEqualValuesAgree(t *testing.T) {
 		for _, b := range vals {
 			if isNaN(a) != isNaN(b) {
 				// cmpFloat makes NaN compare equal to every float, but
-				// Value.Hash puts NaN in its own float-bits class. The
-				// row path inherits that inconsistency (hash joins and
-				// groups never pair NaN with non-NaN), and the vectorized
-				// kernel must reproduce it, not fix it.
+				// Value.Hash puts NaN in its own float-bits class. Hash
+				// joins and groups inherit that inconsistency (they never
+				// pair NaN with non-NaN), and the kernel must reproduce
+				// it, not fix it.
 				continue
 			}
 			ha, hb := hash(a), hash(b)

@@ -75,15 +75,12 @@ type Engine struct {
 	// baselines and pruning-equivalence tests). Results are identical either
 	// way; only the number of storage reads changes.
 	DisableSkipping bool
-	// SpillBytes bounds the in-memory footprint of each join build table and
-	// aggregation group table; past it the operator partitions to temp files
-	// and recurses (results stay byte-identical). 0 means a 256 MiB default;
+	// SpillBytes bounds the in-memory footprint of each equi-join build
+	// table and aggregation group table; past it the operator partitions to
+	// temp files and recurses (results stay byte-identical). Keyless join
+	// builds and DISTINCT tables stay in memory. 0 means a 256 MiB default;
 	// negative disables spilling entirely.
 	SpillBytes int64
-	// DisableVecExec forces the row-at-a-time join and aggregation operators
-	// (vec-vs-row equivalence harnesses and bench baselines). Results are
-	// identical either way.
-	DisableVecExec bool
 	// DisableRuntimeFilters stops hash joins from pushing build-side
 	// bloom/min-max filters into probe scans (bench baselines). Results are
 	// identical either way; only rows and files touched change.
@@ -299,7 +296,12 @@ func (e *Engine) buildNode(qc *QueryContext, p plan.Node) (operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return e.newAggOp(qc, t, child)
+		op, err := e.newVecAggOp(qc, t, child)
+		if err != nil {
+			child.Close()
+			return nil, err
+		}
+		return op, nil
 
 	case *plan.Join:
 		return e.buildJoin(qc, t)
@@ -329,7 +331,7 @@ func (e *Engine) buildNode(qc *QueryContext, p plan.Node) (operator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &distinctOp{child: child, schema: t.Schema()}, nil
+		return &vecDistinctOp{child: child, table: newVecAggTable(nil)}, nil
 
 	case *plan.Union:
 		l, err := e.build(qc, t.L)

@@ -8,6 +8,7 @@ import (
 
 	"lakeguard/internal/analyzer"
 	"lakeguard/internal/optimizer"
+	"lakeguard/internal/plan"
 	"lakeguard/internal/sql"
 	"lakeguard/internal/types"
 )
@@ -18,21 +19,7 @@ import (
 // pruning, folding, fusion) at once.
 func TestOptimizerEquivalence(t *testing.T) {
 	w := newWorld(t)
-	// A second table for joins.
-	qschema := types.NewSchema(
-		types.Field{Name: "seller", Kind: types.KindString},
-		types.Field{Name: "quota", Kind: types.KindFloat64},
-	)
-	if err := w.cat.CreateTable(adminCtx(), []string{"quotas"}, qschema, false, ""); err != nil {
-		t.Fatal(err)
-	}
-	bb := types.NewBatchBuilder(qschema, 3)
-	bb.AppendRow([]types.Value{types.String("ann"), types.Float64(120)})
-	bb.AppendRow([]types.Value{types.String("ben"), types.Float64(400)})
-	bb.AppendRow([]types.Value{types.String("zoe"), types.Float64(10)})
-	if _, err := w.cat.AppendToTable(adminCtx(), []string{"quotas"}, []*types.Batch{bb.Build()}); err != nil {
-		t.Fatal(err)
-	}
+	seedQuotas(t, w)
 
 	queries := generateQueries(200, 7)
 	for _, q := range queries {
@@ -50,21 +37,46 @@ func TestOptimizerEquivalence(t *testing.T) {
 	}
 }
 
-// runWithOptions analyzes and executes a query with the given optimizer
-// options.
-func (w *world) runWithOptions(query string, opts optimizer.Options) (*types.Batch, error) {
+// planWithOptions parses, analyzes and optimizes a query as the admin.
+func (w *world) planWithOptions(query string, opts optimizer.Options) (plan.Node, error) {
 	q, err := sql.ParseQuery(query)
 	if err != nil {
 		return nil, err
 	}
-	a := analyzer.New(w.cat, adminCtx())
-	resolved, err := a.Analyze(q)
+	resolved, err := analyzer.New(w.cat, adminCtx()).Analyze(q)
 	if err != nil {
 		return nil, err
 	}
-	optimized := optimizer.Optimize(resolved, opts)
-	qc := NewQueryContext(w.cat, adminCtx())
-	return w.engine.ExecuteToBatch(qc, optimized)
+	return optimizer.Optimize(resolved, opts), nil
+}
+
+// runWithOptions analyzes and executes a query with the given optimizer
+// options.
+func (w *world) runWithOptions(query string, opts optimizer.Options) (*types.Batch, error) {
+	p, err := w.planWithOptions(query, opts)
+	if err != nil {
+		return nil, err
+	}
+	return w.engine.ExecuteToBatch(NewQueryContext(w.cat, adminCtx()), p)
+}
+
+// seedQuotas creates the quotas table generateQueries joins against.
+func seedQuotas(t testing.TB, w *world) {
+	t.Helper()
+	qschema := types.NewSchema(
+		types.Field{Name: "seller", Kind: types.KindString},
+		types.Field{Name: "quota", Kind: types.KindFloat64},
+	)
+	if err := w.cat.CreateTable(adminCtx(), []string{"quotas"}, qschema, false, ""); err != nil {
+		t.Fatal(err)
+	}
+	bb := types.NewBatchBuilder(qschema, 3)
+	bb.AppendRow([]types.Value{types.String("ann"), types.Float64(120)})
+	bb.AppendRow([]types.Value{types.String("ben"), types.Float64(400)})
+	bb.AppendRow([]types.Value{types.String("zoe"), types.Float64(10)})
+	if _, err := w.cat.AppendToTable(adminCtx(), []string{"quotas"}, []*types.Batch{bb.Build()}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // canonicalRows renders a batch as sorted row strings (order-insensitive

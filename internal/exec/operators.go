@@ -161,35 +161,9 @@ func (s *scanSource) applyScanOps(b *types.Batch, sel []int) (*types.Batch, erro
 		b = types.MustBatch(s.scan.Schema(), cols)
 	}
 	n := b.NumRows()
-	// Conjuncts refine the selection in their original order; each runs only
-	// over the rows that survived the previous ones (same short-circuit the
-	// per-row loop had).
-	for fi, f := range s.scan.PushedFilters {
-		if sel != nil && len(sel) == 0 {
-			break
-		}
-		next := make([]int, 0, rowsOf(n, sel))
-		if prog := s.progs[fi]; prog != nil {
-			s.stats.CountEval(true)
-			next = prog.Select(b.Cols, n, sel, next)
-		} else {
-			s.stats.CountEval(false)
-			for j, m := 0, rowsOf(n, sel); j < m; j++ {
-				i := j
-				if sel != nil {
-					i = sel[j]
-				}
-				row := func(c int) types.Value { return b.Cols[c].Value(i) }
-				pass, err := eval.EvalPredicate(f, row, s.qc.Eval)
-				if err != nil {
-					return nil, err
-				}
-				if pass {
-					next = append(next, i)
-				}
-			}
-		}
-		sel = next
+	sel, err := selectConjuncts(b.Cols, n, sel, s.scan.PushedFilters, s.progs, s.stats, s.qc.Eval)
+	if err != nil {
+		return nil, err
 	}
 	// Runtime filters refine the same selection after the pushed filters: the
 	// drop is an optimization (those rows cannot join), so it is attributed to
@@ -211,6 +185,42 @@ func (s *scanSource) applyScanOps(b *types.Batch, sel []int) (*types.Batch, erro
 		return b, nil // selections only ever shrink: n survivors are all rows
 	}
 	return b.Gather(sel), nil
+}
+
+// selectConjuncts narrows sel (nil = all n rows of cols) through conds in
+// their original order. Each conjunct runs only over the rows the earlier
+// ones kept, so a conjunct that can fail (a throwing cast) never sees a row
+// an earlier one rejected. progs[i] is conds[i]'s vector program; nil
+// entries use the row interpreter.
+func selectConjuncts(cols []*types.Column, n int, sel []int, conds []plan.Expr, progs []*eval.VecProg, stats *telemetry.OpStats, ctx *eval.Context) ([]int, error) {
+	for ci, cond := range conds {
+		if sel != nil && len(sel) == 0 {
+			break
+		}
+		next := make([]int, 0, rowsOf(n, sel))
+		if prog := progs[ci]; prog != nil {
+			stats.CountEval(true)
+			next = prog.Select(cols, n, sel, next)
+		} else {
+			stats.CountEval(false)
+			for j, m := 0, rowsOf(n, sel); j < m; j++ {
+				i := j
+				if sel != nil {
+					i = sel[j]
+				}
+				row := func(c int) types.Value { return cols[c].Value(i) }
+				pass, err := eval.EvalPredicate(cond, row, ctx)
+				if err != nil {
+					return nil, err
+				}
+				if pass {
+					next = append(next, i)
+				}
+			}
+		}
+		sel = next
+	}
+	return sel, nil
 }
 
 func rowsOf(n int, sel []int) int {
@@ -365,48 +375,6 @@ func (o *limitOp) Next() (*types.Batch, error) {
 
 func (o *limitOp) Close() error { return o.child.Close() }
 
-// distinctOp removes duplicate rows via hashing with collision checks.
-type distinctOp struct {
-	child  operator
-	schema *types.Schema
-	seen   map[uint64][][]types.Value
-}
-
-func (o *distinctOp) Next() (*types.Batch, error) {
-	if o.seen == nil {
-		o.seen = map[uint64][][]types.Value{}
-	}
-	for {
-		b, err := o.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		bb := types.NewBatchBuilder(o.schema, b.NumRows())
-		for i := 0; i < b.NumRows(); i++ {
-			row := b.Row(i)
-			h := hashRow(row)
-			dup := false
-			for _, prev := range o.seen[h] {
-				if rowsEqual(prev, row) {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			o.seen[h] = append(o.seen[h], row)
-			bb.AppendRow(row)
-		}
-		if bb.Len() == 0 {
-			continue
-		}
-		return bb.Build(), nil
-	}
-}
-
-func (o *distinctOp) Close() error { return o.child.Close() }
-
 // unionOp concatenates child streams. UNION's output takes the left
 // branch's column names, while a later branch may name its columns
 // differently (the analyzer matches only arity and kinds), so every batch
@@ -441,24 +409,4 @@ func (o *unionOp) Close() error {
 		}
 	}
 	return first
-}
-
-func hashRow(row []types.Value) uint64 {
-	var h uint64 = 1469598103934665603
-	for _, v := range row {
-		h = (h ^ v.Hash()) * 1099511628211
-	}
-	return h
-}
-
-func rowsEqual(a, b []types.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
 }

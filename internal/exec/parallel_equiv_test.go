@@ -72,20 +72,7 @@ func orderedRows(b *types.Batch) string {
 // not just the same multiset.
 func TestSerialParallelEquivalence(t *testing.T) {
 	w := newWorld(t)
-	qschema := types.NewSchema(
-		types.Field{Name: "seller", Kind: types.KindString},
-		types.Field{Name: "quota", Kind: types.KindFloat64},
-	)
-	if err := w.cat.CreateTable(adminCtx(), []string{"quotas"}, qschema, false, ""); err != nil {
-		t.Fatal(err)
-	}
-	bb := types.NewBatchBuilder(qschema, 3)
-	bb.AppendRow([]types.Value{types.String("ann"), types.Float64(120)})
-	bb.AppendRow([]types.Value{types.String("ben"), types.Float64(400)})
-	bb.AppendRow([]types.Value{types.String("zoe"), types.Float64(10)})
-	if _, err := w.cat.AppendToTable(adminCtx(), []string{"quotas"}, []*types.Batch{bb.Build()}); err != nil {
-		t.Fatal(err)
-	}
+	seedQuotas(t, w)
 	seedEventsTable(t, w, 16, 64)
 
 	queries := generateQueries(120, 11)

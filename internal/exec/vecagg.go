@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -9,19 +10,27 @@ import (
 	"lakeguard/internal/types"
 )
 
-// vecAggOp is the vectorized grouped-aggregation operator. It replaces the
-// row path's per-row key boxing, maphash call and bucket-list walk with a
-// columnar pipeline: group keys are hashed a column at a time
-// (eval.HashColumns), rows are assigned group ids through an open-addressing
-// table keyed on the full 64-bit hash, and accumulation runs as typed
-// COUNT/SUM/MIN/MAX/AVG kernels over group-indexed state arrays.
+// aggInput is one batch with its group-key and aggregate-argument columns
+// already evaluated.
+type aggInput struct {
+	n       int
+	keyCols []*types.Column
+	argCols []*types.Column
+}
+
+// vecAggOp is the grouped-aggregation operator. Group keys are hashed a
+// column at a time (eval.HashColumns), rows are assigned group ids through
+// an open-addressing table keyed on the full 64-bit hash, and accumulation
+// runs as typed COUNT/SUM/MIN/MAX/AVG kernels over group-indexed state
+// arrays.
 //
-// Semantics mirror aggOp exactly: groups form by Value.Equal over key rows
-// in first-occurrence order, NULL arguments are skipped (except COUNT(*)),
-// float sums accumulate in stream order so results stay byte-identical to
-// the row path at any parallelism, and DISTINCT falls back to the row path's
-// seen-map per group. aggOp remains the reference implementation the
-// equivalence harness compares against.
+// Groups form by Value.Equal over key rows in first-occurrence order, NULL
+// arguments are skipped (except COUNT(*)), and DISTINCT arguments keep a
+// seen-map per group. Float sums accumulate in stream order so results stay
+// byte-identical at any parallelism: with Parallelism > 1 and UDF-free
+// expressions, group-key and argument evaluation runs on exchange workers,
+// but accumulation stays serial over batches in input order — merging
+// per-worker partial sums would reassociate float additions.
 //
 // When the group state outgrows Engine.SpillBytes the table freezes: rows
 // matching existing groups keep accumulating in memory, rows with unseen
@@ -31,7 +40,14 @@ import (
 // emitting memory groups first and rid-merging partition outputs reproduces
 // the in-memory emission order exactly.
 type vecAggOp struct {
-	*aggOp
+	child      operator
+	qc         *QueryContext
+	engine     *Engine
+	node       *plan.Aggregate
+	groupBE    *batchEval // evaluates GROUP BY expressions (may contain UDFs)
+	argBE      *batchEval // evaluates aggregate argument expressions
+	aggs       []*plan.AggFunc
+	parallel   int // exchange workers for input evaluation (<=1 = serial)
 	spillLimit int64
 
 	started    bool
@@ -39,8 +55,69 @@ type vecAggOp struct {
 	spillFiles []*spillFile
 }
 
-func newVecAggOp(row *aggOp) *vecAggOp {
-	return &vecAggOp{aggOp: row, spillLimit: row.engine.spillLimit()}
+func (e *Engine) newVecAggOp(qc *QueryContext, node *plan.Aggregate, child operator) (*vecAggOp, error) {
+	aggs := make([]*plan.AggFunc, len(node.Aggs))
+	argExprs := make([]plan.Expr, 0, len(node.Aggs))
+	for i, a := range node.Aggs {
+		af, ok := a.(*plan.AggFunc)
+		if !ok {
+			return nil, fmt.Errorf("exec: aggregate slot %d is %T, expected AggFunc", i, a)
+		}
+		aggs[i] = af
+		if af.Arg != nil {
+			argExprs = append(argExprs, af.Arg)
+		} else {
+			argExprs = append(argExprs, plan.Lit(types.Int64(1))) // COUNT(*)
+		}
+	}
+	in := node.Child.Schema()
+	op := &vecAggOp{
+		child: child, qc: qc, engine: e, node: node,
+		groupBE: e.newBatchEval(qc, node.GroupBy, in, nil), argBE: e.newBatchEval(qc, argExprs, in, nil),
+		aggs: aggs, spillLimit: e.spillLimit(),
+	}
+	if w := e.workers(); w > 1 && !exprsHaveUDF(node.GroupBy) && !exprsHaveUDF(argExprs) {
+		op.parallel = w
+	}
+	return op, nil
+}
+
+// evalAggInput turns one child batch into evaluated key/argument columns.
+func evalAggInput(b *types.Batch, groupBE, argBE *batchEval) (*aggInput, error) {
+	keyCols, err := groupBE.run(b)
+	if err != nil {
+		return nil, err
+	}
+	argCols, err := argBE.run(b)
+	if err != nil {
+		return nil, err
+	}
+	return &aggInput{n: b.NumRows(), keyCols: keyCols, argCols: argCols}, nil
+}
+
+// inputStream returns an ordered stream of evaluated inputs: an exchange
+// over the child when parallel, a direct pull otherwise.
+func (o *vecAggOp) inputStream() (pull func() (*aggInput, error), cleanup func(), err error) {
+	if o.parallel <= 1 {
+		return func() (*aggInput, error) {
+			b, err := o.child.Next()
+			if err != nil {
+				return nil, err
+			}
+			return evalAggInput(b, o.groupBE, o.argBE)
+		}, func() {}, nil
+	}
+	ex, err := newExchange(o.qc.GoContext(), o.parallel, batchSource(o.child),
+		func() (func(context.Context, *types.Batch) (*aggInput, error), error) {
+			groupBE, argBE := o.groupBE.worker(), o.argBE.worker()
+			return func(_ context.Context, b *types.Batch) (*aggInput, error) {
+				return evalAggInput(b, groupBE, argBE)
+			}, nil
+		}, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ex.Next, func() { ex.Close() }, nil
 }
 
 func (o *vecAggOp) Close() error {
@@ -85,7 +162,7 @@ func (o *vecAggOp) run() error {
 		return b, rids, nil
 	}
 
-	t := o.newTable()
+	t := newVecAggTable(o.aggs)
 	parts, err := o.consume(t, pull, 0, true)
 	if err != nil {
 		return err
@@ -210,7 +287,7 @@ func (o *vecAggOp) aggPartition(sf *spillFile, level int, outs *[]func() (*types
 		}, b.Cols[nk+na].Int64s(), nil
 	}
 
-	t := o.newTable()
+	t := newVecAggTable(o.aggs)
 	parts, err := o.consume(t, pull, level, level < maxSpillLevel)
 	if err != nil {
 		return err
@@ -296,6 +373,45 @@ func spillInputBatch(schema *types.Schema, in *aggInput, rids []int64, sel []int
 	return &types.Batch{Schema: schema, Cols: cols}
 }
 
+// vecDistinctOp streams DISTINCT through a vecAggTable with no aggregates,
+// so distinct rows form exactly as groups do. Each input batch emits, with
+// one Gather, the rows that created a group: the first occurrence of every
+// distinct row, in input order. The table stays in memory; it holds one
+// boxed row per distinct row.
+type vecDistinctOp struct {
+	child  operator
+	table  *vecAggTable
+	hashes []uint64
+}
+
+func (o *vecDistinctOp) Next() (*types.Batch, error) {
+	for {
+		b, err := o.child.Next()
+		if err != nil {
+			return nil, err
+		}
+		n := b.NumRows()
+		o.hashes = eval.HashColumns(b.Cols, n, o.hashes)
+		groups := int32(len(o.table.keys))
+		var created []int
+		for i := 0; i < n; i++ {
+			if o.table.findOrAdd(o.hashes[i], b.Cols, i, 0) == groups {
+				created = append(created, i)
+				groups++
+			}
+		}
+		switch len(created) {
+		case 0:
+			continue
+		case n:
+			return b, nil
+		}
+		return b.Gather(created), nil
+	}
+}
+
+func (o *vecDistinctOp) Close() error { return o.child.Close() }
+
 // vecAggTable maps group-key rows to dense group ids via open addressing on
 // the columnar key hash. Keys are boxed once per group (not per row); slot
 // probes compare the full 64-bit hash before touching key values.
@@ -310,13 +426,13 @@ type vecAggTable struct {
 	bytes    int64 // rough state-size estimate, drives spilling
 }
 
-func (o *vecAggOp) newTable() *vecAggTable {
+func newVecAggTable(aggs []*plan.AggFunc) *vecAggTable {
 	t := &vecAggTable{mask: 63, slots: make([]int32, 64)}
 	for i := range t.slots {
 		t.slots[i] = -1
 	}
-	t.accs = make([]*vecAcc, len(o.aggs))
-	for i, af := range o.aggs {
+	t.accs = make([]*vecAcc, len(aggs))
+	for i, af := range aggs {
 		t.accs[i] = newVecAcc(af)
 	}
 	return t
@@ -411,8 +527,8 @@ const (
 
 // vecAcc accumulates one aggregate across all groups as typed state arrays
 // indexed by group id. bulk kernels handle Int64/Float64 argument columns
-// without boxing; everything else (and DISTINCT) goes through one(), which
-// replicates aggOp.accumulate value-for-value.
+// without boxing; everything else (and DISTINCT) goes through one(), the
+// per-value accumulate the kernels agree with.
 type vecAcc struct {
 	af      *plan.AggFunc
 	op      int
@@ -456,8 +572,7 @@ func (a *vecAcc) grow(n int) {
 	}
 }
 
-// one accumulates a single non-NULL, distinct-checked value into group g,
-// mirroring the switch in aggOp.accumulate.
+// one accumulates a single non-NULL, distinct-checked value into group g.
 func (a *vecAcc) one(g int32, v types.Value) {
 	a.nonNull[g] = true
 	switch a.op {
@@ -488,7 +603,7 @@ func (a *vecAcc) one(g int32, v types.Value) {
 
 // accumulate feeds one argument column. gids entries of -1 (spilled rows)
 // are skipped. NULLs are skipped throughout: COUNT(*) arguments are the
-// literal 1 and never NULL, so this matches the row path's Arg!=nil guard.
+// literal 1 and never NULL, so COUNT(*) counts every row.
 func (a *vecAcc) accumulate(gids []int32, col *types.Column, n int) {
 	if a.af.Distinct {
 		a.distinct(gids, col, n)
@@ -581,7 +696,7 @@ func (a *vecAcc) accumulate(gids []int32, col *types.Column, n int) {
 }
 
 // distinct is the DISTINCT slow path: per-group seen maps keyed on
-// Value.Hash, exactly as the row path tracks them.
+// Value.Hash, with Value.Equal deciding duplicates.
 func (a *vecAcc) distinct(gids []int32, col *types.Column, n int) {
 	nulls := col.NullMask()
 	for i := 0; i < n; i++ {
@@ -609,7 +724,7 @@ func (a *vecAcc) distinct(gids []int32, col *types.Column, n int) {
 	}
 }
 
-// result finalizes group g, mirroring aggOp.finalize.
+// result finalizes group g.
 func (a *vecAcc) result(g int) types.Value {
 	switch a.af.Name {
 	case "count":

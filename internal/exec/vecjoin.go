@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"lakeguard/internal/eval"
@@ -10,26 +11,125 @@ import (
 	"lakeguard/internal/types"
 )
 
-// vecJoinOp is the vectorized hash join used whenever the condition contains
-// equi-keys. It keeps the row-at-a-time joinOp's semantics exactly — same
-// match order, same NULL/NaN/cross-kind comparison rules, same output row
-// sequence at any parallelism — while replacing its per-row machinery:
+// buildJoin compiles a join. Every join type, with or without equi keys,
+// runs on vecJoinOp: equi-joins probe a hash table on their keys, and joins
+// with no equi keys (CROSS, comma joins, ON a.x < b.y) hash every row alike,
+// so the whole build side is one bucket and the probe is a block nested loop.
+func (e *Engine) buildJoin(qc *QueryContext, t *plan.Join) (operator, error) {
+	l, err := e.build(qc, t.L)
+	if err != nil {
+		return nil, err
+	}
+	r, err := e.build(qc, t.R)
+	if err != nil {
+		l.Close()
+		return nil, err
+	}
+	if t.Cond != nil && plan.ExprContains(t.Cond, func(x plan.Expr) bool {
+		_, ok := x.(*plan.UDFCall)
+		return ok
+	}) {
+		l.Close()
+		r.Close()
+		return nil, fmt.Errorf("exec: UDF calls are not supported in join conditions")
+	}
+	leftKeys, rightKeys, residual := extractEquiKeys(t.Cond, t.L.Schema().Len())
+	return e.newVecJoinOp(qc, t, l, r, leftKeys, rightKeys, residual), nil
+}
+
+// extractEquiKeys splits a join condition into equi-key pairs
+// (left expr, right expr with right-relative ordinals) and the residual
+// conjuncts over the concatenated row, in their original order.
+func extractEquiKeys(cond plan.Expr, leftLen int) (leftKeys, rightKeys []plan.Expr, residual []plan.Expr) {
+	if cond == nil {
+		return nil, nil, nil
+	}
+	for _, c := range splitAnd(cond) {
+		b, ok := c.(*plan.Binary)
+		if ok && b.Op == plan.OpEq {
+			lLo, lHi := refRange(b.L)
+			rLo, rHi := refRange(b.R)
+			switch {
+			case lHi < leftLen && lLo >= 0 && rLo >= leftLen:
+				leftKeys = append(leftKeys, b.L)
+				rightKeys = append(rightKeys, shiftExprRefs(b.R, -leftLen))
+				continue
+			case rHi < leftLen && rLo >= 0 && lLo >= leftLen:
+				leftKeys = append(leftKeys, b.R)
+				rightKeys = append(rightKeys, shiftExprRefs(b.L, -leftLen))
+				continue
+			}
+		}
+		residual = append(residual, c)
+	}
+	return leftKeys, rightKeys, residual
+}
+
+func splitAnd(e plan.Expr) []plan.Expr {
+	if b, ok := e.(*plan.Binary); ok && b.Op == plan.OpAnd {
+		return append(splitAnd(b.L), splitAnd(b.R)...)
+	}
+	return []plan.Expr{e}
+}
+
+// refRange returns (min, max) BoundRef ordinals in e; (-1, -1) when none.
+func refRange(e plan.Expr) (int, int) {
+	lo, hi := -1, -1
+	plan.WalkExpr(e, func(x plan.Expr) bool {
+		if b, ok := x.(*plan.BoundRef); ok {
+			if lo == -1 || b.Index < lo {
+				lo = b.Index
+			}
+			if b.Index > hi {
+				hi = b.Index
+			}
+		}
+		return true
+	})
+	return lo, hi
+}
+
+func shiftExprRefs(e plan.Expr, delta int) plan.Expr {
+	return plan.TransformExpr(e, func(x plan.Expr) plan.Expr {
+		if b, ok := x.(*plan.BoundRef); ok {
+			return &plan.BoundRef{Index: b.Index + delta, Name: b.Name, Kind: b.Kind}
+		}
+		return x
+	})
+}
+
+// joinBlockPairs caps the candidate pairs one probe block holds. A block is
+// a range of whole left rows, so it exceeds the cap only when a single left
+// row's bucket does; a keyless or skewed probe never materializes
+// |left batch| x |build| pairs and their gathered combined columns at once.
+const joinBlockPairs = 2048
+
+// vecJoinOp is the join operator. Its semantics — and output row sequence at
+// any parallelism, spilled or not — are those of a nested loop over left
+// rows, then build rows in build order, that matches a pair when its equi
+// keys are equal (NULL never matches; keys of different hash classes never
+// match, so NaN pairs only with NaN) and then every residual conjunct in
+// order is TRUE. Each conjunct runs only on the pairs the ones before it
+// kept, so a conjunct that can fail (a throwing cast) sees no pair an
+// earlier one rejected. The machinery is columnar throughout:
 //
-//   - key hashing runs through the columnar eval.HashColumns kernel instead
-//     of boxing every row and walking maphash;
+//   - key hashing runs through the columnar eval.HashColumns kernel; with no
+//     equi keys every row hashes alike and the build side is one bucket;
 //   - the build table is a flat prefix-summed bucket directory over columnar
-//     key storage instead of map[uint64][]int over [][]types.Value, and
-//     build batches are released once appended (memory is bounded by the
-//     flat table, not the raw input parts);
-//   - probe matches flow through selection vectors: hash-equal candidate
-//     pairs first, then a column-wise collision-verification kernel, then a
-//     vectorized residual predicate, then bulk Gather assembly;
+//     key storage, and build batches are released once appended (memory is
+//     bounded by the flat table, not the raw input parts);
+//   - each left batch is probed in blocks of whole left rows holding at most
+//     joinBlockPairs candidate pairs (or one row's bucket when larger):
+//     hash-equal candidate pairs first, then a column-wise
+//     collision-verification kernel, then the residual conjuncts as
+//     narrowing selections, then bulk Gather assembly;
 //   - once the build side materializes, bloom/min-max runtime filters are
 //     installed on probe-side scans (see runtimefilter.go);
-//   - when the build table outgrows Engine.SpillBytes the operator falls
+//   - when a keyed build table outgrows Engine.SpillBytes the operator falls
 //     back to Grace-hash processing: both sides partition to temp files by
 //     key hash, partitions recurse, and outputs merge by a synthetic row id
-//     so the emitted row sequence is byte-identical to the in-memory run.
+//     so the emitted row sequence is byte-identical to the in-memory run. A
+//     keyless build stays in memory: one hash value cannot be partitioned.
 type vecJoinOp struct {
 	qc           *QueryContext
 	e            *Engine
@@ -42,7 +142,8 @@ type vecJoinOp struct {
 	combined     *types.Schema
 	leftBE       *batchEval
 	rightBE      *batchEval
-	residBE      *batchEval // nil when the condition is pure equi-join
+	residual     []plan.Expr     // conjuncts over the combined row, in order
+	residProgs   []*eval.VecProg // per conjunct; nil entries use the row interpreter
 	stats        *telemetry.OpStats
 	spillLimit   int64
 	buildWorkers int
@@ -50,8 +151,10 @@ type vecJoinOp struct {
 
 	built       bool
 	table       *joinTable // in-memory build; nil once spilled
+	probe       *joinProbe // the left batch being probed, block by block
 	probeDone   bool
 	emittedTail bool
+	peakBlock   int // most candidate pairs any probe block held
 
 	// Spill state (Grace hash join).
 	spillFiles []*spillFile     // every temp file ever created, for cleanup
@@ -63,10 +166,10 @@ type vecJoinOp struct {
 	tailMerge  *ridMerge // unmatched right rows in right-row order
 }
 
-func (e *Engine) newVecJoinOp(qc *QueryContext, t *plan.Join, l, r operator, leftKeys, rightKeys, residual []plan.Expr) (operator, error) {
+func (e *Engine) newVecJoinOp(qc *QueryContext, t *plan.Join, l, r operator, leftKeys, rightKeys, residual []plan.Expr) *vecJoinOp {
 	o := &vecJoinOp{
 		qc: qc, e: e, node: t, left: l, right: r,
-		leftKeys: leftKeys, rightKeys: rightKeys,
+		leftKeys: leftKeys, rightKeys: rightKeys, residual: residual,
 		leftSchema: t.L.Schema(), rightSchema: t.R.Schema(),
 		stats:        qc.opParent,
 		spillLimit:   e.spillLimit(),
@@ -75,9 +178,7 @@ func (e *Engine) newVecJoinOp(qc *QueryContext, t *plan.Join, l, r operator, lef
 	o.combined = o.leftSchema.Concat(o.rightSchema)
 	o.leftBE = e.newBatchEval(qc, leftKeys, o.leftSchema, nil)
 	o.rightBE = e.newBatchEval(qc, rightKeys, o.rightSchema, nil)
-	if len(residual) > 0 {
-		o.residBE = e.newBatchEval(qc, residual, o.combined, boolKinds(len(residual)))
-	}
+	o.residProgs = e.compileVecExprs(qc, residual, o.combined, boolKinds(len(residual)))
 	// Resolve runtime-filter targets: each equi-key that is a bare column
 	// reference traceable to a registered probe-side scan gets a filter
 	// builder. Only join types where a probe miss produces no output qualify.
@@ -96,7 +197,7 @@ func (e *Engine) newVecJoinOp(qc *QueryContext, t *plan.Join, l, r operator, lef
 			})
 		}
 	}
-	return o, nil
+	return o
 }
 
 func (o *vecJoinOp) needUsed() bool {
@@ -119,8 +220,8 @@ func (o *vecJoinOp) trackSpill(sf *spillFile) { o.spillFiles = append(o.spillFil
 // joinTable is the in-memory build side: all right rows as one columnar
 // batch, evaluated key columns, per-row hashes, and a flat bucket directory.
 // Buckets are addressed by the hash's low bits; each bucket's rows live
-// contiguously in slots[starts[b]:starts[b+1]], in ascending row order —
-// the same candidate order the row path's map[uint64][]int produced.
+// contiguously in slots[starts[b]:starts[b+1]], in ascending row order, so
+// candidates come out in build order.
 type joinTable struct {
 	rows   *types.Batch
 	keys   []*types.Column
@@ -272,7 +373,7 @@ func (o *vecJoinOp) buildRight() error {
 		}
 		hashes = append(hashes, p.hashes...)
 		bytes += batchBytes(p.b) + colsBytes(p.keys) + int64(8*n)
-		if bytes > o.spillLimit {
+		if bytes > o.spillLimit && len(o.rightKeys) > 0 {
 			// Overflow: scatter everything accumulated so far and switch to
 			// spill mode for the rest of the build.
 			o.rightParts = newSpillPartitions(schemaWithRID(o.rightSchema), 0, o.trackSpill)
@@ -335,19 +436,25 @@ func (o *vecJoinOp) Next() (*types.Batch, error) {
 
 func (o *vecJoinOp) nextInMemory() (*types.Batch, error) {
 	for !o.probeDone {
-		lb, err := o.left.Next()
-		if err == io.EOF {
-			o.probeDone = true
-			break
+		if o.probe == nil || o.probe.done() {
+			lb, err := o.left.Next()
+			if err == io.EOF {
+				o.probeDone = true
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+			if o.probe, err = o.newProbe(o.table, lb, nil); err != nil {
+				return nil, err
+			}
+			continue
 		}
+		out, err := o.probeBlock(o.probe)
 		if err != nil {
 			return nil, err
 		}
-		out, err := o.probeBatch(o.table, lb, nil)
-		if err != nil {
-			return nil, err
-		}
-		if out != nil && out.NumRows() > 0 {
+		if out.NumRows() > 0 {
 			return out, nil
 		}
 	}
@@ -362,7 +469,7 @@ func (o *vecJoinOp) nextInMemory() (*types.Batch, error) {
 }
 
 // rightTail emits the unmatched right rows (RIGHT/FULL) padded with NULLs on
-// the left, in right-row order, as one batch — exactly like the row path.
+// the left, in right-row order, as one batch.
 func (o *vecJoinOp) rightTail(t *joinTable) *types.Batch {
 	var idx []int
 	for i, used := range t.used {
@@ -391,88 +498,97 @@ func nullPadCols(schema *types.Schema, n int) []*types.Column {
 	return cols
 }
 
-// probeBatch joins one left batch against t, emitting output rows in exactly
-// the order the row-at-a-time join would. When lrids is non-nil (spilled
-// probe) the output carries a trailing __rid column with each row's left
-// global rid, so partition outputs merge back into input order.
-func (o *vecJoinOp) probeBatch(t *joinTable, lb *types.Batch, lrids []int64) (*types.Batch, error) {
+// joinProbe is one left batch being probed against t, block by block.
+type joinProbe struct {
+	t       *joinTable
+	lb      *types.Batch
+	lrids   []int64 // spilled probe: the left rows' global rids; nil in memory
+	keys    []*types.Column
+	hashes  []uint64
+	nullRow []bool // rows with a NULL key, which never match; nil if none
+	next    int    // first left row of the next block
+}
+
+func (p *joinProbe) done() bool { return p.next >= p.lb.NumRows() }
+
+// newProbe evaluates and hashes lb's keys for probing t.
+func (o *vecJoinOp) newProbe(t *joinTable, lb *types.Batch, lrids []int64) (*joinProbe, error) {
 	n := lb.NumRows()
 	keys, err := o.leftBE.run(lb)
 	if err != nil {
 		return nil, err
 	}
-	hashes := eval.HashColumns(keys, n, nil)
 	o.stats.AddProbe(n)
-
+	p := &joinProbe{t: t, lb: lb, lrids: lrids, keys: keys, hashes: eval.HashColumns(keys, n, nil)}
 	// Rows with a NULL in any key column never match (three-valued equality).
-	var nullRow []bool
 	for _, kc := range keys {
 		nulls := kc.NullMask()
 		if nulls == nil {
 			continue
 		}
-		if nullRow == nil {
-			nullRow = make([]bool, n)
+		if p.nullRow == nil {
+			p.nullRow = make([]bool, n)
 		}
 		for i := 0; i < n; i++ {
 			if nulls[i] {
-				nullRow[i] = true
+				p.nullRow[i] = true
 			}
 		}
 	}
+	return p, nil
+}
+
+// probeBlock joins the next block of p's left rows and returns its output
+// rows, in nested-loop order. When p.lrids is non-nil (spilled probe) the
+// output carries a trailing __rid column with each row's left global rid,
+// so partition outputs merge back into input order.
+func (o *vecJoinOp) probeBlock(p *joinProbe) (*types.Batch, error) {
+	t, lb := p.t, p.lb
+	n := lb.NumRows()
 
 	// Candidate pairs: hash-equal (left row, build row) pairs in left-row
-	// major, build-row ascending order.
+	// major, build-row ascending order, for whole left rows [lo, hi) while
+	// the block stays within joinBlockPairs.
+	lo, hi := p.next, p.next
 	var pairL, pairR []int
-	for i := 0; i < n; i++ {
-		if nullRow != nil && nullRow[i] {
+	for ; hi < n; hi++ {
+		if p.nullRow != nil && p.nullRow[hi] {
 			continue
 		}
-		h := hashes[i]
-		for _, r := range t.bucket(h) {
+		h := p.hashes[hi]
+		bucket := t.bucket(h)
+		if len(pairL) > 0 && len(pairL)+len(bucket) > joinBlockPairs {
+			break
+		}
+		for _, r := range bucket {
 			if t.hashes[r] == h {
-				pairL = append(pairL, i)
+				pairL = append(pairL, hi)
 				pairR = append(pairR, int(r))
 			}
 		}
 	}
+	p.next = hi
+	o.peakBlock = max(o.peakBlock, len(pairL))
 
 	// Column-wise collision verification.
-	for k := range keys {
+	for k := range p.keys {
 		if len(pairL) == 0 {
 			break
 		}
-		pairL, pairR = verifyEqualPairs(keys[k], t.keys[k], pairL, pairR)
+		pairL, pairR = verifyEqualPairs(p.keys[k], t.keys[k], pairL, pairR)
 	}
 
-	// Residual predicate over the combined candidate rows.
-	if o.residBE != nil && len(pairL) > 0 {
+	// Residual conjuncts, in order, over the combined candidate rows.
+	if len(o.residual) > 0 && len(pairL) > 0 {
 		comb := o.combineCols(lb, t.rows, pairL, pairR)
-		cb := types.MustBatch(o.combined, comb)
-		cols, err := o.residBE.run(cb)
+		sel, err := selectConjuncts(comb, len(pairL), nil, o.residual, o.residProgs, o.stats, o.qc.Eval)
 		if err != nil {
 			return nil, err
 		}
-		keep := make([]bool, len(pairL))
-		for i := range keep {
-			keep[i] = true
+		for w, j := range sel {
+			pairL[w], pairR[w] = pairL[j], pairR[j]
 		}
-		for _, pc := range cols {
-			nulls, vals := pc.NullMask(), pc.Int64s()
-			for j := range keep {
-				if keep[j] && !((nulls == nil || !nulls[j]) && vals[j] != 0) {
-					keep[j] = false
-				}
-			}
-		}
-		w := 0
-		for j := range pairL {
-			if keep[j] {
-				pairL[w], pairR[w] = pairL[j], pairR[j]
-				w++
-			}
-		}
-		pairL, pairR = pairL[:w], pairR[:w]
+		pairL, pairR = pairL[:len(sel)], pairR[:len(sel)]
 	}
 
 	if t.used != nil {
@@ -481,17 +597,17 @@ func (o *vecJoinOp) probeBatch(t *joinTable, lb *types.Batch, lrids []int64) (*t
 		}
 	}
 
-	withRID := lrids != nil
+	withRID := p.lrids != nil
 	outSchema := o.node.Schema()
 	if withRID {
 		outSchema = schemaWithRID(outSchema)
 	}
 
 	switch o.node.Type {
-	case plan.JoinInner, plan.JoinRight:
+	case plan.JoinInner, plan.JoinCross, plan.JoinRight:
 		cols := o.combineCols(lb, t.rows, pairL, pairR)
 		if withRID {
-			cols = append(cols, ridCol(lrids, pairL))
+			cols = append(cols, ridCol(p.lrids, pairL))
 		}
 		return types.MustBatch(outSchema, cols), nil
 
@@ -500,25 +616,23 @@ func (o *vecJoinOp) probeBatch(t *joinTable, lb *types.Batch, lrids []int64) (*t
 		if o.node.Type == plan.JoinLeftSemi {
 			idx = dedupFirst(pairL)
 		} else {
-			idx = complementOf(n, pairL)
+			idx = complementOf(lo, hi, pairL)
 		}
 		cols := lb.Gather(idx).Cols
 		if withRID {
-			cols = append(cols, ridCol(lrids, idx))
+			cols = append(cols, ridCol(p.lrids, idx))
 		}
 		return types.MustBatch(outSchema, cols), nil
 
 	case plan.JoinLeft, plan.JoinFull:
-		outL, outR := leftOuterIndexes(n, pairL, pairR)
+		outL, outR := leftOuterIndexes(lo, hi, pairL, pairR)
 		cols := o.combinePadCols(lb, t.rows, outL, outR)
 		if withRID {
-			cols = append(cols, ridCol(lrids, outL))
+			cols = append(cols, ridCol(p.lrids, outL))
 		}
 		return types.MustBatch(outSchema, cols), nil
 	}
-	// Unreachable: vecJoinOp is only built for equi-joins of the above types
-	// (cross joins have no equi keys).
-	return types.NewBatchBuilder(outSchema, 0).Build(), nil
+	return nil, fmt.Errorf("exec: unsupported join type %s", o.node.Type)
 }
 
 // combineCols gathers matched (left, right) pairs into combined-row columns.
@@ -561,12 +675,12 @@ func dedupFirst(pairL []int) []int {
 	return out
 }
 
-// complementOf returns the rows of [0, n) absent from the ascending matched
-// list (LEFT ANTI emits left rows with no match).
-func complementOf(n int, pairL []int) []int {
-	out := make([]int, 0, n)
+// complementOf returns the rows of [lo, hi) absent from the ascending
+// matched list (LEFT ANTI emits left rows with no match).
+func complementOf(lo, hi int, pairL []int) []int {
+	out := make([]int, 0, hi-lo)
 	p := 0
-	for i := 0; i < n; i++ {
+	for i := lo; i < hi; i++ {
 		for p < len(pairL) && pairL[p] < i {
 			p++
 		}
@@ -578,14 +692,14 @@ func complementOf(n int, pairL []int) []int {
 	return out
 }
 
-// leftOuterIndexes interleaves matches with NULL padding per left row: row
-// i's matches in build order, or a single (i, -1) pad when it has none —
-// the row path's exact emission order for LEFT/FULL.
-func leftOuterIndexes(n int, pairL, pairR []int) (outL, outR []int) {
-	outL = make([]int, 0, n+len(pairL))
-	outR = make([]int, 0, n+len(pairL))
+// leftOuterIndexes interleaves matches with NULL padding per left row of
+// [lo, hi): row i's matches in build order, or a single (i, -1) pad when it
+// has none — the nested loop's emission order for LEFT/FULL.
+func leftOuterIndexes(lo, hi int, pairL, pairR []int) (outL, outR []int) {
+	outL = make([]int, 0, hi-lo+len(pairL))
+	outR = make([]int, 0, hi-lo+len(pairL))
 	p := 0
-	for i := 0; i < n; i++ {
+	for i := lo; i < hi; i++ {
 		matched := false
 		for p < len(pairL) && pairL[p] == i {
 			outL = append(outL, i)
@@ -669,8 +783,8 @@ func verifyEqualPairs(a, b *types.Column, pairL, pairR []int) ([]int, []int) {
 			}
 		}
 	default:
-		// Incomparable kinds: Value.Compare reports not-ok, the row path
-		// treats that as no match. Drop every pair.
+		// Incomparable kinds: Value.Compare reports not-ok, which is no
+		// match. Drop every pair.
 	}
 	return pairL[:w], pairR[:w]
 }
@@ -911,13 +1025,19 @@ func (o *vecJoinOp) processPartition(rp, lp *spillFile, level int, outs, tails *
 				return err
 			}
 			lrows, lrids := splitRID(o.leftSchema, b)
-			ob, err := o.probeBatch(t, lrows, lrids)
+			p, err := o.newProbe(t, lrows, lrids)
 			if err != nil {
 				return err
 			}
-			if ob.NumRows() > 0 {
-				if err := out.write(ob); err != nil {
+			for !p.done() {
+				ob, err := o.probeBlock(p)
+				if err != nil {
 					return err
+				}
+				if ob.NumRows() > 0 {
+					if err := out.write(ob); err != nil {
+						return err
+					}
 				}
 			}
 		}
