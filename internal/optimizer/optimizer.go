@@ -1,10 +1,11 @@
 // Package optimizer implements the rule-based plan rewrites Lakeguard
 // depends on: constant folding, filter pushdown (halting at SecureView
-// barriers so policy-relative semantics are preserved), column pruning into
-// scans, pushdown of filters / projections / limits / partial aggregations
-// into RemoteScan leaves (the eFGAC refinements of paper §3.4), and the
-// grouping of UDF calls into fused sandbox requests with trust domains as
-// fusion barriers (§3.3).
+// barriers so policy-relative semantics are preserved; only copies of total
+// predicates over unmasked columns enter a governed table's barrier, for its
+// scan to prune by), column pruning into scans, pushdown of filters /
+// projections / limits / partial aggregations into RemoteScan leaves (the
+// eFGAC refinements of paper §3.4), and the grouping of UDF calls into fused
+// sandbox requests with trust domains as fusion barriers (§3.3).
 package optimizer
 
 import (
@@ -195,9 +196,10 @@ func containsUDF(e plan.Expr) bool {
 	})
 }
 
-// pushFilters pushes filter conjuncts toward leaves. SecureView is a hard
-// barrier: user predicates must evaluate on policy-transformed (masked)
-// output, never on raw data, so nothing moves through it.
+// pushFilters pushes filter conjuncts toward leaves. No conjunct moves
+// through a SecureView: user predicates must evaluate on policy-transformed
+// (masked) output. A governed table's barrier admits only copies of the
+// conjuncts that cannot leak (see copyBelowBarrier); the originals stay above.
 func pushFilters(n plan.Node) plan.Node {
 	return plan.Transform(n, func(x plan.Node) plan.Node {
 		f, ok := x.(*plan.Filter)
@@ -293,8 +295,90 @@ func pushFilterOnce(f *plan.Filter) plan.Node {
 			return &sc
 		}
 		return &plan.Filter{Cond: joinConjuncts(kept), Child: &sc}
+
+	case *plan.SecureView:
+		return copyBelowBarrier(f, conjuncts, child)
 	}
 	return f
+}
+
+// copyBelowBarrier copies each conjunct that cannot leak into the pushed
+// filters of a governed table's scan, after the row filter's conjuncts, so
+// zone maps can prune the scan; the filter itself stays above the barrier
+// unchanged. A conjunct cannot leak when it is total (eval.Total: it cannot
+// raise on a hidden row, has no side effect, runs no user code) and reads
+// only unmasked columns (the bare column references of the mask projection),
+// so it sees the same values below the barrier as above. View and
+// materialized-view barriers, and governed barriers whose interior is not
+// [mask Project] → Scan, admit nothing. A conjunct already among the scan's
+// pushed filters is not copied again.
+func copyBelowBarrier(f *plan.Filter, conjuncts []plan.Expr, sv *plan.SecureView) plan.Node {
+	var mask *plan.Project
+	inner := sv.Child
+	switch {
+	case hasPolicyKind(sv, "column_mask"):
+		p, ok := inner.(*plan.Project)
+		if !ok {
+			return f
+		}
+		mask, inner = p, p.Child
+	case !hasPolicyKind(sv, "row_filter"):
+		return f
+	}
+	sc, ok := inner.(*plan.Scan)
+	if !ok {
+		return f
+	}
+	var copies []plan.Expr
+	var pushed map[string]bool
+	for _, c := range conjuncts {
+		if !eval.Total(c) {
+			continue
+		}
+		if mask != nil {
+			if !passThroughOnly(c, mask.Exprs) {
+				continue
+			}
+			c, _ = substituteThroughProject(c, mask.Exprs)
+		}
+		if pushed == nil {
+			pushed = map[string]bool{}
+			for _, pf := range sc.PushedFilters {
+				pushed[pf.String()] = true
+			}
+		}
+		if key := c.String(); !pushed[key] {
+			pushed[key] = true
+			copies = append(copies, c)
+		}
+	}
+	if len(copies) == 0 {
+		return f
+	}
+	nsc := *sc
+	nsc.PushedFilters = append(append([]plan.Expr{}, sc.PushedFilters...), copies...)
+	var interior plan.Node = &nsc
+	if mask != nil {
+		interior = &plan.Project{Exprs: mask.Exprs, Child: interior, OutSchema: mask.OutSchema}
+	}
+	return &plan.Filter{Cond: f.Cond, Child: sv.WithChildren([]plan.Node{interior})}
+}
+
+// passThroughOnly reports whether every column c reads is a bare column
+// reference in items (a mask is an aliased expression, even when it is the
+// raw column itself).
+func passThroughOnly(c plan.Expr, items []plan.Expr) bool {
+	return !plan.ExprContains(c, func(x plan.Expr) bool {
+		b, ok := x.(*plan.BoundRef)
+		if !ok {
+			return false
+		}
+		if b.Index < 0 || b.Index >= len(items) {
+			return true
+		}
+		_, bare := items[b.Index].(*plan.BoundRef)
+		return !bare
+	})
 }
 
 // substituteThroughProject rewrites a conjunct over a projection's output to

@@ -144,6 +144,28 @@ func readRawUnderPrunedMask(reader func(sc *plan.Scan, raw *plan.BoundRef) plan.
 	})
 }
 
+// errorOracle is the Queen's Guard error oracle over a scan of sales:
+// CASE WHEN amount = 200 THEN CAST('boom' AS BIGINT) ELSE 1 END = 1. It
+// raises exactly when it sees a row with amount 200 — in the fixture, the
+// EU row the row filter hides — so a victim query that fails reveals that a
+// hidden row holds the probed value. nil when the scan does not read amount.
+func errorOracle(sc *plan.Scan) plan.Expr {
+	amount := fieldIndex(sc.Schema(), "amount")
+	if amount < 0 {
+		return nil
+	}
+	probe := &plan.Binary{Op: plan.OpEq,
+		L:          &plan.BoundRef{Index: amount, Name: "amount", Kind: types.KindFloat64},
+		R:          plan.Lit(types.Float64(200)),
+		ResultKind: types.KindBool}
+	guarded := &plan.Case{
+		Whens:      []plan.WhenClause{{Cond: probe, Then: &plan.Cast{Child: plan.Lit(types.String("boom")), To: types.KindInt64}}},
+		Else:       plan.Lit(types.Int64(1)),
+		ResultKind: types.KindInt64,
+	}
+	return &plan.Binary{Op: plan.OpEq, L: guarded, R: plan.Lit(types.Int64(1)), ResultKind: types.KindBool}
+}
+
 // Corpus is the bypass corpus: at least one case per known attack class
 // against the plan pipeline. Every case must be blocked by the sentinel with the listed
 // invariants and, where a label applies, a label-attributed deny audit event.
@@ -472,6 +494,62 @@ var Corpus = []Case{
 			})),
 		WantInvariants: []sentinel.Invariant{sentinel.InvColumnMask},
 		WantLabel:      maskLabel,
+	},
+	{
+		Name:  "error-oracle-pushed-filter",
+		Class: "implicit-flow",
+		Description: "A rewrite puts a predicate that throws on one amount " +
+			"ahead of the row filter in the governed scan's pushed filters; " +
+			"the victim query fails whenever any row, hidden ones included, holds " +
+			"that amount.",
+		Attack: standardAttack(victimSQL, func(n plan.Node) plan.Node {
+			return plan.Transform(n, func(x plan.Node) plan.Node {
+				sc, ok := x.(*plan.Scan)
+				if !ok || sc.Table != "main.default.sales" {
+					return x
+				}
+				oracle := errorOracle(sc)
+				if oracle == nil {
+					return x
+				}
+				cp := *sc
+				cp.PushedFilters = append([]plan.Expr{oracle}, sc.PushedFilters...)
+				return &cp
+			})
+		}),
+		WantInvariants: []sentinel.Invariant{sentinel.InvTotal},
+		WantLabel:      rowLabel,
+	},
+	{
+		Name:  "error-oracle-below-mask",
+		Class: "implicit-flow",
+		Description: "A rewrite interposes the throwing predicate as a filter " +
+			"between the mask projection and the governed scan, inside the " +
+			"barrier where no user code may fail.",
+		Attack: standardAttack(victimSQL, func(n plan.Node) plan.Node {
+			return plan.Transform(n, func(x plan.Node) plan.Node {
+				sv, ok := x.(*plan.SecureView)
+				if !ok {
+					return x
+				}
+				proj, ok := sv.Child.(*plan.Project)
+				if !ok {
+					return x
+				}
+				sc, ok := proj.Child.(*plan.Scan)
+				if !ok {
+					return x
+				}
+				oracle := errorOracle(sc)
+				if oracle == nil {
+					return x
+				}
+				return sv.WithChildren([]plan.Node{&plan.Project{Exprs: proj.Exprs, OutSchema: proj.OutSchema,
+					Child: &plan.Filter{Cond: oracle, Child: sc}}})
+			})
+		}),
+		WantInvariants: []sentinel.Invariant{sentinel.InvTotal},
+		WantLabel:      rowLabel,
 	},
 }
 

@@ -20,7 +20,20 @@
 //	(d) remote-pushdown-safe   eFGAC RemoteScan leaves ship only pushable
 //	                           expressions (no user code, no stale ordinals)
 //	(e) policy-columns-bound   column-prune remaps never drop or misbind a
-//	                           policy-referenced column
+//	                           policy-referenced column, and every reference
+//	                           inside a barrier has its column's kind
+//	(f) label-flow-discharged  every governance label seeded at a source
+//	                           column is discharged by its policy operator
+//	                           before the flow leaves the barrier
+//	(g) no-labeled-sink        no labeled value reaches the client root or a
+//	                           sandboxed UDF argument
+//	(h) verified-plan-seal     the executed plan is byte-identical to the
+//	                           verified one
+//	(i) total-below-barrier    every expression evaluated at or below a
+//	                           governed table's mask projection is total and
+//	                           UDF-free (eval.Total) unless it is the policy's
+//	                           own row-filter conjunct or mask, so no error
+//	                           raised on a hidden row or raw value can reveal it
 //
 // The sentinel deliberately re-implements its small amount of expression
 // plumbing (conjunct splitting, constant normalization) instead of reusing
@@ -65,6 +78,10 @@ const (
 	// InvSeal is the TOCTOU invariant: the plan handed to the executor is
 	// byte-identical to the plan that was verified (see seal.go).
 	InvSeal Invariant = "verified-plan-seal" // (h)
+	// InvTotal: inside a governed table's barrier only total, UDF-free
+	// expressions run besides the policy's own, so none can fail on a
+	// hidden row (the error oracle).
+	InvTotal Invariant = "total-below-barrier" // (i)
 )
 
 // Violation is one disproved invariant.
@@ -446,6 +463,10 @@ func (r *Report) verifyBarrier(o *obligation, sv *plan.SecureView) {
 		if okBind {
 			r.clear(sv, InvPolicyCols)
 		}
+		// (i) nothing below the policy can fail on the rows or values it hides.
+		if r.verifyTotal(o, sv) {
+			r.clear(sv, InvTotal)
+		}
 	}
 
 	if len(r.Violations) == before {
@@ -522,13 +543,66 @@ func (r *Report) verifyMasks(o *obligation, sv *plan.SecureView) bool {
 	return ok
 }
 
+// verifyTotal proves invariant (i) for one governed-table barrier. Every
+// expression evaluated at or below the mask projection must be total and
+// UDF-free (eval.Total), unless it is the obligation's own policy machinery:
+// one of its row-filter conjuncts or one of its mask expressions. A predicate
+// that can raise — a cast, a division, a UDF — and sees rows before the row
+// filter has dropped them answers, by failing or not, whether a hidden row
+// holds some value; a mask input it can fail on leaks the raw value the same
+// way. The violation names the row_filter label (the mask labels on a
+// mask-only barrier): that is the obligation an error oracle defeats.
+func (r *Report) verifyTotal(o *obligation, sv *plan.SecureView) bool {
+	below := sv.Child
+	var exprs []plan.Expr
+	if proj, isProj := below.(*plan.Project); isProj && o.hasKind("column_mask") {
+		// A mask projection item named after a masked column is that
+		// column's mask, or (b) reports it; the other items are checked.
+		below = proj.Child
+		for _, e := range proj.Exprs {
+			if _, masked := o.masks[strings.ToLower(plan.OutputName(e))]; !masked {
+				exprs = append(exprs, e)
+			}
+		}
+	}
+	exprs = append(exprs, exprsBelow(below)...)
+	ok := true
+	for _, e := range exprs {
+		if eval.Total(e) || o.isPolicyConjunct(e) {
+			continue
+		}
+		ok = false
+		r.violate(InvTotal, o.name, fmt.Sprintf(
+			"expression %s below the policy barrier is not total and could fail on a hidden row (obligation %s undischarged)",
+			redacted(normalize(e)), o.errorOracleLabels()))
+	}
+	return ok
+}
+
+// errorOracleLabels names the obligations a failing expression inside the
+// barrier defeats: the row-level labels, or every label of a mask-only
+// barrier.
+func (o *obligation) errorOracleLabels() string {
+	labels := o.rowLabels()
+	if len(labels) == 0 {
+		labels = o.labels
+	}
+	parts := make([]string, len(labels))
+	for i, l := range labels {
+		parts[i] = l.String()
+	}
+	return strings.Join(parts, ", ")
+}
+
 // maskLabel is the column_mask label this barrier seeded for one column.
 func (o *obligation) maskLabel(col string) plan.Label {
 	return plan.Label{Kind: plan.LabelColumnMask, Securable: o.name, Column: col, Instance: o.instance}
 }
 
 // verifyBindings walks a barrier subtree checking every BoundRef against the
-// schema it will actually be evaluated over.
+// schema it will actually be evaluated over: ordinal, name and kind. The
+// kind matters to invariant (i): eval.Total trusts declared kinds, and a
+// comparison whose operand lies about its kind raises at run time.
 func (r *Report) verifyBindings(securable string, n plan.Node) bool {
 	ok := true
 	check := func(e plan.Expr, schema *types.Schema, where string) {
@@ -549,6 +623,11 @@ func (r *Report) verifyBindings(securable string, n plan.Node) bool {
 				r.violate(InvPolicyCols, securable, fmt.Sprintf(
 					"%s references %s#%d but the pruned schema has %q at that ordinal",
 					where, b.Name, b.Index, schema.Fields[b.Index].Name))
+			} else if k := schema.Fields[b.Index].Kind; k != b.Kind {
+				ok = false
+				r.violate(InvPolicyCols, securable, fmt.Sprintf(
+					"%s references %s#%d as %s but the column is %s",
+					where, b.Name, b.Index, b.Kind, k))
 			}
 			return true
 		})
