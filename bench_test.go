@@ -221,78 +221,10 @@ func BenchmarkAblationTrustDomains(b *testing.B) {
 func BenchmarkMembraneComparison(b *testing.B) {
 	var last bench.MembraneResult
 	for i := 0; i < b.N; i++ {
-		last = bench.RunMembraneComparison(bench.DefaultMembraneConfig())
+		last = bench.RunMembraneComparison()
 	}
 	b.ReportMetric(last.LakeguardUtilization*100, "lakeguard-util-%")
 	b.ReportMetric(last.MembraneUtilization*100, "membrane-util-%")
-}
-
-// BenchmarkParallelScanAggregate measures the morsel-driven scan→filter→
-// aggregate pipeline at increasing worker counts over a 500k-row, ~61-file
-// table with modeled object-store GET latency (12ms per data file). The
-// speedup comes from workers overlapping GET waits; see internal/bench/exec.go
-// and DESIGN.md §8. Use -short for a reduced table.
-func BenchmarkParallelScanAggregate(b *testing.B) {
-	rows, perFile, latency := 500_000, 8192, 12*time.Millisecond
-	if testing.Short() {
-		rows, perFile, latency = 50_000, 2048, 3*time.Millisecond
-	}
-	w := bench.NewWorld(sandbox.Config{})
-	files, err := w.SeedEvents(rows, perFile)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pl, err := w.PreparePlan(bench.ExecScalingQuery, nil, optimizer.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	w.Engine.Tables = bench.NewLatencyTables(w.Cat, latency)
-	defer func() { w.Engine.Tables = w.Cat }()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			w.Engine.Parallelism = workers
-			defer func() { w.Engine.Parallelism = 0 }()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n, err := w.Run(pl)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if n == 0 {
-					b.Fatal("no rows")
-				}
-			}
-			b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
-			b.ReportMetric(float64(files), "files")
-		})
-	}
-}
-
-// BenchmarkVectorizedFilter compares the row-interpreter filter path to the
-// compiled columnar kernel on a simple comparison predicate (v > 500). The
-// acceptance bar for the vectorized path is >=3x.
-func BenchmarkVectorizedFilter(b *testing.B) {
-	const rows = 8192
-	kernel, err := bench.NewFilterKernel(rows)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		fn   func() int
-	}{{"RowInterp", kernel.RunRowInterp}, {"VecKernel", kernel.RunVec}} {
-		b.Run(mode.name, func(b *testing.B) {
-			kept := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				kept = mode.fn()
-			}
-			if kept == 0 {
-				b.Fatal("predicate kept nothing")
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
-		})
-	}
 }
 
 // BenchmarkEFGACResultModes is E8: inline vs cloud-spill result handling on

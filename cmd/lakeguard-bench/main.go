@@ -21,9 +21,9 @@ import (
 
 func main() {
 	experiment := flag.String("experiment", "all",
-		"which experiment to run: table1, table2, coldstart, membrane, efgac-modes, exec, skipping, join, telemetry, churn, tenancy, all")
+		"which experiment to run: table1, table2, coldstart, membrane, efgac-modes, telemetry, tenancy, all")
 	quick := flag.Bool("quick", false, "reduced problem sizes for a fast smoke run")
-	jsonOut := flag.String("json", "", "also write machine-readable results to this file (exec experiment → BENCH_exec.json)")
+	jsonOut := flag.String("json", "", "also write machine-readable results to this file (telemetry and tenancy experiments)")
 	maxOverheadPct := flag.Float64("max-overhead-pct", 0,
 		"telemetry experiment: fail (non-zero exit) if instrumentation overhead exceeds this percentage (0 = report only)")
 	flag.Parse()
@@ -59,7 +59,7 @@ func main() {
 	wrap("table2", func() error {
 		cfg := bench.DefaultTable2Config()
 		if *quick {
-			cfg = bench.Table2Config{SimpleRows: 20_000, HashRows: 800, UDFCounts: []int{1, 2, 5, 10}, Repetitions: 3, Fuse: true}
+			cfg = bench.Table2Config{SimpleRows: 20_000, HashRows: 800, UDFCounts: []int{1, 2, 5, 10}, Repetitions: 3}
 		}
 		rows, err := bench.RunTable2(cfg)
 		if err != nil {
@@ -87,7 +87,7 @@ func main() {
 	})
 
 	wrap("membrane", func() error {
-		res := bench.RunMembraneComparison(bench.DefaultMembraneConfig())
+		res := bench.RunMembraneComparison()
 		fmt.Println(bench.FormatMembrane(res))
 		return nil
 	})
@@ -102,97 +102,6 @@ func main() {
 			return err
 		}
 		fmt.Println(bench.FormatEFGACModes(rows))
-		return nil
-	})
-
-	wrap("exec", func() error {
-		cfg := bench.DefaultExecScalingConfig()
-		if *quick {
-			cfg.Rows = 40_000
-			cfg.RowsPerFile = 2048
-			cfg.ReadLatency = 2 * time.Millisecond
-			cfg.Repetitions = 1
-		}
-		res, err := bench.RunExecScaling(cfg)
-		if err != nil {
-			return err
-		}
-		res.FilterKernel, err = bench.RunFilterKernel(8192, 5)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatExecScaling(res))
-		if *jsonOut != "" {
-			data, err := res.FormatJSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		return nil
-	})
-
-	wrap("skipping", func() error {
-		cfg := bench.DefaultSkippingConfig()
-		if *quick {
-			cfg.Rows = 40_000
-			cfg.RowsPerFile = 2048
-			cfg.ReadLatency = 2 * time.Millisecond
-			cfg.Repetitions = 1
-		}
-		res, err := bench.RunSkipping(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatSkipping(res))
-		if res.GetReduction < 3 {
-			return fmt.Errorf("data skipping reduced GETs only %.1fx (want >= 3x)", res.GetReduction)
-		}
-		if res.WarmRepeat.LogEntriesReplayed != 0 {
-			return fmt.Errorf("warm repeat replayed %d log entries (want 0)", res.WarmRepeat.LogEntriesReplayed)
-		}
-		if *jsonOut != "" {
-			data, err := res.FormatJSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		return nil
-	})
-
-	wrap("join", func() error {
-		cfg := bench.DefaultJoinConfig()
-		if *quick {
-			cfg = bench.JoinConfig{Rows: 150_000, RowsPerFile: 4096, BuildRows: 300, SpillBytes: 1 << 19}
-		}
-		res, err := bench.RunJoin(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatJoin(res))
-		if res.GetReduction < 3 {
-			return fmt.Errorf("runtime filter reduced probe GETs only %.1fx (want >= 3x)", res.GetReduction)
-		}
-		if !res.SpillIdentical {
-			return fmt.Errorf("spilled run did not reproduce the in-memory result")
-		}
-		if *jsonOut != "" {
-			data, err := res.FormatJSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
 		return nil
 	})
 
@@ -227,41 +136,12 @@ func main() {
 		return nil
 	})
 
-	wrap("churn", func() error {
-		cfg := bench.DefaultChurnConfig()
-		if *quick {
-			cfg.Commits = 200
-			cfg.Duration = 400 * time.Millisecond
-			cfg.MinSpeedup = 3
-			cfg.Rows = 8_192
-			cfg.RowsPerFile = 512
-		}
-		res, err := bench.RunChurn(cfg)
-		if res != nil {
-			fmt.Println(bench.FormatChurn(res))
-		}
-		if err != nil {
-			return err
-		}
-		if *jsonOut != "" {
-			data, err := res.FormatJSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		return nil
-	})
-
 	wrap("tenancy", func() error {
-		cfg := bench.DefaultTenancyConfig()
+		window := bench.DefaultTenancyWindow
 		if *quick {
-			cfg.Duration = time.Second
+			window = time.Second
 		}
-		res, err := bench.RunTenancy(cfg)
+		res, err := bench.RunTenancy(window)
 		if res != nil {
 			fmt.Println(bench.FormatTenancy(res))
 		}

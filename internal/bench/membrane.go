@@ -6,27 +6,23 @@ import (
 	"strings"
 )
 
-// MembraneConfig parametrizes the A3 ablation: cluster utilization under
-// Lakeguard's shared sandbox pool versus a Membrane-style static split of
-// the cluster into a trusted engine domain and a user-code domain (paper §7:
-// "dividing the cluster into two security domains does not efficiently allow
-// the sharing and scaling of resources based on need").
-type MembraneConfig struct {
-	// Hosts is the cluster size.
-	Hosts int
-	// Steps is the number of scheduling ticks to simulate.
-	Steps int
-	// Seed makes the bursty workload reproducible.
-	Seed int64
-	// MeanEngineWork and MeanUserWork are per-tick expected work units;
+// The A3 ablation compares cluster utilization under Lakeguard's shared
+// sandbox pool with a Membrane-style static split of the cluster into a
+// trusted engine domain and a user-code domain (paper §7: "dividing the
+// cluster into two security domains does not efficiently allow the sharing
+// and scaling of resources based on need"). It models a 16-host cluster
+// under a bursty workload.
+const (
+	// membraneHosts is the cluster size.
+	membraneHosts = 16
+	// membraneSteps is the number of scheduling ticks to simulate.
+	membraneSteps = 2000
+	// membraneSeed makes the bursty workload reproducible.
+	membraneSeed = 42
+	// meanEngineWork and meanUserWork are per-tick expected work units;
 	// bursts swing the ratio between them.
-	MeanEngineWork, MeanUserWork float64
-}
-
-// DefaultMembraneConfig models a 16-host cluster under a variable workload.
-func DefaultMembraneConfig() MembraneConfig {
-	return MembraneConfig{Hosts: 16, Steps: 2000, Seed: 42, MeanEngineWork: 8, MeanUserWork: 8}
-}
+	meanEngineWork, meanUserWork = 8.0, 8.0
+)
 
 // MembraneResult compares the two architectures.
 type MembraneResult struct {
@@ -49,29 +45,26 @@ type MembraneResult struct {
 //     and a user-code domain; work queues in its own domain even when the
 //     other domain is idle (domains can never overlap due to residual
 //     state).
-func RunMembraneComparison(cfg MembraneConfig) MembraneResult {
-	if cfg.Hosts == 0 {
-		cfg = DefaultMembraneConfig()
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	halfA := cfg.Hosts / 2
-	halfB := cfg.Hosts - halfA
+func RunMembraneComparison() MembraneResult {
+	rng := rand.New(rand.NewSource(membraneSeed))
+	halfA := membraneHosts / 2
+	halfB := membraneHosts - halfA
 
 	var lgBusy, lgBacklogSum float64
 	var mbBusy, mbBacklogSum float64
 	var lgQueue float64
 	var mbEngineQueue, mbUserQueue float64
 
-	for step := 0; step < cfg.Steps; step++ {
+	for step := 0; step < membraneSteps; step++ {
 		// Bursty arrivals: the engine/user mix oscillates so one domain is
 		// periodically hot while the other is cold.
 		phase := float64(step%100) / 100
-		engineArrive := poissonish(rng, cfg.MeanEngineWork*(0.2+1.6*phase))
-		userArrive := poissonish(rng, cfg.MeanUserWork*(1.8-1.6*phase))
+		engineArrive := poissonish(rng, meanEngineWork*(0.2+1.6*phase))
+		userArrive := poissonish(rng, meanUserWork*(1.8-1.6*phase))
 
 		// Lakeguard: one shared pool.
 		lgQueue += engineArrive + userArrive
-		served := minf(lgQueue, float64(cfg.Hosts))
+		served := minf(lgQueue, float64(membraneHosts))
 		lgQueue -= served
 		lgBusy += served
 		lgBacklogSum += lgQueue
@@ -86,12 +79,12 @@ func RunMembraneComparison(cfg MembraneConfig) MembraneResult {
 		mbBusy += se + su
 		mbBacklogSum += mbEngineQueue + mbUserQueue
 	}
-	total := float64(cfg.Steps * cfg.Hosts)
+	total := float64(membraneSteps * membraneHosts)
 	return MembraneResult{
 		LakeguardUtilization: lgBusy / total,
 		MembraneUtilization:  mbBusy / total,
-		LakeguardBacklog:     lgBacklogSum / float64(cfg.Steps),
-		MembraneBacklog:      mbBacklogSum / float64(cfg.Steps),
+		LakeguardBacklog:     lgBacklogSum / float64(membraneSteps),
+		MembraneBacklog:      mbBacklogSum / float64(membraneSteps),
 	}
 }
 

@@ -2,7 +2,5 @@
 
 package bench
 
-// table2Repetitions is TestTable2Shape's repetition count: enough
-// interleaved repetitions to resolve a gap of a few points between the
-// simple and the hash UDF's overhead.
-const table2Repetitions = 15
+// raceEnabled reports a race-detector build (see race_test.go).
+const raceEnabled = false

@@ -26,13 +26,11 @@ type Table2Config struct {
 	UDFCounts []int
 	// Repetitions per measurement (medians are reported).
 	Repetitions int
-	// Fuse toggles the UDF fusion optimization (ablation A1 sets false).
-	Fuse bool
 }
 
 // DefaultTable2Config matches the paper's sweep at laptop scale.
 func DefaultTable2Config() Table2Config {
-	return Table2Config{SimpleRows: 120_000, HashRows: 4_000, UDFCounts: []int{1, 2, 5, 10}, Repetitions: 3, Fuse: true}
+	return Table2Config{SimpleRows: 120_000, HashRows: 4_000, UDFCounts: []int{1, 2, 5, 10}, Repetitions: 3}
 }
 
 // Table2Row is one row of the reproduced Table 2.
@@ -139,13 +137,11 @@ func measureRow(cfg Table2Config, numUDFs int) (Table2Row, error) {
 func prepareTimedRun(cfg Table2Config, rows, numUDFs int, body string, returns types.Kind, inProcess bool) (func() (time.Duration, error), error) {
 	w := NewWorld(sandbox.Config{}) // no cold-start delay: continuous overhead only
 	w.Engine.UnsafeInProcessUDFs = inProcess
-	w.Engine.FuseUDFs = cfg.Fuse
 	w.Engine.Parallelism = 1
 	if err := w.SeedPairs(rows); err != nil {
 		return nil, err
 	}
 	opts := optimizer.DefaultOptions()
-	opts.FuseUDFs = cfg.Fuse
 	// UDF names are deterministic (udf0..udfN-1), so the query can be built
 	// up front and the UDFs registered during analysis.
 	query := UDFQuery(udfNames(numUDFs))

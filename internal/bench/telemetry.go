@@ -18,32 +18,33 @@ import (
 	"lakeguard/internal/telemetry"
 )
 
+// ExecScalingQuery is the telemetry workload: a multi-file scan with a pushed
+// filter feeding a grouped aggregate — every parallel operator shape in one
+// plan.
+const ExecScalingQuery = "SELECT cat, SUM(v) AS total, COUNT(*) AS n FROM events WHERE v > 250 GROUP BY cat"
+
+// telemetryWorkers is the engine parallelism of both series.
+const telemetryWorkers = 4
+
 // TelemetryOverheadConfig sizes the instrumentation-cost experiment: the
-// exec-scaling workload run with telemetry fully off vs fully on.
+// ExecScalingQuery workload run with telemetry fully off vs fully on. Data
+// files are read from the in-memory store with no modeled latency, which
+// keeps the workload CPU-bound: the harshest setting for measuring
+// instrumentation overhead (nothing to hide the atomics behind).
 type TelemetryOverheadConfig struct {
 	// Rows is the total table size.
 	Rows int
 	// RowsPerFile sets file granularity (morsel count).
 	RowsPerFile int
-	// Workers is the engine parallelism for both series.
-	Workers int
-	// ReadLatency is the simulated per-file GET latency. Zero keeps the
-	// workload CPU-bound, which is the harshest setting for measuring
-	// instrumentation overhead (nothing to hide the atomics behind).
-	ReadLatency time.Duration
 	// Repetitions per series; the minimum wall time is kept.
 	Repetitions int
 }
 
-// DefaultTelemetryOverheadConfig is the recorded experiment: the in-memory
-// (zero read latency) workload, where span and counter costs are most
-// visible.
+// DefaultTelemetryOverheadConfig is the recorded experiment.
 func DefaultTelemetryOverheadConfig() TelemetryOverheadConfig {
 	return TelemetryOverheadConfig{
 		Rows:        500_000,
 		RowsPerFile: 8192,
-		Workers:     4,
-		ReadLatency: 0,
 		Repetitions: 5,
 	}
 }
@@ -100,12 +101,8 @@ func RunTelemetryOverhead(cfg TelemetryOverheadConfig) (*TelemetryOverheadResult
 	if err != nil {
 		return nil, err
 	}
-	w.Engine.Tables = NewLatencyTables(w.Cat, cfg.ReadLatency)
-	w.Engine.Parallelism = cfg.Workers
-	defer func() {
-		w.Engine.Tables = w.Cat
-		w.Engine.Parallelism = 0
-	}()
+	w.Engine.Parallelism = telemetryWorkers
+	defer func() { w.Engine.Parallelism = 0 }()
 
 	runOnce := func(qc *exec.QueryContext) error {
 		batches, err := w.Engine.Execute(qc, p)
@@ -206,7 +203,7 @@ func RunTelemetryOverhead(cfg TelemetryOverheadConfig) (*TelemetryOverheadResult
 	return &TelemetryOverheadResult{
 		Rows:              cfg.Rows,
 		Files:             files,
-		Workers:           cfg.Workers,
+		Workers:           telemetryWorkers,
 		Repetitions:       cfg.Repetitions,
 		Query:             ExecScalingQuery,
 		BaselineMS:        float64(baseD) / float64(time.Millisecond),

@@ -19,44 +19,34 @@ import (
 	"lakeguard/internal/types"
 )
 
-// TenancyConfig sizes the multi-tenant saturation experiment: N well-behaved
-// tenants at a steady open-loop arrival rate, plus one greedy tenant offering
-// roughly 10x its fair share, all through the Connect front door with the
-// admission controller engaged.
-type TenancyConfig struct {
-	// InnocentTenants is the number of well-behaved tenants.
-	InnocentTenants int
-	// InnocentRate is each innocent tenant's open-loop arrival rate (req/s).
-	InnocentRate float64
-	// GreedyRate is the greedy tenant's offered rate (req/s); the default is
-	// ~10x the per-tenant fair share of fleet capacity.
-	GreedyRate float64
-	// ServiceTime is the simulated backend execution time per query; fleet
-	// capacity is MaxConcurrent/ServiceTime queries per second.
-	ServiceTime time.Duration
-	// MaxConcurrent is the admission controller's global concurrency limit.
-	MaxConcurrent int
-	// MaxQueueDepth bounds each tenant's admission queue.
-	MaxQueueDepth int
-	// Duration is the steady-state measurement window per phase.
-	Duration time.Duration
-}
+// The multi-tenant saturation experiment drives N well-behaved tenants at a
+// steady open-loop arrival rate, plus one greedy tenant offering roughly 10x
+// its fair share, all through the Connect front door with the admission
+// controller engaged. Capacity is 100 q/s (4 slots x 40ms); innocents offer
+// 40 q/s in total and the greedy tenant 200 q/s against a 20 q/s fair share.
+// Rates are sized so a single-core runner measures queueing policy, not its
+// own scheduler contention.
+const (
+	// innocentTenants is the number of well-behaved tenants.
+	innocentTenants = 4
+	// innocentRate is each innocent tenant's arrival rate (req/s).
+	innocentRate = 10.0
+	// greedyRate is the greedy tenant's offered rate (req/s).
+	greedyRate = 200.0
+	// tenancyServiceTime is the simulated backend execution time per query;
+	// fleet capacity is tenancyMaxConcurrent/tenancyServiceTime queries per
+	// second.
+	tenancyServiceTime = 40 * time.Millisecond
+	// tenancyMaxConcurrent is the admission controller's global
+	// concurrency limit.
+	tenancyMaxConcurrent = 4
+	// tenancyMaxQueueDepth bounds each tenant's admission queue.
+	tenancyMaxQueueDepth = 16
+)
 
-// DefaultTenancyConfig is the recorded experiment: capacity 100 q/s
-// (4 slots x 40ms), innocents offering 40 q/s total, greedy offering 200 q/s
-// against a 20 q/s fair share (10x). Rates are sized so a single-core runner
-// measures queueing policy, not its own scheduler contention.
-func DefaultTenancyConfig() TenancyConfig {
-	return TenancyConfig{
-		InnocentTenants: 4,
-		InnocentRate:    10,
-		GreedyRate:      200,
-		ServiceTime:     40 * time.Millisecond,
-		MaxConcurrent:   4,
-		MaxQueueDepth:   16,
-		Duration:        2 * time.Second,
-	}
-}
+// DefaultTenancyWindow is the recorded experiment's steady-state measurement
+// window per phase.
+const DefaultTenancyWindow = 2 * time.Second
 
 // TenancyResult is the saturation experiment outcome. The acceptance bars,
 // checked by the bench itself: P99RatioX <= 2 (an innocent tenant's p99 under
@@ -194,29 +184,30 @@ func percentile(lat []time.Duration, p float64) time.Duration {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// RunTenancy runs the two-phase saturation experiment: (1) innocents alone
-// establish the uncontended latency baseline; (2) the greedy tenant joins at
-// ~10x its fair share. Stride-scheduled admission keeps innocents' p99 near
-// baseline while the greedy overflow is shed with 429 + Retry-After.
-func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
+// RunTenancy runs the two-phase saturation experiment, each phase lasting
+// window: (1) innocents alone establish the uncontended latency baseline;
+// (2) the greedy tenant joins at ~10x its fair share. Stride-scheduled
+// admission keeps innocents' p99 near baseline while the greedy overflow is
+// shed with 429 + Retry-After.
+func RunTenancy(window time.Duration) (*TenancyResult, error) {
 	schema := types.NewSchema(types.Field{Name: "one", Kind: types.KindInt64})
 	bb := types.NewBatchBuilder(schema, 1)
 	bb.AppendRow([]types.Value{types.Int64(1)})
 	backend := &pacedBackend{
-		service: cfg.ServiceTime,
+		service: tenancyServiceTime,
 		schema:  schema,
 		batches: []*types.Batch{bb.Build()},
 		rng:     rand.New(rand.NewSource(42)),
 	}
 
 	tokens := connect.TokenMap{"greedy-tok": "greedy@corp.com"}
-	for i := 0; i < cfg.InnocentTenants; i++ {
+	for i := 0; i < innocentTenants; i++ {
 		tokens[fmt.Sprintf("tenant%d-tok", i)] = fmt.Sprintf("tenant%d@corp.com", i)
 	}
 	met := telemetry.NewRegistry()
 	ctrl := admission.NewController(admission.Config{
-		MaxConcurrent: cfg.MaxConcurrent,
-		MaxQueueDepth: cfg.MaxQueueDepth,
+		MaxConcurrent: tenancyMaxConcurrent,
+		MaxQueueDepth: tenancyMaxQueueDepth,
 		Metrics:       met,
 	})
 	svc := connect.NewService(backend, tokens)
@@ -231,7 +222,7 @@ func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
 	}
 
 	runPhase := func(withGreedy bool) ([]*tenantLoad, *tenantLoad) {
-		innocents := make([]*tenantLoad, cfg.InnocentTenants)
+		innocents := make([]*tenantLoad, innocentTenants)
 		var wg sync.WaitGroup
 		for i := range innocents {
 			innocents[i] = &tenantLoad{}
@@ -239,7 +230,7 @@ func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
 			wg.Add(1)
 			go func(l *tenantLoad) {
 				defer wg.Done()
-				l.fire(c, cfg.InnocentRate, cfg.Duration)
+				l.fire(c, innocentRate, window)
 			}(innocents[i])
 		}
 		var greedy *tenantLoad
@@ -249,7 +240,7 @@ func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				greedy.fire(c, cfg.GreedyRate, cfg.Duration)
+				greedy.fire(c, greedyRate, window)
 			}()
 		}
 		wg.Wait()
@@ -293,14 +284,14 @@ func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
 
 	st := ctrl.Snapshot()
 	res := &TenancyResult{
-		InnocentTenants: cfg.InnocentTenants,
-		InnocentRateQPS: cfg.InnocentRate,
-		GreedyRateQPS:   cfg.GreedyRate,
-		ServiceTimeMS:   ms(cfg.ServiceTime),
-		MaxConcurrent:   cfg.MaxConcurrent,
-		MaxQueueDepth:   cfg.MaxQueueDepth,
-		CapacityQPS:     float64(cfg.MaxConcurrent) / cfg.ServiceTime.Seconds(),
-		DurationMS:      ms(cfg.Duration),
+		InnocentTenants: innocentTenants,
+		InnocentRateQPS: innocentRate,
+		GreedyRateQPS:   greedyRate,
+		ServiceTimeMS:   ms(tenancyServiceTime),
+		MaxConcurrent:   tenancyMaxConcurrent,
+		MaxQueueDepth:   tenancyMaxQueueDepth,
+		CapacityQPS:     float64(tenancyMaxConcurrent) / tenancyServiceTime.Seconds(),
+		DurationMS:      ms(window),
 
 		UncontendedP50MS: ms(percentile(base.okLat, 0.50)),
 		UncontendedP99MS: ms(percentile(base.okLat, 0.99)),
@@ -335,7 +326,7 @@ func RunTenancy(cfg TenancyConfig) (*TenancyResult, error) {
 		return res, fmt.Errorf("bench: innocent goodput %.1f%% (bar: >= 80%%)", res.InnocentGoodputPct)
 	}
 	if res.GreedySheds == 0 {
-		return res, fmt.Errorf("bench: greedy tenant at %.0f q/s was never shed", cfg.GreedyRate)
+		return res, fmt.Errorf("bench: greedy tenant at %.0f q/s was never shed", greedyRate)
 	}
 	if meanHint <= 0 {
 		return res, fmt.Errorf("bench: shed responses carried no Retry-After hint")

@@ -80,6 +80,41 @@ func (w *World) SeedPairs(n int) error {
 	return err
 }
 
+// SeedEvents creates table `events` (id BIGINT, v BIGINT, cat STRING) as
+// rows/rowsPerFile separate data files, so the parallel scan has file-granular
+// morsels to distribute.
+func (w *World) SeedEvents(rows, rowsPerFile int) (files int, err error) {
+	schema := types.NewSchema(
+		types.Field{Name: "id", Kind: types.KindInt64},
+		types.Field{Name: "v", Kind: types.KindInt64},
+		types.Field{Name: "cat", Kind: types.KindString},
+	)
+	if err := w.Cat.CreateTable(w.Ctx(), []string{"events"}, schema, false, ""); err != nil {
+		return 0, err
+	}
+	cats := []string{"alpha", "beta", "gamma", "delta", "eps", "zeta", "eta", "theta"}
+	var batches []*types.Batch
+	id := 0
+	for id < rows {
+		sz := rowsPerFile
+		if rows-id < sz {
+			sz = rows - id
+		}
+		bb := types.NewBatchBuilder(schema, sz)
+		for r := 0; r < sz; r++ {
+			bb.Column(0).AppendInt64(int64(id))
+			bb.Column(1).AppendInt64(int64((id * 37) % 1000))
+			bb.Column(2).AppendString(cats[id%len(cats)])
+			id++
+		}
+		batches = append(batches, bb.Build())
+	}
+	if _, err := w.Cat.AppendToTable(w.Ctx(), []string{"events"}, batches); err != nil {
+		return 0, err
+	}
+	return len(batches), nil
+}
+
 // UDF kernels matching the paper's two workloads.
 const (
 	// SimpleUDFBody is the "Sum(a+b)" kernel: negligible compute, overhead

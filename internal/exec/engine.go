@@ -71,20 +71,18 @@ type Engine struct {
 	// Metrics, when non-nil, receives scan-level data-skipping counters
 	// (scan.files.scanned, scan.files.pruned).
 	Metrics *telemetry.Registry
-	// DisableSkipping turns off statistics-based file pruning (bench
-	// baselines and pruning-equivalence tests). Results are identical either
-	// way; only the number of storage reads changes.
-	DisableSkipping bool
 	// SpillBytes bounds the in-memory footprint of each equi-join build
 	// table and aggregation group table; past it the operator partitions to
 	// temp files and recurses (results stay byte-identical). Keyless join
 	// builds and DISTINCT tables stay in memory. 0 means a 256 MiB default;
 	// negative disables spilling entirely.
 	SpillBytes int64
-	// DisableRuntimeFilters stops hash joins from pushing build-side
-	// bloom/min-max filters into probe scans (bench baselines). Results are
-	// identical either way; only rows and files touched change.
-	DisableRuntimeFilters bool
+	// disableSkipping turns off statistics-based file pruning, and
+	// disableRuntimeFilters stops hash joins from pushing build-side
+	// bloom/min-max filters into probe scans. Both exist only for the
+	// reference runs of the package's equivalence tests: results are
+	// identical either way; only the rows and files touched change.
+	disableSkipping, disableRuntimeFilters bool
 }
 
 // spillLimit resolves SpillBytes to an effective per-operator budget.
@@ -367,7 +365,7 @@ func (e *Engine) buildScan(qc *QueryContext, t *plan.Scan) (operator, error) {
 	for i := range files {
 		files[i] = i
 	}
-	if !e.DisableSkipping && len(t.PushedFilters) > 0 {
+	if !e.disableSkipping && len(t.PushedFilters) > 0 {
 		files = pruneFiles(t, snap.Files)
 	}
 	// Deletion-vector file pruning: a file whose DV covers every row is

@@ -2,7 +2,7 @@ package exec
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"io"
 	"sync"
 
@@ -188,7 +188,7 @@ func (ex *exchange[M, T]) Next() (T, error) {
 		f, ok := <-ex.futures
 		if !ok {
 			if ex.stopped != nil {
-				ex.failed = fmt.Errorf("exec: parallel worker: %w", ex.cause(ex.stopped))
+				ex.failed = wrapWorkerErr(ex.cause(ex.stopped))
 				return zero, ex.failed
 			}
 			return zero, io.EOF
@@ -196,7 +196,7 @@ func (ex *exchange[M, T]) Next() (T, error) {
 		<-f.done
 		if f.err != nil {
 			ex.cancel()
-			ex.failed = fmt.Errorf("exec: parallel worker: %w", ex.cause(f.err))
+			ex.failed = wrapWorkerErr(ex.cause(f.err))
 			return zero, ex.failed
 		}
 		if ex.isZero != nil && ex.isZero(f.result) {
@@ -204,6 +204,23 @@ func (ex *exchange[M, T]) Next() (T, error) {
 		}
 		return f.result, nil
 	}
+}
+
+// workerError attributes a failure to a parallel worker.
+type workerError struct{ err error }
+
+func (e *workerError) Error() string { return "exec: parallel worker: " + e.err.Error() }
+func (e *workerError) Unwrap() error { return e.err }
+
+// wrapWorkerErr attributes err to a parallel worker unless an inner
+// exchange already did: a failure that crosses nested exchanges (a UDF
+// partition exchange inside a parallel scan) carries the prefix once.
+func wrapWorkerErr(err error) error {
+	var we *workerError
+	if errors.As(err, &we) {
+		return err
+	}
+	return &workerError{err: err}
 }
 
 // Close cancels outstanding work and waits for all goroutines; it is safe

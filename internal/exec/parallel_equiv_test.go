@@ -1,18 +1,21 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"lakeguard/internal/analyzer"
+	"lakeguard/internal/delta"
 	"lakeguard/internal/faults"
 	"lakeguard/internal/optimizer"
+	"lakeguard/internal/sandbox"
 	"lakeguard/internal/security"
+	"lakeguard/internal/sql"
 	"lakeguard/internal/types"
-
-	"lakeguard/internal/delta"
 )
 
 // seedEventsTable creates a multi-file table so the parallel scan actually
@@ -20,13 +23,19 @@ import (
 // STRING columns, including NULLs.
 func seedEventsTable(t testing.TB, w *world, files, rowsPerFile int) {
 	t.Helper()
+	seedEventsTableNamed(t, w, "events", files, rowsPerFile)
+}
+
+// seedEventsTableNamed is seedEventsTable under another table name.
+func seedEventsTableNamed(t testing.TB, w *world, name string, files, rowsPerFile int) {
+	t.Helper()
 	schema := types.NewSchema(
 		types.Field{Name: "id", Kind: types.KindInt64},
 		types.Field{Name: "v", Kind: types.KindInt64, Nullable: true},
 		types.Field{Name: "score", Kind: types.KindFloat64, Nullable: true},
 		types.Field{Name: "cat", Kind: types.KindString},
 	)
-	if err := w.cat.CreateTable(adminCtx(), []string{"events"}, schema, false, ""); err != nil {
+	if err := w.cat.CreateTable(adminCtx(), []string{name}, schema, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	cats := []string{"alpha", "beta", "gamma", "delta"}
@@ -52,9 +61,39 @@ func seedEventsTable(t testing.TB, w *world, files, rowsPerFile int) {
 		}
 		batches[f] = bb.Build()
 	}
-	if _, err := w.cat.AppendToTable(adminCtx(), []string{"events"}, batches); err != nil {
+	if _, err := w.cat.AppendToTable(adminCtx(), []string{name}, batches); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// maskEventsFiles commits one deletion-vector DELETE against a seeded events
+// table: every 7th physical row of files 1 and 2, and every row of file 3
+// (a fully covered file the scan prunes before its GET). It returns the
+// number of rows masked.
+func maskEventsFiles(t testing.TB, w *world, name string) int {
+	t.Helper()
+	snap, _, err := w.cat.OpenSnapshot(adminCtx(), "main.default."+name, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mut := delta.Mutation{Operation: "DELETE", SetDVs: map[string]*delta.DeletionVector{}}
+	masked := 0
+	for _, fi := range []int{1, 2, 3} {
+		f := snap.Files[fi]
+		var rows []int64
+		for r := int64(0); r < f.NumRecords; r++ {
+			if fi == 3 || r%7 == 0 {
+				rows = append(rows, r)
+			}
+		}
+		mut.SetDVs[f.Path] = f.DV.Union(rows)
+		mut.Expect = append(mut.Expect, delta.FileExpectation{Path: f.Path})
+		masked += len(rows)
+	}
+	if _, err := w.cat.MutateTable(adminCtx(), []string{name}, mut); err != nil {
+		t.Fatal(err)
+	}
+	return masked
 }
 
 // orderedRows renders a batch's rows in their exact output order.
@@ -74,6 +113,10 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	w := newWorld(t)
 	seedQuotas(t, w)
 	seedEventsTable(t, w, 16, 64)
+	// The same data with deletion vectors: the DV keep-list must mask the
+	// same rows whichever worker reads a file.
+	seedEventsTableNamed(t, w, "dv_events", 16, 64)
+	live := 16*64 - maskEventsFiles(t, w, "dv_events")
 
 	queries := generateQueries(120, 11)
 	queries = append(queries,
@@ -88,6 +131,10 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		"SELECT DISTINCT cat FROM events WHERE v > 500 ORDER BY cat",
 		"SELECT id FROM events WHERE id < 64 UNION ALL SELECT id FROM events WHERE id >= 960",
 		"SELECT v FROM (SELECT v FROM events WHERE v IS NOT NULL) sub WHERE v % 7 = 0 ORDER BY v LIMIT 25",
+		// Deletion-vector-masked files, partially and fully covered.
+		"SELECT cat, SUM(v) AS total, COUNT(*) AS n FROM dv_events WHERE v > 250 GROUP BY cat ORDER BY cat",
+		"SELECT id, v, cat FROM dv_events WHERE id >= 40 AND id < 300",
+		"SELECT COUNT(*) AS n FROM dv_events",
 	)
 
 	type result struct {
@@ -101,6 +148,9 @@ func TestSerialParallelEquivalence(t *testing.T) {
 			return result{err: err}
 		}
 		return result{rows: orderedRows(b)}
+	}
+	if got := run("SELECT COUNT(*) AS n FROM dv_events", 1); got.err != nil || got.rows != fmt.Sprintf("[%d]\n", live) {
+		t.Fatalf("serial scan of dv_events = %q (err %v), want %d live rows", got.rows, got.err, live)
 	}
 	for _, q := range queries {
 		serial := run(q, 1)
@@ -185,4 +235,58 @@ func TestParallelScanChaos(t *testing.T) {
 	if got := counting.reads.Load(); got >= files {
 		t.Fatalf("scan read all %d files despite mid-scan failure (reads=%d); sibling cancellation broken", files, got)
 	}
+}
+
+// TestParallelWorkerErrorWrappedOnce fails a UDF under a parallel scan and
+// asserts the exchange attributes the failure to a parallel worker exactly
+// once, however many exchanges the error crosses, while errors.Is and
+// errors.As still reach the root cause.
+func TestParallelWorkerErrorWrappedOnce(t *testing.T) {
+	const query = "SELECT COUNT(*) AS n FROM events WHERE f(id) > 0"
+	run := func(t *testing.T, body string, inj *faults.Injector) error {
+		w := newWorld(t)
+		w.engine.Dispatcher = sandbox.NewDispatcher(sandbox.FactoryFunc(func(ctx context.Context, domain string) (*sandbox.Sandbox, error) {
+			return sandbox.New(domain, sandbox.Config{Faults: inj}), nil
+		}))
+		seedEventsTable(t, w, 16, 64)
+		w.engine.Parallelism = 4
+		q, err := sql.ParseQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := analyzer.New(w.cat, adminCtx())
+		a.TempFuncs = map[string]analyzer.TempFunc{"f": {
+			Params:  []types.Field{{Name: "x", Kind: types.KindInt64}},
+			Returns: types.KindInt64,
+			Body:    body,
+			Owner:   admin,
+		}}
+		resolved, err := a.Analyze(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = w.engine.ExecuteToBatch(NewQueryContext(w.cat, adminCtx()), optimizer.Optimize(resolved, optimizer.DefaultOptions()))
+		if err == nil {
+			t.Fatal("expected the UDF failure to surface")
+		}
+		if n := strings.Count(err.Error(), "parallel worker"); n != 1 {
+			t.Fatalf("worker prefix appears %d times, want 1: %v", n, err)
+		}
+		return err
+	}
+
+	t.Run("user error", func(t *testing.T) {
+		err := run(t, "return 1 / (x - 300)", nil)
+		if !strings.Contains(err.Error(), "user code failed") {
+			t.Fatalf("error lost the user-code cause: %v", err)
+		}
+	})
+	t.Run("sandbox crash", func(t *testing.T) {
+		inj := faults.New(1).Add(faults.Rule{Site: faults.SiteSandboxInterpret, Kind: faults.KindCrash, Skip: 3})
+		err := run(t, "return x + 1", inj)
+		var crash *sandbox.SandboxCrashError
+		if !errors.As(err, &crash) || crash.FaultSite != faults.SiteSandboxInterpret {
+			t.Fatalf("errors.As lost the sandbox crash: %v", err)
+		}
+	})
 }

@@ -127,10 +127,10 @@ func TestPruningEquivalence(t *testing.T) {
 	)
 	for _, p := range preds {
 		q := "SELECT id, v, score, cat FROM clustered WHERE " + p + " ORDER BY id"
-		w.engine.DisableSkipping = true
+		w.engine.disableSkipping = true
 		w.engine.Parallelism = 1
 		base, berr := w.runWithOptions(q, optimizer.DefaultOptions())
-		w.engine.DisableSkipping = false
+		w.engine.disableSkipping = false
 		for _, workers := range []int{1, 2, 8} {
 			w.engine.Parallelism = workers
 			got, gerr := w.runWithOptions(q, optimizer.DefaultOptions())

@@ -68,7 +68,7 @@ func TestRuntimeFilterPrunesProbeReads(t *testing.T) {
 
 		const q = "SELECT e.id, e.v FROM events e JOIN tiny t ON e.id = t.k"
 
-		w.engine.DisableRuntimeFilters = true
+		w.engine.disableRuntimeFilters = true
 		plain, err := w.runWithOptions(q, optimizer.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +76,7 @@ func TestRuntimeFilterPrunesProbeReads(t *testing.T) {
 		plainReads := counting.reads.Load()
 
 		counting.reads.Store(0)
-		w.engine.DisableRuntimeFilters = false
+		w.engine.disableRuntimeFilters = false
 		filtered, err := w.runWithOptions(q, optimizer.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)

@@ -182,7 +182,7 @@ func (e *Engine) newVecJoinOp(qc *QueryContext, t *plan.Join, l, r operator, lef
 	// Resolve runtime-filter targets: each equi-key that is a bare column
 	// reference traceable to a registered probe-side scan gets a filter
 	// builder. Only join types where a probe miss produces no output qualify.
-	if !e.DisableRuntimeFilters && rfJoinTypeOK(t.Type) {
+	if !e.disableRuntimeFilters && rfJoinTypeOK(t.Type) {
 		for i, k := range leftKeys {
 			br, ok := k.(*plan.BoundRef)
 			if !ok {
