@@ -110,7 +110,7 @@ func main() {
 		if *quick {
 			cfg.Rows = 60_000
 			cfg.RowsPerFile = 2048
-			cfg.Repetitions = 3
+			cfg.Repetitions = 60
 		}
 		res, err := bench.RunTelemetryOverhead(cfg)
 		if err != nil {

@@ -36,7 +36,8 @@ type TelemetryOverheadConfig struct {
 	Rows int
 	// RowsPerFile sets file granularity (morsel count).
 	RowsPerFile int
-	// Repetitions per series; the minimum wall time is kept.
+	// Repetitions per series, alternating the series; the median wall time
+	// of each is kept.
 	Repetitions int
 }
 
@@ -87,10 +88,10 @@ func (r *TelemetryOverheadResult) FormatJSON() ([]byte, error) {
 
 // RunTelemetryOverhead measures the wall-time cost of full instrumentation:
 // the same scan→filter→aggregate workload executed bare (no trace context,
-// no profile — the zero-alloc skip path in Engine.build) and then with a
-// tracer-minted root span plus an EXPLAIN ANALYZE profile, which switches on
-// per-operator spans, per-worker morsel spans, storage.get spans, and all
-// OpStats atomics.
+// no profile — the zero-alloc skip path in Engine.build) and, alternating
+// with it, with a tracer-minted root span plus an EXPLAIN ANALYZE profile,
+// which switches on per-operator spans, per-worker morsel spans, storage.get
+// spans, and all OpStats atomics.
 func RunTelemetryOverhead(cfg TelemetryOverheadConfig) (*TelemetryOverheadResult, error) {
 	w := NewWorld(sandbox.Config{})
 	files, err := w.SeedEvents(cfg.Rows, cfg.RowsPerFile)
@@ -119,28 +120,6 @@ func RunTelemetryOverhead(cfg TelemetryOverheadConfig) (*TelemetryOverheadResult
 		return nil
 	}
 
-	best := func(fn func() error) (time.Duration, error) {
-		var bestD time.Duration
-		for rep := 0; rep < cfg.Repetitions; rep++ {
-			start := time.Now()
-			if err := fn(); err != nil {
-				return 0, err
-			}
-			took := time.Since(start)
-			if rep == 0 || took < bestD {
-				bestD = took
-			}
-		}
-		return bestD, nil
-	}
-
-	baseD, err := best(func() error {
-		return runOnce(exec.NewQueryContext(w.Cat, w.Ctx()))
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	// The instrumented series also feeds the system-table spooler per rep —
 	// the exact hot-path cost a production query pays (building the record
 	// and the non-blocking enqueue) — so spooling shares the ≤10% gate. The
@@ -156,7 +135,10 @@ func RunTelemetryOverhead(cfg TelemetryOverheadConfig) (*TelemetryOverheadResult
 
 	tracer := telemetry.NewTracer()
 	var lastProfile *telemetry.Profile
-	instD, err := best(func() error {
+	baseline := func() error {
+		return runOnce(exec.NewQueryContext(w.Cat, w.Ctx()))
+	}
+	instrumented := func() error {
 		repStart := time.Now()
 		ctx, root := tracer.StartTrace(context.Background(), "query")
 		qc := exec.NewQueryContext(w.Cat, w.Ctx())
@@ -174,10 +156,27 @@ func RunTelemetryOverhead(cfg TelemetryOverheadConfig) (*TelemetryOverheadResult
 		})
 		latencies.Observe(float64(time.Since(repStart)) / float64(time.Millisecond))
 		return err
-	})
-	if err != nil {
-		return nil, err
 	}
+
+	// The two series alternate, one run each per repetition and each going
+	// first in every other one, so host noise that drifts over the
+	// experiment (another process, frequency scaling, GC of earlier reps)
+	// lands on both alike. Each series reports its median: on a shared host
+	// the fastest run of a few-millisecond query is an outlier, and the
+	// difference of two minima swings by more than the 10% budget.
+	series := [2]func() error{baseline, instrumented}
+	var took [2][]time.Duration
+	for rep := 0; rep < cfg.Repetitions; rep++ {
+		for k := 0; k < 2; k++ {
+			i := (rep + k) % 2
+			start := time.Now()
+			if err := series[i](); err != nil {
+				return nil, err
+			}
+			took[i] = append(took[i], time.Since(start))
+		}
+	}
+	baseD, instD := median(took[0]), median(took[1])
 	if open := tracer.OpenSpans(); open != 0 {
 		return nil, fmt.Errorf("bench: %d spans left open after instrumented runs", open)
 	}

@@ -104,22 +104,61 @@ func bindAssignments(set []plan.Assignment, target *types.Schema, scopes []dmlSc
 	return out, nil
 }
 
-// applyAssignments produces the updated copy of one row: the original values
-// with each SET column replaced by its expression over the combined row.
-func applyAssignments(target []types.Value, combined eval.RowFn, set []boundAssign, ectx *eval.Context) ([]types.Value, error) {
-	updated := append([]types.Value(nil), target...)
-	for _, a := range set {
-		v, err := eval.Eval(a.expr, combined, ectx)
+// compileAssignments compiles the SET expressions for one statement.
+func (s *Server) compileAssignments(ectx *eval.Context, set []boundAssign, in *types.Schema) *exec.ExprProgs {
+	exprs := make([]plan.Expr, len(set))
+	for i, a := range set {
+		exprs[i] = a.expr
+	}
+	return s.engine.CompileExprs(ectx, exprs, in)
+}
+
+// applyAssignments produces the updated copies of the rows of target: its
+// columns with each SET column replaced by its expression over cols (the
+// target columns, then the source columns for MERGE), cast to the column's
+// kind.
+func applyAssignments(target *types.Batch, cols []*types.Column, set []boundAssign, progs *exec.ExprProgs) (*types.Batch, error) {
+	vals, err := progs.Run(cols, target.NumRows())
+	if err != nil {
+		return nil, err
+	}
+	updated := append([]*types.Column(nil), target.Cols...)
+	for i, a := range set {
+		if updated[a.col], err = castColumn(vals[i], a.kind); err != nil {
+			return nil, fmt.Errorf("core: SET column %d: %w", a.col+1, err)
+		}
+	}
+	return types.NewBatch(target.Schema, updated)
+}
+
+// castColumn casts every value of c to kind, as Value.Cast does.
+func castColumn(c *types.Column, kind types.Kind) (*types.Column, error) {
+	if c.Kind() == kind {
+		return c, nil
+	}
+	b := types.NewBuilder(kind, c.Len())
+	for i := 0; i < c.Len(); i++ {
+		v, err := c.Value(i).Cast(kind)
 		if err != nil {
 			return nil, err
 		}
-		cv, err := v.Cast(a.kind)
-		if err != nil {
-			return nil, fmt.Errorf("core: SET column %d: %w", a.col+1, err)
-		}
-		updated[a.col] = cv
+		b.Append(v)
 	}
-	return updated, nil
+	return b.Build(), nil
+}
+
+// deleteRows masks rows of file f through its deletion vector, expecting
+// the vector f carries now.
+func deleteRows(m *delta.Mutation, f delta.AddFile, rows []int) {
+	hits := make([]int64, len(rows))
+	for i, r := range rows {
+		hits[i] = int64(r)
+	}
+	if m.SetDVs == nil {
+		m.SetDVs = map[string]*delta.DeletionVector{}
+	}
+	m.SetDVs[f.Path] = f.DV.Union(hits)
+	m.Expect = append(m.Expect, delta.FileExpectation{Path: f.Path, DVCardinality: f.DV.Cardinality()})
 }
 
 // executeDelete marks matching rows deleted via per-file deletion vectors:
@@ -171,15 +210,12 @@ func (s *Server) executeRowDML(ctx catalog.RequestContext, table []string, op st
 		}
 	}
 	ectx := exec.NewEvalContext(s.cat, ctx.User)
-	// The WHERE compiles once per statement, with its identity bound, into a
-	// selection kernel; nil leaves it to the row interpreter.
-	var wherePred *eval.VecProg
+	var whereProgs, setProgs *exec.ExprProgs
 	if bWhere != nil {
-		kinds := make([]types.Kind, meta.Schema.Len())
-		for i, f := range meta.Schema.Fields {
-			kinds[i] = f.Kind
-		}
-		wherePred, _ = eval.CompileVecBound(bWhere, kinds, ectx)
+		whereProgs = s.engine.CompileExprs(ectx, []plan.Expr{bWhere}, meta.Schema)
+	}
+	if bSet != nil {
+		setProgs = s.compileAssignments(ectx, bSet, meta.Schema)
 	}
 	for attempt := 0; attempt < dmlAttempts; attempt++ {
 		snap, read, err := s.cat.OpenSnapshot(ctx, meta.FullName, -1)
@@ -220,31 +256,37 @@ func (s *Server) executeRowDML(ctx catalog.RequestContext, table []string, op st
 				if err != nil {
 					return 0, 0, err
 				}
-				rows, err := dmlMatches(b, f.DV, bWhere, wherePred, ectx)
-				if err != nil {
-					return 0, 0, fmt.Errorf("core: %s WHERE: %w", op, err)
+				// The deletion vector's keep-list is the first selection; the
+				// WHERE narrows it.
+				n := b.NumRows()
+				var rows []int // nil = every row
+				if f.DV.Cardinality() > 0 {
+					rows = f.DV.KeepIndexes(n)
 				}
-				hits := make([]int64, len(rows))
-				for i, r := range rows {
-					hits[i] = int64(r)
-					if updated != nil {
-						row := b.Row(r)
-						vals, err := applyAssignments(row, func(i int) types.Value { return row[i] }, bSet, ectx)
-						if err != nil {
-							return 0, 0, err
-						}
-						updated.AppendRow(vals)
+				if whereProgs != nil {
+					if rows, err = whereProgs.Select(b.Cols, n, rows); err != nil {
+						return 0, 0, fmt.Errorf("core: %s WHERE: %w", op, err)
 					}
 				}
-				if len(hits) == 0 {
+				if rows == nil {
+					rows = make([]int, n)
+					for i := range rows {
+						rows[i] = i
+					}
+				}
+				if len(rows) == 0 {
 					continue
 				}
-				matched += int64(len(hits))
-				if m.SetDVs == nil {
-					m.SetDVs = map[string]*delta.DeletionVector{}
+				if updated != nil {
+					hit := b.Gather(rows)
+					ub, err := applyAssignments(hit, hit.Cols, bSet, setProgs)
+					if err != nil {
+						return 0, 0, err
+					}
+					updated.AppendBatch(ub)
 				}
-				m.SetDVs[f.Path] = f.DV.Union(hits)
-				m.Expect = append(m.Expect, delta.FileExpectation{Path: f.Path, DVCardinality: f.DV.Cardinality()})
+				matched += int64(len(rows))
+				deleteRows(&m, f, rows)
 			}
 			if updated != nil {
 				if ub := updated.Build(); ub.NumRows() > 0 {
@@ -265,47 +307,6 @@ func (s *Server) executeRowDML(ctx catalog.RequestContext, table []string, op st
 		return matched, v, nil
 	}
 	return 0, 0, fmt.Errorf("core: %s on %s: %w after %d attempts", op, meta.FullName, delta.ErrConcurrentCommit, dmlAttempts)
-}
-
-// dmlMatches returns the live rows of one file batch that a DELETE/UPDATE
-// WHERE selects (every live row when where is nil). The deletion vector's
-// keep-list is the first selection; the compiled kernel narrows it without
-// boxing a row. The row interpreter serves a WHERE that did not compile.
-func dmlMatches(b *types.Batch, dv *delta.DeletionVector, where plan.Expr, pred *eval.VecProg, ectx *eval.Context) ([]int, error) {
-	n := b.NumRows()
-	var live []int // nil = every row
-	if dv.Cardinality() > 0 {
-		live = dv.KeepIndexes(n)
-	}
-	switch {
-	case where == nil:
-		if live == nil {
-			live = make([]int, n)
-			for i := range live {
-				live[i] = i
-			}
-		}
-		return live, nil
-	case pred != nil:
-		if live != nil && len(live) == 0 {
-			return nil, nil
-		}
-		return pred.Select(b.Cols, n, live, nil), nil
-	}
-	var out []int
-	for r := 0; r < n; r++ {
-		if dv.Has(int64(r)) {
-			continue
-		}
-		ok, err := eval.EvalPredicate(where, func(i int) types.Value { return b.Cols[i].Value(r) }, ectx)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }
 
 // executeMerge implements MERGE INTO on the same deletion-vector machinery:
@@ -329,19 +330,20 @@ func (s *Server) executeMerge(qctx context.Context, ctx catalog.RequestContext, 
 	if err != nil {
 		return nil, nil, err
 	}
-	var srcRows [][]types.Value
+	srcAll := types.NewBatchBuilder(srcSchema, 0)
 	for _, b := range srcBatches {
-		srcRows = append(srcRows, b.Rows()...)
+		srcAll.AppendBatch(b)
 	}
+	src := srcAll.Build()
 	tgt := tableScope(c.Table, c.TableAlias, meta.Schema, 0)
-	src := dmlScope{schema: srcSchema, base: meta.Schema.Len()}
+	srcScope := dmlScope{schema: srcSchema, base: meta.Schema.Len()}
 	if c.SourceAlias != "" {
-		src.names = append(src.names, strings.ToLower(c.SourceAlias))
+		srcScope.names = append(srcScope.names, strings.ToLower(c.SourceAlias))
 	}
 	if rel, ok := c.Source.(*plan.UnresolvedRelation); ok && len(rel.Parts) > 0 {
-		src.names = append(src.names, strings.ToLower(rel.Parts[len(rel.Parts)-1]))
+		srcScope.names = append(srcScope.names, strings.ToLower(rel.Parts[len(rel.Parts)-1]))
 	}
-	both := []dmlScope{tgt, src}
+	both := []dmlScope{tgt, srcScope}
 	bOn, err := bindDMLExpr(c.On, both)
 	if err != nil {
 		return nil, nil, err
@@ -354,20 +356,32 @@ func (s *Server) executeMerge(qctx context.Context, ctx catalog.RequestContext, 
 	}
 	var bInsert []plan.Expr
 	for _, e := range c.InsertValues {
-		be, err := bindDMLExpr(e, []dmlScope{{names: src.names, schema: srcSchema, base: 0}})
+		be, err := bindDMLExpr(e, []dmlScope{{names: srcScope.names, schema: srcSchema, base: 0}})
 		if err != nil {
 			return nil, nil, err
 		}
 		bInsert = append(bInsert, be)
 	}
+	// Every expression evaluates over columns: ON and SET over the target
+	// columns followed by the source's, INSERT over the source's alone.
 	ectx := exec.NewEvalContext(s.cat, ctx.User)
+	bothSchema := meta.Schema.Concat(srcSchema)
+	onProgs := s.engine.CompileExprs(ectx, []plan.Expr{bOn}, bothSchema)
+	var setProgs, insertProgs *exec.ExprProgs
+	if bSet != nil {
+		setProgs = s.compileAssignments(ectx, bSet, bothSchema)
+	}
+	if bInsert != nil {
+		insertProgs = s.engine.CompileExprs(ectx, bInsert, srcSchema)
+	}
+	ns := src.NumRows()
 	for attempt := 0; attempt < dmlAttempts; attempt++ {
 		snap, read, err := s.cat.OpenSnapshot(ctx, meta.FullName, -1)
 		if err != nil {
 			return nil, nil, err
 		}
 		m := delta.Mutation{Operation: "MERGE"}
-		srcMatched := make([]bool, len(srcRows))
+		srcMatched := make([]bool, ns)
 		var updatedRows, deletedRows, insertedRows int64
 		changed := types.NewBatchBuilder(meta.Schema, 0)
 		for _, f := range snap.Files {
@@ -378,71 +392,79 @@ func (s *Server) executeMerge(qctx context.Context, ctx catalog.RequestContext, 
 			if err != nil {
 				return nil, nil, err
 			}
-			var hits []int64
-			for r := 0; r < b.NumRows(); r++ {
-				if f.DV.Has(int64(r)) {
-					continue
+			n := b.NumRows()
+			var live []int // nil = every row
+			if f.DV.Cardinality() > 0 {
+				live = f.DV.KeepIndexes(n)
+			}
+			// ON runs once per source row, over every live target row with
+			// that source row's values as constant columns. The first
+			// matching source row drives a target row's action.
+			match := make([]int, n)
+			for r := range match {
+				match[r] = -1
+			}
+			cols := append(make([]*types.Column, 0, bothSchema.Len()), b.Cols...)
+			for si := 0; si < ns; si++ {
+				cols = cols[:len(b.Cols)]
+				for _, sc := range src.Cols {
+					cols = append(cols, types.ConstColumn(sc.Value(si), n))
 				}
-				row := b.Row(r)
-				var match []types.Value
-				for si, srow := range srcRows {
-					combined := append(append([]types.Value(nil), row...), srow...)
-					ok, err := eval.EvalPredicate(bOn, func(i int) types.Value { return combined[i] }, ectx)
-					if err != nil {
-						return nil, nil, fmt.Errorf("core: MERGE ON: %w", err)
-					}
-					if ok {
-						srcMatched[si] = true
-						if match == nil {
-							match = combined // first matching source row drives the action
-						}
-					}
+				sel, err := onProgs.Select(cols, n, live)
+				if err != nil {
+					return nil, nil, fmt.Errorf("core: MERGE ON: %w", err)
 				}
-				if match == nil {
-					continue
-				}
-				switch {
-				case c.MatchedDelete:
-					hits = append(hits, int64(r))
-					deletedRows++
-				case bSet != nil:
-					vals, err := applyAssignments(row, func(i int) types.Value { return match[i] }, bSet, ectx)
-					if err != nil {
-						return nil, nil, err
+				srcMatched[si] = srcMatched[si] || len(sel) > 0
+				for _, r := range sel {
+					if match[r] < 0 {
+						match[r] = si
 					}
-					hits = append(hits, int64(r))
-					changed.AppendRow(vals)
-					updatedRows++
 				}
 			}
-			if len(hits) == 0 {
+			var rows, srcOf []int
+			for r, si := range match {
+				if si >= 0 {
+					rows, srcOf = append(rows, r), append(srcOf, si)
+				}
+			}
+			switch {
+			case len(rows) == 0:
+				continue
+			case c.MatchedDelete:
+				deletedRows += int64(len(rows))
+			case bSet != nil:
+				hit := b.Gather(rows)
+				ub, err := applyAssignments(hit, append(hit.Cols, src.Gather(srcOf).Cols...), bSet, setProgs)
+				if err != nil {
+					return nil, nil, err
+				}
+				changed.AppendBatch(ub)
+				updatedRows += int64(len(rows))
+			default:
 				continue
 			}
-			if m.SetDVs == nil {
-				m.SetDVs = map[string]*delta.DeletionVector{}
-			}
-			m.SetDVs[f.Path] = f.DV.Union(hits)
-			m.Expect = append(m.Expect, delta.FileExpectation{Path: f.Path, DVCardinality: f.DV.Cardinality()})
+			deleteRows(&m, f, rows)
 		}
 		if bInsert != nil {
-			for si, srow := range srcRows {
-				if srcMatched[si] {
-					continue
+			var unmatched []int
+			for si, hit := range srcMatched {
+				if !hit {
+					unmatched = append(unmatched, si)
 				}
-				vals := make([]types.Value, len(bInsert))
-				for i, e := range bInsert {
-					v, err := eval.Eval(e, func(j int) types.Value { return srow[j] }, ectx)
-					if err != nil {
-						return nil, nil, fmt.Errorf("core: MERGE INSERT: %w", err)
-					}
-					cv, err := v.Cast(meta.Schema.Fields[i].Kind)
-					if err != nil {
-						return nil, nil, fmt.Errorf("core: MERGE INSERT column %q: %w", meta.Schema.Fields[i].Name, err)
-					}
-					vals[i] = cv
+			}
+			if len(unmatched) > 0 {
+				ins := src.Gather(unmatched)
+				vals, err := insertProgs.Run(ins.Cols, len(unmatched))
+				if err != nil {
+					return nil, nil, fmt.Errorf("core: MERGE INSERT: %w", err)
 				}
-				changed.AppendRow(vals)
-				insertedRows++
+				for i, f := range meta.Schema.Fields {
+					if vals[i], err = castColumn(vals[i], f.Kind); err != nil {
+						return nil, nil, fmt.Errorf("core: MERGE INSERT column %q: %w", f.Name, err)
+					}
+				}
+				changed.AppendBatch(types.MustBatch(meta.Schema, vals))
+				insertedRows += int64(len(unmatched))
 			}
 		}
 		if cb := changed.Build(); cb.NumRows() > 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -297,69 +298,180 @@ func TestDVMaskComposesWithZoneMapPruning(t *testing.T) {
 	}
 }
 
-// DELETE and UPDATE WHERE run as selection kernels over each file's
-// deletion-vector keep-list, and through the row interpreter when the WHERE
-// does not compile (LIKE). A sequence of both, on files that already carry
-// deletion vectors, must leave exactly the rows a plain model leaves.
+// DML evaluates over columns through the engine's compiled expression
+// lists: DELETE/UPDATE WHERE as selection kernels over each file's
+// deletion-vector keep-list, UPDATE SET, and MERGE's ON, matched SET and
+// INSERT values. An expression that does not compile runs in the row
+// interpreter and is counted on exec.vec.fallback.<node>: LIKE, a CASE on
+// row values, and — because DML expressions are bound but never analyzed —
+// untyped arithmetic, concatenation, NULL and CASE results. A sequence of statements over NULLs, identity
+// functions and CASE, on files that already carry deletion vectors, must
+// leave exactly the rows a plain model leaves, and a SET whose cast raises
+// fails with its error text and changes nothing.
 func TestDMLWhereKernelsMatchModel(t *testing.T) {
-	e := newEnv(t, Config{Name: "std"})
+	reg := telemetry.NewRegistry()
+	e := newEnv(t, Config{Name: "std", Metrics: reg})
 	c := e.client("tok-admin")
-	mustExec(t, c, "CREATE TABLE pts (id BIGINT, tag STRING, v BIGINT)")
 	type pt struct {
-		tag string
-		v   int64
+		tag   string
+		v     int64
+		vNull bool
 	}
+	sqlRow := func(id int64, p pt) string {
+		v := fmt.Sprint(p.v)
+		if p.vNull {
+			v = "NULL"
+		}
+		return fmt.Sprintf("(%d, '%s', %s)", id, p.tag, v)
+	}
+	mustExec(t, c, "CREATE TABLE pts (id BIGINT, tag STRING, v BIGINT)")
 	model := map[int64]pt{}
 	for f := 0; f < 4; f++ { // four files
 		var vals []string
-		for i := f * 25; i < (f+1)*25; i++ {
-			p := pt{tag: []string{"a", "b", "ab", ""}[i%4], v: int64(i * 7 % 40)}
-			model[int64(i)] = p
-			vals = append(vals, fmt.Sprintf("(%d, '%s', %d)", i, p.tag, p.v))
+		for i := int64(f * 25); i < int64((f+1)*25); i++ {
+			p := pt{tag: []string{"a", "b", "ab", ""}[i%4], v: i * 7 % 40, vNull: i%9 == 4}
+			model[i] = p
+			vals = append(vals, sqlRow(i, p))
 		}
 		mustExec(t, c, "INSERT INTO pts VALUES "+strings.Join(vals, ", "))
 	}
-	for _, step := range []struct {
-		sql   string
-		match func(id int64, p pt) bool
-		set   func(p pt) pt // nil = DELETE
-	}{
-		{"DELETE FROM pts WHERE v < 5", func(_ int64, p pt) bool { return p.v < 5 }, nil},
-		{"UPDATE pts SET v = v + 100 WHERE tag = 'a' AND id > 30", func(id int64, p pt) bool { return p.tag == "a" && id > 30 },
-			func(p pt) pt { p.v += 100; return p }},
-		{"DELETE FROM pts WHERE id % 3 = 0 OR v > 130", func(id int64, p pt) bool { return id%3 == 0 || p.v > 130 }, nil},
-		{"DELETE FROM pts WHERE tag LIKE 'a%' AND v < 20", func(_ int64, p pt) bool { return strings.HasPrefix(p.tag, "a") && p.v < 20 }, nil},
-		{"UPDATE pts SET tag = 'mine' WHERE CURRENT_USER() = '" + admin + "' AND v >= 30", func(_ int64, p pt) bool { return p.v >= 30 },
-			func(p pt) pt { p.tag = "mine"; return p }},
-		{"DELETE FROM pts WHERE CURRENT_USER() <> '" + admin + "'", func(int64, pt) bool { return false }, nil},
-	} {
-		want := 0
-		for id, p := range model {
-			if !step.match(id, p) {
+	// The MERGE source: ids 7 and 13 twice (the first matching row drives
+	// the update), ids no target row has (inserted), and NULLs.
+	src := []struct {
+		id int64
+		p  pt
+	}{{7, pt{tag: "s7", v: 70}}, {13, pt{tag: "s13", vNull: true}}, {7, pt{tag: "s7b", v: 71}},
+		{200, pt{tag: "n200", vNull: true}}, {13, pt{tag: "s13b", v: 91}}, {201, pt{tag: "n201", v: 201}}, {11, pt{tag: "s11", v: 110}}}
+	var srcVals []string
+	for _, r := range src {
+		srcVals = append(srcVals, sqlRow(r.id, r.p))
+	}
+	mustExec(t, c, "CREATE TABLE src (id BIGINT, tag STRING, v BIGINT)")
+	mustExec(t, c, "INSERT INTO src VALUES "+strings.Join(srcVals, ", "))
+
+	// rowDML applies a DELETE (set == nil) or an UPDATE to the model.
+	rowDML := func(match func(id int64, p pt) bool, set func(id int64, p pt) pt) func() string {
+		return func() string {
+			n := 0
+			for id, p := range model {
+				if !match(id, p) {
+					continue
+				}
+				n++
+				if set == nil {
+					delete(model, id)
+				} else {
+					model[id] = set(id, p)
+				}
+			}
+			return fmt.Sprintf(" %d rows", n)
+		}
+	}
+	lt := func(p pt, x int64) bool { return !p.vNull && p.v < x }
+	merge := func() string {
+		first := map[int64]pt{}
+		updated, inserted := 0, 0
+		for _, r := range src {
+			if _, ok := model[r.id]; ok {
+				if _, seen := first[r.id]; !seen {
+					first[r.id] = r.p
+					updated++
+				}
+			}
+		}
+		for _, r := range src {
+			if _, matched := first[r.id]; matched {
 				continue
 			}
-			want++
-			if step.set == nil {
-				delete(model, id)
-			} else {
-				model[id] = step.set(p)
+			p := r.p
+			if p.vNull {
+				p.tag = "null"
+			}
+			model[r.id] = p
+			inserted++
+		}
+		for id, p := range first {
+			model[id] = p
+		}
+		return fmt.Sprintf("merged: %d updated, 0 deleted, %d inserted", updated, inserted)
+	}
+	fallbacks := func() map[string]int64 {
+		out := map[string]int64{}
+		for _, line := range strings.Split(reg.RenderPrometheus(), "\n") {
+			var name string
+			var n int64
+			if _, err := fmt.Sscanf(line, "exec_vec_fallback_%s %d", &name, &n); err == nil {
+				out[name] = n
 			}
 		}
-		msg := mustExec(t, c, step.sql).Cols[0].StringAt(0)
-		if !strings.Contains(msg, fmt.Sprintf(" %d rows", want)) {
-			t.Fatalf("%s: %s, want %d rows", step.sql, msg, want)
+		return out
+	}
+	for _, step := range []struct {
+		sql string
+		// apply updates the model and returns the statement's expected
+		// message; with err set instead, the statement must fail with it.
+		apply func() string
+		err   string
+		// fellBack lists the nodes whose fallback counters the statement
+		// moves, sorted and space-separated ("" = none).
+		fellBack string
+	}{
+		{sql: "DELETE FROM pts WHERE v < 5", apply: rowDML(func(_ int64, p pt) bool { return lt(p, 5) }, nil)},
+		{sql: "UPDATE pts SET v = v + 100 WHERE tag = 'a' AND id > 30", fellBack: "Binary",
+			apply: rowDML(func(id int64, p pt) bool { return p.tag == "a" && id > 30 }, func(_ int64, p pt) pt { p.v += 100; return p })},
+		{sql: "DELETE FROM pts WHERE id % 3 = 0 OR v > 130", fellBack: "Binary",
+			apply: rowDML(func(id int64, p pt) bool { return id%3 == 0 || (!p.vNull && p.v > 130) }, nil)},
+		{sql: "DELETE FROM pts WHERE tag LIKE 'a%' AND v < 20", fellBack: "Like",
+			apply: rowDML(func(_ int64, p pt) bool { return strings.HasPrefix(p.tag, "a") && lt(p, 20) }, nil)},
+		{sql: "UPDATE pts SET tag = 'mine' WHERE CURRENT_USER() = '" + admin + "' AND v >= 30",
+			apply: rowDML(func(_ int64, p pt) bool { return !p.vNull && p.v >= 30 }, func(_ int64, p pt) pt { p.tag = "mine"; return p })},
+		{sql: "DELETE FROM pts WHERE CURRENT_USER() <> '" + admin + "'", apply: rowDML(func(int64, pt) bool { return false }, nil)},
+		{sql: "UPDATE pts SET tag = CASE WHEN IS_ACCOUNT_GROUP_MEMBER('nobody') THEN 'grp' ELSE CURRENT_USER() END, v = id WHERE v IS NULL",
+			fellBack: "Case", apply: rowDML(func(_ int64, p pt) bool { return p.vNull }, func(id int64, p pt) pt { return pt{tag: admin, v: id} })},
+		{sql: "UPDATE pts SET v = tag WHERE tag = 'b'", err: `core: SET column 3: cannot cast STRING "b" to BIGINT`},
+		{sql: "UPDATE pts SET v = NULL, tag = tag || '!' WHERE id < 20 AND tag <> ''", fellBack: "Binary Literal",
+			apply: rowDML(func(id int64, p pt) bool { return id < 20 && p.tag != "" }, func(_ int64, p pt) pt { return pt{tag: p.tag + "!", vNull: true} })},
+		{sql: `MERGE INTO pts AS t USING src AS s ON t.id = s.id AND CURRENT_USER() = '` + admin + `'
+			WHEN MATCHED THEN UPDATE SET v = s.v, tag = CASE WHEN IS_ACCOUNT_GROUP_MEMBER('nobody') THEN 'grp' ELSE s.tag END
+			WHEN NOT MATCHED THEN INSERT VALUES (s.id, CASE WHEN s.v IS NULL THEN 'null' ELSE s.tag END, s.v)`,
+			apply: merge, fellBack: "Case"},
+	} {
+		before := fallbacks()
+		b, err := c.ExecSQL(step.sql)
+		switch {
+		case step.err != "":
+			if err == nil || !strings.Contains(err.Error(), step.err) {
+				t.Fatalf("%s: err = %v, want %q", step.sql, err, step.err)
+			}
+		case err != nil:
+			t.Fatalf("%s: %v", step.sql, err)
+		default:
+			if want := step.apply(); !strings.Contains(b.Cols[0].StringAt(0), want) {
+				t.Fatalf("%s: %s, want %q", step.sql, b.Cols[0].StringAt(0), want)
+			}
 		}
-		b, err := c.Sql("SELECT id, tag, v FROM pts ORDER BY id").Collect()
+		var moved []string
+		for name, n := range fallbacks() {
+			if n > before[name] {
+				moved = append(moved, name)
+			}
+		}
+		sort.Strings(moved)
+		if got := strings.Join(moved, " "); got != step.fellBack {
+			t.Errorf("%s: fallback counters moved for %q, want %q", step.sql, got, step.fellBack)
+		}
+		got, err := c.Sql("SELECT id, tag, v FROM pts ORDER BY id").Collect()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.NumRows() != len(model) {
-			t.Fatalf("after %s: %d rows, model has %d", step.sql, b.NumRows(), len(model))
+		if got.NumRows() != len(model) {
+			t.Fatalf("after %s: %d rows, model has %d", step.sql, got.NumRows(), len(model))
 		}
-		for i := 0; i < b.NumRows(); i++ {
-			id := b.Cols[0].Int64(i)
-			if p, ok := model[id]; !ok || p.tag != b.Cols[1].StringAt(i) || p.v != b.Cols[2].Int64(i) {
-				t.Fatalf("after %s: row %d = (%s, %d), model %+v (present %v)", step.sql, id, b.Cols[1].StringAt(i), b.Cols[2].Int64(i), p, ok)
+		for i := 0; i < got.NumRows(); i++ {
+			id := got.Cols[0].Int64(i)
+			p, ok := model[id]
+			if !ok || p.tag != got.Cols[1].StringAt(i) || p.vNull != got.Cols[2].IsNull(i) || !p.vNull && p.v != got.Cols[2].Int64(i) {
+				t.Fatalf("after %s: row %d = (%s, %v), model %+v (present %v)", step.sql, id, got.Cols[1].StringAt(i), got.Cols[2].Value(i), p, ok)
 			}
 		}
 	}

@@ -501,3 +501,24 @@ func IsConstant(e plan.Expr) bool {
 	})
 	return constant
 }
+
+// Fold replaces every constant subexpression of e with its value, so an
+// expression compares equal to its folded form (`amount > 1000*2` and
+// `amount > 2000` fold alike). A constant that fails to evaluate stays as
+// it is, leaving the error to execution.
+func Fold(e plan.Expr) plan.Expr {
+	return plan.TransformExpr(e, func(x plan.Expr) plan.Expr {
+		switch x.(type) {
+		case *plan.Literal, *plan.BoundRef, *plan.Alias:
+			return x
+		}
+		if !IsConstant(x) {
+			return x
+		}
+		v, err := Eval(x, nil, nil)
+		if err != nil {
+			return x
+		}
+		return plan.Lit(v)
+	})
+}

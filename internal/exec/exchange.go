@@ -60,8 +60,7 @@ type exJob[M, T any] struct {
 //   - source yields morsels in order; done=true ends the stream. It runs on
 //     the single producer goroutine, so pulling from a child operator is safe.
 //   - makeWorker builds one worker's morsel function; per-worker state (e.g.
-//     an exprRunner, whose lazy UDF plan is not concurrency-safe) lives in
-//     the closure.
+//     a worker's telemetry span) lives in the closure.
 func newExchange[M, T any](
 	parent context.Context,
 	workers int,

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"lakeguard/internal/delta"
-	"lakeguard/internal/eval"
 	"lakeguard/internal/faults"
 	"lakeguard/internal/plan"
 	"lakeguard/internal/telemetry"
@@ -58,9 +57,8 @@ type scanSource struct {
 	// in snapshot order. Morsel i reads snap.Files[files[i]].
 	files []int
 	read  func(path string) (*types.Batch, error)
-	// progs are per-conjunct vector programs for the pushed filters (nil
-	// entries use the row interpreter).
-	progs []*eval.VecProg
+	// filters are the pushed filters, compiled for the statement.
+	filters *ExprProgs
 	// stats is the owning scan operator's profile sink (nil = unprofiled).
 	stats *telemetry.OpStats
 	// metrics is the engine's registry (nil = unmetered).
@@ -161,7 +159,7 @@ func (s *scanSource) applyScanOps(b *types.Batch, sel []int) (*types.Batch, erro
 		b = types.MustBatch(s.scan.Schema(), cols)
 	}
 	n := b.NumRows()
-	sel, err := selectConjuncts(b.Cols, n, sel, s.scan.PushedFilters, s.progs, s.stats, s.qc.Eval)
+	sel, err := s.filters.Select(b.Cols, n, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -185,49 +183,6 @@ func (s *scanSource) applyScanOps(b *types.Batch, sel []int) (*types.Batch, erro
 		return b, nil // selections only ever shrink: n survivors are all rows
 	}
 	return b.Gather(sel), nil
-}
-
-// selectConjuncts narrows sel (nil = all n rows of cols) through conds in
-// their original order. Each conjunct runs only over the rows the earlier
-// ones kept, so a conjunct that can fail (a throwing cast) never sees a row
-// an earlier one rejected. progs[i] is conds[i]'s vector program; nil
-// entries use the row interpreter.
-func selectConjuncts(cols []*types.Column, n int, sel []int, conds []plan.Expr, progs []*eval.VecProg, stats *telemetry.OpStats, ctx *eval.Context) ([]int, error) {
-	for ci, cond := range conds {
-		if sel != nil && len(sel) == 0 {
-			break
-		}
-		next := make([]int, 0, rowsOf(n, sel))
-		if prog := progs[ci]; prog != nil {
-			stats.CountEval(true)
-			next = prog.Select(cols, n, sel, next)
-		} else {
-			stats.CountEval(false)
-			for j, m := 0, rowsOf(n, sel); j < m; j++ {
-				i := j
-				if sel != nil {
-					i = sel[j]
-				}
-				row := func(c int) types.Value { return cols[c].Value(i) }
-				pass, err := eval.EvalPredicate(cond, row, ctx)
-				if err != nil {
-					return nil, err
-				}
-				if pass {
-					next = append(next, i)
-				}
-			}
-		}
-		sel = next
-	}
-	return sel, nil
-}
-
-func rowsOf(n int, sel []int) int {
-	if sel != nil {
-		return len(sel)
-	}
-	return n
 }
 
 // scanOp is the serial file-by-file scan.
@@ -255,24 +210,11 @@ func (o *scanOp) Close() error { return nil }
 
 // filterBatch keeps the rows where the predicate is true (not NULL, not
 // false). It returns the input batch unchanged when every row passes.
-// A compiled predicate selects the rows directly, with no boolean column.
-func filterBatch(b *types.Batch, be *batchEval) (*types.Batch, error) {
+func filterBatch(b *types.Batch, cond *ExprProgs) (*types.Batch, error) {
 	n := b.NumRows()
-	keep := make([]int, 0, n)
-	if be.progs != nil {
-		be.stats.CountEval(true)
-		keep = be.progs[0].Select(b.Cols, n, nil, keep)
-	} else {
-		cols, err := be.run(b)
-		if err != nil {
-			return nil, err
-		}
-		nulls, vals := cols[0].NullMask(), cols[0].Int64s()
-		for i := 0; i < n; i++ {
-			if (nulls == nil || !nulls[i]) && vals[i] != 0 {
-				keep = append(keep, i)
-			}
-		}
+	keep, err := cond.Select(b.Cols, n, nil)
+	if err != nil {
+		return nil, err
 	}
 	if len(keep) == n {
 		return b, nil
@@ -281,8 +223,8 @@ func filterBatch(b *types.Batch, be *batchEval) (*types.Batch, error) {
 }
 
 // projectBatch computes the output expressions over one batch.
-func projectBatch(b *types.Batch, be *batchEval, schema *types.Schema) (*types.Batch, error) {
-	cols, err := be.run(b)
+func projectBatch(b *types.Batch, exprs *ExprProgs, schema *types.Schema) (*types.Batch, error) {
+	cols, err := exprs.Run(b.Cols, b.NumRows())
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +234,7 @@ func projectBatch(b *types.Batch, be *batchEval, schema *types.Schema) (*types.B
 // filterOp evaluates a predicate (possibly UDF-bearing) per batch.
 type filterOp struct {
 	child operator
-	eval  *batchEval
+	cond  *ExprProgs
 }
 
 func (o *filterOp) Next() (*types.Batch, error) {
@@ -301,7 +243,7 @@ func (o *filterOp) Next() (*types.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		out, err := filterBatch(b, o.eval)
+		out, err := filterBatch(b, o.cond)
 		if err != nil {
 			return nil, err
 		}
@@ -317,7 +259,7 @@ func (o *filterOp) Close() error { return o.child.Close() }
 // projectOp computes output expressions per batch.
 type projectOp struct {
 	child  operator
-	eval   *batchEval
+	exprs  *ExprProgs
 	schema *types.Schema
 }
 
@@ -326,7 +268,7 @@ func (o *projectOp) Next() (*types.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return projectBatch(b, o.eval, o.schema)
+	return projectBatch(b, o.exprs, o.schema)
 }
 
 func (o *projectOp) Close() error { return o.child.Close() }

@@ -16,8 +16,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"slices"
 
-	"lakeguard/internal/eval"
 	"lakeguard/internal/plan"
 	"lakeguard/internal/telemetry"
 	"lakeguard/internal/types"
@@ -94,18 +94,12 @@ func newParallelMap(ctx context.Context, child operator, workers int, makeWorker
 
 // exprsHaveUDF reports whether any expression contains a UDF call.
 func exprsHaveUDF(exprs []plan.Expr) bool {
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		if plan.ExprContains(e, func(x plan.Expr) bool {
+	return slices.ContainsFunc(exprs, func(e plan.Expr) bool {
+		return plan.ExprContains(e, func(x plan.Expr) bool {
 			_, ok := x.(*plan.UDFCall)
 			return ok
-		}) {
-			return true
-		}
-	}
-	return false
+		})
+	})
 }
 
 func schemaKinds(s *types.Schema) []types.Kind {
@@ -116,111 +110,38 @@ func schemaKinds(s *types.Schema) []types.Kind {
 	return ks
 }
 
-// compileVecExprs compiles each expression against the input schema,
-// independently, with the statement's identity bound (qc.Eval): programs are
-// per statement and never outlive it. Entries are nil for expressions
-// outside the vectorizable subset or (when want != nil) whose result kind
-// differs from want[i]; each such row-interpreter fallback counts on
-// exec.vec.fallback.<node>, named for the first node the compiler rejected.
-func (e *Engine) compileVecExprs(qc *QueryContext, exprs []plan.Expr, in *types.Schema, want []types.Kind) []*eval.VecProg {
-	return e.compileVecKinds(qc, exprs, schemaKinds(in), want)
-}
-
-// compileVecKinds is compileVecExprs against explicit input column kinds.
-func (e *Engine) compileVecKinds(qc *QueryContext, exprs []plan.Expr, kinds []types.Kind, want []types.Kind) []*eval.VecProg {
-	progs := make([]*eval.VecProg, len(exprs))
-	for i, x := range exprs {
-		p, rejected := eval.CompileVecBound(x, kinds, qc.Eval)
-		if p != nil && want != nil && p.Kind() != want[i] {
-			p, rejected = nil, "ResultKind"
-		}
-		if p == nil {
-			e.Metrics.Counter("exec.vec.fallback." + rejected).Inc()
-			continue
-		}
-		progs[i] = p
-	}
-	return progs
-}
-
-func allCompiled(progs []*eval.VecProg) bool {
-	for _, p := range progs {
-		if p == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// batchEval evaluates a fixed expression list over batches: through compiled
-// vector programs when every expression is in the vectorizable subset,
-// through the row-interpreting exprRunner otherwise. Programs are immutable
-// and shared across workers; runners are per-worker.
-type batchEval struct {
-	progs  []*eval.VecProg // non-nil => vectorized path
-	runner *exprRunner
-	stats  *telemetry.OpStats // vectorized-vs-fallback accounting (nil ok)
-}
-
-func (be *batchEval) run(b *types.Batch) ([]*types.Column, error) {
-	be.stats.CountEval(be.progs != nil)
-	if be.progs != nil {
-		n := b.NumRows()
-		out := make([]*types.Column, len(be.progs))
-		for i, p := range be.progs {
-			out[i] = p.Run(b.Cols, n, nil)
-		}
-		return out, nil
-	}
-	return be.runner.run(b)
-}
-
-// worker returns the batchEval one exchange worker uses: the shared
-// programs, or a runner of its own.
-func (be *batchEval) worker() *batchEval {
-	if be.progs != nil {
-		return be
-	}
-	r := be.runner
-	return &batchEval{runner: r.engine.newExprRunner(r.qc, r.exprs), stats: be.stats}
-}
-
-// newBatchEval builds a batchEval for exprs; vectorized when possible, with
-// an exprRunner fallback otherwise.
-func (e *Engine) newBatchEval(qc *QueryContext, exprs []plan.Expr, in *types.Schema, want []types.Kind) *batchEval {
-	if progs := e.compileVecExprs(qc, exprs, in, want); allCompiled(progs) {
-		return &batchEval{progs: progs, stats: qc.opParent}
-	}
-	return &batchEval{runner: e.newExprRunner(qc, exprs), stats: qc.opParent}
-}
-
 // buildFilter compiles a Filter node, parallelizing UDF-free predicates.
 func (e *Engine) buildFilter(qc *QueryContext, t *plan.Filter, child operator) (operator, error) {
-	exprs := []plan.Expr{t.Cond}
-	be := e.newBatchEval(qc, exprs, t.Child.Schema(), []types.Kind{types.KindBool})
-	if w := e.workers(); w > 1 && !exprsHaveUDF(exprs) {
+	cond, err := e.compileExprs(qc, []plan.Expr{t.Cond}, schemaKinds(t.Child.Schema()), []types.Kind{types.KindBool})
+	if err != nil {
+		child.Close()
+		return nil, err
+	}
+	if w := e.workers(); w > 1 && cond.udf == nil {
 		return newParallelMap(qc.GoContext(), child, w, func() (batchMapFn, error) {
-			wbe := be.worker()
 			return func(_ context.Context, b *types.Batch) (*types.Batch, error) {
-				return filterBatch(b, wbe)
+				return filterBatch(b, cond)
 			}, nil
 		}, skipEmptyBatch)
 	}
-	return &filterOp{child: child, eval: be}, nil
+	return &filterOp{child: child, cond: cond}, nil
 }
 
 // buildProject compiles a Project node, parallelizing UDF-free expressions.
 func (e *Engine) buildProject(qc *QueryContext, t *plan.Project, child operator) (operator, error) {
-	be := e.newBatchEval(qc, t.Exprs, t.Child.Schema(), schemaKinds(t.OutSchema))
-	if w := e.workers(); w > 1 && !exprsHaveUDF(t.Exprs) {
+	exprs, err := e.compileExprs(qc, t.Exprs, schemaKinds(t.Child.Schema()), schemaKinds(t.OutSchema))
+	if err != nil {
+		child.Close()
+		return nil, err
+	}
+	if w := e.workers(); w > 1 && exprs.udf == nil {
 		return newParallelMap(qc.GoContext(), child, w, func() (batchMapFn, error) {
-			wbe := be.worker()
 			return func(_ context.Context, b *types.Batch) (*types.Batch, error) {
-				return projectBatch(b, wbe, t.OutSchema)
+				return projectBatch(b, exprs, t.OutSchema)
 			}, nil
 		}, nil) // empty batches pass through, exactly like the serial path
 	}
-	return &projectOp{child: child, eval: be, schema: t.OutSchema}, nil
+	return &projectOp{child: child, exprs: exprs, schema: t.OutSchema}, nil
 }
 
 // parallelScanOp pulls decoded-and-filtered file batches from a file-granular

@@ -21,7 +21,7 @@ import (
 type sortOp struct {
 	child  operator
 	orders []plan.SortOrder
-	keys   *batchEval
+	keys   *ExprProgs
 	schema *types.Schema
 	k      int // rows to keep; < 0 keeps them all
 	done   bool
@@ -47,7 +47,11 @@ func (e *Engine) buildSort(qc *QueryContext, t *plan.Sort, k int) (operator, err
 	for i, ord := range t.Orders {
 		exprs[i], kinds[i] = ord.Expr, ord.Expr.Type()
 	}
-	keys := e.newBatchEval(qc, exprs, t.Child.Schema(), kinds)
+	keys, err := e.compileExprs(qc, exprs, schemaKinds(t.Child.Schema()), kinds)
+	if err != nil {
+		child.Close()
+		return nil, err
+	}
 	return &sortOp{child: child, orders: t.Orders, keys: keys, schema: t.Schema(), k: k}, nil
 }
 
@@ -76,7 +80,7 @@ func (o *sortOp) Next() (*types.Batch, error) {
 		if b.NumRows() == 0 {
 			continue
 		}
-		cols, err := o.keys.run(b)
+		cols, err := o.keys.Run(b.Cols, b.NumRows())
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"lakeguard/internal/eval"
 	"lakeguard/internal/optimizer"
 	"lakeguard/internal/plan"
 	"lakeguard/internal/sandbox"
@@ -12,125 +11,86 @@ import (
 	"lakeguard/internal/udf"
 )
 
-// exprRunner evaluates a fixed list of expressions over batches. UDF calls
-// are lifted out by the fusion planner and executed through the sandbox
-// dispatcher (one crossing per trust-domain group per wave); the residual
-// expression tree is evaluated in-process.
+// exprRunner runs the sandbox waves of one expression list. UDF calls are
+// lifted out by the fusion planner and executed through the sandbox
+// dispatcher (one crossing per trust-domain group per wave); each result
+// lands in the column its call was lifted to, where the residual
+// expressions (an ExprProgs) read it. Arguments evaluate through ExprProgs
+// too, compiled once per statement like every other expression.
 type exprRunner struct {
 	engine *Engine
 	qc     *QueryContext
-	// exprs are the original expressions; the UDF plan is built lazily on
-	// the first batch, which fixes the input width.
-	exprs []plan.Expr
-	plan  *optimizer.UDFPlan
-	// vecProgs are per-residual-expression vector kernels, compiled lazily
-	// against the first batch's post-wave column kinds (nil entries use the
-	// row interpreter).
-	vecProgs []*eval.VecProg
-	vecTried bool
-	// argProgs holds, per UDF group in plan order, one vector kernel per
-	// argument expression (nil entries use the row interpreter); compiled
-	// on the group's first batch, a nil group is not compiled yet.
-	argProgs [][]*eval.VecProg
+	plan   *optimizer.UDFPlan
+	width  int          // input columns the plan was lifted over
+	args   []*ExprProgs // per group in plan order, one expression per argument
+	// vectorized is set when every argument compiled to a vector program.
+	vectorized bool
 	// inProcessFuncs caches bound UDFs for the unsafe baseline.
 	inProcessFuncs udf.Cache
 }
 
-func (e *Engine) newExprRunner(qc *QueryContext, exprs []plan.Expr) *exprRunner {
-	return &exprRunner{engine: e, qc: qc, exprs: exprs}
-}
-
-// ensurePlan builds the UDF extraction plan against the real batch width.
-func (r *exprRunner) ensurePlan(inputWidth int) error {
-	if r.plan != nil {
-		return nil
-	}
-	p, err := optimizer.PlanUDFs(r.exprs, inputWidth, r.engine.FuseUDFs)
+// newExprRunner lifts the UDF calls out of exprs over input kinds in and
+// compiles each group's arguments. It returns the kinds of the columns the
+// lifted expressions read: the input followed by every call's result.
+func (e *Engine) newExprRunner(qc *QueryContext, exprs []plan.Expr, in []types.Kind) (*exprRunner, []types.Kind, error) {
+	p, err := optimizer.PlanUDFs(exprs, len(in), e.FuseUDFs)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	if p.HasUDFs() && r.engine.Dispatcher == nil && !r.engine.UnsafeInProcessUDFs {
-		return fmt.Errorf("exec: plan contains user code but the engine has no sandbox dispatcher")
+	if e.Dispatcher == nil && !e.UnsafeInProcessUDFs {
+		return nil, nil, fmt.Errorf("exec: plan contains user code but the engine has no sandbox dispatcher")
 	}
-	r.plan = p
-	return nil
+	r := &exprRunner{engine: e, qc: qc, plan: p, width: len(in), vectorized: true}
+	kinds := make([]types.Kind, p.Width)
+	copy(kinds, in)
+	for _, wave := range p.Waves {
+		for _, group := range wave {
+			var args []plan.Expr
+			var want []types.Kind
+			for _, call := range group.Calls {
+				for _, a := range call.Call.Args {
+					args = append(args, a)
+					want = append(want, argKind(a))
+				}
+			}
+			a := e.compileProgs(qc.Eval, nil, args, kinds, want)
+			r.args = append(r.args, a)
+			r.vectorized = r.vectorized && a.vectorized
+		}
+		for _, group := range wave {
+			for _, call := range group.Calls {
+				kinds[call.OutIndex] = call.Call.ResultKind
+			}
+		}
+	}
+	return r, kinds, nil
 }
 
-// run evaluates the expressions over one batch, returning one column per
-// expression.
-func (r *exprRunner) run(batch *types.Batch) ([]*types.Column, error) {
-	if err := r.ensurePlan(batch.NumCols()); err != nil {
-		return nil, err
-	}
-	cols := append([]*types.Column{}, batch.Cols...)
-	n := batch.NumRows()
-
+// run executes the waves over n rows of the input columns and returns the
+// input columns followed by every UDF result column.
+func (r *exprRunner) run(in []*types.Column, n int) ([]*types.Column, error) {
+	cols := make([]*types.Column, r.plan.Width)
+	copy(cols, in[:r.width])
 	gi := 0
 	for _, wave := range r.plan.Waves {
 		for _, group := range wave {
-			var err error
-			cols, err = r.runGroup(gi, group, cols, n)
-			if err != nil {
+			if err := r.runGroup(r.args[gi], group, cols, n); err != nil {
 				return nil, err
 			}
 			gi++
 		}
 	}
-
-	if !r.vecTried {
-		r.vecTried = true
-		kinds := make([]types.Kind, len(cols))
-		for i, c := range cols {
-			kinds[i] = c.Kind()
-		}
-		r.vecProgs = make([]*eval.VecProg, len(r.plan.Exprs))
-		for ei, ex := range r.plan.Exprs {
-			if p, ok := eval.CompileVec(ex, kinds); ok && p.Kind() == ex.Type() {
-				r.vecProgs[ei] = p
-			}
-		}
-	}
-
-	rowFn := func(i int) eval.RowFn {
-		return func(c int) types.Value { return cols[c].Value(i) }
-	}
-	out := make([]*types.Column, len(r.plan.Exprs))
-	for ei, ex := range r.plan.Exprs {
-		if p := r.vecProgs[ei]; p != nil {
-			out[ei] = p.Run(cols, n, nil)
-			continue
-		}
-		b := types.NewBuilder(ex.Type(), n)
-		for i := 0; i < n; i++ {
-			v, err := eval.Eval(ex, rowFn(i), r.qc.Eval)
-			if err != nil {
-				return nil, err
-			}
-			if v.Null {
-				b.AppendNull()
-				continue
-			}
-			if v.Kind != ex.Type() && ex.Type() != types.KindNull {
-				cast, cerr := v.Cast(ex.Type())
-				if cerr != nil {
-					return nil, cerr
-				}
-				v = cast
-			}
-			b.Append(v)
-		}
-		out[ei] = b.Build()
-	}
-	return out, nil
+	return cols, nil
 }
 
 // runGroup executes one fused sandbox crossing (or the unsafe in-process
-// baseline) and appends the result columns. gi numbers the group in plan
-// order.
-func (r *exprRunner) runGroup(gi int, group optimizer.UDFGroup, cols []*types.Column, n int) ([]*types.Column, error) {
-	progs := r.groupArgProgs(gi, group, cols)
+// baseline) and stores each call's result column at its lifted index.
+func (r *exprRunner) runGroup(args *ExprProgs, group optimizer.UDFGroup, cols []*types.Column, n int) error {
+	argCols, err := args.Run(cols, n)
+	if err != nil {
+		return err
+	}
 	argSchema := &types.Schema{}
-	var argCols []*types.Column
 	specs := make([]sandbox.UDFSpec, len(group.Calls))
 	for ci, call := range group.Calls {
 		spec := sandbox.UDFSpec{
@@ -139,23 +99,11 @@ func (r *exprRunner) runGroup(gi int, group optimizer.UDFGroup, cols []*types.Co
 			ArgNames:   call.Call.ArgNames,
 			ResultKind: call.Call.ResultKind,
 		}
-		for ai, argExpr := range call.Call.Args {
-			kind := argKind(argExpr)
-			var col *types.Column
-			if p := progs[len(argCols)]; p != nil {
-				// A bare column reference comes back as that column, uncopied.
-				col = p.Run(cols, n, nil)
-			} else {
-				var err error
-				if col, err = r.evalRows(argExpr, kind, cols, n); err != nil {
-					return nil, err
-				}
-			}
-			spec.ArgCols = append(spec.ArgCols, len(argCols))
-			argCols = append(argCols, col)
+		for ai := range call.Call.Args {
+			spec.ArgCols = append(spec.ArgCols, len(argSchema.Fields))
 			argSchema.Fields = append(argSchema.Fields, types.Field{
 				Name:     fmt.Sprintf("a%d_%d", ci, ai),
-				Kind:     kind,
+				Kind:     args.kinds[len(argSchema.Fields)],
 				Nullable: true,
 			})
 		}
@@ -169,19 +117,19 @@ func (r *exprRunner) runGroup(gi int, group optimizer.UDFGroup, cols []*types.Co
 	}
 	argBatch := types.MustBatch(argSchema, argCols)
 
+	var results []*types.Column
 	if r.engine.UnsafeInProcessUDFs {
-		results, err := r.runInProcess(specs, argBatch)
-		if err != nil {
-			return nil, err
-		}
-		return append(cols, results...), nil
+		results, err = r.runInProcess(specs, argBatch)
+	} else {
+		results, err = r.executeSandboxed(specs, argBatch, group.TrustDomain, group.Resources)
 	}
-
-	result, err := r.executeSandboxed(specs, argBatch, group.TrustDomain, group.Resources)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return append(cols, result...), nil
+	for ci, call := range group.Calls {
+		cols[call.OutIndex] = results[ci]
+	}
+	return nil
 }
 
 // argKind is the column kind an argument crosses the boundary as: its
@@ -191,47 +139,6 @@ func argKind(arg plan.Expr) types.Kind {
 		return k
 	}
 	return types.KindString
-}
-
-// groupArgProgs returns group gi's argument kernels, compiling them against
-// the current column kinds on first use.
-func (r *exprRunner) groupArgProgs(gi int, group optimizer.UDFGroup, cols []*types.Column) []*eval.VecProg {
-	if r.argProgs == nil {
-		groups := 0
-		for _, wave := range r.plan.Waves {
-			groups += len(wave)
-		}
-		r.argProgs = make([][]*eval.VecProg, groups)
-	}
-	if r.argProgs[gi] == nil {
-		var exprs []plan.Expr
-		var want []types.Kind
-		for _, call := range group.Calls {
-			for _, a := range call.Call.Args {
-				exprs = append(exprs, a)
-				want = append(want, argKind(a))
-			}
-		}
-		kinds := make([]types.Kind, len(cols))
-		for i, c := range cols {
-			kinds[i] = c.Kind()
-		}
-		r.argProgs[gi] = r.engine.compileVecKinds(r.qc, exprs, kinds, want)
-	}
-	return r.argProgs[gi]
-}
-
-// evalRows evaluates e row by row into a column of kind.
-func (r *exprRunner) evalRows(e plan.Expr, kind types.Kind, cols []*types.Column, n int) (*types.Column, error) {
-	b := types.NewBuilder(kind, n)
-	for i := 0; i < n; i++ {
-		v, err := eval.Eval(e, func(c int) types.Value { return cols[c].Value(i) }, r.qc.Eval)
-		if err != nil {
-			return nil, err
-		}
-		b.Append(v)
-	}
-	return b.Build(), nil
 }
 
 // executeSandboxed runs one fused request through the dispatcher. With
@@ -306,6 +213,17 @@ func (r *exprRunner) executeOnePartition(specs []sandbox.UDFSpec, args *types.Ba
 	result, err := sb.Execute(ctx, &sandbox.Request{Specs: specs, Args: args, PlanFingerprint: r.qc.VerifiedPlan})
 	if err != nil {
 		return nil, err
+	}
+	// The result crossed the boundary from user code's side: kernels compiled
+	// for each call's declared kind read it, so its shape is checked first.
+	if len(result.Cols) != len(specs) {
+		return nil, fmt.Errorf("exec: sandbox returned %d columns for %d UDFs", len(result.Cols), len(specs))
+	}
+	for i, c := range result.Cols {
+		if c.Kind() != specs[i].ResultKind || c.Len() != args.NumRows() {
+			return nil, fmt.Errorf("exec: sandbox returned %d %s rows for UDF %s, want %d %s rows",
+				c.Len(), c.Kind(), specs[i].Name, args.NumRows(), specs[i].ResultKind)
+		}
 	}
 	return result.Cols, nil
 }

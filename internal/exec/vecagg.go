@@ -40,12 +40,13 @@ type aggInput struct {
 // emitting memory groups first and rid-merging partition outputs reproduces
 // the in-memory emission order exactly.
 type vecAggOp struct {
-	child      operator
-	qc         *QueryContext
-	engine     *Engine
-	node       *plan.Aggregate
-	groupBE    *batchEval // evaluates GROUP BY expressions (may contain UDFs)
-	argBE      *batchEval // evaluates aggregate argument expressions
+	child  operator
+	qc     *QueryContext
+	engine *Engine
+	node   *plan.Aggregate
+	// inputs evaluates the GROUP BY expressions, then one argument per
+	// aggregate (may contain UDFs).
+	inputs     *ExprProgs
 	aggs       []*plan.AggFunc
 	parallel   int // exchange workers for input evaluation (<=1 = serial)
 	spillLimit int64
@@ -70,29 +71,28 @@ func (e *Engine) newVecAggOp(qc *QueryContext, node *plan.Aggregate, child opera
 			argExprs = append(argExprs, plan.Lit(types.Int64(1))) // COUNT(*)
 		}
 	}
-	in := node.Child.Schema()
+	inputs, err := e.compileExprs(qc, append(append([]plan.Expr{}, node.GroupBy...), argExprs...), schemaKinds(node.Child.Schema()), nil)
+	if err != nil {
+		return nil, err
+	}
 	op := &vecAggOp{
-		child: child, qc: qc, engine: e, node: node,
-		groupBE: e.newBatchEval(qc, node.GroupBy, in, nil), argBE: e.newBatchEval(qc, argExprs, in, nil),
+		child: child, qc: qc, engine: e, node: node, inputs: inputs,
 		aggs: aggs, spillLimit: e.spillLimit(),
 	}
-	if w := e.workers(); w > 1 && !exprsHaveUDF(node.GroupBy) && !exprsHaveUDF(argExprs) {
+	if w := e.workers(); w > 1 && inputs.udf == nil {
 		op.parallel = w
 	}
 	return op, nil
 }
 
 // evalAggInput turns one child batch into evaluated key/argument columns.
-func evalAggInput(b *types.Batch, groupBE, argBE *batchEval) (*aggInput, error) {
-	keyCols, err := groupBE.run(b)
+func (o *vecAggOp) evalAggInput(b *types.Batch) (*aggInput, error) {
+	cols, err := o.inputs.Run(b.Cols, b.NumRows())
 	if err != nil {
 		return nil, err
 	}
-	argCols, err := argBE.run(b)
-	if err != nil {
-		return nil, err
-	}
-	return &aggInput{n: b.NumRows(), keyCols: keyCols, argCols: argCols}, nil
+	k := len(o.node.GroupBy)
+	return &aggInput{n: b.NumRows(), keyCols: cols[:k:k], argCols: cols[k:]}, nil
 }
 
 // inputStream returns an ordered stream of evaluated inputs: an exchange
@@ -104,14 +104,13 @@ func (o *vecAggOp) inputStream() (pull func() (*aggInput, error), cleanup func()
 			if err != nil {
 				return nil, err
 			}
-			return evalAggInput(b, o.groupBE, o.argBE)
+			return o.evalAggInput(b)
 		}, func() {}, nil
 	}
 	ex, err := newExchange(o.qc.GoContext(), o.parallel, batchSource(o.child),
 		func() (func(context.Context, *types.Batch) (*aggInput, error), error) {
-			groupBE, argBE := o.groupBE.worker(), o.argBE.worker()
 			return func(_ context.Context, b *types.Batch) (*aggInput, error) {
-				return evalAggInput(b, groupBE, argBE)
+				return o.evalAggInput(b)
 			}, nil
 		}, nil)
 	if err != nil {

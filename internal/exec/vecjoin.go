@@ -25,10 +25,7 @@ func (e *Engine) buildJoin(qc *QueryContext, t *plan.Join) (operator, error) {
 		l.Close()
 		return nil, err
 	}
-	if t.Cond != nil && plan.ExprContains(t.Cond, func(x plan.Expr) bool {
-		_, ok := x.(*plan.UDFCall)
-		return ok
-	}) {
+	if exprsHaveUDF([]plan.Expr{t.Cond}) {
 		l.Close()
 		r.Close()
 		return nil, fmt.Errorf("exec: UDF calls are not supported in join conditions")
@@ -44,7 +41,7 @@ func extractEquiKeys(cond plan.Expr, leftLen int) (leftKeys, rightKeys []plan.Ex
 	if cond == nil {
 		return nil, nil, nil
 	}
-	for _, c := range splitAnd(cond) {
+	for _, c := range plan.SplitConjuncts(cond) {
 		b, ok := c.(*plan.Binary)
 		if ok && b.Op == plan.OpEq {
 			lLo, lHi := refRange(b.L)
@@ -63,13 +60,6 @@ func extractEquiKeys(cond plan.Expr, leftLen int) (leftKeys, rightKeys []plan.Ex
 		residual = append(residual, c)
 	}
 	return leftKeys, rightKeys, residual
-}
-
-func splitAnd(e plan.Expr) []plan.Expr {
-	if b, ok := e.(*plan.Binary); ok && b.Op == plan.OpAnd {
-		return append(splitAnd(b.L), splitAnd(b.R)...)
-	}
-	return []plan.Expr{e}
 }
 
 // refRange returns (min, max) BoundRef ordinals in e; (-1, -1) when none.
@@ -131,23 +121,22 @@ const joinBlockPairs = 2048
 //     so the emitted row sequence is byte-identical to the in-memory run. A
 //     keyless build stays in memory: one hash value cannot be partitioned.
 type vecJoinOp struct {
-	qc           *QueryContext
-	e            *Engine
-	node         *plan.Join
-	left, right  operator
-	leftKeys     []plan.Expr
-	rightKeys    []plan.Expr
-	leftSchema   *types.Schema
-	rightSchema  *types.Schema
-	combined     *types.Schema
-	leftBE       *batchEval
-	rightBE      *batchEval
-	residual     []plan.Expr     // conjuncts over the combined row, in order
-	residProgs   []*eval.VecProg // per conjunct; nil entries use the row interpreter
-	stats        *telemetry.OpStats
-	spillLimit   int64
-	buildWorkers int
-	rfBuilders   []*rfBuilder
+	qc            *QueryContext
+	e             *Engine
+	node          *plan.Join
+	left, right   operator
+	leftKeys      []plan.Expr
+	rightKeys     []plan.Expr
+	leftSchema    *types.Schema
+	rightSchema   *types.Schema
+	combined      *types.Schema
+	leftKeyProgs  *ExprProgs
+	rightKeyProgs *ExprProgs
+	residual      *ExprProgs // conjuncts over the combined row, in order
+	stats         *telemetry.OpStats
+	spillLimit    int64
+	buildWorkers  int
+	rfBuilders    []*rfBuilder
 
 	built       bool
 	table       *joinTable // in-memory build; nil once spilled
@@ -169,16 +158,16 @@ type vecJoinOp struct {
 func (e *Engine) newVecJoinOp(qc *QueryContext, t *plan.Join, l, r operator, leftKeys, rightKeys, residual []plan.Expr) *vecJoinOp {
 	o := &vecJoinOp{
 		qc: qc, e: e, node: t, left: l, right: r,
-		leftKeys: leftKeys, rightKeys: rightKeys, residual: residual,
+		leftKeys: leftKeys, rightKeys: rightKeys,
 		leftSchema: t.L.Schema(), rightSchema: t.R.Schema(),
 		stats:        qc.opParent,
 		spillLimit:   e.spillLimit(),
 		buildWorkers: e.workers(),
 	}
 	o.combined = o.leftSchema.Concat(o.rightSchema)
-	o.leftBE = e.newBatchEval(qc, leftKeys, o.leftSchema, nil)
-	o.rightBE = e.newBatchEval(qc, rightKeys, o.rightSchema, nil)
-	o.residProgs = e.compileVecExprs(qc, residual, o.combined, boolKinds(len(residual)))
+	o.leftKeyProgs = e.compileProgs(qc.Eval, qc.opParent, leftKeys, schemaKinds(o.leftSchema), nil)
+	o.rightKeyProgs = e.compileProgs(qc.Eval, qc.opParent, rightKeys, schemaKinds(o.rightSchema), nil)
+	o.residual = e.compileProgs(qc.Eval, qc.opParent, residual, schemaKinds(o.combined), boolKinds(len(residual)))
 	// Resolve runtime-filter targets: each equi-key that is a bare column
 	// reference traceable to a registered probe-side scan gets a filter
 	// builder. Only join types where a probe miss produces no output qualify.
@@ -275,8 +264,8 @@ type vecRightPart struct {
 	rfHash [][]uint64 // per rfBuilder: single-column hashes for bloom inserts
 }
 
-func (o *vecJoinOp) makeRightPart(be *batchEval, b *types.Batch) (*vecRightPart, error) {
-	keys, err := be.run(b)
+func (o *vecJoinOp) makeRightPart(b *types.Batch) (*vecRightPart, error) {
+	keys, err := o.rightKeyProgs.Run(b.Cols, b.NumRows())
 	if err != nil {
 		return nil, err
 	}
@@ -301,16 +290,13 @@ func (o *vecJoinOp) rightStream() (pull func() (*vecRightPart, error), cleanup f
 			if err != nil {
 				return nil, err
 			}
-			return o.makeRightPart(o.rightBE, b)
+			return o.makeRightPart(b)
 		}, func() {}, nil
 	}
 	ex, err := newExchange(o.qc.GoContext(), o.buildWorkers, batchSource(o.right),
 		func() (func(context.Context, *types.Batch) (*vecRightPart, error), error) {
-			// The row-interpreting fallback is not concurrency-safe;
-			// vectorized programs are immutable and shared.
-			be := o.rightBE.worker()
 			return func(_ context.Context, b *types.Batch) (*vecRightPart, error) {
-				return o.makeRightPart(be, b)
+				return o.makeRightPart(b)
 			}, nil
 		}, nil)
 	if err != nil {
@@ -514,7 +500,7 @@ func (p *joinProbe) done() bool { return p.next >= p.lb.NumRows() }
 // newProbe evaluates and hashes lb's keys for probing t.
 func (o *vecJoinOp) newProbe(t *joinTable, lb *types.Batch, lrids []int64) (*joinProbe, error) {
 	n := lb.NumRows()
-	keys, err := o.leftBE.run(lb)
+	keys, err := o.leftKeyProgs.Run(lb.Cols, lb.NumRows())
 	if err != nil {
 		return nil, err
 	}
@@ -579,9 +565,9 @@ func (o *vecJoinOp) probeBlock(p *joinProbe) (*types.Batch, error) {
 	}
 
 	// Residual conjuncts, in order, over the combined candidate rows.
-	if len(o.residual) > 0 && len(pairL) > 0 {
+	if len(o.residual.exprs) > 0 && len(pairL) > 0 {
 		comb := o.combineCols(lb, t.rows, pairL, pairR)
-		sel, err := selectConjuncts(comb, len(pairL), nil, o.residual, o.residProgs, o.stats, o.qc.Eval)
+		sel, err := o.residual.Select(comb, len(pairL), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -857,7 +843,7 @@ func (o *vecJoinOp) runSpilled() error {
 		if err != nil {
 			return err
 		}
-		keys, err := o.leftBE.run(lb)
+		keys, err := o.leftKeyProgs.Run(lb.Cols, lb.NumRows())
 		if err != nil {
 			return err
 		}
@@ -938,7 +924,7 @@ func (o *vecJoinOp) processPartition(rp, lp *spillFile, level int, outs, tails *
 		subR := newSpillPartitions(schemaWithRID(o.rightSchema), level, o.trackSpill)
 		for _, b := range rbatches {
 			rows, _ := splitRID(o.rightSchema, b)
-			keys, err := o.rightBE.run(rows)
+			keys, err := o.rightKeyProgs.Run(rows.Cols, rows.NumRows())
 			if err != nil {
 				return err
 			}
@@ -962,7 +948,7 @@ func (o *vecJoinOp) processPartition(rp, lp *spillFile, level int, outs, tails *
 					return err
 				}
 				rows, _ := splitRID(o.leftSchema, b)
-				keys, err := o.leftBE.run(rows)
+				keys, err := o.leftKeyProgs.Run(rows.Cols, rows.NumRows())
 				if err != nil {
 					return err
 				}
@@ -994,7 +980,7 @@ func (o *vecJoinOp) processPartition(rp, lp *spillFile, level int, outs, tails *
 	var hashes []uint64
 	if rows.NumRows() > 0 {
 		var err error
-		if keys, err = o.rightBE.run(rows); err != nil {
+		if keys, err = o.rightKeyProgs.Run(rows.Cols, rows.NumRows()); err != nil {
 			return err
 		}
 		hashes = eval.HashColumns(keys, rows.NumRows(), nil)

@@ -100,46 +100,21 @@ func foldConstants(n plan.Node) plan.Node {
 	return plan.Transform(n, func(x plan.Node) plan.Node {
 		switch t := x.(type) {
 		case *plan.Filter:
-			return &plan.Filter{Cond: foldExpr(t.Cond), Child: t.Child}
+			return &plan.Filter{Cond: eval.Fold(t.Cond), Child: t.Child}
 		case *plan.Project:
 			exprs := make([]plan.Expr, len(t.Exprs))
 			for i, e := range t.Exprs {
-				exprs[i] = foldExpr(e)
+				exprs[i] = eval.Fold(e)
 			}
 			return &plan.Project{Exprs: exprs, Child: t.Child, OutSchema: t.OutSchema}
 		case *plan.Join:
 			if t.Cond == nil {
 				return t
 			}
-			return &plan.Join{Type: t.Type, Cond: foldExpr(t.Cond), L: t.L, R: t.R}
+			return &plan.Join{Type: t.Type, Cond: eval.Fold(t.Cond), L: t.L, R: t.R}
 		}
 		return x
 	})
-}
-
-func foldExpr(e plan.Expr) plan.Expr {
-	return plan.TransformExpr(e, func(x plan.Expr) plan.Expr {
-		switch x.(type) {
-		case *plan.Literal, *plan.BoundRef, *plan.Alias:
-			return x
-		}
-		if !eval.IsConstant(x) {
-			return x
-		}
-		v, err := eval.Eval(x, nil, nil)
-		if err != nil {
-			return x // leave runtime errors to execution
-		}
-		return plan.Lit(v)
-	})
-}
-
-// splitConjuncts flattens an AND tree.
-func splitConjuncts(e plan.Expr) []plan.Expr {
-	if b, ok := e.(*plan.Binary); ok && b.Op == plan.OpAnd {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
-	}
-	return []plan.Expr{e}
 }
 
 // joinConjuncts rebuilds an AND tree (nil for empty input).
@@ -211,10 +186,10 @@ func pushFilters(n plan.Node) plan.Node {
 }
 
 func pushFilterOnce(f *plan.Filter) plan.Node {
-	conjuncts := splitConjuncts(f.Cond)
+	conjuncts := plan.SplitConjuncts(f.Cond)
 	switch child := f.Child.(type) {
 	case *plan.Filter:
-		merged := joinConjuncts(append(conjuncts, splitConjuncts(child.Cond)...))
+		merged := joinConjuncts(append(conjuncts, plan.SplitConjuncts(child.Cond)...))
 		return pushFilterOnce(&plan.Filter{Cond: merged, Child: child.Child})
 
 	case *plan.Project:
@@ -438,7 +413,7 @@ func pushIntoRemote(n plan.Node) plan.Node {
 			}
 			var pushed []plan.Expr
 			var kept []plan.Expr
-			for _, c := range splitConjuncts(t.Cond) {
+			for _, c := range plan.SplitConjuncts(t.Cond) {
 				if containsUDF(c) {
 					kept = append(kept, c)
 					continue

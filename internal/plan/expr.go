@@ -645,6 +645,14 @@ func ExprContains(e Expr, pred func(Expr) bool) bool {
 	return found
 }
 
+// SplitConjuncts flattens an AND tree into its conjuncts, in order.
+func SplitConjuncts(e Expr) []Expr {
+	if b, ok := e.(*Binary); ok && b.Op == OpAnd {
+		return append(SplitConjuncts(b.L), SplitConjuncts(b.R)...)
+	}
+	return []Expr{e}
+}
+
 // OutputName derives the display name for a projection item.
 func OutputName(e Expr) string {
 	switch t := e.(type) {

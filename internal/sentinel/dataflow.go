@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"lakeguard/internal/eval"
 	"lakeguard/internal/plan"
 )
 
@@ -121,7 +122,7 @@ func (d *dataflow) visit(n plan.Node, enclosing *obligation) flow {
 
 	case *plan.Filter:
 		f := d.visit(t.Child, enclosing)
-		d.applyFilter(t, splitConjuncts(t.Cond), &f, enclosing)
+		d.applyFilter(t, plan.SplitConjuncts(t.Cond), &f, enclosing)
 		return f
 
 	case *plan.Project:
@@ -269,7 +270,7 @@ func (d *dataflow) scanFlow(sc *plan.Scan, enclosing *obligation) flow {
 			}
 		}
 		for _, pf := range sc.PushedFilters {
-			delete(remaining, canonical(normalize(pf)))
+			delete(remaining, canonical(eval.Fold(pf)))
 		}
 		if len(remaining) == 0 {
 			for _, l := range ob.rowLabels() {
@@ -297,7 +298,7 @@ func (d *dataflow) scanFlow(sc *plan.Scan, enclosing *obligation) flow {
 // columns and may not feed UDFs labeled data.
 func (d *dataflow) applyFilter(n plan.Node, conjuncts []plan.Expr, f *flow, enclosing *obligation) {
 	for _, c := range conjuncts {
-		cc := canonical(normalize(c))
+		cc := canonical(eval.Fold(c))
 		matched := false
 		for _, l := range f.rows.Labels() {
 			ob := d.owner[l]
@@ -381,7 +382,7 @@ func (d *dataflow) maskDischarge(e plan.Expr, ob *obligation, ls plan.LabelSet) 
 	if !masked {
 		return ls, false
 	}
-	if canonical(normalize(e)) != canonical(want) {
+	if canonical(eval.Fold(e)) != canonical(want) {
 		return ls, false
 	}
 	l := plan.Label{Kind: plan.LabelColumnMask, Securable: ob.name, Column: col, Instance: ob.instance}
@@ -485,7 +486,7 @@ func (o *obligation) isPolicyConjunct(e plan.Expr) bool {
 	if o == nil {
 		return false
 	}
-	cc := canonical(normalize(e))
+	cc := canonical(eval.Fold(e))
 	for _, pc := range o.policyConjuncts {
 		if canonical(pc) == cc {
 			return true

@@ -35,10 +35,10 @@
 //	                           own row-filter conjunct or mask, so no error
 //	                           raised on a hidden row or raw value can reveal it
 //
-// The sentinel deliberately re-implements its small amount of expression
-// plumbing (conjunct splitting, constant normalization) instead of reusing
-// the optimizer's helpers: a verifier that shares the rewriter's code also
-// shares its bugs.
+// The sentinel imports none of the optimizer's code: a verifier that shares
+// the rewriter's code also shares its bugs. Its expression plumbing comes
+// from below both of them — constant folding from eval.Fold (evaluation
+// truth is the evaluator's) and conjunct splitting from plan.SplitConjuncts.
 package sentinel
 
 import (
@@ -211,7 +211,7 @@ type obligation struct {
 	// table is the governed table scanned inside the barrier ("" for view
 	// bodies, whose nested tables carry their own barriers).
 	table string
-	// policyConjuncts are the row-filter conjuncts (normalized).
+	// policyConjuncts are the row-filter conjuncts (constant-folded).
 	policyConjuncts []plan.Expr
 	// masks maps masked column name (lower) to its mask expression.
 	masks map[string]plan.Expr
@@ -364,7 +364,7 @@ func extractObligations(analyzed plan.Node) []*obligation {
 			if proj, ok := node.(*plan.Project); ok {
 				for _, e := range proj.Exprs {
 					if _, plainRef := e.(*plan.BoundRef); !plainRef {
-						o.masks[strings.ToLower(plan.OutputName(e))] = normalize(e)
+						o.masks[strings.ToLower(plan.OutputName(e))] = eval.Fold(e)
 					}
 				}
 				node = proj.Child
@@ -372,8 +372,8 @@ func extractObligations(analyzed plan.Node) []*obligation {
 		}
 		if o.hasKind("row_filter") {
 			if f, ok := node.(*plan.Filter); ok {
-				for _, c := range splitConjuncts(f.Cond) {
-					o.policyConjuncts = append(o.policyConjuncts, normalize(c))
+				for _, c := range plan.SplitConjuncts(f.Cond) {
+					o.policyConjuncts = append(o.policyConjuncts, eval.Fold(c))
 				}
 				node = f.Child
 			}
@@ -430,7 +430,7 @@ func (r *Report) verifyBarrier(o *obligation, sv *plan.SecureView) {
 			doms := dominatingConjuncts(sv.Child, sc)
 			canon := map[string]bool{}
 			for _, d := range doms {
-				canon[canonical(normalize(d))] = true
+				canon[canonical(eval.Fold(d))] = true
 			}
 			for _, pc := range o.policyConjuncts {
 				if isConstTrue(pc) {
@@ -499,15 +499,15 @@ func (r *Report) verifyMasks(o *obligation, sv *plan.SecureView) bool {
 		name := strings.ToLower(plan.OutputName(e))
 		if want, masked := o.masks[name]; masked {
 			output[name] = true
-			if canonical(normalize(e)) != canonical(want) {
+			if canonical(eval.Fold(e)) != canonical(want) {
 				fail(name, fmt.Sprintf("mask for column %q altered: have %s, policy requires %s",
-					name, redacted(normalize(e)), redacted(want)))
+					name, redacted(eval.Fold(e)), redacted(want)))
 			}
 			continue
 		}
 		for _, col := range maskedRefs(e, o.masks) {
 			fail(col, fmt.Sprintf("projection item %s outputs raw masked column %q as %q",
-				redacted(normalize(e)), col, name))
+				redacted(eval.Fold(e)), col, name))
 		}
 	}
 	below := exprsBelow(proj.Child)
@@ -527,12 +527,12 @@ func (r *Report) verifyMasks(o *obligation, sv *plan.SecureView) bool {
 		for _, col := range cols {
 			raw[col] = true
 		}
-		if len(cols) == 0 || allowed[canonical(normalize(e))] {
+		if len(cols) == 0 || allowed[canonical(eval.Fold(e))] {
 			continue
 		}
 		for _, col := range cols {
 			fail(col, fmt.Sprintf("expression %s observes masked column %q below the mask projection",
-				redacted(normalize(e)), col))
+				redacted(eval.Fold(e)), col))
 		}
 	}
 	for col := range o.masks {
@@ -574,7 +574,7 @@ func (r *Report) verifyTotal(o *obligation, sv *plan.SecureView) bool {
 		ok = false
 		r.violate(InvTotal, o.name, fmt.Sprintf(
 			"expression %s below the policy barrier is not total and could fail on a hidden row (obligation %s undischarged)",
-			redacted(normalize(e)), o.errorOracleLabels()))
+			redacted(eval.Fold(e)), o.errorOracleLabels()))
 	}
 	return ok
 }
@@ -787,7 +787,7 @@ func dominatingConjuncts(root plan.Node, target *plan.Scan) []plan.Expr {
 		}
 		switch t := n.(type) {
 		case *plan.Filter:
-			acc = append(acc, splitConjuncts(t.Cond)...)
+			acc = append(acc, plan.SplitConjuncts(t.Cond)...)
 		case *plan.Scan:
 			if t == target {
 				path = append(acc, t.PushedFilters...)
@@ -810,7 +810,7 @@ func exprsBelow(n plan.Node) []plan.Expr {
 	plan.Walk(n, func(x plan.Node) bool {
 		switch t := x.(type) {
 		case *plan.Filter:
-			out = append(out, splitConjuncts(t.Cond)...)
+			out = append(out, plan.SplitConjuncts(t.Cond)...)
 		case *plan.Project:
 			out = append(out, t.Exprs...)
 		case *plan.Join:
@@ -870,36 +870,6 @@ func collectUDFKeys(n plan.Node, keys map[string]bool) {
 	}
 }
 
-// splitConjuncts flattens an AND tree (sentinel-local on purpose; see the
-// package comment).
-func splitConjuncts(e plan.Expr) []plan.Expr {
-	if b, ok := e.(*plan.Binary); ok && b.Op == plan.OpAnd {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
-	}
-	return []plan.Expr{e}
-}
-
-// normalize folds constant subexpressions through the evaluator so that a
-// policy predicate recorded before optimization compares equal to its
-// constant-folded form after (e.g. `amount > 1000*2` vs `amount > 2000`).
-// Evaluation truth comes from the eval package, not the optimizer.
-func normalize(e plan.Expr) plan.Expr {
-	return plan.TransformExpr(e, func(x plan.Expr) plan.Expr {
-		switch x.(type) {
-		case *plan.Literal, *plan.BoundRef, *plan.Alias:
-			return x
-		}
-		if !eval.IsConstant(x) {
-			return x
-		}
-		v, err := eval.Eval(x, nil, nil)
-		if err != nil {
-			return x
-		}
-		return plan.Lit(v)
-	})
-}
-
 // canonExpr erases ordinals (BoundRef → bare column name), so prune-remapped
 // plans compare equal to their pre-prune policy form.
 func canonExpr(e plan.Expr) plan.Expr {
@@ -926,7 +896,7 @@ func redactedList(exprs []plan.Expr) string {
 	}
 	parts := make([]string, len(exprs))
 	for i, e := range exprs {
-		parts[i] = redacted(normalize(e))
+		parts[i] = redacted(eval.Fold(e))
 	}
 	return strings.Join(parts, " AND ")
 }
