@@ -104,47 +104,34 @@ func bindAssignments(set []plan.Assignment, target *types.Schema, scopes []dmlSc
 	return out, nil
 }
 
-// compileAssignments compiles the SET expressions for one statement.
+// compileAssignments compiles the SET expressions for one statement, each
+// cast to its column's kind.
 func (s *Server) compileAssignments(ectx *eval.Context, set []boundAssign, in *types.Schema) *exec.ExprProgs {
 	exprs := make([]plan.Expr, len(set))
+	kinds := make([]types.Kind, len(set))
 	for i, a := range set {
-		exprs[i] = a.expr
+		exprs[i], kinds[i] = a.expr, a.kind
 	}
-	return s.engine.CompileExprs(ectx, exprs, in)
+	return s.engine.CompileExprs(ectx, exprs, in, kinds)
 }
 
 // applyAssignments produces the updated copies of the rows of target: its
 // columns with each SET column replaced by its expression over cols (the
-// target columns, then the source columns for MERGE), cast to the column's
-// kind.
+// target columns, then the source columns for MERGE).
 func applyAssignments(target *types.Batch, cols []*types.Column, set []boundAssign, progs *exec.ExprProgs) (*types.Batch, error) {
 	vals, err := progs.Run(cols, target.NumRows())
+	var cast *exec.CastError
+	if errors.As(err, &cast) {
+		return nil, fmt.Errorf("core: SET column %d: %w", set[cast.Expr()].col+1, cast)
+	}
 	if err != nil {
 		return nil, err
 	}
 	updated := append([]*types.Column(nil), target.Cols...)
 	for i, a := range set {
-		if updated[a.col], err = castColumn(vals[i], a.kind); err != nil {
-			return nil, fmt.Errorf("core: SET column %d: %w", a.col+1, err)
-		}
+		updated[a.col] = vals[i]
 	}
 	return types.NewBatch(target.Schema, updated)
-}
-
-// castColumn casts every value of c to kind, as Value.Cast does.
-func castColumn(c *types.Column, kind types.Kind) (*types.Column, error) {
-	if c.Kind() == kind {
-		return c, nil
-	}
-	b := types.NewBuilder(kind, c.Len())
-	for i := 0; i < c.Len(); i++ {
-		v, err := c.Value(i).Cast(kind)
-		if err != nil {
-			return nil, err
-		}
-		b.Append(v)
-	}
-	return b.Build(), nil
 }
 
 // deleteRows masks rows of file f through its deletion vector, expecting
@@ -212,7 +199,7 @@ func (s *Server) executeRowDML(ctx catalog.RequestContext, table []string, op st
 	ectx := exec.NewEvalContext(s.cat, ctx.User)
 	var whereProgs, setProgs *exec.ExprProgs
 	if bWhere != nil {
-		whereProgs = s.engine.CompileExprs(ectx, []plan.Expr{bWhere}, meta.Schema)
+		whereProgs = s.engine.CompileExprs(ectx, []plan.Expr{bWhere}, meta.Schema, []types.Kind{types.KindBool})
 	}
 	if bSet != nil {
 		setProgs = s.compileAssignments(ectx, bSet, meta.Schema)
@@ -366,13 +353,13 @@ func (s *Server) executeMerge(qctx context.Context, ctx catalog.RequestContext, 
 	// columns followed by the source's, INSERT over the source's alone.
 	ectx := exec.NewEvalContext(s.cat, ctx.User)
 	bothSchema := meta.Schema.Concat(srcSchema)
-	onProgs := s.engine.CompileExprs(ectx, []plan.Expr{bOn}, bothSchema)
+	onProgs := s.engine.CompileExprs(ectx, []plan.Expr{bOn}, bothSchema, []types.Kind{types.KindBool})
 	var setProgs, insertProgs *exec.ExprProgs
 	if bSet != nil {
 		setProgs = s.compileAssignments(ectx, bSet, bothSchema)
 	}
 	if bInsert != nil {
-		insertProgs = s.engine.CompileExprs(ectx, bInsert, srcSchema)
+		insertProgs = s.engine.CompileExprs(ectx, bInsert, srcSchema, meta.Schema.Kinds())
 	}
 	ns := src.NumRows()
 	for attempt := 0; attempt < dmlAttempts; attempt++ {
@@ -455,13 +442,12 @@ func (s *Server) executeMerge(qctx context.Context, ctx catalog.RequestContext, 
 			if len(unmatched) > 0 {
 				ins := src.Gather(unmatched)
 				vals, err := insertProgs.Run(ins.Cols, len(unmatched))
+				var cast *exec.CastError
+				if errors.As(err, &cast) {
+					return nil, nil, fmt.Errorf("core: MERGE INSERT column %q: %w", meta.Schema.Fields[cast.Expr()].Name, cast)
+				}
 				if err != nil {
 					return nil, nil, fmt.Errorf("core: MERGE INSERT: %w", err)
-				}
-				for i, f := range meta.Schema.Fields {
-					if vals[i], err = castColumn(vals[i], f.Kind); err != nil {
-						return nil, nil, fmt.Errorf("core: MERGE INSERT column %q: %w", f.Name, err)
-					}
 				}
 				changed.AppendBatch(types.MustBatch(meta.Schema, vals))
 				insertedRows += int64(len(unmatched))

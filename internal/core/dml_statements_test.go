@@ -307,7 +307,10 @@ func TestDVMaskComposesWithZoneMapPruning(t *testing.T) {
 // untyped arithmetic, concatenation, NULL and CASE results. A sequence of statements over NULLs, identity
 // functions and CASE, on files that already carry deletion vectors, must
 // leave exactly the rows a plain model leaves, and a SET whose cast raises
-// fails with its error text and changes nothing.
+// fails with its error text and changes nothing. An interpreted SET value is
+// cast straight to its column's kind, whatever kind the rows before it had:
+// a CASE over a DOUBLE column whose first matched row is NULL keeps the
+// fractions, and a CASE mixing BIGINT and STRING fills a STRING column.
 func TestDMLWhereKernelsMatchModel(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := newEnv(t, Config{Name: "std", Metrics: reg})
@@ -316,20 +319,27 @@ func TestDMLWhereKernelsMatchModel(t *testing.T) {
 		tag   string
 		v     int64
 		vNull bool
+		d     float64
+		dNull bool
 	}
 	sqlRow := func(id int64, p pt) string {
-		v := fmt.Sprint(p.v)
+		v, d := fmt.Sprint(p.v), fmt.Sprint(p.d)
 		if p.vNull {
 			v = "NULL"
 		}
-		return fmt.Sprintf("(%d, '%s', %s)", id, p.tag, v)
+		if p.dNull {
+			d = "NULL"
+		}
+		return fmt.Sprintf("(%d, '%s', %s, %s)", id, p.tag, v, d)
 	}
-	mustExec(t, c, "CREATE TABLE pts (id BIGINT, tag STRING, v BIGINT)")
+	mustExec(t, c, "CREATE TABLE pts (id BIGINT, tag STRING, v BIGINT, d DOUBLE)")
 	model := map[int64]pt{}
 	for f := 0; f < 4; f++ { // four files
 		var vals []string
 		for i := int64(f * 25); i < int64((f+1)*25); i++ {
-			p := pt{tag: []string{"a", "b", "ab", ""}[i%4], v: i * 7 % 40, vNull: i%9 == 4}
+			// Every file starts with a NULL d.
+			p := pt{tag: []string{"a", "b", "ab", ""}[i%4], v: i * 7 % 40, vNull: i%9 == 4,
+				d: float64(i) + 0.75, dNull: i%25 == 0 || i%7 == 3}
 			model[i] = p
 			vals = append(vals, sqlRow(i, p))
 		}
@@ -340,13 +350,13 @@ func TestDMLWhereKernelsMatchModel(t *testing.T) {
 	src := []struct {
 		id int64
 		p  pt
-	}{{7, pt{tag: "s7", v: 70}}, {13, pt{tag: "s13", vNull: true}}, {7, pt{tag: "s7b", v: 71}},
-		{200, pt{tag: "n200", vNull: true}}, {13, pt{tag: "s13b", v: 91}}, {201, pt{tag: "n201", v: 201}}, {11, pt{tag: "s11", v: 110}}}
+	}{{7, pt{tag: "s7", v: 70, d: 7.5}}, {13, pt{tag: "s13", vNull: true, dNull: true}}, {7, pt{tag: "s7b", v: 71, d: 7.25}},
+		{200, pt{tag: "n200", vNull: true, d: 200.5}}, {13, pt{tag: "s13b", v: 91, d: 13.5}}, {201, pt{tag: "n201", v: 201, dNull: true}}, {11, pt{tag: "s11", v: 110, d: 11.5}}}
 	var srcVals []string
 	for _, r := range src {
 		srcVals = append(srcVals, sqlRow(r.id, r.p))
 	}
-	mustExec(t, c, "CREATE TABLE src (id BIGINT, tag STRING, v BIGINT)")
+	mustExec(t, c, "CREATE TABLE src (id BIGINT, tag STRING, v BIGINT, d DOUBLE)")
 	mustExec(t, c, "INSERT INTO src VALUES "+strings.Join(srcVals, ", "))
 
 	// rowDML applies a DELETE (set == nil) or an UPDATE to the model.
@@ -391,7 +401,9 @@ func TestDMLWhereKernelsMatchModel(t *testing.T) {
 			inserted++
 		}
 		for id, p := range first {
-			model[id] = p
+			q := model[id]
+			q.tag, q.v, q.vNull = p.tag, p.v, p.vNull
+			model[id] = q
 		}
 		return fmt.Sprintf("merged: %d updated, 0 deleted, %d inserted", updated, inserted)
 	}
@@ -416,7 +428,22 @@ func TestDMLWhereKernelsMatchModel(t *testing.T) {
 		// moves, sorted and space-separated ("" = none).
 		fellBack string
 	}{
+		{sql: "UPDATE pts SET d = CASE WHEN d IS NULL THEN 0 ELSE d END", fellBack: "Case",
+			apply: rowDML(func(int64, pt) bool { return true }, func(_ int64, p pt) pt {
+				if p.dNull {
+					p.d, p.dNull = 0, false
+				}
+				return p
+			})},
 		{sql: "DELETE FROM pts WHERE v < 5", apply: rowDML(func(_ int64, p pt) bool { return lt(p, 5) }, nil)},
+		{sql: "UPDATE pts SET tag = CASE WHEN v IS NULL THEN id ELSE 'x' END WHERE id >= 13 AND id < 20", fellBack: "Case",
+			apply: rowDML(func(id int64, _ pt) bool { return id >= 13 && id < 20 }, func(id int64, p pt) pt {
+				p.tag = "x"
+				if p.vNull {
+					p.tag = fmt.Sprint(id)
+				}
+				return p
+			})},
 		{sql: "UPDATE pts SET v = v + 100 WHERE tag = 'a' AND id > 30", fellBack: "Binary",
 			apply: rowDML(func(id int64, p pt) bool { return p.tag == "a" && id > 30 }, func(_ int64, p pt) pt { p.v += 100; return p })},
 		{sql: "DELETE FROM pts WHERE id % 3 = 0 OR v > 130", fellBack: "Binary",
@@ -426,14 +453,18 @@ func TestDMLWhereKernelsMatchModel(t *testing.T) {
 		{sql: "UPDATE pts SET tag = 'mine' WHERE CURRENT_USER() = '" + admin + "' AND v >= 30",
 			apply: rowDML(func(_ int64, p pt) bool { return !p.vNull && p.v >= 30 }, func(_ int64, p pt) pt { p.tag = "mine"; return p })},
 		{sql: "DELETE FROM pts WHERE CURRENT_USER() <> '" + admin + "'", apply: rowDML(func(int64, pt) bool { return false }, nil)},
+		// A WHERE that is not BOOLEAN is never TRUE, as in the row interpreter.
+		{sql: "DELETE FROM pts WHERE v", fellBack: "ResultKind", apply: rowDML(func(int64, pt) bool { return false }, nil)},
 		{sql: "UPDATE pts SET tag = CASE WHEN IS_ACCOUNT_GROUP_MEMBER('nobody') THEN 'grp' ELSE CURRENT_USER() END, v = id WHERE v IS NULL",
-			fellBack: "Case", apply: rowDML(func(_ int64, p pt) bool { return p.vNull }, func(id int64, p pt) pt { return pt{tag: admin, v: id} })},
+			fellBack: "Case", apply: rowDML(func(_ int64, p pt) bool { return p.vNull }, func(id int64, p pt) pt { p.tag, p.v, p.vNull = admin, id, false; return p })},
 		{sql: "UPDATE pts SET v = tag WHERE tag = 'b'", err: `core: SET column 3: cannot cast STRING "b" to BIGINT`},
+		{sql: "MERGE INTO pts AS t USING src AS s ON t.id = s.id WHEN NOT MATCHED THEN INSERT VALUES (s.id, s.tag, s.tag, s.d)",
+			err: `core: MERGE INSERT column "v": cannot cast STRING "n200" to BIGINT`},
 		{sql: "UPDATE pts SET v = NULL, tag = tag || '!' WHERE id < 20 AND tag <> ''", fellBack: "Binary Literal",
-			apply: rowDML(func(id int64, p pt) bool { return id < 20 && p.tag != "" }, func(_ int64, p pt) pt { return pt{tag: p.tag + "!", vNull: true} })},
+			apply: rowDML(func(id int64, p pt) bool { return id < 20 && p.tag != "" }, func(_ int64, p pt) pt { p.tag, p.vNull = p.tag+"!", true; return p })},
 		{sql: `MERGE INTO pts AS t USING src AS s ON t.id = s.id AND CURRENT_USER() = '` + admin + `'
 			WHEN MATCHED THEN UPDATE SET v = s.v, tag = CASE WHEN IS_ACCOUNT_GROUP_MEMBER('nobody') THEN 'grp' ELSE s.tag END
-			WHEN NOT MATCHED THEN INSERT VALUES (s.id, CASE WHEN s.v IS NULL THEN 'null' ELSE s.tag END, s.v)`,
+			WHEN NOT MATCHED THEN INSERT VALUES (s.id, CASE WHEN s.v IS NULL THEN 'null' ELSE s.tag END, s.v, s.d)`,
 			apply: merge, fellBack: "Case"},
 	} {
 		before := fallbacks()
@@ -460,7 +491,7 @@ func TestDMLWhereKernelsMatchModel(t *testing.T) {
 		if got := strings.Join(moved, " "); got != step.fellBack {
 			t.Errorf("%s: fallback counters moved for %q, want %q", step.sql, got, step.fellBack)
 		}
-		got, err := c.Sql("SELECT id, tag, v FROM pts ORDER BY id").Collect()
+		got, err := c.Sql("SELECT id, tag, v, d FROM pts ORDER BY id").Collect()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -470,8 +501,9 @@ func TestDMLWhereKernelsMatchModel(t *testing.T) {
 		for i := 0; i < got.NumRows(); i++ {
 			id := got.Cols[0].Int64(i)
 			p, ok := model[id]
-			if !ok || p.tag != got.Cols[1].StringAt(i) || p.vNull != got.Cols[2].IsNull(i) || !p.vNull && p.v != got.Cols[2].Int64(i) {
-				t.Fatalf("after %s: row %d = (%s, %v), model %+v (present %v)", step.sql, id, got.Cols[1].StringAt(i), got.Cols[2].Value(i), p, ok)
+			if !ok || p.tag != got.Cols[1].StringAt(i) || p.vNull != got.Cols[2].IsNull(i) || !p.vNull && p.v != got.Cols[2].Int64(i) ||
+				p.dNull != got.Cols[3].IsNull(i) || !p.dNull && p.d != got.Cols[3].Float64(i) {
+				t.Fatalf("after %s: row %d = (%s, %v, %v), model %+v (present %v)", step.sql, id, got.Cols[1].StringAt(i), got.Cols[2].Value(i), got.Cols[3].Value(i), p, ok)
 			}
 		}
 	}

@@ -397,7 +397,7 @@ func (e *Engine) buildScan(qc *QueryContext, t *plan.Scan) (operator, error) {
 	src := &scanSource{
 		qc: qc, scan: t, snap: snap, files: files, read: read, stats: qc.opParent,
 		metrics: e.Metrics,
-		filters: e.compileProgs(qc.Eval, qc.opParent, t.PushedFilters, schemaKinds(t.Schema()), boolKinds(len(t.PushedFilters))),
+		filters: e.compileProgs(qc.Eval, qc.opParent, t.PushedFilters, t.Schema().Kinds(), boolKinds(len(t.PushedFilters))),
 	}
 	// Register the scan so a hash join built above it can install runtime
 	// filters onto src before the first file is read.

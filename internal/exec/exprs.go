@@ -32,17 +32,16 @@ type ExprProgs struct {
 }
 
 // CompileExprs compiles a DML statement's expressions against its input
-// schema, with the statement's identity ectx bound. A UDF call is not
+// schema, with the statement's identity ectx bound; Run casts expression i
+// to want[i] (want nil: the expression's own kind). A UDF call is not
 // lifted into the sandbox here: it reaches the row interpreter, which
 // refuses it when a row is evaluated.
-func (e *Engine) CompileExprs(ectx *eval.Context, exprs []plan.Expr, in *types.Schema) *ExprProgs {
-	return e.compileProgs(ectx, nil, exprs, schemaKinds(in), nil)
+func (e *Engine) CompileExprs(ectx *eval.Context, exprs []plan.Expr, in *types.Schema, want []types.Kind) *ExprProgs {
+	return e.compileProgs(ectx, nil, exprs, in.Kinds(), want)
 }
 
 // compileExprs compiles an operator's expression list against its input
-// kinds for the statement qc runs. When want is given, an expression whose
-// program would produce another kind runs in the row interpreter, which
-// casts to want[i].
+// kinds for the statement qc runs; want is as for CompileExprs.
 func (e *Engine) compileExprs(qc *QueryContext, exprs []plan.Expr, in, want []types.Kind) (*ExprProgs, error) {
 	if !exprsHaveUDF(exprs) {
 		return e.compileProgs(qc.Eval, qc.opParent, exprs, in, want), nil
@@ -60,24 +59,28 @@ func (e *Engine) compileExprs(qc *QueryContext, exprs []plan.Expr, in, want []ty
 // compileProgs compiles exprs without lifting UDF calls; scan filters, join
 // keys and residuals, and DML use it. Each expression compiles on its own
 // against the input kinds, binding ctx's identity, and every expression left
-// to the row interpreter is counted. It is the engine's only caller of
+// to the row interpreter is counted. A program of another kind than want[i]
+// is kept and its column cast, except for a predicate (want BOOLEAN): Select
+// reads truth only from a BOOLEAN program. It is the engine's only caller of
 // eval.CompileVecBound.
 func (e *Engine) compileProgs(ctx *eval.Context, stats *telemetry.OpStats, exprs []plan.Expr, in, want []types.Kind) *ExprProgs {
 	p := &ExprProgs{exprs: exprs, ctx: ctx, stats: stats, vectorized: true,
 		progs: make([]*eval.VecProg, len(exprs)), kinds: make([]types.Kind, len(exprs))}
 	for i, x := range exprs {
 		prog, rejected := eval.CompileVecBound(x, in, ctx)
-		if prog != nil && want != nil && prog.Kind() != want[i] {
-			prog, rejected = nil, "ResultKind"
-		}
-		switch {
-		case prog != nil:
-			p.progs[i], p.kinds[i] = prog, prog.Kind()
-			continue
-		case want != nil:
+		p.kinds[i] = x.Type()
+		if want != nil {
 			p.kinds[i] = want[i]
-		default:
-			p.kinds[i] = x.Type()
+			if want[i] == types.KindBool && prog != nil && prog.Kind() != types.KindBool {
+				prog, rejected = nil, "ResultKind"
+			}
+		}
+		if prog != nil {
+			p.progs[i] = prog
+			if p.kinds[i] == types.KindNull {
+				p.kinds[i] = prog.Kind()
+			}
+			continue
 		}
 		e.Metrics.Counter("exec.vec.fallback." + rejected).Inc()
 		p.vectorized = false
@@ -94,30 +97,56 @@ func (p *ExprProgs) withUDFs(cols []*types.Column, n int) ([]*types.Column, erro
 	return p.udf.run(cols, n)
 }
 
-// Run evaluates every expression over the n rows of cols, one column each.
+// Run evaluates every expression over the n rows of cols, one column each,
+// of the kinds the list was compiled for.
 func (p *ExprProgs) Run(cols []*types.Column, n int) ([]*types.Column, error) {
 	cols, err := p.withUDFs(cols, n)
 	if err != nil {
 		return nil, err
 	}
-	if len(p.exprs) > 0 {
-		p.stats.CountEval(p.vectorized)
-	}
+	p.countEval()
 	out := make([]*types.Column, len(p.exprs))
 	for i, prog := range p.progs {
+		var value func(int) types.Value
 		if prog != nil {
-			out[i] = prog.Run(cols, n, nil)
-			continue
+			c := prog.Run(cols, n, nil)
+			if c.Kind() == p.kinds[i] {
+				out[i] = c
+				continue
+			}
+			value = c.Value
+		} else {
+			vals, err := p.interpret(i, cols, n, nil)
+			if err != nil {
+				return nil, err
+			}
+			value = func(j int) types.Value { return vals[j] }
 		}
-		vals, err := p.interpret(i, cols, n, nil)
-		if err != nil {
-			return nil, err
-		}
-		if out[i], err = valuesColumn(p.kinds[i], vals); err != nil {
-			return nil, err
+		if out[i], err = castValues(p.kinds[i], n, value); err != nil {
+			return nil, &CastError{expr: i, err: err}
 		}
 	}
 	return out, nil
+}
+
+// CastError reports that a value of one expression did not cast to the kind
+// its list was compiled for.
+type CastError struct {
+	expr int
+	err  error
+}
+
+// Expr is the index of the expression whose value did not cast.
+func (e *CastError) Expr() int     { return e.expr }
+func (e *CastError) Error() string { return e.err.Error() }
+func (e *CastError) Unwrap() error { return e.err }
+
+// countEval records one evaluated batch on the operator profile: vectorized
+// when no expression, UDF argument included, ran in the row interpreter.
+func (p *ExprProgs) countEval() {
+	if len(p.exprs) > 0 {
+		p.stats.CountEval(p.vectorized)
+	}
 }
 
 // Select narrows sel (nil = all n rows of cols) through the expressions as
@@ -132,7 +161,7 @@ func (p *ExprProgs) Select(cols []*types.Column, n int, sel []int) ([]int, error
 	if err != nil {
 		return nil, err
 	}
-	interpreted := false
+	p.countEval()
 	for i, prog := range p.progs {
 		if sel != nil && len(sel) == 0 {
 			break
@@ -145,7 +174,6 @@ func (p *ExprProgs) Select(cols []*types.Column, n int, sel []int) ([]int, error
 		if prog != nil {
 			next = prog.Select(cols, n, sel, next)
 		} else {
-			interpreted = true
 			vals, err := p.interpret(i, cols, n, sel)
 			if err != nil {
 				return nil, err
@@ -161,9 +189,6 @@ func (p *ExprProgs) Select(cols []*types.Column, n int, sel []int) ([]int, error
 			}
 		}
 		sel = next
-	}
-	if len(p.exprs) > 0 {
-		p.stats.CountEval(!interpreted)
 	}
 	return sel, nil
 }
@@ -193,18 +218,19 @@ func (p *ExprProgs) interpret(i int, cols []*types.Column, n int, sel []int) ([]
 	return vals, nil
 }
 
-// valuesColumn builds an interpreted expression's column of kind, casting
-// each value that differs. An untyped expression (kind NULL: a NULL literal,
-// or a DML expression no analyzer typed) takes its first non-NULL value's
-// kind.
-func valuesColumn(kind types.Kind, vals []types.Value) (*types.Column, error) {
-	for j := 0; kind == types.KindNull && j < len(vals); j++ {
-		if !vals[j].Null {
-			kind = vals[j].Kind
+// castValues builds a column of kind from n values, casting each one whose
+// kind differs as Value.Cast does. An untyped interpreted expression (kind
+// NULL: a NULL literal, or a DML expression no analyzer typed, compiled
+// without a target kind) takes its first non-NULL value's kind.
+func castValues(kind types.Kind, n int, value func(int) types.Value) (*types.Column, error) {
+	for j := 0; kind == types.KindNull && j < n; j++ {
+		if v := value(j); !v.Null {
+			kind = v.Kind
 		}
 	}
-	b := types.NewBuilder(kind, len(vals))
-	for _, v := range vals {
+	b := types.NewBuilder(kind, n)
+	for j := 0; j < n; j++ {
+		v := value(j)
 		if !v.Null && v.Kind != kind {
 			var err error
 			if v, err = v.Cast(kind); err != nil {

@@ -102,17 +102,9 @@ func exprsHaveUDF(exprs []plan.Expr) bool {
 	})
 }
 
-func schemaKinds(s *types.Schema) []types.Kind {
-	ks := make([]types.Kind, len(s.Fields))
-	for i, f := range s.Fields {
-		ks[i] = f.Kind
-	}
-	return ks
-}
-
 // buildFilter compiles a Filter node, parallelizing UDF-free predicates.
 func (e *Engine) buildFilter(qc *QueryContext, t *plan.Filter, child operator) (operator, error) {
-	cond, err := e.compileExprs(qc, []plan.Expr{t.Cond}, schemaKinds(t.Child.Schema()), []types.Kind{types.KindBool})
+	cond, err := e.compileExprs(qc, []plan.Expr{t.Cond}, t.Child.Schema().Kinds(), []types.Kind{types.KindBool})
 	if err != nil {
 		child.Close()
 		return nil, err
@@ -129,7 +121,7 @@ func (e *Engine) buildFilter(qc *QueryContext, t *plan.Filter, child operator) (
 
 // buildProject compiles a Project node, parallelizing UDF-free expressions.
 func (e *Engine) buildProject(qc *QueryContext, t *plan.Project, child operator) (operator, error) {
-	exprs, err := e.compileExprs(qc, t.Exprs, schemaKinds(t.Child.Schema()), schemaKinds(t.OutSchema))
+	exprs, err := e.compileExprs(qc, t.Exprs, t.Child.Schema().Kinds(), t.OutSchema.Kinds())
 	if err != nil {
 		child.Close()
 		return nil, err

@@ -47,7 +47,7 @@ func (e *Engine) buildSort(qc *QueryContext, t *plan.Sort, k int) (operator, err
 	for i, ord := range t.Orders {
 		exprs[i], kinds[i] = ord.Expr, ord.Expr.Type()
 	}
-	keys, err := e.compileExprs(qc, exprs, schemaKinds(t.Child.Schema()), kinds)
+	keys, err := e.compileExprs(qc, exprs, t.Child.Schema().Kinds(), kinds)
 	if err != nil {
 		child.Close()
 		return nil, err

@@ -105,6 +105,27 @@ func TestUDFArgumentsUseVectorKernels(t *testing.T) {
 	if fallbacks != 1 || w.engine.Metrics.Counter("exec.vec.fallback.ScalarFunc").Value() == 0 {
 		t.Errorf("fallback counters:\n%s", w.engine.Metrics.RenderPrometheus())
 	}
+
+	// A filter whose UDF argument ran row by row counts its batches as
+	// fallbacks, as a projection does.
+	prof = telemetry.NewProfile()
+	if _, err = w.udfQuery(t, "return s + ':' + str(x)", types.KindString,
+		"SELECT seller FROM sales WHERE f(upper(seller), amount) <> 'x'", prof); err != nil {
+		t.Fatal(err)
+	}
+	var filter *telemetry.OpStats
+	for op := prof.Root(); op != nil && filter == nil; {
+		if op.Name == "Filter" {
+			filter = op
+		} else if kids := op.Children(); len(kids) == 1 {
+			op = kids[0]
+		} else {
+			op = nil
+		}
+	}
+	if filter == nil || filter.RowFallbackBatches() == 0 || filter.VecBatches() != 0 {
+		t.Fatalf("the filter's interpreted UDF argument is not counted:\n%s", prof.Render())
+	}
 }
 
 // Fusion groups a wave's calls by trust domain, so the crossings run in an

@@ -71,7 +71,7 @@ func (e *Engine) newVecAggOp(qc *QueryContext, node *plan.Aggregate, child opera
 			argExprs = append(argExprs, plan.Lit(types.Int64(1))) // COUNT(*)
 		}
 	}
-	inputs, err := e.compileExprs(qc, append(append([]plan.Expr{}, node.GroupBy...), argExprs...), schemaKinds(node.Child.Schema()), nil)
+	inputs, err := e.compileExprs(qc, append(append([]plan.Expr{}, node.GroupBy...), argExprs...), node.Child.Schema().Kinds(), nil)
 	if err != nil {
 		return nil, err
 	}

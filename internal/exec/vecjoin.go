@@ -165,9 +165,9 @@ func (e *Engine) newVecJoinOp(qc *QueryContext, t *plan.Join, l, r operator, lef
 		buildWorkers: e.workers(),
 	}
 	o.combined = o.leftSchema.Concat(o.rightSchema)
-	o.leftKeyProgs = e.compileProgs(qc.Eval, qc.opParent, leftKeys, schemaKinds(o.leftSchema), nil)
-	o.rightKeyProgs = e.compileProgs(qc.Eval, qc.opParent, rightKeys, schemaKinds(o.rightSchema), nil)
-	o.residual = e.compileProgs(qc.Eval, qc.opParent, residual, schemaKinds(o.combined), boolKinds(len(residual)))
+	o.leftKeyProgs = e.compileProgs(qc.Eval, qc.opParent, leftKeys, o.leftSchema.Kinds(), nil)
+	o.rightKeyProgs = e.compileProgs(qc.Eval, qc.opParent, rightKeys, o.rightSchema.Kinds(), nil)
+	o.residual = e.compileProgs(qc.Eval, qc.opParent, residual, o.combined.Kinds(), boolKinds(len(residual)))
 	// Resolve runtime-filter targets: each equi-key that is a bare column
 	// reference traceable to a registered probe-side scan gets a filter
 	// builder. Only join types where a probe miss produces no output qualify.

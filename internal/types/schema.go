@@ -57,6 +57,15 @@ func (s *Schema) Names() []string {
 	return names
 }
 
+// Kinds returns the field kinds in order.
+func (s *Schema) Kinds() []Kind {
+	kinds := make([]Kind, len(s.Fields))
+	for i, f := range s.Fields {
+		kinds[i] = f.Kind
+	}
+	return kinds
+}
+
 // Project returns a new schema keeping only the fields at the given indices.
 func (s *Schema) Project(indices []int) *Schema {
 	out := &Schema{Fields: make([]Field, len(indices))}
