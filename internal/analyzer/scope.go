@@ -10,9 +10,11 @@ import (
 // scopeCol is one column visible during expression resolution.
 type scopeCol struct {
 	qualifier string // table alias or table name ("" for derived columns)
-	name      string
-	kind      types.Kind
-	index     int // ordinal in the operator's input row
+	// aliases are further names that qualify the column (DML scopes).
+	aliases []string
+	name    string
+	kind    types.Kind
+	index   int // ordinal in the operator's input row
 }
 
 // scope is the set of columns an expression may reference.
@@ -57,7 +59,7 @@ func (sc *scope) resolve(qualifier, name string) (scopeCol, error) {
 		if !strings.EqualFold(c.name, name) {
 			continue
 		}
-		if qualifier != "" && !qualifierMatches(c.qualifier, qualifier) {
+		if qualifier != "" && !c.qualifiedBy(qualifier) {
 			continue
 		}
 		found = append(found, c)
@@ -73,6 +75,19 @@ func (sc *scope) resolve(qualifier, name string) (scopeCol, error) {
 		return found[0], nil
 	}
 	return scopeCol{}, fmt.Errorf("column %q is ambiguous (%d matches)", name, len(found))
+}
+
+// qualifiedBy reports whether qualifier names the column's relation.
+func (c scopeCol) qualifiedBy(qualifier string) bool {
+	if qualifierMatches(c.qualifier, qualifier) {
+		return true
+	}
+	for _, a := range c.aliases {
+		if qualifierMatches(a, qualifier) {
+			return true
+		}
+	}
+	return false
 }
 
 // qualifierMatches accepts exact matches and suffix matches on dotted names,

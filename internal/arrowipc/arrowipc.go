@@ -150,7 +150,7 @@ func (rd *Reader) Next() (*types.Batch, error) {
 	}
 	switch msgType {
 	case msgBatch:
-		b, _, err := decodeFrames(rd.schema, [][]byte{payload})
+		b, _, err := decodeFrames(make([]colSink, rd.schema.Len()), rd.schema, [][]byte{payload})
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +199,7 @@ func (rd *Reader) Drain() (b *types.Batch, frames int, err error) {
 			readErr = fmt.Errorf("arrowipc: unexpected message type %d", msgType)
 		}
 	}
-	b, frames, err = decodeFrames(rd.schema, payloads)
+	b, frames, err = decodeFrames(make([]colSink, rd.schema.Len()), rd.schema, payloads)
 	if err == nil {
 		err = readErr
 	}
@@ -483,15 +483,127 @@ func appendStream(dst []byte, b *types.Batch, plen int) ([]byte, error) {
 // decodes every batch in the stream into one batch; the result shares no
 // memory with data.
 func DecodeBatch(data []byte) (*types.Batch, error) {
+	return new(Decoder).Decode(data)
+}
+
+// readStream reads every frame of an in-place stream and returns its schema,
+// its batch payloads in order, and how many rows they hold.
+func readStream(data []byte) (*types.Schema, [][]byte, int, error) {
 	rd, err := openReader(&Reader{data: data})
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	var payloads [][]byte
+	rows := 0
+	for !rd.done {
+		msgType, payload, err := rd.readFrame()
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		switch msgType {
+		case msgBatch:
+			n, err := frameRows(payload, rd.schema)
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			rows += n
+			payloads = append(payloads, payload)
+		case msgEnd:
+			rd.done = true
+		default:
+			return nil, nil, 0, fmt.Errorf("arrowipc: unexpected message type %d", msgType)
+		}
+	}
+	return rd.schema, payloads, rows, nil
+}
+
+// Decoder decodes streams like DecodeBatch into column buffers it keeps
+// from one Decode to the next, so a long-lived reader of many similar
+// streams allocates its columns once, for the largest stream it decoded.
+// The batch Decode returns shares those buffers: it is valid only until
+// the next Decode. A Decoder is not safe for concurrent use.
+type Decoder struct {
+	sinks []colSink
+}
+
+// Decode decodes one stream, as DecodeBatch does, into the decoder's
+// buffers. No row of an earlier Decode survives into its result.
+func (d *Decoder) Decode(data []byte) (*types.Batch, error) {
+	schema, payloads, _, err := readStream(data)
 	if err != nil {
 		return nil, err
 	}
-	b, _, err := rd.Drain()
+	d.sinks = resize(d.sinks, schema.Len())
+	b, _, err := decodeFrames(d.sinks, schema, payloads)
 	if err != nil {
 		return nil, err
 	}
 	return b, nil
+}
+
+// Assembly decodes the streams of a batch's row partitions, each encoded
+// on its own (by a different sandbox, say), straight into one batch
+// presized for all their rows: no batch per partition and no concat. Each
+// part must carry the assembly's schema and exactly its partition's rows.
+// Distinct parts may be decoded concurrently.
+type Assembly struct {
+	schema *types.Schema
+	cols   []colSink   // per column, sized for every row
+	parts  [][]colSink // per part, per column: a view of its rows of cols
+	starts []int       // per part, its first row; then the total
+}
+
+// NewAssembly prepares a batch of schema whose part i holds partRows[i]
+// rows.
+func NewAssembly(schema *types.Schema, partRows []int) *Assembly {
+	a := &Assembly{schema: schema, cols: make([]colSink, schema.Len()), starts: make([]int, len(partRows)+1)}
+	for i, n := range partRows {
+		a.starts[i+1] = a.starts[i] + n
+	}
+	for c, f := range schema.Fields {
+		a.cols[c].reset(f.Kind, a.starts[len(partRows)])
+	}
+	a.parts = make([][]colSink, len(partRows))
+	for i := range partRows {
+		a.parts[i] = make([]colSink, len(a.cols))
+		for c := range a.cols {
+			a.parts[i][c] = a.cols[c].view(a.starts[i], a.starts[i+1])
+		}
+	}
+	return a
+}
+
+// DecodePart decodes part i's stream into its rows of the batch.
+func (a *Assembly) DecodePart(i int, data []byte) error {
+	schema, payloads, rows, err := readStream(data)
+	if err != nil {
+		return err
+	}
+	if !schema.Equal(a.schema) {
+		return fmt.Errorf("arrowipc: part %d has schema %s, want %s", i, schema, a.schema)
+	}
+	if want := a.starts[i+1] - a.starts[i]; rows != want {
+		return fmt.Errorf("arrowipc: part %d has %d rows, want %d", i, rows, want)
+	}
+	_, _, err = fillFrames(a.parts[i], schema, payloads)
+	return err
+}
+
+// Batch returns the assembled batch once every part is decoded.
+func (a *Assembly) Batch() *types.Batch {
+	total := a.starts[len(a.parts)]
+	cols := make([]*types.Column, len(a.cols))
+	for c := range a.cols {
+		s := &a.cols[c]
+		for i, part := range a.parts {
+			if part[c].hasNulls {
+				s.markNull() // sizes and clears s.nulls once
+				copy(s.nulls[a.starts[i]:], part[c].nulls)
+			}
+		}
+		cols[c] = s.build(total)
+	}
+	return &types.Batch{Schema: a.schema, Cols: cols}
 }
 
 // rowBits is the fewest payload bits a row costs in a column of kind k: 64
@@ -528,40 +640,46 @@ func frameRows(payload []byte, schema *types.Schema) (int, error) {
 	return n, nil
 }
 
-// decodeFrames decodes batch payloads into one batch whose columns are
-// allocated once, sized from the payloads' row counts. frames is how many
-// payloads the batch holds; on a corrupt payload decodeFrames returns the
-// batch of the payloads before it, their count, and the error.
-func decodeFrames(schema *types.Schema, payloads [][]byte) (b *types.Batch, frames int, err error) {
+// decodeFrames decodes batch payloads into one batch through sinks, one per
+// field, whose buffers are sized once from the payloads' row counts. frames
+// is how many payloads the batch holds; on a corrupt payload decodeFrames
+// returns the batch of the payloads before it, their count, and the error.
+func decodeFrames(sinks []colSink, schema *types.Schema, payloads [][]byte) (b *types.Batch, frames int, err error) {
 	total := 0
-	counts := make([]int, len(payloads))
 	for i, p := range payloads {
 		n, rerr := frameRows(p, schema)
 		if rerr != nil {
 			payloads, err = payloads[:i], rerr
 			break
 		}
-		counts[i] = n
 		total += n
 	}
-	sinks := make([]colSink, schema.Len())
 	for i, f := range schema.Fields {
-		sinks[i] = newColSink(f.Kind, total)
+		sinks[i].reset(f.Kind, total)
 	}
-	rows := 0
-	for i, p := range payloads {
-		n := counts[i]
-		if derr := decodeColumns(sinks, schema, p, rows, n); derr != nil {
-			payloads, err = payloads[:i], derr
-			break
-		}
-		rows += n
+	rows, frames, derr := fillFrames(sinks, schema, payloads)
+	if derr != nil {
+		err = derr
 	}
 	cols := make([]*types.Column, len(sinks))
 	for i := range sinks {
 		cols[i] = sinks[i].build(rows)
 	}
-	return &types.Batch{Schema: schema, Cols: cols}, len(payloads), err
+	return &types.Batch{Schema: schema, Cols: cols}, frames, err
+}
+
+// fillFrames decodes payloads, whose row counts frameRows has checked, one
+// after another into sinks sized for all their rows. It returns the rows
+// and frames decoded before the first corrupt payload, and its error.
+func fillFrames(sinks []colSink, schema *types.Schema, payloads [][]byte) (rows, frames int, err error) {
+	for i, p := range payloads {
+		n, _ := frameRows(p, schema)
+		if err := decodeColumns(sinks, schema, p, rows, n); err != nil {
+			return rows, i, err
+		}
+		rows += n
+	}
+	return rows, len(payloads), nil
 }
 
 func decodeColumns(sinks []colSink, schema *types.Schema, payload []byte, off, n int) error {
@@ -576,28 +694,64 @@ func decodeColumns(sinks []colSink, schema *types.Schema, payload []byte, off, n
 	return nil
 }
 
-// colSink is one column being decoded: its payload is allocated once for
-// every row of a drain and filled frame by frame.
+// colSink is one column being decoded: its payload is sized once for every
+// row of a drain and filled frame by frame. A sink keeps its buffers across
+// resets, so a Decoder reuses them.
 type colSink struct {
 	kind  types.Kind
 	total int
 	ints  []int64
 	flts  []float64
 	strs  []string
-	nulls []bool // allocated at the first NULL
+	nulls []bool
+	// hasNulls is set at the first NULL row; nulls is cleared then.
+	hasNulls bool
 }
 
-func newColSink(kind types.Kind, total int) colSink {
-	s := colSink{kind: kind, total: total}
+// reset readies the sink for total rows of kind.
+func (s *colSink) reset(kind types.Kind, total int) {
+	s.kind, s.total, s.hasNulls = kind, total, false
 	switch kind {
 	case types.KindBool, types.KindInt64, types.KindDate, types.KindTimestamp:
-		s.ints = make([]int64, total)
+		s.ints = resize(s.ints, total)
 	case types.KindFloat64:
-		s.flts = make([]float64, total)
+		s.flts = resize(s.flts, total)
 	case types.KindString, types.KindBinary:
-		s.strs = make([]string, total)
+		s.strs = resize(s.strs, total)
 	}
-	return s
+}
+
+// view returns a sink that writes rows [lo, hi) of s's payload and keeps a
+// NULL mask of its own.
+func (s *colSink) view(lo, hi int) colSink {
+	v := colSink{kind: s.kind, total: hi - lo}
+	switch s.kind {
+	case types.KindBool, types.KindInt64, types.KindDate, types.KindTimestamp:
+		v.ints = s.ints[lo:hi:hi]
+	case types.KindFloat64:
+		v.flts = s.flts[lo:hi:hi]
+	case types.KindString, types.KindBinary:
+		v.strs = s.strs[lo:hi:hi]
+	}
+	return v
+}
+
+// markNull readies the NULL mask at the sink's first NULL row.
+func (s *colSink) markNull() {
+	if !s.hasNulls {
+		s.nulls = resize(s.nulls, s.total)
+		clear(s.nulls)
+		s.hasNulls = true
+	}
+}
+
+// resize returns buf with length n, reallocated only when it is too small.
+// Its contents are left as they were: every row is written before it is read.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // decode reads one column of an n-row batch payload at buf[pos:] into rows
@@ -652,6 +806,7 @@ func (s *colSink) decode(buf []byte, pos, off, n int) (int, error) {
 		dst := s.strs[off : off+n]
 		for i := range dst {
 			if bitmap != nil && bitmap[i/8]&(1<<(i%8)) != 0 {
+				dst[i] = ""
 				continue
 			}
 			lo := binary.LittleEndian.Uint32(offsets[4*i:])
@@ -674,14 +829,12 @@ func (s *colSink) decode(buf []byte, pos, off, n int) (int, error) {
 		if bitmap[i/8]&(1<<(i%8)) == 0 {
 			continue
 		}
-		if s.nulls == nil {
-			s.nulls = make([]bool, s.total)
-		}
+		s.markNull()
 		s.nulls[off+i] = true
-		switch {
-		case s.ints != nil:
+		switch s.kind {
+		case types.KindBool, types.KindInt64, types.KindDate, types.KindTimestamp:
 			s.ints[off+i] = 0
-		case s.flts != nil:
+		case types.KindFloat64:
 			s.flts[off+i] = 0
 		}
 	}
@@ -691,7 +844,7 @@ func (s *colSink) decode(buf []byte, pos, off, n int) (int, error) {
 // build returns the first n decoded rows as a column.
 func (s *colSink) build(n int) *types.Column {
 	var nulls []bool
-	if s.nulls != nil {
+	if s.hasNulls {
 		nulls = s.nulls[:n]
 	}
 	switch s.kind {

@@ -403,3 +403,128 @@ func TestNullTypedColumnRoundTrips(t *testing.T) {
 		}
 	}
 }
+
+// A Decoder reused across streams whose columns change kind, length and
+// NULLs decodes each exactly as a fresh DecodeBatch does — payloads under
+// NULL rows included — and an Assembly of partitions equals the decode of
+// the whole.
+func TestDecoderAndAssemblyMatchFreshDecode(t *testing.T) {
+	col := func(kind types.Kind, n int, nullEvery int) *types.Column {
+		var nulls []bool
+		if nullEvery > 0 {
+			nulls = make([]bool, n)
+			for i := 1; i < n; i += nullEvery {
+				nulls[i] = true
+			}
+		}
+		switch kind {
+		case types.KindFloat64:
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = float64(i) + 0.5 // non-zero under NULL rows too
+			}
+			return types.NewFloat64Column(v, nulls)
+		case types.KindString:
+			v := make([]string, n)
+			for i := range v {
+				v[i] = "s" + string(rune('a'+i%26))
+			}
+			return types.NewStringColumn(kind, v, nulls)
+		}
+		v := make([]int64, n)
+		for i := range v {
+			v[i] = int64(i*7 + 1)
+		}
+		return types.NewInt64Column(kind, v, nulls)
+	}
+	batch := func(n int, cols ...struct {
+		kind      types.Kind
+		nullEvery int
+	}) *types.Batch {
+		schema := &types.Schema{}
+		var cs []*types.Column
+		for i, c := range cols {
+			schema.Fields = append(schema.Fields, types.Field{Name: "c" + string(rune('0'+i)), Kind: c.kind, Nullable: true})
+			cs = append(cs, col(c.kind, n, c.nullEvery))
+		}
+		return types.MustBatch(schema, cs)
+	}
+	type c = struct {
+		kind      types.Kind
+		nullEvery int
+	}
+	batches := []*types.Batch{
+		batch(300, c{types.KindInt64, 0}, c{types.KindString, 0}),
+		batch(40, c{types.KindFloat64, 3}, c{types.KindInt64, 2}),
+		batch(10, c{types.KindString, 4}, c{types.KindFloat64, 0}, c{types.KindDate, 5}),
+		batch(0, c{types.KindInt64, 0}),
+		batch(25, c{types.KindInt64, 3}, c{types.KindString, 2}),
+	}
+	same := func(what string, got, want *types.Batch) {
+		t.Helper()
+		if !got.Schema.Equal(want.Schema) || got.NumRows() != want.NumRows() {
+			t.Fatalf("%s: %s x %d, want %s x %d", what, got.Schema, got.NumRows(), want.Schema, want.NumRows())
+		}
+		for i := range got.Cols {
+			g, w := got.Cols[i], want.Cols[i]
+			if !equalSlices(g.Int64s(), w.Int64s()) || !equalSlices(g.Float64s(), w.Float64s()) ||
+				!equalSlices(g.Strings(), w.Strings()) || !equalSlices(g.NullMask(), w.NullMask()) {
+				t.Fatalf("%s: column %d differs from a fresh decode", what, i)
+			}
+		}
+	}
+	var d Decoder
+	for bi, b := range batches {
+		enc, err := EncodeBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := DecodeBatch(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("Decoder batch "+string(rune('0'+bi)), got, want)
+
+		// The same rows as three partitions, decoded in reverse order.
+		n := b.NumRows()
+		cuts := []int{0, n / 3, n / 2, n}
+		sizes := []int{cuts[1] - cuts[0], cuts[2] - cuts[1], cuts[3] - cuts[2]}
+		asm := NewAssembly(b.Schema, sizes)
+		for p := 2; p >= 0; p-- {
+			part, err := EncodeBatch(b.Slice(cuts[p], cuts[p+1]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := asm.DecodePart(p, part); err != nil {
+				t.Fatal(err)
+			}
+		}
+		same("Assembly batch "+string(rune('0'+bi)), asm.Batch(), want)
+	}
+	// A part with the wrong row count or schema is refused.
+	asm := NewAssembly(batches[1].Schema, []int{5})
+	enc, _ := EncodeBatch(batches[1].Slice(0, 4))
+	if err := asm.DecodePart(0, enc); err == nil {
+		t.Error("a part with 4 of 5 rows was accepted")
+	}
+	enc, _ = EncodeBatch(batches[4].Slice(0, 5))
+	if err := asm.DecodePart(0, enc); err == nil {
+		t.Error("a part of another schema was accepted")
+	}
+}
+
+func equalSlices[T comparable](a, b []T) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 
+	"lakeguard/internal/analyzer"
 	"lakeguard/internal/catalog"
 	"lakeguard/internal/delta"
 	"lakeguard/internal/eval"
@@ -20,66 +21,14 @@ import (
 // only fails when the table sustains this many conflicting commits during it.
 const dmlAttempts = 8
 
-// dmlScope is one namespace visible to a DML expression: the qualifiers that
-// name it, its schema, and the column offset of its fields in the combined
-// evaluation row.
-type dmlScope struct {
-	names  []string
-	schema *types.Schema
-	base   int
-}
-
-func tableScope(parts []string, alias string, schema *types.Schema, base int) dmlScope {
-	names := []string{strings.ToLower(parts[len(parts)-1]), strings.ToLower(strings.Join(parts, "."))}
+// tableScope is the DML scope of a table: its columns are qualified by the
+// table's name, its full name and its alias.
+func tableScope(parts []string, alias string, schema *types.Schema, base int) analyzer.DMLScope {
+	names := []string{strings.ToLower(strings.Join(parts, ".")), strings.ToLower(parts[len(parts)-1])}
 	if alias != "" {
 		names = append(names, strings.ToLower(alias))
 	}
-	return dmlScope{names: names, schema: schema, base: base}
-}
-
-func (sc dmlScope) matches(qualifier string) bool {
-	q := strings.ToLower(qualifier)
-	for _, n := range sc.names {
-		if n == q {
-			return true
-		}
-	}
-	return false
-}
-
-// bindDMLExpr resolves ColumnRefs against the scopes, producing BoundRefs
-// whose ordinals index the combined row (target columns then source columns
-// for MERGE). Unqualified names must be unambiguous across scopes.
-func bindDMLExpr(e plan.Expr, scopes []dmlScope) (plan.Expr, error) {
-	var bindErr error
-	out := plan.TransformExpr(plan.CloneExpr(e), func(x plan.Expr) plan.Expr {
-		cr, ok := x.(*plan.ColumnRef)
-		if !ok || bindErr != nil {
-			return x
-		}
-		var found *plan.BoundRef
-		for _, sc := range scopes {
-			if cr.Qualifier != "" && !sc.matches(cr.Qualifier) {
-				continue
-			}
-			idx := sc.schema.IndexOf(cr.Name)
-			if idx < 0 {
-				continue
-			}
-			f := sc.schema.Fields[idx]
-			if found != nil {
-				bindErr = fmt.Errorf("core: column %q is ambiguous; qualify it", cr.String())
-				return x
-			}
-			found = &plan.BoundRef{Index: sc.base + idx, Name: f.Name, Kind: f.Kind}
-		}
-		if found == nil {
-			bindErr = fmt.Errorf("core: unknown column %q", cr.String())
-			return x
-		}
-		return found
-	})
-	return out, bindErr
+	return analyzer.DMLScope{Names: names, Schema: schema, Base: base}
 }
 
 type boundAssign struct {
@@ -88,14 +37,14 @@ type boundAssign struct {
 	expr plan.Expr
 }
 
-func bindAssignments(set []plan.Assignment, target *types.Schema, scopes []dmlScope) ([]boundAssign, error) {
+func bindAssignments(an *analyzer.Analyzer, set []plan.Assignment, target *types.Schema, scopes []analyzer.DMLScope) ([]boundAssign, error) {
 	out := make([]boundAssign, 0, len(set))
 	for _, a := range set {
 		idx := target.IndexOf(a.Column)
 		if idx < 0 {
 			return nil, fmt.Errorf("core: SET references unknown column %q", a.Column)
 		}
-		bound, err := bindDMLExpr(a.Value, scopes)
+		bound, err := an.AnalyzeDMLExpr(a.Value, scopes)
 		if err != nil {
 			return nil, err
 		}
@@ -152,7 +101,7 @@ func deleteRows(m *delta.Mutation, f delta.AddFile, rows []int) {
 // no data file is read for an unconditional DELETE and none is rewritten for
 // a conditional one — the commit is a single log entry.
 func (s *Server) executeDelete(qctx context.Context, ctx catalog.RequestContext, st *session.State, c *plan.DeleteFrom) (*types.Schema, *types.Batch, error) {
-	matched, version, err := s.executeRowDML(ctx, c.Table, "DELETE", c.Where, nil)
+	matched, version, err := s.executeRowDML(ctx, st, c.Table, "DELETE", c.Where, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -163,7 +112,7 @@ func (s *Server) executeDelete(qctx context.Context, ctx catalog.RequestContext,
 // executeUpdate rewrites matching rows in place: their old versions join the
 // files' deletion vectors and one appended file carries the updated copies.
 func (s *Server) executeUpdate(qctx context.Context, ctx catalog.RequestContext, st *session.State, c *plan.Update) (*types.Schema, *types.Batch, error) {
-	matched, version, err := s.executeRowDML(ctx, c.Table, "UPDATE", c.Where, c.Set)
+	matched, version, err := s.executeRowDML(ctx, st, c.Table, "UPDATE", c.Where, c.Set)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -175,7 +124,7 @@ func (s *Server) executeUpdate(qctx context.Context, ctx catalog.RequestContext,
 // per row over the raw table, mask matches through deletion vectors, append
 // updated copies when set is given, and commit optimistically with Expect
 // guards so a concurrent writer forces a clean replan instead of lost rows.
-func (s *Server) executeRowDML(ctx catalog.RequestContext, table []string, op string, where plan.Expr, set []plan.Assignment) (int64, int64, error) {
+func (s *Server) executeRowDML(ctx catalog.RequestContext, st *session.State, table []string, op string, where plan.Expr, set []plan.Assignment) (int64, int64, error) {
 	meta, err := s.cat.ResolveTable(ctx, table)
 	if err != nil {
 		return 0, 0, err
@@ -183,16 +132,17 @@ func (s *Server) executeRowDML(ctx catalog.RequestContext, table []string, op st
 	if err := s.cat.AuthorizeTableDML(ctx, table, op); err != nil {
 		return 0, 0, err
 	}
-	scopes := []dmlScope{tableScope(table, "", meta.Schema, 0)}
+	an := s.newAnalyzer(ctx, st)
+	scopes := []analyzer.DMLScope{tableScope(table, "", meta.Schema, 0)}
 	var bWhere plan.Expr
 	if where != nil {
-		if bWhere, err = bindDMLExpr(where, scopes); err != nil {
+		if bWhere, err = an.AnalyzeDMLExpr(where, scopes); err != nil {
 			return 0, 0, err
 		}
 	}
 	var bSet []boundAssign
 	if set != nil {
-		if bSet, err = bindAssignments(set, meta.Schema, scopes); err != nil {
+		if bSet, err = bindAssignments(an, set, meta.Schema, scopes); err != nil {
 			return 0, 0, err
 		}
 	}
@@ -322,28 +272,29 @@ func (s *Server) executeMerge(qctx context.Context, ctx catalog.RequestContext, 
 		srcAll.AppendBatch(b)
 	}
 	src := srcAll.Build()
+	an := s.newAnalyzer(ctx, st)
 	tgt := tableScope(c.Table, c.TableAlias, meta.Schema, 0)
-	srcScope := dmlScope{schema: srcSchema, base: meta.Schema.Len()}
+	srcScope := analyzer.DMLScope{Schema: srcSchema, Base: meta.Schema.Len()}
 	if c.SourceAlias != "" {
-		srcScope.names = append(srcScope.names, strings.ToLower(c.SourceAlias))
+		srcScope.Names = append(srcScope.Names, strings.ToLower(c.SourceAlias))
 	}
 	if rel, ok := c.Source.(*plan.UnresolvedRelation); ok && len(rel.Parts) > 0 {
-		srcScope.names = append(srcScope.names, strings.ToLower(rel.Parts[len(rel.Parts)-1]))
+		srcScope.Names = append(srcScope.Names, strings.ToLower(rel.Parts[len(rel.Parts)-1]))
 	}
-	both := []dmlScope{tgt, srcScope}
-	bOn, err := bindDMLExpr(c.On, both)
+	both := []analyzer.DMLScope{tgt, srcScope}
+	bOn, err := an.AnalyzeDMLExpr(c.On, both)
 	if err != nil {
 		return nil, nil, err
 	}
 	var bSet []boundAssign
 	if len(c.MatchedSet) > 0 {
-		if bSet, err = bindAssignments(c.MatchedSet, meta.Schema, both); err != nil {
+		if bSet, err = bindAssignments(an, c.MatchedSet, meta.Schema, both); err != nil {
 			return nil, nil, err
 		}
 	}
 	var bInsert []plan.Expr
 	for _, e := range c.InsertValues {
-		be, err := bindDMLExpr(e, []dmlScope{{names: srcScope.names, schema: srcSchema, base: 0}})
+		be, err := an.AnalyzeDMLExpr(e, []analyzer.DMLScope{{Names: srcScope.Names, Schema: srcSchema}})
 		if err != nil {
 			return nil, nil, err
 		}

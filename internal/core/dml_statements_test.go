@@ -9,6 +9,7 @@ import (
 
 	"lakeguard/internal/storage"
 	"lakeguard/internal/telemetry"
+	"lakeguard/internal/types"
 )
 
 func TestUpdateStatement(t *testing.T) {
@@ -301,16 +302,18 @@ func TestDVMaskComposesWithZoneMapPruning(t *testing.T) {
 // DML evaluates over columns through the engine's compiled expression
 // lists: DELETE/UPDATE WHERE as selection kernels over each file's
 // deletion-vector keep-list, UPDATE SET, and MERGE's ON, matched SET and
-// INSERT values. An expression that does not compile runs in the row
-// interpreter and is counted on exec.vec.fallback.<node>: LIKE, a CASE on
-// row values, and — because DML expressions are bound but never analyzed —
-// untyped arithmetic, concatenation, NULL and CASE results. A sequence of statements over NULLs, identity
-// functions and CASE, on files that already carry deletion vectors, must
-// leave exactly the rows a plain model leaves, and a SET whose cast raises
-// fails with its error text and changes nothing. An interpreted SET value is
-// cast straight to its column's kind, whatever kind the rows before it had:
-// a CASE over a DOUBLE column whose first matched row is NULL keeps the
-// fractions, and a CASE mixing BIGINT and STRING fills a STRING column.
+// INSERT values. DML expressions are resolved and typed by the analyzer, as
+// a query's are, so typed arithmetic, concatenation and CASE compile; an
+// expression that does not (LIKE, a CASE on row values, COALESCE, an
+// untyped NULL) runs in the row interpreter and is counted on
+// exec.vec.fallback.<node>. A sequence of statements over NULLs, identity
+// functions, CASE and scalar functions, on files that already carry
+// deletion vectors, must leave exactly the rows a plain model leaves; BIGINT
+// arithmetic beyond 2^53 stays exact; a SET whose cast raises fails with its
+// error text and changes nothing, and CASE branches of incompatible kinds
+// are refused. An interpreted SET value is cast straight to its column's
+// kind, whatever kind the rows before it had: a CASE over a DOUBLE column
+// whose first matched row is NULL keeps the fractions.
 func TestDMLWhereKernelsMatchModel(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := newEnv(t, Config{Name: "std", Metrics: reg})
@@ -436,7 +439,11 @@ func TestDMLWhereKernelsMatchModel(t *testing.T) {
 				return p
 			})},
 		{sql: "DELETE FROM pts WHERE v < 5", apply: rowDML(func(_ int64, p pt) bool { return lt(p, 5) }, nil)},
-		{sql: "UPDATE pts SET tag = CASE WHEN v IS NULL THEN id ELSE 'x' END WHERE id >= 13 AND id < 20", fellBack: "Case",
+		// DML expressions are typed as a query's are: CASE branches of
+		// incompatible kinds are refused before a row is read.
+		{sql: "UPDATE pts SET tag = CASE WHEN v IS NULL THEN id ELSE 'x' END WHERE id >= 13 AND id < 20",
+			err: "analyzer: CASE branches: incompatible types BIGINT and STRING"},
+		{sql: "UPDATE pts SET tag = CASE WHEN v IS NULL THEN CAST(id AS STRING) ELSE 'x' END WHERE id >= 13 AND id < 20", fellBack: "Case",
 			apply: rowDML(func(id int64, _ pt) bool { return id >= 13 && id < 20 }, func(id int64, p pt) pt {
 				p.tag = "x"
 				if p.vNull {
@@ -444,9 +451,9 @@ func TestDMLWhereKernelsMatchModel(t *testing.T) {
 				}
 				return p
 			})},
-		{sql: "UPDATE pts SET v = v + 100 WHERE tag = 'a' AND id > 30", fellBack: "Binary",
+		{sql: "UPDATE pts SET v = v + 100 WHERE tag = 'a' AND id > 30",
 			apply: rowDML(func(id int64, p pt) bool { return p.tag == "a" && id > 30 }, func(_ int64, p pt) pt { p.v += 100; return p })},
-		{sql: "DELETE FROM pts WHERE id % 3 = 0 OR v > 130", fellBack: "Binary",
+		{sql: "DELETE FROM pts WHERE id % 3 = 0 OR v > 130",
 			apply: rowDML(func(id int64, p pt) bool { return id%3 == 0 || (!p.vNull && p.v > 130) }, nil)},
 		{sql: "DELETE FROM pts WHERE tag LIKE 'a%' AND v < 20", fellBack: "Like",
 			apply: rowDML(func(_ int64, p pt) bool { return strings.HasPrefix(p.tag, "a") && lt(p, 20) }, nil)},
@@ -456,11 +463,26 @@ func TestDMLWhereKernelsMatchModel(t *testing.T) {
 		// A WHERE that is not BOOLEAN is never TRUE, as in the row interpreter.
 		{sql: "DELETE FROM pts WHERE v", fellBack: "ResultKind", apply: rowDML(func(int64, pt) bool { return false }, nil)},
 		{sql: "UPDATE pts SET tag = CASE WHEN IS_ACCOUNT_GROUP_MEMBER('nobody') THEN 'grp' ELSE CURRENT_USER() END, v = id WHERE v IS NULL",
-			fellBack: "Case", apply: rowDML(func(_ int64, p pt) bool { return p.vNull }, func(id int64, p pt) pt { p.tag, p.v, p.vNull = admin, id, false; return p })},
+			apply: rowDML(func(_ int64, p pt) bool { return p.vNull }, func(id int64, p pt) pt { p.tag, p.v, p.vNull = admin, id, false; return p })},
 		{sql: "UPDATE pts SET v = tag WHERE tag = 'b'", err: `core: SET column 3: cannot cast STRING "b" to BIGINT`},
+		// BIGINT arithmetic stays in int64: 2^53 + 1 is not a float64.
+		{sql: "UPDATE pts SET v = 9007199254740993 WHERE id = 1",
+			apply: rowDML(func(id int64, _ pt) bool { return id == 1 }, func(_ int64, p pt) pt { p.v, p.vNull = 9007199254740993, false; return p })},
+		{sql: "UPDATE pts SET v = v + 2 WHERE id = 1",
+			apply: rowDML(func(id int64, _ pt) bool { return id == 1 }, func(_ int64, p pt) pt { p.v += 2; return p })},
+		// Scalar functions resolve in SET and WHERE.
+		{sql: "UPDATE pts SET d = COALESCE(d, 0) WHERE id < 40", fellBack: "ScalarFunc",
+			apply: rowDML(func(id int64, _ pt) bool { return id < 40 }, func(_ int64, p pt) pt {
+				if p.dNull {
+					p.d, p.dNull = 0, false
+				}
+				return p
+			})},
+		{sql: "DELETE FROM pts WHERE COALESCE(d, 0) > 90", fellBack: "ScalarFunc",
+			apply: rowDML(func(_ int64, p pt) bool { return !p.dNull && p.d > 90 }, nil)},
 		{sql: "MERGE INTO pts AS t USING src AS s ON t.id = s.id WHEN NOT MATCHED THEN INSERT VALUES (s.id, s.tag, s.tag, s.d)",
 			err: `core: MERGE INSERT column "v": cannot cast STRING "n200" to BIGINT`},
-		{sql: "UPDATE pts SET v = NULL, tag = tag || '!' WHERE id < 20 AND tag <> ''", fellBack: "Binary Literal",
+		{sql: "UPDATE pts SET v = NULL, tag = tag || '!' WHERE id < 20 AND tag <> ''", fellBack: "Literal",
 			apply: rowDML(func(id int64, p pt) bool { return id < 20 && p.tag != "" }, func(_ int64, p pt) pt { p.tag, p.vNull = p.tag+"!", true; return p })},
 		{sql: `MERGE INTO pts AS t USING src AS s ON t.id = s.id AND CURRENT_USER() = '` + admin + `'
 			WHEN MATCHED THEN UPDATE SET v = s.v, tag = CASE WHEN IS_ACCOUNT_GROUP_MEMBER('nobody') THEN 'grp' ELSE s.tag END
@@ -506,5 +528,46 @@ func TestDMLWhereKernelsMatchModel(t *testing.T) {
 				t.Fatalf("after %s: row %d = (%s, %v, %v), model %+v (present %v)", step.sql, id, got.Cols[1].StringAt(i), got.Cols[2].Value(i), got.Cols[3].Value(i), p, ok)
 			}
 		}
+	}
+}
+
+// DML runs no sealed, verified plan it could hand the sandbox, so a
+// user-defined function in any DML expression — a session function or a
+// cataloged one, in SET, WHERE or a MERGE clause — is refused before a row
+// is read, no sandbox starts, and the table is unchanged.
+func TestDMLRefusesUserCode(t *testing.T) {
+	e := newEnv(t, Config{Name: "std"})
+	c := e.client("tok-admin")
+	seedSales(t, c)
+	if err := c.RegisterFunction("twice", []types.Field{{Name: "x", Kind: types.KindFloat64}}, types.KindFloat64, "return x * 2"); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, c, "CREATE FUNCTION bump(x DOUBLE) RETURNS DOUBLE AS 'return x + 1'")
+	total := func() string {
+		t.Helper()
+		b, err := c.Sql("SELECT COUNT(*) AS n, SUM(amount) AS s FROM sales").Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	before := total()
+	for _, stmt := range []string{
+		"UPDATE sales SET amount = twice(amount)",
+		"DELETE FROM sales WHERE bump(amount) > 0",
+		"UPDATE sales SET amount = 1 WHERE seller = 'ann' AND twice(amount) > 0",
+		"MERGE INTO sales AS t USING sales AS s ON t.seller = s.seller AND bump(s.amount) > 0 WHEN MATCHED THEN DELETE",
+		"MERGE INTO sales AS t USING sales AS s ON t.seller = s.seller WHEN MATCHED THEN UPDATE SET amount = twice(s.amount)",
+	} {
+		_, err := c.ExecSQL(stmt)
+		if err == nil || !strings.Contains(err.Error(), "cannot run in DML") {
+			t.Errorf("%s: err = %v, want the user-code refusal", stmt, err)
+		}
+	}
+	if after := total(); after != before {
+		t.Errorf("refused DML changed the table:\n%s\nwant\n%s", after, before)
+	}
+	if st := e.server.Dispatcher().Stats(); st.ColdStarts != 0 {
+		t.Errorf("refused DML started %d sandboxes", st.ColdStarts)
 	}
 }

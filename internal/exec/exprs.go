@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"sync"
+
 	"lakeguard/internal/eval"
 	"lakeguard/internal/plan"
 	"lakeguard/internal/telemetry"
@@ -156,12 +158,23 @@ func (p *ExprProgs) countEval() {
 // waves run over all n rows, so only sel == nil may reach a list with UDF
 // calls: compileExprs (the filter operator) lifts them, compileProgs (scan
 // filters, join residuals, DML) leaves them to the row interpreter.
+//
+// Conjuncts narrow through two pooled scratch selections in turn (a
+// conjunct's output never aliases its input), and the result is copied out
+// at its own size, so a selective predicate allocates for the rows it keeps
+// rather than for every candidate.
 func (p *ExprProgs) Select(cols []*types.Column, n int, sel []int) ([]int, error) {
 	cols, err := p.withUDFs(cols, n)
 	if err != nil {
 		return nil, err
 	}
 	p.countEval()
+	if len(p.progs) == 0 {
+		return sel, nil
+	}
+	scratch := [2]*[]int{selScratch.Get().(*[]int), selScratch.Get().(*[]int)}
+	defer selScratch.Put(scratch[0])
+	defer selScratch.Put(scratch[1])
 	for i, prog := range p.progs {
 		if sel != nil && len(sel) == 0 {
 			break
@@ -170,7 +183,10 @@ func (p *ExprProgs) Select(cols []*types.Column, n int, sel []int) ([]int, error
 		if sel != nil {
 			m = len(sel)
 		}
-		next := make([]int, 0, m)
+		next := (*scratch[i%2])[:0]
+		if cap(next) < m {
+			next = make([]int, 0, m)
+		}
 		if prog != nil {
 			next = prog.Select(cols, n, sel, next)
 		} else {
@@ -188,10 +204,14 @@ func (p *ExprProgs) Select(cols []*types.Column, n int, sel []int) ([]int, error
 				}
 			}
 		}
+		*scratch[i%2] = next
 		sel = next
 	}
-	return sel, nil
+	return append(make([]int, 0, len(sel)), sel...), nil
 }
+
+// selScratch holds the scratch selections Select narrows through.
+var selScratch = sync.Pool{New: func() any { return new([]int) }}
 
 // interpret runs expression i through the row interpreter over the rows sel
 // selects (nil = all n), returning one value per selected row. It is the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"lakeguard/internal/arrowipc"
 	"lakeguard/internal/optimizer"
 	"lakeguard/internal/plan"
 	"lakeguard/internal/sandbox"
@@ -21,12 +22,23 @@ type exprRunner struct {
 	engine *Engine
 	qc     *QueryContext
 	plan   *optimizer.UDFPlan
-	width  int          // input columns the plan was lifted over
-	args   []*ExprProgs // per group in plan order, one expression per argument
+	width  int        // input columns the plan was lifted over
+	groups []udfGroup // per group, in plan order
 	// vectorized is set when every argument compiled to a vector program.
 	vectorized bool
-	// inProcessFuncs caches bound UDFs for the unsafe baseline.
-	inProcessFuncs udf.Cache
+}
+
+// udfGroup is one fused crossing, prepared once per statement: its
+// arguments' programs, the specs and argument schema every batch's request
+// carries, and, for the unsafe baseline, its bound functions.
+type udfGroup struct {
+	optimizer.UDFGroup
+	args      *ExprProgs // one expression per argument
+	specs     []sandbox.UDFSpec
+	argSchema *types.Schema
+	// resultSchema is the schema every crossing's response must carry.
+	resultSchema *types.Schema
+	inProcess    *udf.Set // bound on the group's first batch
 }
 
 // newExprRunner lifts the UDF calls out of exprs over input kinds in and
@@ -45,17 +57,32 @@ func (e *Engine) newExprRunner(qc *QueryContext, exprs []plan.Expr, in []types.K
 	copy(kinds, in)
 	for _, wave := range p.Waves {
 		for _, group := range wave {
+			g := udfGroup{UDFGroup: group, argSchema: &types.Schema{}, specs: make([]sandbox.UDFSpec, len(group.Calls))}
 			var args []plan.Expr
-			var want []types.Kind
-			for _, call := range group.Calls {
-				for _, a := range call.Call.Args {
+			for ci, call := range group.Calls {
+				g.specs[ci] = sandbox.UDFSpec{
+					Name:       call.Call.Name,
+					Body:       call.Call.Body,
+					ArgNames:   call.Call.ArgNames,
+					ResultKind: call.Call.ResultKind,
+				}
+				for ai, a := range call.Call.Args {
+					g.specs[ci].ArgCols = append(g.specs[ci].ArgCols, len(args))
+					g.argSchema.Fields = append(g.argSchema.Fields, types.Field{
+						Name: fmt.Sprintf("a%d_%d", ci, ai), Kind: argKind(a), Nullable: true,
+					})
 					args = append(args, a)
-					want = append(want, argKind(a))
 				}
 			}
-			a := e.compileProgs(qc.Eval, nil, args, kinds, want)
-			r.args = append(r.args, a)
-			r.vectorized = r.vectorized && a.vectorized
+			if len(args) == 0 {
+				// Zero-argument UDFs still evaluate once per input row: carry
+				// the row count with a constant column.
+				g.argSchema.Fields = append(g.argSchema.Fields, types.Field{Name: "__rowid", Kind: types.KindInt64})
+			}
+			g.resultSchema = sandbox.ResultSchema(g.specs)
+			g.args = e.compileProgs(qc.Eval, nil, args, kinds, g.argSchema.Kinds()[:len(args)])
+			r.vectorized = r.vectorized && g.args.vectorized
+			r.groups = append(r.groups, g)
 		}
 		for _, group := range wave {
 			for _, call := range group.Calls {
@@ -71,13 +98,9 @@ func (e *Engine) newExprRunner(qc *QueryContext, exprs []plan.Expr, in []types.K
 func (r *exprRunner) run(in []*types.Column, n int) ([]*types.Column, error) {
 	cols := make([]*types.Column, r.plan.Width)
 	copy(cols, in[:r.width])
-	gi := 0
-	for _, wave := range r.plan.Waves {
-		for _, group := range wave {
-			if err := r.runGroup(r.args[gi], group, cols, n); err != nil {
-				return nil, err
-			}
-			gi++
+	for i := range r.groups {
+		if err := r.runGroup(&r.groups[i], cols, n); err != nil {
+			return nil, err
 		}
 	}
 	return cols, nil
@@ -85,48 +108,26 @@ func (r *exprRunner) run(in []*types.Column, n int) ([]*types.Column, error) {
 
 // runGroup executes one fused sandbox crossing (or the unsafe in-process
 // baseline) and stores each call's result column at its lifted index.
-func (r *exprRunner) runGroup(args *ExprProgs, group optimizer.UDFGroup, cols []*types.Column, n int) error {
-	argCols, err := args.Run(cols, n)
+func (r *exprRunner) runGroup(g *udfGroup, cols []*types.Column, n int) error {
+	argCols, err := g.args.Run(cols, n)
 	if err != nil {
 		return err
 	}
-	argSchema := &types.Schema{}
-	specs := make([]sandbox.UDFSpec, len(group.Calls))
-	for ci, call := range group.Calls {
-		spec := sandbox.UDFSpec{
-			Name:       call.Call.Name,
-			Body:       call.Call.Body,
-			ArgNames:   call.Call.ArgNames,
-			ResultKind: call.Call.ResultKind,
-		}
-		for ai := range call.Call.Args {
-			spec.ArgCols = append(spec.ArgCols, len(argSchema.Fields))
-			argSchema.Fields = append(argSchema.Fields, types.Field{
-				Name:     fmt.Sprintf("a%d_%d", ci, ai),
-				Kind:     args.kinds[len(argSchema.Fields)],
-				Nullable: true,
-			})
-		}
-		specs[ci] = spec
-	}
 	if len(argCols) == 0 {
-		// Zero-argument UDFs still evaluate once per input row: carry the
-		// row count with a constant column.
-		argSchema.Fields = append(argSchema.Fields, types.Field{Name: "__rowid", Kind: types.KindInt64})
 		argCols = append(argCols, types.ConstColumn(types.Int64(0), n))
 	}
-	argBatch := types.MustBatch(argSchema, argCols)
+	argBatch := types.MustBatch(g.argSchema, argCols)
 
 	var results []*types.Column
 	if r.engine.UnsafeInProcessUDFs {
-		results, err = r.runInProcess(specs, argBatch)
+		results, err = g.runInProcess(argBatch)
 	} else {
-		results, err = r.executeSandboxed(specs, argBatch, group.TrustDomain, group.Resources)
+		results, err = r.executeSandboxed(g, argBatch)
 	}
 	if err != nil {
 		return err
 	}
-	for ci, call := range group.Calls {
+	for ci, call := range g.Calls {
 		cols[call.OutIndex] = results[ci]
 	}
 	return nil
@@ -145,119 +146,90 @@ func argKind(arg plan.Expr) types.Kind {
 // Engine.Parallelism > 1 and a large enough batch, the rows are split into
 // partitions executed concurrently on separate sandboxes of the same trust
 // domain — the executor-worker parallelism of a multi-node Spark cluster.
-func (r *exprRunner) executeSandboxed(specs []sandbox.UDFSpec, argBatch *types.Batch, trustDomain, resources string) ([]*types.Column, error) {
+// Each partition's response decodes once, straight into its rows of one
+// result batch.
+func (r *exprRunner) executeSandboxed(g *udfGroup, argBatch *types.Batch) ([]*types.Column, error) {
 	workers := r.engine.Parallelism
 	n := argBatch.NumRows()
 	const minRowsPerWorker = 256
 	if workers <= 1 || n < 2*minRowsPerWorker {
-		return r.executeOnePartition(specs, argBatch, trustDomain, resources)
-	}
-	if max := n / minRowsPerWorker; workers > max {
+		workers = 1
+	} else if max := n / minRowsPerWorker; workers > max {
 		workers = max
 	}
-
-	type part struct {
-		cols []*types.Column
-		err  error
-	}
-	parts := make([]part, workers)
-	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			cols, err := r.executeOnePartition(specs, argBatch.Slice(lo, hi), trustDomain, resources)
-			parts[w] = part{cols: cols, err: err}
-		}(w, lo, hi)
+	var sizes []int
+	for lo := 0; lo < n || len(sizes) == 0; lo += chunk {
+		sizes = append(sizes, min(chunk, n-lo))
 	}
-	wg.Wait()
-	// Stitch partition results back together in order.
-	builders := make([]*types.Builder, len(specs))
-	for i, spec := range specs {
-		builders[i] = types.NewBuilder(spec.ResultKind, n)
+	result := arrowipc.NewAssembly(g.resultSchema, sizes)
+	errs := make([]error, len(sizes))
+	if len(sizes) == 1 {
+		errs[0] = r.cross(g, argBatch, result, 0)
+	} else {
+		var wg sync.WaitGroup
+		for w := range sizes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				lo := w * chunk
+				errs[w] = r.cross(g, argBatch.Slice(lo, lo+sizes[w]), result, w)
+			}()
+		}
+		wg.Wait()
 	}
-	for w := range parts {
-		if parts[w].err != nil {
-			return nil, parts[w].err
-		}
-		if parts[w].cols == nil {
-			continue
-		}
-		for ci, col := range parts[w].cols {
-			builders[ci].AppendColumn(col)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	out := make([]*types.Column, len(builders))
-	for i, b := range builders {
-		out[i] = b.Build()
-	}
-	return out, nil
+	return result.Batch().Cols, nil
 }
 
-func (r *exprRunner) executeOnePartition(specs []sandbox.UDFSpec, args *types.Batch, trustDomain, resources string) ([]*types.Column, error) {
+// cross runs partition w's crossing on a sandbox of the group's trust
+// domain and decodes its response into the partition's rows of result.
+// The response crossed the boundary from user code's side and kernels
+// compiled for each call's declared kind read it, so its column count,
+// kinds and row count are checked first.
+func (r *exprRunner) cross(g *udfGroup, args *types.Batch, result *arrowipc.Assembly, w int) error {
 	ctx := r.qc.GoContext()
-	sb, err := r.engine.Dispatcher.AcquireResources(ctx, r.qc.SessionID, trustDomain, resources)
+	sb, err := r.engine.Dispatcher.AcquireResources(ctx, r.qc.SessionID, g.TrustDomain, g.Resources)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer r.engine.Dispatcher.Release(r.qc.SessionID, sb)
-	result, err := sb.Execute(ctx, &sandbox.Request{Specs: specs, Args: args, PlanFingerprint: r.qc.VerifiedPlan})
-	if err != nil {
-		return nil, err
-	}
-	// The result crossed the boundary from user code's side: kernels compiled
-	// for each call's declared kind read it, so its shape is checked first.
-	if len(result.Cols) != len(specs) {
-		return nil, fmt.Errorf("exec: sandbox returned %d columns for %d UDFs", len(result.Cols), len(specs))
-	}
-	for i, c := range result.Cols {
-		if c.Kind() != specs[i].ResultKind || c.Len() != args.NumRows() {
-			return nil, fmt.Errorf("exec: sandbox returned %d %s rows for UDF %s, want %d %s rows",
-				c.Len(), c.Kind(), specs[i].Name, args.NumRows(), specs[i].ResultKind)
+	req := &sandbox.Request{Specs: g.specs, Args: args, PlanFingerprint: r.qc.VerifiedPlan}
+	return sb.ExecuteInto(ctx, req, func(stream []byte) error {
+		if err := result.DecodePart(w, stream); err != nil {
+			return fmt.Errorf("exec: sandbox returned a malformed result for UDFs %s: %w", g.resultSchema, err)
 		}
-	}
-	return result.Cols, nil
+		return nil
+	})
 }
 
 // runInProcess is the pre-Lakeguard baseline: user code run directly in
 // the engine process with ambient capabilities and no serialization
-// boundary, each spec over the whole batch on one reused frame. Benchmark
+// boundary, through the same udf.Set row loop the sandbox runs. Benchmark
 // use only.
-func (r *exprRunner) runInProcess(specs []sandbox.UDFSpec, args *types.Batch) ([]*types.Column, error) {
-	n := args.NumRows()
-	out := make([]*types.Column, len(specs))
-	for si, spec := range specs {
-		f, err := r.inProcessFuncs.Func(spec.Body, spec.ArgNames)
+func (g *udfGroup) runInProcess(args *types.Batch) ([]*types.Column, error) {
+	if g.inProcess == nil {
+		set, err := sandbox.BindSpecs(g.specs, nil)
 		if err != nil {
 			return nil, err
 		}
-		fr := f.NewFrame(nil)
-		b := types.NewBuilder(spec.ResultKind, n)
-		for i := 0; i < n; i++ {
-			v, err := fr.CallRow(args.Cols, spec.ArgCols, i, udf.DefaultFuel)
-			if err != nil {
-				return nil, fmt.Errorf("exec: in-process udf %s: %w", spec.Name, err)
-			}
-			if v.Null {
-				b.AppendNull()
-				continue
-			}
-			cast, err := v.Cast(spec.ResultKind)
-			if err != nil {
-				return nil, err
-			}
-			b.Append(cast)
-		}
-		out[si] = b.Build()
+		g.inProcess = set
 	}
-	return out, nil
+	n := args.NumRows()
+	out := make([]*types.Builder, len(g.specs))
+	for i, spec := range g.specs {
+		out[i] = types.NewBuilder(spec.ResultKind, n)
+	}
+	if err := g.inProcess.Run(args.Cols, n, udf.DefaultFuel, out); err != nil {
+		return nil, fmt.Errorf("exec: in-process %w", err)
+	}
+	cols := make([]*types.Column, len(out))
+	for i, b := range out {
+		cols[i] = b.Build()
+	}
+	return cols, nil
 }

@@ -9,13 +9,14 @@ import (
 	"testing"
 
 	"lakeguard/internal/arrowipc"
+	"lakeguard/internal/udf"
 )
 
 // The request frame crosses a trust boundary: the decoder must reject
 // truncated, oversized, and corrupt frames without panicking — a hostile or
 // bit-flipped frame burns the request, never the interpreter.
 func TestDecodeRequestRejectsCorruptFrames(t *testing.T) {
-	valid, err := encodeRequest(&Request{Specs: []UDFSpec{sumSpec()}, Args: argBatch(3)})
+	valid, err := appendRequest(nil, &Request{Specs: []UDFSpec{sumSpec()}, Args: argBatch(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,20 +24,22 @@ func TestDecodeRequestRejectsCorruptFrames(t *testing.T) {
 		"empty":          nil,
 		"truncated len":  {0x01, 0x02},
 		"header overrun": {0xff, 0xff, 0x00, 0x00, 'x'},
-		// 0x80000000 decodes to a negative int32-style length.
+		// Lengths with the top bit set wrap negative where int is 32 bits.
 		"negative length":  {0x00, 0x00, 0x00, 0x80, 'x', 'y'},
+		"all bits set":     {0xff, 0xff, 0xff, 0xff, 'x', 'y'},
 		"oversized header": {0x01, 0x00, 0x20, 0x00}, // 2MiB > maxRequestHeader
 		"garbage json":     append([]byte{0x03, 0x00, 0x00, 0x00}, []byte("{{{rest")...),
 		"body truncated":   valid[:len(valid)-20],
 	}
+	in := newInterpreter(nil, udf.DefaultFuel)
 	for name, frame := range cases {
-		if _, _, err := decodeRequest(frame); err == nil {
+		if _, _, err := in.decodeRequest(frame); err == nil {
 			t.Errorf("%s: corrupt frame accepted", name)
 		}
 	}
 	// Sanity: the valid frame still round-trips.
-	specs, batch, err := decodeRequest(valid)
-	if err != nil || len(specs) != 1 || batch.NumRows() != 3 {
+	bs, batch, err := in.decodeRequest(valid)
+	if err != nil || len(bs.specs) != 1 || batch.NumRows() != 3 {
 		t.Fatalf("valid frame rejected: %v", err)
 	}
 }
@@ -44,7 +47,7 @@ func TestDecodeRequestRejectsCorruptFrames(t *testing.T) {
 func TestEncodeRequestRejectsOversizedHeader(t *testing.T) {
 	spec := sumSpec()
 	spec.Body = strings.Repeat("x", maxRequestHeader+1)
-	_, err := encodeRequest(&Request{Specs: []UDFSpec{spec}, Args: argBatch(1)})
+	_, err := appendRequest(nil, &Request{Specs: []UDFSpec{spec}, Args: argBatch(1)})
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("err = %v", err)
 	}
@@ -99,7 +102,7 @@ var errTestWrongResult = errors.New("wrong result")
 // arrowipc stream of the arguments, written into one exact-size buffer.
 func TestEncodeRequestOneExactBuffer(t *testing.T) {
 	req := &Request{Specs: []UDFSpec{sumSpec()}, Args: argBatch(5)}
-	frame, err := encodeRequest(req)
+	frame, err := appendRequest(nil, req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,7 @@ package sandbox
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -178,6 +179,11 @@ type Sandbox struct {
 	lastTraceID string
 
 	execMu sync.Mutex
+	// reqBuf is the request buffer of the last crossing, reused by the next
+	// one (guarded by execMu). It is kept only after a normal response: a
+	// killed, poisoned, timed-out or abandoned crossing may leave the
+	// interpreter reading it, so its buffer is never written again.
+	reqBuf []byte
 }
 
 type sandboxResp struct {
@@ -306,6 +312,21 @@ func (s *Sandbox) kill(reason string, timeout bool, faultSite string) error {
 // the single IPC pipe unsynchronizable, so the sandbox is destroyed — the
 // moral equivalent of killing a container whose workload hung.
 func (s *Sandbox) Execute(ctx context.Context, req *Request) (*types.Batch, error) {
+	var out *types.Batch
+	err := s.ExecuteInto(ctx, req, func(stream []byte) (err error) {
+		out, err = arrowipc.DecodeBatch(stream)
+		return err
+	})
+	return out, err
+}
+
+// ExecuteInto performs one crossing like Execute, but hands the result, as
+// the arrowipc stream the sandbox encoded, to decode. decode runs while the
+// crossing still holds the sandbox's pipe: the stream is the sandbox's own
+// buffer, valid only until decode returns. A caller that splits one batch
+// across sandboxes decodes each partition's stream into one result batch
+// with an arrowipc.Assembly.
+func (s *Sandbox) ExecuteInto(ctx context.Context, req *Request, decode func(stream []byte) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -316,7 +337,7 @@ func (s *Sandbox) Execute(ctx context.Context, req *Request) (*types.Batch, erro
 		s.setLastTrace(tid)
 	}
 	sp.Count("rows", int64(req.Args.NumRows()))
-	b, err := s.execute(ctx, req)
+	err := s.execute(ctx, req, decode)
 	if err != nil {
 		var crash *SandboxCrashError
 		if errors.As(err, &crash) {
@@ -329,27 +350,23 @@ func (s *Sandbox) Execute(ctx context.Context, req *Request) (*types.Batch, erro
 		}
 	}
 	sp.EndErr(err)
-	return b, err
+	return err
 }
 
-func (s *Sandbox) execute(ctx context.Context, req *Request) (*types.Batch, error) {
+func (s *Sandbox) execute(ctx context.Context, req *Request, decode func([]byte) error) error {
 	if s.requireVerified && req.PlanFingerprint == "" {
-		return nil, fmt.Errorf("%w: sandbox %s (domain %q)", ErrUnverifiedPlan, s.ID, s.TrustDomain)
+		return fmt.Errorf("%w: sandbox %s (domain %q)", ErrUnverifiedPlan, s.ID, s.TrustDomain)
 	}
 	for _, spec := range req.Specs {
 		if len(spec.ArgCols) != len(spec.ArgNames) {
-			return nil, fmt.Errorf("sandbox: spec %q has %d arg columns for %d parameters",
+			return fmt.Errorf("sandbox: spec %q has %d arg columns for %d parameters",
 				spec.Name, len(spec.ArgCols), len(spec.ArgNames))
 		}
 		for _, c := range spec.ArgCols {
 			if c < 0 || c >= req.Args.NumCols() {
-				return nil, fmt.Errorf("sandbox: spec %q references column %d outside batch", spec.Name, c)
+				return fmt.Errorf("sandbox: spec %q references column %d outside batch", spec.Name, c)
 			}
 		}
-	}
-	payload, err := encodeRequest(req)
-	if err != nil {
-		return nil, err
 	}
 
 	// One logical IPC channel: requests are serialized (a container boundary
@@ -358,7 +375,13 @@ func (s *Sandbox) execute(ctx context.Context, req *Request) (*types.Batch, erro
 	defer s.execMu.Unlock()
 
 	if s.poisoned.Load() {
-		return nil, fmt.Errorf("%w: %s (%s)", ErrSandboxPoisoned, s.ID, s.PoisonReason())
+		return fmt.Errorf("%w: %s (%s)", ErrSandboxPoisoned, s.ID, s.PoisonReason())
+	}
+	// The buffer goes back to s.reqBuf only after a normal response.
+	payload, err := appendRequest(s.reqBuf, req)
+	s.reqBuf = nil
+	if err != nil {
+		return err
 	}
 
 	var timeoutC <-chan time.Time
@@ -373,38 +396,40 @@ func (s *Sandbox) execute(ctx context.Context, req *Request) (*types.Batch, erro
 	// and the second select then poisons the sandbox over a request its
 	// caller had abandoned before it crossed.
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	select {
 	case s.reqCh <- payload:
 	case <-s.done:
-		return nil, ErrSandboxClosed
+		return ErrSandboxClosed
 	case <-ctx.Done():
 		// Nothing crossed the boundary yet; the sandbox stays healthy.
-		return nil, ctx.Err()
+		return ctx.Err()
 	case <-timeoutC:
-		return nil, s.kill(fmt.Sprintf("request not accepted within ExecTimeout %v", s.execTimeout), true, "")
+		return s.kill(fmt.Sprintf("request not accepted within ExecTimeout %v", s.execTimeout), true, "")
 	}
 	var resp sandboxResp
 	select {
 	case resp = <-s.respCh:
 	case <-s.done:
-		return nil, ErrSandboxClosed
+		return ErrSandboxClosed
 	case <-ctx.Done():
 		s.kill("in-flight request abandoned: "+ctx.Err().Error(), false, "")
-		return nil, ctx.Err()
+		return ctx.Err()
 	case <-timeoutC:
-		return nil, s.kill(fmt.Sprintf("user code exceeded ExecTimeout %v", s.execTimeout), true, "")
+		return s.kill(fmt.Sprintf("user code exceeded ExecTimeout %v", s.execTimeout), true, "")
 	}
 	s.crossings.Add(1)
 	s.rowsProcessed.Add(int64(req.Args.NumRows() * len(req.Specs)))
 	if resp.crashed {
-		return nil, s.kill("interpreter crashed: "+resp.err, false, resp.faultSite)
+		return s.kill("interpreter crashed: "+resp.err, false, resp.faultSite)
 	}
+	// The interpreter answered, so it no longer reads the request.
+	s.reqBuf = payload
 	if resp.err != "" {
-		return nil, fmt.Errorf("sandbox: user code failed: %s", resp.err)
+		return fmt.Errorf("sandbox: user code failed: %s", resp.err)
 	}
-	return arrowipc.DecodeBatch(resp.data)
+	return decode(resp.data)
 }
 
 // --- wire encoding of requests: JSON header frame + arrowipc payload ---
@@ -413,7 +438,9 @@ func (s *Sandbox) execute(ctx context.Context, req *Request) (*types.Batch, erro
 // or hostile frame, not a legitimate fused-UDF set.
 const maxRequestHeader = 1 << 20
 
-func encodeRequest(req *Request) ([]byte, error) {
+// appendRequest writes the request frame into buf, reusing its capacity; a
+// buffer too small (nil, say) is replaced by one of the frame's exact size.
+func appendRequest(buf []byte, req *Request) ([]byte, error) {
 	header, err := json.Marshal(req.Specs)
 	if err != nil {
 		return nil, err
@@ -421,29 +448,13 @@ func encodeRequest(req *Request) ([]byte, error) {
 	if len(header) > maxRequestHeader {
 		return nil, fmt.Errorf("sandbox: request header %d bytes exceeds limit %d", len(header), maxRequestHeader)
 	}
-	out := make([]byte, 0, 4+len(header)+arrowipc.EncodedLen(req.Args))
-	out = append(out, byte(len(header)), byte(len(header)>>8), byte(len(header)>>16), byte(len(header)>>24))
+	size := 4 + len(header) + arrowipc.EncodedLen(req.Args)
+	if cap(buf) < size {
+		buf = make([]byte, 0, size)
+	}
+	out := binary.LittleEndian.AppendUint32(buf[:0], uint32(len(header)))
 	out = append(out, header...)
 	return arrowipc.AppendEncoded(out, req.Args)
-}
-
-func decodeRequest(data []byte) ([]UDFSpec, *types.Batch, error) {
-	if len(data) < 4 {
-		return nil, nil, errors.New("sandbox: truncated request")
-	}
-	hlen := int(data[0]) | int(data[1])<<8 | int(data[2])<<16 | int(data[3])<<24
-	if hlen < 0 || hlen > maxRequestHeader || 4+hlen > len(data) {
-		return nil, nil, errors.New("sandbox: corrupt request header")
-	}
-	var specs []UDFSpec
-	if err := json.Unmarshal(data[4:4+hlen], &specs); err != nil {
-		return nil, nil, err
-	}
-	batch, err := arrowipc.DecodeBatch(data[4+hlen:])
-	if err != nil {
-		return nil, nil, err
-	}
-	return specs, batch, nil
 }
 
 // runInterpreterLoop is the code that lives "inside" the sandbox. It
@@ -465,7 +476,7 @@ func runInterpreterLoop(reqCh <-chan []byte, respCh chan<- sandboxResp, done <-c
 			return resolver(rawURL)
 		}
 	}
-	funcs := &udf.Cache{}
+	in := newInterpreter(caps, fuel)
 	for {
 		var payload []byte
 		select {
@@ -473,7 +484,7 @@ func runInterpreterLoop(reqCh <-chan []byte, respCh chan<- sandboxResp, done <-c
 		case <-done:
 			return
 		}
-		resp := interpretOne(payload, funcs, caps, fuel, inj, done)
+		resp := interpretOne(payload, in, inj, done)
 		select {
 		case respCh <- resp:
 		case <-done:
@@ -489,7 +500,7 @@ func runInterpreterLoop(reqCh <-chan []byte, respCh chan<- sandboxResp, done <-c
 // interpretOne serves one request, converting interpreter panics — real or
 // injected — into a structured crash response instead of taking down the
 // process: the supervision analog of a container dying alone.
-func interpretOne(payload []byte, funcs *udf.Cache, caps *udf.Capabilities, fuel int, inj *faults.Injector, done <-chan struct{}) (resp sandboxResp) {
+func interpretOne(payload []byte, in *interpreter, inj *faults.Injector, done <-chan struct{}) (resp sandboxResp) {
 	defer func() {
 		if r := recover(); r != nil {
 			resp = sandboxResp{err: fmt.Sprint(r), crashed: true}
@@ -514,54 +525,167 @@ func interpretOne(payload []byte, funcs *udf.Cache, caps *udf.Capabilities, fuel
 			return sandboxResp{err: f.Err.Error()}
 		}
 	}
-	data, errStr := serveRequest(payload, funcs, caps, fuel)
-	return sandboxResp{data: data, err: errStr}
+	data, err := in.serve(payload)
+	if err != nil {
+		return sandboxResp{err: err.Error()}
+	}
+	return sandboxResp{data: data}
 }
 
-// serveRequest runs every spec over the whole argument batch, row by row,
-// each spec on one frame reused for all rows.
-func serveRequest(payload []byte, funcs *udf.Cache, caps *udf.Capabilities, fuel int) ([]byte, string) {
-	specs, args, err := decodeRequest(payload)
-	if err != nil {
-		return nil, err.Error()
+// maxCachedSets bounds an interpreter's spec-header cache; a sandbox that
+// meets more distinct fused sets than this starts the cache over.
+const maxCachedSets = 64
+
+// interpreter is the state the interpreter loop keeps across crossings: the
+// fused sets it has bound, keyed by the exact spec-header bytes that named
+// them, and the argument columns, result builders and response buffer every
+// crossing reuses. Nothing a crossing decodes or builds outlives the encode
+// of its response, the engine decodes the response before it sends the next
+// request, and the buffers kept are sized by the largest crossing served.
+type interpreter struct {
+	caps *udf.Capabilities
+	fuel int
+	sets map[string]*boundSet
+	args arrowipc.Decoder
+	out  []*types.Builder
+	cols []*types.Column
+	resp []byte // the response stream, read by the engine before the next request
+}
+
+// boundSet is one decoded spec header: its specs, bound once.
+type boundSet struct {
+	specs  []UDFSpec
+	set    *udf.Set
+	schema *types.Schema // the result batch's schema
+}
+
+func newInterpreter(caps *udf.Capabilities, fuel int) *interpreter {
+	return &interpreter{caps: caps, fuel: fuel, sets: map[string]*boundSet{}}
+}
+
+// decodeRequest decodes and validates one request frame: its spec header
+// (through the cache) and its argument batch (into the reused columns,
+// valid until the next decode).
+func (in *interpreter) decodeRequest(data []byte) (*boundSet, *types.Batch, error) {
+	if len(data) < 4 {
+		return nil, nil, errors.New("sandbox: truncated request")
 	}
-	outSchema := &types.Schema{Fields: make([]types.Field, len(specs))}
-	builders := make([]*types.Builder, len(specs))
-	frames := make([]*udf.Frame, len(specs))
-	for i, spec := range specs {
-		outSchema.Fields[i] = types.Field{Name: spec.Name, Kind: spec.ResultKind, Nullable: true}
-		builders[i] = types.NewBuilder(spec.ResultKind, args.NumRows())
-		f, err := funcs.Func(spec.Body, spec.ArgNames)
-		if err != nil {
-			return nil, err.Error()
+	h := binary.LittleEndian.Uint32(data)
+	if h > maxRequestHeader || uint64(h)+4 > uint64(len(data)) {
+		return nil, nil, errors.New("sandbox: corrupt request header")
+	}
+	hlen := int(h)
+	header := data[4 : 4+hlen]
+	bs, ok := in.sets[string(header)]
+	if !ok {
+		var err error
+		if bs, err = in.bind(header); err != nil {
+			return nil, nil, err
 		}
-		frames[i] = f.NewFrame(caps)
+		if len(in.sets) >= maxCachedSets {
+			clear(in.sets)
+		}
+		in.sets[string(header)] = bs
+	}
+	batch, err := in.args.Decode(data[4+hlen:])
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, spec := range bs.specs {
+		for _, c := range spec.ArgCols {
+			if c >= batch.NumCols() {
+				return nil, nil, fmt.Errorf("sandbox: spec %q references column %d of a %d-column batch", spec.Name, c, batch.NumCols())
+			}
+		}
+	}
+	return bs, batch, nil
+}
+
+// bind parses a spec header, checks every spec and binds the set.
+func (in *interpreter) bind(header []byte) (*boundSet, error) {
+	var specs []UDFSpec
+	if err := json.Unmarshal(header, &specs); err != nil {
+		return nil, err
+	}
+	set, err := BindSpecs(specs, in.caps)
+	if err != nil {
+		return nil, err
+	}
+	return &boundSet{specs: specs, set: set, schema: ResultSchema(specs)}, nil
+}
+
+// BindSpecs checks specs and binds them, in order, as one fused udf.Set
+// run with caps. The sandbox binds every spec header it decodes this way,
+// and the engine's unisolated baseline binds its UDF groups.
+func BindSpecs(specs []UDFSpec, caps *udf.Capabilities) (*udf.Set, error) {
+	calls := make([]udf.Call, len(specs))
+	for i, spec := range specs {
+		if len(spec.ArgCols) != len(spec.ArgNames) {
+			return nil, fmt.Errorf("sandbox: spec %q has %d arg columns for %d parameters",
+				spec.Name, len(spec.ArgCols), len(spec.ArgNames))
+		}
+		for _, c := range spec.ArgCols {
+			if c < 0 {
+				return nil, fmt.Errorf("sandbox: spec %q references column %d", spec.Name, c)
+			}
+		}
+		if !spec.ResultKind.Valid() {
+			return nil, fmt.Errorf("sandbox: spec %q has invalid result kind %d", spec.Name, spec.ResultKind)
+		}
+		p, err := udf.Compile(spec.Body)
+		if err != nil {
+			return nil, err
+		}
+		calls[i] = udf.Call{Name: spec.Name, Func: p.Bind(spec.ArgNames), ArgCols: spec.ArgCols, Result: spec.ResultKind}
+	}
+	return udf.NewSet(calls, caps), nil
+}
+
+// ResultSchema is the schema of the batch a crossing of specs answers with:
+// one nullable column per spec, named after it, of its result kind.
+func ResultSchema(specs []UDFSpec) *types.Schema {
+	s := &types.Schema{Fields: make([]types.Field, len(specs))}
+	for i, spec := range specs {
+		s.Fields[i] = types.Field{Name: spec.Name, Kind: spec.ResultKind, Nullable: true}
+	}
+	return s
+}
+
+// serve runs every spec of one request over its whole argument batch and
+// returns the encoded results.
+func (in *interpreter) serve(payload []byte) ([]byte, error) {
+	bs, args, err := in.decodeRequest(payload)
+	if err != nil {
+		return nil, err
 	}
 	n := args.NumRows()
-	for row := 0; row < n; row++ {
-		for i, spec := range specs {
-			v, err := frames[i].CallRow(args.Cols, spec.ArgCols, row, fuel)
-			if err != nil {
-				return nil, fmt.Sprintf("udf %s at row %d: %v", spec.Name, row, err)
-			}
-			if v.Null {
-				builders[i].AppendNull()
-				continue
-			}
-			cast, err := v.Cast(spec.ResultKind)
-			if err != nil {
-				return nil, fmt.Sprintf("udf %s at row %d: result %v not a %s", spec.Name, row, v, spec.ResultKind)
-			}
-			builders[i].Append(cast)
+	out := in.builders(bs.schema, n)
+	if err := bs.set.Run(args.Cols, n, in.fuel, out); err != nil {
+		return nil, err
+	}
+	in.cols = in.cols[:0]
+	for _, b := range out {
+		in.cols = append(in.cols, b.Build())
+	}
+	if in.resp, err = arrowipc.AppendEncoded(in.resp[:0], &types.Batch{Schema: bs.schema, Cols: in.cols}); err != nil {
+		return nil, err
+	}
+	return in.resp, nil
+}
+
+// builders returns one empty result builder per field of schema, reusing
+// the previous crossing's builder at each position when its kind matches.
+func (in *interpreter) builders(schema *types.Schema, n int) []*types.Builder {
+	for len(in.out) < schema.Len() {
+		in.out = append(in.out, nil)
+	}
+	out := in.out[:schema.Len()]
+	for i, f := range schema.Fields {
+		if out[i] == nil || out[i].Kind() != f.Kind {
+			out[i] = types.NewBuilder(f.Kind, n)
+		} else {
+			out[i].Reset(n)
 		}
 	}
-	cols := make([]*types.Column, len(builders))
-	for i, b := range builders {
-		cols[i] = b.Build()
-	}
-	out, err := arrowipc.EncodeBatch(types.MustBatch(outSchema, cols))
-	if err != nil {
-		return nil, err.Error()
-	}
-	return out, ""
+	return out
 }

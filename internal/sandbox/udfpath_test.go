@@ -47,15 +47,15 @@ func TestArgumentEdgesKeepSandboxHealthy(t *testing.T) {
 // A crossing's interpreter cost is per batch, not per row: serving 1,024
 // rows makes no more allocations than serving 16.
 func TestCrossingAllocationsIndependentOfRows(t *testing.T) {
-	funcs := &udf.Cache{}
+	in := newInterpreter(nil, udf.DefaultFuel)
 	allocs := func(rows int) float64 {
-		payload, err := encodeRequest(&Request{Specs: []UDFSpec{sumSpec()}, Args: argBatch(rows)})
+		payload, err := appendRequest(nil, &Request{Specs: []UDFSpec{sumSpec()}, Args: argBatch(rows)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(20, func() {
-			if _, errStr := serveRequest(payload, funcs, nil, udf.DefaultFuel); errStr != "" {
-				t.Fatal(errStr)
+			if _, err := in.serve(payload); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -172,3 +172,33 @@ func TestSliceIsCappedView(t *testing.T) {
 		t.Errorf("append through a slice wrote into the source: %v %v", c.Value(2), c.Value(3))
 	}
 }
+
+// A builder reused through Reset builds each column from its own appends
+// only: no row, and no NULL bit, of the column before survives.
+func TestBuilderResetStartsClean(t *testing.T) {
+	b := NewBuilder(KindInt64, 4)
+	for i := 0; i < 6; i++ {
+		if i%2 == 1 {
+			b.AppendNull()
+		} else {
+			b.AppendInt64(int64(i))
+		}
+	}
+	if c := b.Build(); c.Len() != 6 || !c.IsNull(5) {
+		t.Fatalf("first column: %v", c.NullMask())
+	}
+	b.Reset(3)
+	b.AppendInt64(7)
+	b.AppendInt64(8)
+	if c := b.Build(); c.Len() != 2 || c.HasNulls() || c.NullMask() != nil || c.Int64(1) != 8 {
+		t.Fatalf("after Reset: len %d nulls %v", c.Len(), c.NullMask())
+	}
+	b.Reset(3)
+	b.AppendInt64(1)
+	b.AppendInt64(2)
+	b.AppendNull()
+	c := b.Build()
+	if c.Len() != 3 || c.IsNull(0) || c.IsNull(1) || !c.IsNull(2) || c.Int64(1) != 2 {
+		t.Fatalf("NULL after Reset: len %d nulls %v", c.Len(), c.NullMask())
+	}
+}

@@ -1,6 +1,9 @@
 package types
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Column is a typed vector of values with validity tracking. Columns are
 // immutable once built; operators construct new columns via Builder.
@@ -335,8 +338,29 @@ func (b *Builder) AppendString(v string) {
 // Len returns the number of rows appended so far.
 func (b *Builder) Len() int { return b.col.n }
 
-// Build finalizes and returns the column. The builder must not be reused.
+// Kind returns the kind of the column being built.
+func (b *Builder) Kind() Kind { return b.col.kind }
+
+// Build finalizes and returns the column. The builder must not be reused,
+// except through Reset.
 func (b *Builder) Build() *Column { return &b.col }
+
+// Reset empties the builder for another column of its kind with capacity
+// hint n, keeping its payload buffer (a NULL mask is allocated afresh when
+// needed). The column it built before shares the payload, so it must no
+// longer be read.
+func (b *Builder) Reset(n int) {
+	c := &b.col
+	c.nulls, c.n, b.hint = nil, 0, n
+	switch {
+	case c.ints != nil:
+		c.ints = slices.Grow(c.ints[:0], n)
+	case c.flts != nil:
+		c.flts = slices.Grow(c.flts[:0], n)
+	case c.strs != nil:
+		c.strs = slices.Grow(c.strs[:0], n)
+	}
+}
 
 // ColumnFromValues builds a column of the given kind from scalar values.
 func ColumnFromValues(kind Kind, vals []Value) *Column {

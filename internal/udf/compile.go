@@ -2,7 +2,6 @@ package udf
 
 import (
 	"fmt"
-	"strings"
 
 	"lakeguard/internal/types"
 )
@@ -76,15 +75,6 @@ func (f *Func) NewFrame(caps *Capabilities) *Frame {
 
 // SetArg sets the i-th bound parameter for the next call.
 func (fr *Frame) SetArg(i int, v value) { fr.slots[fr.fn.params[i]] = v }
-
-// CallRow calls the function with its parameters read from one row: the
-// i-th parameter is row `row` of cols[argCols[i]].
-func (fr *Frame) CallRow(cols []*types.Column, argCols []int, row, fuel int) (value, error) {
-	for i, c := range argCols {
-		fr.SetArg(i, cols[c].Value(row))
-	}
-	return fr.Call(fuel)
-}
 
 // Call runs the function on the current arguments within a budget of fuel
 // steps. The result is the value of the first `return`, or the value of the
@@ -463,32 +453,4 @@ func (b *binder) call(t callNode) exprFn {
 		}
 		return fn.fn(window, fr.caps)
 	}
-}
-
-// Cache memoizes the Funcs of one owner — a sandbox's interpreter loop, an
-// in-process runner — keyed by (body, parameter names), so each program is
-// parsed and bound once per owner. It is not safe for concurrent use.
-type Cache struct {
-	funcs map[cacheKey]*Func
-}
-
-type cacheKey struct{ body, params string }
-
-// Func returns the bound function for body under argNames, compiling it on
-// first use. A body that fails to compile is not cached.
-func (c *Cache) Func(body string, argNames []string) (*Func, error) {
-	key := cacheKey{body, strings.Join(argNames, "\x00")}
-	if f, ok := c.funcs[key]; ok {
-		return f, nil
-	}
-	p, err := Compile(body)
-	if err != nil {
-		return nil, err
-	}
-	if c.funcs == nil {
-		c.funcs = map[cacheKey]*Func{}
-	}
-	f := p.Bind(argNames)
-	c.funcs[key] = f
-	return f, nil
 }

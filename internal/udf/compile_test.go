@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -93,6 +94,12 @@ func corpus() []corpusCase {
 		{src: "return x < 1", args: map[string]value{"x": types.Null(types.KindInt64)}},
 		{src: "return x + '!'", args: map[string]value{"x": types.Null(types.KindString)}},
 		{src: "a = a * 2\nreturn a + b", args: map[string]value{"a": intVal(4), "b": intVal(1)}},
+		{src: "a = str(a)\nreturn a + '!'", args: map[string]value{"a": intVal(7)}},
+		{src: "for a in range(2):\n    b = a\nreturn a + b", args: map[string]value{"a": floatVal(0.5), "b": intVal(1)}},
+		{src: "return str(a) + '|' + str(b) + '|' + str(d) + '|' + str(t) + '|' + str(z)", args: map[string]value{
+			"a": types.Bool(true), "b": types.Binary([]byte("xy")), "d": types.Date(19000),
+			"t": types.Timestamp(1_700_000_000_000_000), "z": types.Null(types.KindNull)}},
+		{src: "return is_null(z) and not is_null(b)", args: map[string]value{"z": types.Null(types.KindNull), "b": types.Binary(nil)}},
 		{src: "return a + b + 3", args: map[string]value{"a": intVal(math.MaxInt64), "b": intVal(1)}},
 		{src: "return a * b", args: map[string]value{"a": floatVal(math.NaN()), "b": intVal(1)}},
 	}
@@ -136,10 +143,49 @@ func checkAgainstOracle(t *testing.T, p *Program, c corpusCase, fuel int) {
 	}
 }
 
+// checkRowsAgainstOracle runs p through a Set over three rows of argument
+// columns — the arguments, a NULL of each argument's kind, the arguments
+// again — and compares every row with the tree-walker. The first bound
+// name is also bound first to a decoy STRING column, so a repeated name
+// must take its later argument; a parameter the body reassigns must come
+// back with its column's kind and value on the next row.
+func checkRowsAgainstOracle(t *testing.T, p *Program, src string, args map[string]value, caps *Capabilities, fuel int) {
+	t.Helper()
+	names := make([]string, 0, len(args))
+	for k := range args {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	if len(names) == 0 {
+		return
+	}
+	bound := append([]string{names[0]}, names...)
+	cols := []*types.Column{types.ColumnFromValues(types.KindString, []value{strVal("decoy"), strVal("decoy"), strVal("decoy")})}
+	for _, k := range names {
+		v := args[k]
+		cols = append(cols, types.ColumnFromValues(v.Kind, []value{v, types.Null(v.Kind), v}))
+	}
+	c := setOf(p, bound, caps)
+	c.bind(cols)
+	for row := 0; row < 3; row++ {
+		rowArgs := map[string]value{}
+		for i, k := range names {
+			rowArgs[k] = cols[i+1].Value(row)
+		}
+		want, wantLeft, wantErr := oracleCall(p, rowArgs, caps, fuel)
+		got, gotErr := c.call(row, fuel)
+		if !sameValue(got, want) || errText(gotErr) != errText(wantErr) || c.fr.fuel != wantLeft {
+			t.Errorf("%q row %d fuel %d: set = (%v, %q, left %d), oracle = (%v, %q, left %d)",
+				src, row, fuel, got, errText(gotErr), c.fr.fuel, want, errText(wantErr), wantLeft)
+		}
+	}
+}
+
 // TestCompiledMatchesOracle runs every corpus program compiled and under the
 // reference tree-walker, at the default budget and at every budget from 0 to
 // the program's step count plus one, so exhaustion must land on the same
-// step with the same error.
+// step with the same error. Arguments reach the compiled program through
+// typed argument columns, one row at a time and over several rows.
 func TestCompiledMatchesOracle(t *testing.T) {
 	for _, c := range corpus() {
 		p, err := Compile(c.src)
@@ -147,6 +193,7 @@ func TestCompiledMatchesOracle(t *testing.T) {
 			t.Fatalf("Compile(%q): %v", c.src, err)
 		}
 		checkAgainstOracle(t, p, c, DefaultFuel)
+		checkRowsAgainstOracle(t, p, c.src, c.args, c.caps, DefaultFuel)
 		_, left, _ := oracleCall(p, c.args, c.caps, DefaultFuel)
 		steps := min(DefaultFuel-left, 2000) // non-terminating programs sweep a prefix
 		for fuel := 0; fuel <= steps+1; fuel++ {
@@ -156,7 +203,8 @@ func TestCompiledMatchesOracle(t *testing.T) {
 }
 
 // FuzzCompiledMatchesOracle compares compiled and tree-walked runs of
-// arbitrary sources over a fixed parameter set and a fuzzed budget.
+// arbitrary sources over a fixed parameter set of every kind and a fuzzed
+// budget.
 func FuzzCompiledMatchesOracle(f *testing.F) {
 	for _, c := range corpus() {
 		f.Add(c.src, int64(3), "seed", uint16(200))
@@ -166,12 +214,17 @@ func FuzzCompiledMatchesOracle(f *testing.F) {
 		if err != nil {
 			return
 		}
-		args := map[string]value{"a": intVal(a), "b": floatVal(float64(a) / 3), "s": strVal(s), "n": types.Null(types.KindInt64)}
+		args := map[string]value{
+			"a": intVal(a), "b": floatVal(float64(a) / 3), "s": strVal(s), "n": types.Null(types.KindInt64),
+			"x": boolVal(a%2 == 0), "y": types.Binary([]byte(s)), "d": types.Date(a % 100_000),
+			"t": types.Timestamp(a), "z": types.Null(types.KindNull),
+		}
 		checkAgainstOracle(t, p, corpusCase{src: src, args: args}, int(fuel))
+		checkRowsAgainstOracle(t, p, src, args, nil, int(fuel))
 	})
 }
 
-// A numeric crossing costs its frame and nothing per row.
+// A numeric crossing costs its Set and nothing per row.
 func TestFrameCallsAllocateNothingPerRow(t *testing.T) {
 	p, err := Compile("return a + b")
 	if err != nil {
@@ -187,18 +240,49 @@ func TestFrameCallsAllocateNothingPerRow(t *testing.T) {
 	}
 	crossing := func(cols []*types.Column) float64 {
 		n := cols[0].Len()
+		out := []*types.Builder{types.NewBuilder(types.KindInt64, n)}
 		return testing.AllocsPerRun(20, func() {
-			fr := f.NewFrame(nil)
-			for row := 0; row < n; row++ {
-				if v, err := fr.CallRow(cols, []int{0, 1}, row, DefaultFuel); err != nil || v.I != int64(3*row) {
-					t.Fatalf("row %d: %v %v", row, v, err)
-				}
+			s := NewSet([]Call{{Name: "add", Func: f, ArgCols: []int{0, 1}, Result: types.KindInt64}}, nil)
+			out[0].Reset(n)
+			if err := s.Run(cols, n, DefaultFuel, out); err != nil {
+				t.Fatal(err)
+			}
+			if got := out[0].Build(); got.Len() != n || got.Int64(n-1) != int64(3*(n-1)) {
+				t.Fatalf("result %d rows, last %d", got.Len(), got.Int64(n-1))
 			}
 		})
 	}
 	small, large := crossing(cols(16)), crossing(cols(1024))
 	if large > small {
 		t.Errorf("1024-row crossing made %.0f allocations, 16-row %.0f", large, small)
+	}
+}
+
+// Set.Run appends a result already of its declared kind without a cast,
+// casts one of another kind as Value.Cast does, and names the function and
+// row of a result that does not cast.
+func TestSetCastsResultsToDeclaredKind(t *testing.T) {
+	p, err := Compile("return a if is_null(a) or a > 1 else str(a) + 'x'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []*types.Column{types.ColumnFromValues(types.KindInt64, []value{intVal(5), types.Null(types.KindInt64), intVal(2), intVal(0)})}
+	run := func(kind types.Kind, n int) (*types.Column, error) {
+		out := []*types.Builder{types.NewBuilder(kind, n)}
+		s := NewSet([]Call{{Name: "f", Func: p.Bind([]string{"a"}), ArgCols: []int{0}, Result: kind}}, nil)
+		err := s.Run(args, n, DefaultFuel, out)
+		return out[0].Build(), err
+	}
+	got, err := run(types.KindFloat64, 3)
+	if err != nil || got.Float64(0) != 5 || !got.IsNull(1) || got.Float64(2) != 2 {
+		t.Fatalf("DOUBLE results: %v %v", got, err)
+	}
+	got, err = run(types.KindString, 4)
+	if err != nil || got.StringAt(0) != "5" || got.StringAt(3) != "0x" {
+		t.Fatalf("STRING results: %v %v", got, err)
+	}
+	if _, err = run(types.KindInt64, 4); err == nil || err.Error() != `udf f at row 3: result 0x not a BIGINT` {
+		t.Fatalf("cast error = %v", err)
 	}
 }
 
@@ -289,21 +373,4 @@ func mustBind(t *testing.T, src string, names ...string) *Func {
 		t.Fatal(err)
 	}
 	return p.Bind(names)
-}
-
-func TestCacheKeysOnBodyAndNames(t *testing.T) {
-	var c Cache
-	f1, err := c.Func("return a", []string{"a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f2, _ := c.Func("return a", []string{"a"}); f2 != f1 {
-		t.Error("same body and names compiled twice")
-	}
-	if f3, _ := c.Func("return a", []string{"b", "a"}); f3 == f1 {
-		t.Error("different names shared a binding")
-	}
-	if _, err := c.Func("retrn a", nil); err == nil {
-		t.Error("compile error not reported")
-	}
 }

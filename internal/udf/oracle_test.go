@@ -258,17 +258,31 @@ func (p *Program) CallFuel(args map[string]value, caps *Capabilities, fuel int) 
 }
 
 // compiledCall binds p to the argument names (sorted, so runs repeat) and
-// calls it once; it also returns the fuel left.
+// calls it once through a Set, each argument a one-row column of its
+// value's kind; it also returns the fuel left.
 func compiledCall(p *Program, args map[string]value, caps *Capabilities, fuel int) (value, int, error) {
 	names := make([]string, 0, len(args))
 	for k := range args {
 		names = append(names, k)
 	}
 	sort.Strings(names)
-	fr := p.Bind(names).NewFrame(caps)
+	cols := make([]*types.Column, len(names))
 	for i, k := range names {
-		fr.SetArg(i, args[k])
+		cols[i] = types.ColumnFromValues(args[k].Kind, []value{args[k]})
 	}
-	v, err := fr.Call(fuel)
-	return v, fr.fuel, err
+	c := setOf(p, names, caps)
+	c.bind(cols)
+	v, err := c.call(0, fuel)
+	return v, c.fr.fuel, err
+}
+
+// setOf binds p to names, reading argument i from column i, and returns
+// the Set's one call.
+func setOf(p *Program, names []string, caps *Capabilities) *setCall {
+	argCols := make([]int, len(names))
+	for i := range argCols {
+		argCols[i] = i
+	}
+	s := NewSet([]Call{{Name: "f", Func: p.Bind(names), ArgCols: argCols, Result: types.KindString}}, caps)
+	return &s.calls[0]
 }
