@@ -175,9 +175,10 @@ func (c *Client) executePlanOnce(body []byte) (*types.Batch, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
+	// Only a held answer names an operation: release it on every exit. A
+	// failure or a self-released one-frame answer holds nothing, so it
+	// costs this one round trip and cannot be reattached.
 	opID := resp.Header.Get("X-Operation-Id")
-	// Release on every exit, failures included: the service keeps each
-	// operation, a failed one too, until it is released or swept.
 	defer c.release(opID)
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeHTTPError(resp)

@@ -1,9 +1,11 @@
 // Package connect implements the Connect protocol endpoints (the Spark
 // Connect analog, paper §3.2): an HTTP service that accepts serialized
-// unresolved plans and streams arrowipc result batches back, with session
+// unresolved plans and answers with arrowipc result batches, with session
 // management, reattachable executions, and operation tombstoning; plus the
 // Go client with a DataFrame API that captures operations and lowers them to
-// the wire format.
+// the wire format. A failed statement or a small one-frame answer is one HTTP
+// round trip and holds nothing on the service; only a larger or multi-frame
+// answer is held as an operation the client can reattach to and releases.
 package connect
 
 import (

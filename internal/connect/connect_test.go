@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,6 +95,19 @@ func newTestService(t *testing.T, backend Backend) (*Service, *httptest.Server) 
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
 	return svc, ts
+}
+
+// heldBatches is a two-frame answer: the service holds it as an operation
+// for reattach until it is released or swept.
+func heldBatches() (*types.Schema, []*types.Batch) {
+	return intBatches([]int64{1}, []int64{2})
+}
+
+// heldOps reports how many operations, tombstones included, svc holds.
+func heldOps(svc *Service) int {
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	return len(svc.operations)
 }
 
 func TestClientServerRoundTrip(t *testing.T) {
@@ -200,11 +214,14 @@ func TestReattachResumesFromOffset(t *testing.T) {
 }
 
 func TestReattachCrossSessionForbidden(t *testing.T) {
-	schema, batches := intBatches([]int64{1})
+	schema, batches := heldBatches()
 	_, ts := newTestService(t, &fakeBackend{schema: schema, batches: batches})
 	resp, opID := execRaw(t, ts, "tok", "s1")
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
+	if opID == "" {
+		t.Fatal("a multi-frame answer named no operation")
+	}
 
 	// A different user (different session namespace) cannot reattach.
 	req, _ := http.NewRequest("GET", ts.URL+"/v1/reattach?operation="+opID+"&start=0", nil)
@@ -221,7 +238,7 @@ func TestReattachCrossSessionForbidden(t *testing.T) {
 }
 
 func TestTombstoningAfterIdle(t *testing.T) {
-	schema, batches := intBatches([]int64{1})
+	schema, batches := heldBatches()
 	svc, ts := newTestService(t, &fakeBackend{schema: schema, batches: batches})
 	now := time.Unix(1000, 0)
 	svc.SetClock(func() time.Time { return now })
@@ -286,53 +303,82 @@ func TestAnalyzeEndpoint(t *testing.T) {
 }
 
 func TestReleaseFreesOperation(t *testing.T) {
-	schema, batches := intBatches([]int64{1})
+	schema, batches := heldBatches()
 	svc, ts := newTestService(t, &fakeBackend{schema: schema, batches: batches})
-	c := Dial(ts.URL, "tok")
+	resp, opID := execRaw(t, ts, "tok", "s1")
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if _, ok := svc.OperationStateOf(opID); !ok {
+		t.Fatalf("operation %q not held before release", opID)
+	}
+	c := DialSession(ts.URL, "tok", "s1")
+	c.release(opID)
+	if _, ok := svc.OperationStateOf(opID); ok {
+		t.Error("operation not released")
+	}
+	// Client auto-releases after a successful collect.
 	if _, err := c.Sql("SELECT 1").Collect(); err != nil {
 		t.Fatal(err)
 	}
-	// Client auto-releases after successful collect.
-	if _, ok := svc.OperationStateOf("op-1"); ok {
-		t.Error("operation not released after collect")
+	if n := heldOps(svc); n != 0 {
+		t.Errorf("%d operations held after collect", n)
 	}
 }
 
 func TestOperationTableStaysBounded(t *testing.T) {
-	schema, batches := intBatches([]int64{1})
+	schema, batches := heldBatches()
 	fb := &fakeBackend{schema: schema, batches: batches}
 	svc, ts := newTestService(t, fb)
 	now := time.Unix(1000, 0)
 	svc.SetClock(func() time.Time { return now })
-	held := func() int {
-		svc.mu.Lock()
-		defer svc.mu.Unlock()
-		return len(svc.operations)
-	}
 	drain := func(resp *http.Response) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
 
-	// The client releases a failed operation as it does a successful one.
+	// A failing statement holds nothing, with or without a client release.
 	fb.err = errors.New("boom")
 	c := Dial(ts.URL, "tok")
 	for i := 0; i < 10; i++ {
 		if _, err := c.Sql("SELECT 1").Collect(); err == nil {
 			t.Fatal("failing statement succeeded")
 		}
+		resp, opID := execRaw(t, ts, "tok", "s-fail")
+		drain(resp)
+		if opID != "" {
+			t.Fatalf("a failed statement named operation %q", opID)
+		}
 	}
-	if n := held(); n != 0 {
-		t.Fatalf("%d failed operations left behind by the client", n)
+	if n := heldOps(svc); n != 0 {
+		t.Fatalf("%d operations held after failed statements", n)
+	}
+	// Neither does a one-frame answer, read to the end or not.
+	fb.err = nil
+	fb.schema, fb.batches = intBatches([]int64{1, 2, 3})
+	for i := 0; i < 10; i++ {
+		resp, opID := execRaw(t, ts, "tok", "s-one")
+		if i%2 == 0 {
+			drain(resp)
+		} else {
+			resp.Body.Close()
+		}
+		if opID != "" {
+			t.Fatalf("a one-frame answer named operation %q", opID)
+		}
+	}
+	if n := heldOps(svc); n != 0 {
+		t.Fatalf("%d operations held after one-frame answers", n)
 	}
 
-	// Clients that never release, failing or not, on sessions that go idle:
-	// each sweep tombstones the idle operations and evicts the tombstones of
-	// the sweep before, so at most two windows of operations are held.
+	// Clients that never release held answers, on sessions that go idle, with
+	// failing statements in between: each sweep tombstones the idle
+	// operations and evicts the tombstones of the sweep before, so at most
+	// two windows of operations are held.
+	fb.schema, fb.batches = schema, batches
 	const maxAge = 10 * time.Minute
 	const perWindow = 6
 	for round := 0; round < 5; round++ {
-		for i := 0; i < perWindow; i++ {
+		for i := 0; i < 2*perWindow; i++ {
 			fb.err = nil
 			if i%2 == 0 {
 				fb.err = errors.New("boom")
@@ -344,13 +390,13 @@ func TestOperationTableStaysBounded(t *testing.T) {
 		if ops, _ := svc.SweepIdle(maxAge); ops != perWindow {
 			t.Fatalf("round %d: tombstoned %d operations, want %d", round, ops, perWindow)
 		}
-		if n := held(); n > 2*perWindow {
+		if n := heldOps(svc); n > 2*perWindow {
 			t.Fatalf("round %d: %d operations held, want at most %d", round, n, 2*perWindow)
 		}
 	}
 	now = now.Add(maxAge + time.Second)
 	svc.SweepIdle(maxAge)
-	if n := held(); n != 0 {
+	if n := heldOps(svc); n != 0 {
 		t.Fatalf("%d operations held after every session closed and every tombstone aged out", n)
 	}
 }
@@ -432,4 +478,137 @@ func TestStartSweeper(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("sweeper never swept the idle session")
+}
+
+// blockingBackend holds every Execute until release is closed, after
+// signalling started.
+type blockingBackend struct {
+	*fakeBackend
+	started, release chan struct{}
+}
+
+func (b *blockingBackend) Execute(ctx context.Context, sessionID, user string, pl *proto.Plan) (*types.Schema, []*types.Batch, error) {
+	close(b.started)
+	<-b.release
+	return b.fakeBackend.Execute(ctx, sessionID, user, pl)
+}
+
+// A statement that runs longer than the idle limit keeps its session: the
+// sweep that runs while it is in flight closes nothing, and the answer
+// arrives.
+func TestInFlightStatementKeepsItsSession(t *testing.T) {
+	schema, batches := intBatches([]int64{1, 2})
+	fb := &blockingBackend{
+		fakeBackend: &fakeBackend{schema: schema, batches: batches},
+		started:     make(chan struct{}),
+		release:     make(chan struct{}),
+	}
+	svc, ts := newTestService(t, fb)
+	var mu sync.Mutex
+	now := time.Unix(1000, 0)
+	svc.SetClock(func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	})
+
+	type answer struct {
+		b   *types.Batch
+		err error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		b, err := Dial(ts.URL, "tok").Sql("SELECT n FROM t").Collect()
+		done <- answer{b, err}
+	}()
+	<-fb.started
+	mu.Lock()
+	now = now.Add(time.Hour)
+	mu.Unlock()
+	_, swept := svc.SweepIdle(10 * time.Minute)
+	close(fb.release)
+	got := <-done
+
+	if swept != 0 || fb.closedSessions() != 0 {
+		t.Fatalf("swept %d sessions, backend closed %d, with a statement in flight", swept, fb.closedSessions())
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if got.b.NumRows() != 2 || got.b.Cols[0].Int64(1) != 2 {
+		t.Fatalf("answer:\n%s", got.b.String())
+	}
+	if svc.ActiveSessions() != 1 {
+		t.Fatalf("%d active sessions, want 1", svc.ActiveSessions())
+	}
+}
+
+// Reattaches racing the sweeper see a whole answer, 410 Gone once the
+// operation is tombstoned, or 404 once the tombstone is evicted; the handler
+// reads the operation only under the service lock (run under -race). Every
+// sweep sees a later clock, so each operation is tombstoned and evicted
+// while its reattaches are in flight.
+func TestReattachRacesSweeper(t *testing.T) {
+	schema, batches := heldBatches()
+	svc, ts := newTestService(t, &fakeBackend{schema: schema, batches: batches})
+	var ticks atomic.Int64
+	svc.SetClock(func() time.Time { return time.Unix(1000+ticks.Add(1), 0) })
+	body, err := proto.EncodeRootPlan(&proto.Plan{Relation: &plan.SQLRelation{Query: "SELECT 1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	do := func(method, path string, body []byte) (*http.Response, error) {
+		req, _ := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		req.Header.Set("Authorization", "Bearer tok")
+		req.Header.Set("X-Session-Id", "s1")
+		return http.DefaultClient.Do(req)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				resp, err := do("POST", "/v1/execute", body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				opID := resp.Header.Get("X-Operation-Id")
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				for j := 0; j < 3; j++ {
+					resp, err := do("GET", "/v1/reattach?operation="+opID+"&start=0", nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					switch resp.StatusCode {
+					case http.StatusOK:
+						if b, _, err := drainStream(resp.Body); err != nil || b.NumRows() != 2 {
+							t.Errorf("reattach answered a partial stream: %v", err)
+						}
+					case http.StatusGone, http.StatusNotFound:
+					default:
+						t.Errorf("reattach status %d", resp.StatusCode)
+					}
+					resp.Body.Close()
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+			svc.SweepIdle(time.Second)
+		}
+	}
 }

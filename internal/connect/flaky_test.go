@@ -310,3 +310,101 @@ func sameCells(a, b *types.Batch) bool {
 	}
 	return true
 }
+
+// A one-frame answer is self-released: it names no operation, so a
+// response cut anywhere in its body, at a frame boundary included, fails
+// the client outright. The client never returns a short batch and never
+// asks to reattach.
+func TestCutSelfReleasedAnswerFailsWithoutReattach(t *testing.T) {
+	schema, batches := mixedBatches(1, 50)
+	fb := &fakeBackend{schema: schema, batches: batches}
+	ends := frameEnds(t, schema, batches)
+	total := ends[len(ends)-1]
+	for _, left := range []int{1, 4, ends[0], ends[0] + 7, ends[1], total - 1} {
+		svc := NewService(fb, TokenMap{"tok": "user@x"})
+		var reattaches, releases atomic.Int64
+		h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch r.URL.Path {
+			case "/v1/reattach":
+				reattaches.Add(1)
+			case "/v1/release":
+				releases.Add(1)
+			case "/v1/execute":
+				w = &cutWriter{ResponseWriter: w, left: left}
+			}
+			svc.Handler().ServeHTTP(w, r)
+		})
+		b, err := Dial(newHTTPServer(t, h).URL, "tok").Sql("SELECT * FROM t").Collect()
+		if err == nil || b != nil {
+			t.Fatalf("cut after %d of %d bytes: batch %v, err %v; want an error and no batch", left, total, b, err)
+		}
+		if n := reattaches.Load() + releases.Load(); n != 0 {
+			t.Errorf("cut after %d bytes: %d reattach or release requests, want 0", left, n)
+		}
+		if n := heldOps(svc); n != 0 {
+			t.Errorf("cut after %d bytes: %d operations held", left, n)
+		}
+	}
+}
+
+// A self-released answer decodes to the same cells as the held stream of
+// the same batches, an empty answer included, and the same rows sent as one
+// frame or held as two frames are the same answer to the client.
+func TestSelfReleasedAnswerMatchesHeldPath(t *testing.T) {
+	schema, one := mixedBatches(1, 50)
+	empty := types.NewBatchBuilder(schema, 0).Build()
+	cases := map[string][]*types.Batch{
+		"one frame":          one,
+		"no batches":         nil,
+		"one empty batch":    {empty},
+		"empties around one": {empty, one[0], empty},
+	}
+	for name, batches := range cases {
+		svc := NewService(&fakeBackend{schema: schema, batches: batches}, TokenMap{"tok": "user@x"})
+		got, err := Dial(newHTTPServer(t, svc.Handler()).URL, "tok").Sql("SELECT * FROM t").Collect()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := heldOps(svc); n != 0 {
+			t.Fatalf("%s: %d operations held", name, n)
+		}
+		rec := httptest.NewRecorder()
+		streamBatches(rec, schema, batches)
+		want, _, err := drainStream(rec.Body)
+		if err != nil {
+			t.Fatalf("%s: held stream: %v", name, err)
+		}
+		if !sameCells(want, got) {
+			t.Fatalf("%s: self-released answer differs from the held stream", name)
+		}
+	}
+
+	_, split := mixedBatches(2, 25)
+	svc := NewService(&fakeBackend{schema: schema, batches: split}, TokenMap{"tok": "user@x"})
+	var releases atomic.Int64
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/release" {
+			releases.Add(1)
+		}
+		svc.Handler().ServeHTTP(w, r)
+	})
+	held, err := Dial(newHTTPServer(t, h).URL, "tok").Sql("SELECT * FROM t").Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if releases.Load() != 1 {
+		t.Fatalf("two-frame answer: %d releases, want 1 (it is held)", releases.Load())
+	}
+	whole, err := arrowipc.ConcatBatches(schema, split)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc = NewService(&fakeBackend{schema: schema, batches: []*types.Batch{whole}}, TokenMap{"tok": "user@x"})
+	self, err := Dial(newHTTPServer(t, svc.Handler()).URL, "tok").Sql("SELECT * FROM t").Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameCells(held, self) || held.NumRows() != 50 {
+		t.Fatalf("held two-frame answer (%d rows) differs from the self-released one-frame answer (%d rows)", held.NumRows(), self.NumRows())
+	}
+}

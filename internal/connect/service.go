@@ -68,28 +68,42 @@ func (m TokenMap) Authenticate(token string) (string, error) {
 	return "", errors.New("connect: invalid token")
 }
 
-// OperationState tracks one execution's lifecycle.
+// OperationState tracks a held answer's lifecycle.
 type OperationState string
 
 // Operation states.
 const (
-	OpRunning    OperationState = "RUNNING"
 	OpDone       OperationState = "DONE"
-	OpFailed     OperationState = "FAILED"
 	OpTombstoned OperationState = "TOMBSTONED"
 )
 
+// selfReleaseLimit is the largest one-frame answer, in encoded stream bytes,
+// that execute sends whole in its response without holding it: such an
+// answer registers no operation, so a point read is one HTTP round trip.
+// Larger or multi-frame answers are held for reattach until released or
+// swept (DESIGN.md §16.5).
+const selfReleaseLimit = 64 << 10
+
+// operation is a held answer: a successful execution whose result the
+// client may reattach to until it releases it or the sweeper tombstones it.
 type operation struct {
 	id         string
 	sessionID  string
 	state      OperationState
 	schema     *types.Schema
 	batches    []*types.Batch
-	errMsg     string
 	lastAccess time.Time
 	// tombstonedAt is when SweepIdle tombstoned the operation; the
 	// tombstone itself is evicted one further maxAge later.
 	tombstonedAt time.Time
+}
+
+// session is one live session's activity.
+type session struct {
+	lastActive time.Time
+	// inFlight counts the session's query requests being served; SweepIdle
+	// never closes a session that has one.
+	inFlight int
 }
 
 // Service is the Connect endpoint: it terminates HTTP, authenticates,
@@ -112,7 +126,7 @@ type Service struct {
 
 	mu         sync.Mutex
 	operations map[string]*operation
-	sessions   map[string]time.Time // last activity
+	sessions   map[string]*session
 	opSeq      int64
 }
 
@@ -121,7 +135,7 @@ func NewService(backend Backend, auth Authenticator) *Service {
 	return &Service{
 		backend: backend, auth: auth, clock: time.Now,
 		operations: map[string]*operation{},
-		sessions:   map[string]time.Time{},
+		sessions:   map[string]*session{},
 	}
 }
 
@@ -236,11 +250,11 @@ type request struct {
 }
 
 // query wraps a query endpoint in the prelude every one of them shares:
-// authenticate, touch the session, derive the deadline-bound context, start
+// authenticate, enter the session, derive the deadline-bound context, start
 // the trace, pass admission, read the bounded body. Admission runs before
 // the body is even read: a shed request costs microseconds and never touches
-// the plan decoder or a sandbox slot. The admission slot is held until
-// handle returns.
+// the plan decoder or a sandbox slot. The admission slot is held, and the
+// session counts the request in flight, until handle returns.
 func (s *Service) query(handle func(q *request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		user, sessionID, err := s.authenticate(r)
@@ -248,9 +262,8 @@ func (s *Service) query(handle func(q *request)) http.HandlerFunc {
 			writeError(w, http.StatusUnauthorized, err)
 			return
 		}
-		s.mu.Lock()
-		s.sessions[sessionID] = s.clock()
-		s.mu.Unlock()
+		sess := s.enterSession(sessionID)
+		defer s.leaveSession(sess)
 		ctx, cancel := requestContext(r)
 		defer cancel()
 		q := &request{w: w, user: user, sessionID: sessionID, ctx: ctx}
@@ -280,48 +293,120 @@ func (s *Service) query(handle func(q *request)) http.HandlerFunc {
 	}
 }
 
+// enterSession touches the session, creating it on first use, and counts
+// one more request in flight on it.
+func (s *Service) enterSession(id string) *session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sess := s.sessions[id]
+	if sess == nil {
+		sess = &session{}
+		s.sessions[id] = sess
+	}
+	sess.lastActive = s.clock()
+	sess.inFlight++
+	return sess
+}
+
+// leaveSession ends a request enterSession counted: the session idles from
+// now, not from when the request arrived.
+func (s *Service) leaveSession(sess *session) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sess.lastActive = s.clock()
+	sess.inFlight--
+}
+
 // fail ends the trace with err and writes it as a bad request.
 func (q *request) fail(err error) {
 	q.root.EndErr(err)
 	writeError(q.w, http.StatusBadRequest, err)
 }
 
+// execute runs the statement and only then decides whether its answer is
+// held. A failure is written as an error and holds nothing. An answer with
+// at most one non-empty batch, encoded in at most selfReleaseLimit bytes,
+// goes out whole and holds nothing either. Any other answer is registered
+// as an operation, named in X-Operation-Id, for reattach and release.
 func (s *Service) execute(q *request) {
 	pl, err := proto.DecodeRootPlan(q.body)
 	if err != nil {
 		q.fail(err)
 		return
 	}
-
+	schema, batches, err := s.backend.Execute(q.ctx, q.sessionID, q.user, pl)
+	q.root.EndErr(err)
+	if err != nil {
+		writeError(q.w, http.StatusBadRequest, err)
+		return
+	}
+	if schema == nil {
+		schema = &types.Schema{}
+	}
+	if b := selfReleasing(schema, batches); b != nil {
+		writeSelfReleased(q.w, b)
+		return
+	}
 	s.mu.Lock()
 	s.opSeq++
 	op := &operation{
 		id:         fmt.Sprintf("op-%d", s.opSeq),
 		sessionID:  q.sessionID,
-		state:      OpRunning,
+		state:      OpDone,
+		schema:     schema,
+		batches:    batches,
 		lastAccess: s.clock(),
 	}
 	s.operations[op.id] = op
 	s.mu.Unlock()
 
-	schema, batches, err := s.backend.Execute(q.ctx, q.sessionID, q.user, pl)
-	q.root.EndErr(err)
-	s.mu.Lock()
+	q.w.Header().Set("X-Operation-Id", op.id)
+	streamBatches(q.w, schema, batches)
+}
+
+// selfReleasing returns the answer as the one batch execute sends without
+// holding it, labelled with the answer's schema as the held stream's schema
+// frame would label it, or nil when the answer must be held: it has two
+// non-empty batches, a batch whose schema differs, or more than
+// selfReleaseLimit encoded bytes. An answer with no rows is one empty batch.
+func selfReleasing(schema *types.Schema, batches []*types.Batch) *types.Batch {
+	var one *types.Batch
+	for _, b := range batches {
+		if !b.Schema.Equal(schema) {
+			return nil
+		}
+		if b.NumRows() == 0 {
+			continue
+		}
+		if one != nil {
+			return nil
+		}
+		one = b
+	}
+	switch {
+	case one == nil:
+		one = types.NewBatchBuilder(schema, 0).Build()
+	case one.Schema != schema:
+		one = &types.Batch{Schema: schema, Cols: one.Cols}
+	}
+	if arrowipc.EncodedLen(one) > selfReleaseLimit {
+		return nil
+	}
+	return one
+}
+
+// writeSelfReleased writes b's stream as one exact buffer behind its
+// Content-Length. A response cut short of that length fails the client's
+// read, so a self-released answer is never taken for a shorter one.
+func writeSelfReleased(w http.ResponseWriter, b *types.Batch) {
+	data, err := arrowipc.EncodeBatch(b)
 	if err != nil {
-		op.state = OpFailed
-		op.errMsg = err.Error()
-		s.mu.Unlock()
-		q.w.Header().Set("X-Operation-Id", op.id)
-		writeError(q.w, http.StatusBadRequest, err)
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	op.state = OpDone
-	op.schema = schema
-	op.batches = batches
-	s.mu.Unlock()
-
-	q.w.Header().Set("X-Operation-Id", op.id)
-	s.streamBatches(q.w, op, 0)
+	w.Header().Set("Content-Type", "application/x-lakeguard-arrow")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	_, _ = w.Write(data)
 }
 
 // explain serves the three EXPLAIN endpoints. /v1/executeAnalyze takes a
@@ -386,20 +471,15 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 	return context.WithCancel(ctx)
 }
 
-// streamBatches writes an arrowipc stream of the operation's batches
-// starting at batch index `start`.
-func (s *Service) streamBatches(w http.ResponseWriter, op *operation, start int) {
+// streamBatches writes an arrowipc stream of schema and batches.
+func streamBatches(w http.ResponseWriter, schema *types.Schema, batches []*types.Batch) {
 	w.Header().Set("Content-Type", "application/x-lakeguard-arrow")
-	schema := op.schema
-	if schema == nil {
-		schema = &types.Schema{}
-	}
 	wr, err := arrowipc.NewWriter(w, schema)
 	if err != nil {
 		return
 	}
-	for i := start; i < len(op.batches); i++ {
-		if err := wr.WriteBatch(op.batches[i]); err != nil {
+	for _, b := range batches {
+		if err := wr.WriteBatch(b); err != nil {
 			return
 		}
 	}
@@ -416,31 +496,29 @@ func (s *Service) handleReattach(w http.ResponseWriter, r *http.Request) {
 	start, _ := strconv.Atoi(r.URL.Query().Get("start"))
 	s.mu.Lock()
 	op := s.operations[opID]
+	var held operation
 	if op != nil {
 		op.lastAccess = s.clock()
+		held = *op
 	}
 	s.mu.Unlock()
 	switch {
 	case op == nil:
 		writeError(w, http.StatusNotFound, fmt.Errorf("connect: unknown operation %q", opID))
 		return
-	case op.sessionID != sessionID:
+	case held.sessionID != sessionID:
 		// Cross-session operation access is an isolation violation.
 		writeError(w, http.StatusForbidden, errors.New("connect: operation belongs to another session"))
 		return
-	case op.state == OpTombstoned:
+	case held.state == OpTombstoned:
 		writeError(w, http.StatusGone, errors.New("connect: operation tombstoned after client disappeared"))
 		return
-	case op.state == OpFailed:
-		writeError(w, http.StatusBadRequest, errors.New(op.errMsg))
-		return
-	}
-	if start < 0 || start > len(op.batches) {
+	case start < 0 || start > len(held.batches):
 		writeError(w, http.StatusBadRequest, fmt.Errorf("connect: invalid start %d", start))
 		return
 	}
-	w.Header().Set("X-Operation-Id", op.id)
-	s.streamBatches(w, op, start)
+	w.Header().Set("X-Operation-Id", held.id)
+	streamBatches(w, held.schema, held.batches[start:])
 }
 
 func (s *Service) handleRelease(w http.ResponseWriter, r *http.Request) {
@@ -478,17 +556,18 @@ func (s *Service) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 
 // SweepIdle tombstones operations and closes sessions idle longer than
 // maxAge — the lifecycle management §3.2.3 describes (abandon and tombstone
-// executions whose clients disappeared). The operations of a closed session
-// are tombstoned with it. A tombstone answers reattach with 410 Gone for one
-// further maxAge and is then evicted, so the operation table stays bounded
-// by the operations of the last two maxAge windows. It returns how many
-// operations were tombstoned and sessions closed.
+// executions whose clients disappeared). A session with a request in flight
+// is never idle. The operations of a closed session are tombstoned with it.
+// A tombstone answers reattach with 410 Gone for one further maxAge and is
+// then evicted, so the operation table stays bounded by the operations of
+// the last two maxAge windows. It returns how many operations were
+// tombstoned and sessions closed.
 func (s *Service) SweepIdle(maxAge time.Duration) (ops, sessions int) {
 	now := s.clock()
 	closed := map[string]bool{}
 	s.mu.Lock()
-	for id, last := range s.sessions {
-		if now.Sub(last) > maxAge {
+	for id, sess := range s.sessions {
+		if sess.inFlight == 0 && now.Sub(sess.lastActive) > maxAge {
 			delete(s.sessions, id)
 			closed[id] = true
 		}
