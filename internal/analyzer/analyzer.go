@@ -15,7 +15,6 @@ import (
 
 	"lakeguard/internal/catalog"
 	"lakeguard/internal/plan"
-	"lakeguard/internal/sql"
 	"lakeguard/internal/telemetry"
 	"lakeguard/internal/types"
 )
@@ -265,13 +264,4 @@ func containsAggCall(e plan.Expr) bool {
 		}
 		return false
 	})
-}
-
-// ParseAndAnalyze parses SQL and analyzes the resulting query plan.
-func (a *Analyzer) ParseAndAnalyze(sqlText string) (plan.Node, error) {
-	q, err := sql.ParseQuery(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	return a.Analyze(q)
 }

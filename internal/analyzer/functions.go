@@ -66,13 +66,6 @@ var scalarBuiltins = map[string]builtinSig{
 	"least":     {2, 16, sameAsArg(0)},
 }
 
-// IsScalarBuiltin reports whether name is an engine builtin (used by the
-// optimizer to distinguish cheap expressions from sandboxed UDF calls).
-func IsScalarBuiltin(name string) bool {
-	_, ok := scalarBuiltins[strings.ToLower(name)]
-	return ok
-}
-
 // aggKinds maps aggregate function names to a result-kind rule.
 func aggResultKind(name string, arg plan.Expr) (types.Kind, error) {
 	switch name {

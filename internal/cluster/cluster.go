@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"lakeguard/internal/catalog"
 	"lakeguard/internal/faults"
@@ -294,6 +293,3 @@ func pickLeastLoaded(hosts []*Host, maxPerHost int) *Host {
 	}
 	return best
 }
-
-// ColdStartDelay returns the configured sandbox provisioning latency.
-func (m *Manager) ColdStartDelay() time.Duration { return m.cfg.Sandbox.ColdStart }

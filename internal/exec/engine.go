@@ -168,14 +168,6 @@ type operator interface {
 	Close() error
 }
 
-// workers returns the effective morsel-parallelism degree (>= 1).
-func (e *Engine) workers() int {
-	if e.Parallelism > 1 {
-		return e.Parallelism
-	}
-	return 1
-}
-
 // Execute runs a plan to completion and returns all result batches. The
 // query context's deadline is honored between batches, so a cancelled query
 // stops pulling instead of running to completion.
@@ -395,87 +387,25 @@ func (e *Engine) buildScan(qc *QueryContext, t *plan.Scan) (operator, error) {
 		e.Metrics.Counter("scan.files.pruned").Add(int64(pruned))
 	}
 	src := &scanSource{
-		qc: qc, scan: t, snap: snap, files: files, read: read, stats: qc.opParent,
+		scan: t, snap: snap, files: files, read: read, stats: qc.opParent,
 		metrics: e.Metrics,
 		filters: e.compileProgs(qc.Eval, qc.opParent, t.PushedFilters, t.Schema().Kinds(), boolKinds(len(t.PushedFilters))),
 	}
 	// Register the scan so a hash join built above it can install runtime
 	// filters onto src before the first file is read.
 	qc.rf.register(t, src)
-	if w := e.workers(); w > 1 && len(files) > 1 {
-		// Parallel file-granular scan: workers pull surviving files in order
-		// through the shared credential-bound reader; the gather keeps file
-		// order, so output is identical to the serial scan. The exchange is
-		// started lazily at the first Next so a join's build phase finishes —
-		// and its runtime filters install — before any worker touches storage.
-		return &lazyOp{start: func() (operator, error) {
-			next := 0
-			source := func() (int, bool, error) {
-				if next >= len(files) {
-					return 0, true, nil
-				}
-				i := next
-				next++
-				return i, false, nil
+	// File-granular morsels: every worker reads through the same
+	// credential-bound reader the TableProvider vended, so parallelism adds
+	// no new authority, and the gather keeps file order.
+	next := 0
+	return newStream(qc.GoContext(), e.streamWorkers(src.filters, len(files)), nil,
+		func() (int, bool, error) {
+			if next == len(files) {
+				return 0, true, nil
 			}
-			// Each worker gets its own span (child of this scan's span); storage
-			// reads nest under it. newExchange calls makeWorker sequentially
-			// before any worker runs, so appending to wspans needs no lock.
-			pctx := qc.GoContext()
-			var wspans []*telemetry.Span
-			ex, err := newExchange(pctx, w, source,
-				func() (func(context.Context, int) (*types.Batch, error), error) {
-					wctx, ws := telemetry.StartSpan(pctx, "exec.worker")
-					ws.SetInt("worker", int64(len(wspans)))
-					if ws != nil {
-						wspans = append(wspans, ws)
-					}
-					return func(_ context.Context, i int) (*types.Batch, error) {
-						b, err := src.scanFileCtx(wctx, i)
-						ws.Count("morsels", 1)
-						if err != nil {
-							ws.Fail(err)
-						}
-						return b, err
-					}, nil
-				}, skipEmptyBatch)
-			if err != nil {
-				endSpans(wspans)
-				return nil, err
-			}
-			return &parallelScanOp{ex: ex, wspans: wspans}, nil
-		}}, nil
-	}
-	return &scanOp{src: src}, nil
-}
-
-// lazyOp defers building its inner operator until the first Next. Parallel
-// scans use it so their worker pool doesn't start reading files at plan-build
-// time — before upstream joins had a chance to install runtime filters.
-type lazyOp struct {
-	start func() (operator, error)
-	op    operator
-	err   error
-}
-
-func (o *lazyOp) Next() (*types.Batch, error) {
-	if o.err != nil {
-		return nil, o.err
-	}
-	if o.op == nil {
-		o.op, o.err = o.start()
-		if o.err != nil {
-			return nil, o.err
-		}
-	}
-	return o.op.Next()
-}
-
-func (o *lazyOp) Close() error {
-	if o.op == nil {
-		return nil
-	}
-	return o.op.Close()
+			next++
+			return next - 1, false, nil
+		}, src.scanFileCtx, skipEmptyBatch), nil
 }
 
 func boolKinds(n int) []types.Kind {

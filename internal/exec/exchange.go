@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"sync"
 
+	"lakeguard/internal/telemetry"
 	"lakeguard/internal/types"
 )
 
@@ -235,6 +237,133 @@ func (ex *exchange[M, T]) Close() error {
 	return nil
 }
 
-// skipEmptyBatch filters zero-row results out of a batch exchange, matching
-// the serial operators, which never emit empty batches mid-stream.
+// skipEmptyBatch is the skip rule of the scan and filter streams: neither
+// emits an empty batch mid-stream.
 func skipEmptyBatch(b *types.Batch) bool { return b == nil || b.NumRows() == 0 }
+
+// unknownMorsels is the morsel count of a stream over a child operator,
+// whose length is known only when it ends.
+const unknownMorsels = math.MaxInt
+
+// streamWorkers is the engine's one worker-count rule for a morsel stream:
+// Engine.Parallelism, except that the stream runs inline when exprs, the
+// expression list its morsel function evaluates, has UDF waves (a sandbox
+// crossing partitions a large batch across sandboxes itself, udfrun.go), or
+// when its source holds at most one morsel (a scan with at most one file
+// left after pruning).
+func (e *Engine) streamWorkers(exprs *ExprProgs, morsels int) int {
+	if e.Parallelism <= 1 || exprs.udf != nil || morsels <= 1 {
+		return 1
+	}
+	return e.Parallelism
+}
+
+// stream runs a per-morsel function over an ordered source and yields the
+// results in source order, minus those the skip rule drops. It is the one
+// operator the scan, filter and project run as, and the one input path of
+// the aggregate and of the join build. With one worker it runs inline on
+// the consumer's goroutine; with more it runs on an exchange, and a traced
+// query gets one exec.worker span per worker. Either way nothing starts
+// before the first Next, so a stream under a join's probe side reads
+// nothing until the join's build finished and its runtime filters are
+// installed.
+type stream[M, T any] struct {
+	ctx     context.Context
+	workers int
+	child   operator // closed last; nil when the source owns nothing
+	source  func() (M, bool, error)
+	run     func(context.Context, M) (T, error)
+	skip    func(T) bool // nil = emit everything
+
+	started bool
+	ex      *exchange[M, T] // nil while inline or not started
+	wspans  []*telemetry.Span
+}
+
+// newStream is the one stream constructor. source runs on one goroutine at a
+// time, so it may pull child (batchSource). run gets the context its morsel
+// runs under, which on a traced exchange carries the worker's span.
+func newStream[M, T any](ctx context.Context, workers int, child operator, source func() (M, bool, error), run func(context.Context, M) (T, error), skip func(T) bool) *stream[M, T] {
+	return &stream[M, T]{ctx: ctx, workers: workers, child: child, source: source, run: run, skip: skip}
+}
+
+// batchSource adapts a child operator into a stream source.
+func batchSource(child operator) func() (*types.Batch, bool, error) {
+	return func() (*types.Batch, bool, error) {
+		b, err := child.Next()
+		if errors.Is(err, io.EOF) {
+			return nil, true, nil
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		return b, false, nil
+	}
+}
+
+func (s *stream[M, T]) Next() (T, error) {
+	var zero T
+	if !s.started {
+		s.started = true
+		if s.workers > 1 {
+			// newExchange calls the worker factory sequentially before any
+			// worker runs, so appending to wspans needs no lock.
+			ex, err := newExchange(s.ctx, s.workers, s.source, s.worker, s.skip)
+			if err != nil {
+				return zero, err
+			}
+			s.ex = ex
+		}
+	}
+	if s.ex != nil {
+		return s.ex.Next()
+	}
+	for {
+		m, done, err := s.source()
+		if err != nil {
+			return zero, err
+		}
+		if done {
+			return zero, io.EOF
+		}
+		out, err := s.run(s.ctx, m)
+		if err != nil {
+			return zero, err
+		}
+		if s.skip == nil || !s.skip(out) {
+			return out, nil
+		}
+	}
+}
+
+// worker builds one exchange worker's morsel function, under its own
+// exec.worker span when the query is traced.
+func (s *stream[M, T]) worker() (func(context.Context, M) (T, error), error) {
+	wctx, ws := telemetry.StartSpan(s.ctx, "exec.worker")
+	if ws == nil {
+		return s.run, nil
+	}
+	ws.SetInt("worker", int64(len(s.wspans)))
+	s.wspans = append(s.wspans, ws)
+	return func(_ context.Context, m M) (T, error) {
+		out, err := s.run(wctx, m)
+		ws.Count("morsels", 1)
+		if err != nil {
+			ws.Fail(err)
+		}
+		return out, err
+	}, nil
+}
+
+// Close closes a started exchange, then ends its worker spans (the
+// exchange's join quiesced the workers), then closes the child.
+func (s *stream[M, T]) Close() error {
+	if s.ex != nil {
+		s.ex.Close()
+		endSpans(s.wspans)
+	}
+	if s.child == nil {
+		return nil
+	}
+	return s.child.Close()
+}

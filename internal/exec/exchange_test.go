@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 	"time"
+
+	"lakeguard/internal/types"
 )
 
 // drainExchange runs an int exchange over morsels 0..n-1 until it ends and
@@ -87,5 +90,103 @@ func TestExchangeCancelledParentIsNotEOF(t *testing.T) {
 		if err == io.EOF || !errors.Is(err, context.Canceled) {
 			t.Fatalf("run %d: got %d results and err %v, want context.Canceled", i, got, err)
 		}
+	}
+}
+
+// closeRecorder is a child operator that records its Close.
+type closeRecorder struct{ closed int }
+
+func (c *closeRecorder) Next() (*types.Batch, error) { return nil, io.EOF }
+func (c *closeRecorder) Close() error                { c.closed++; return nil }
+
+// settledGoroutines waits until at most want goroutines run and returns the
+// last count it saw; a goroutine of an earlier test may take a moment to end.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestStreamLifecycle checks the stream contract on the inline path (one
+// worker) and the exchange path (four): (a) nothing is pulled from the
+// source before the first Next; (b) closing a stream that never started
+// closes its child and leaves no goroutine behind, and so does closing one
+// abandoned after its first result; (c) a source error surfaces at its input
+// position, after every morsel before it.
+func TestStreamLifecycle(t *testing.T) {
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 4} {
+		// intStream yields morsels 0..n-1, then failAt's error if failAt < n;
+		// every pull is reported on pulled.
+		intStream := func(n, failAt int, pulled chan<- int, child operator) *stream[int, int] {
+			next := 0
+			return newStream(context.Background(), workers, child,
+				func() (int, bool, error) {
+					m := next
+					next++
+					select {
+					case pulled <- m:
+					default:
+					}
+					switch {
+					case m == failAt:
+						return 0, false, boom
+					case m >= n:
+						return 0, true, nil
+					}
+					return m, false, nil
+				},
+				func(_ context.Context, m int) (int, error) { return m, nil }, nil)
+		}
+
+		// (a) and (b): built and closed without a Next.
+		before := runtime.NumGoroutine()
+		pulled := make(chan int, 1)
+		child := &closeRecorder{}
+		s := intStream(100, -1, pulled, child)
+		select {
+		case m := <-pulled:
+			t.Fatalf("workers=%d: the stream pulled morsel %d before its first Next", workers, m)
+		case <-time.After(20 * time.Millisecond):
+		}
+		s.Close()
+		if child.closed != 1 {
+			t.Fatalf("workers=%d: closing an unstarted stream closed its child %d times, want 1", workers, child.closed)
+		}
+		if n := settledGoroutines(before); n > before {
+			t.Fatalf("workers=%d: %d goroutines after closing an unstarted stream, %d before", workers, n, before)
+		}
+
+		// (b): abandoned after the first result.
+		child = &closeRecorder{}
+		s = intStream(1000, -1, pulled, child)
+		if m, err := s.Next(); err != nil || m != 0 {
+			t.Fatalf("workers=%d: first result %d, %v; want morsel 0", workers, m, err)
+		}
+		s.Close()
+		if child.closed != 1 {
+			t.Fatalf("workers=%d: closing a started stream closed its child %d times, want 1", workers, child.closed)
+		}
+		if n := settledGoroutines(before); n > before {
+			t.Fatalf("workers=%d: %d goroutines after closing an abandoned stream, %d before", workers, n, before)
+		}
+
+		// (c): the source fails at position 5 of 10.
+		s = intStream(10, 5, make(chan int), nil)
+		for want := 0; ; want++ {
+			m, err := s.Next()
+			if err != nil {
+				if want != 5 || !errors.Is(err, boom) {
+					t.Fatalf("workers=%d: after %d results got %v, want the source error after 5", workers, want, err)
+				}
+				break
+			}
+			if m != want {
+				t.Fatalf("workers=%d: result %d is morsel %d", workers, want, m)
+			}
+		}
+		s.Close()
 	}
 }

@@ -45,12 +45,11 @@ func (o *batchesOp) Next() (*types.Batch, error) {
 
 func (o *batchesOp) Close() error { return nil }
 
-// scanSource reads and filters one snapshot file at a time. It is shared by
-// the serial scan and the per-file parallel scan: all state is read-only
-// after construction, and reads go through the credential-bound reader the
+// scanSource reads and filters one snapshot file at a time, the morsel of
+// a scan stream: all state is read-only after construction, so any number
+// of workers share it, and reads go through the credential-bound reader the
 // TableProvider vended — the operator never sees the credential itself.
 type scanSource struct {
-	qc   *QueryContext
 	scan *plan.Scan
 	snap *delta.Snapshot
 	// files are the snapshot-file indices that survived zone-map pruning,
@@ -89,10 +88,6 @@ func (s *scanSource) runtimeFilters() []*scanRF {
 		return *p
 	}
 	return nil
-}
-
-func (s *scanSource) scanFile(i int) (*types.Batch, error) {
-	return s.scanFileCtx(s.qc.GoContext(), i)
 }
 
 // scanFileCtx reads, decodes and filters one snapshot file. Each read gets a
@@ -185,29 +180,6 @@ func (s *scanSource) applyScanOps(b *types.Batch, sel []int) (*types.Batch, erro
 	return b.Gather(sel), nil
 }
 
-// scanOp is the serial file-by-file scan.
-type scanOp struct {
-	src  *scanSource
-	file int
-}
-
-func (o *scanOp) Next() (*types.Batch, error) {
-	for o.file < len(o.src.files) {
-		b, err := o.src.scanFile(o.file)
-		o.file++
-		if err != nil {
-			return nil, err
-		}
-		if b.NumRows() == 0 {
-			continue
-		}
-		return b, nil
-	}
-	return nil, io.EOF
-}
-
-func (o *scanOp) Close() error { return nil }
-
 // filterBatch keeps the rows where the predicate is true (not NULL, not
 // false). It returns the input batch unchanged when every row passes.
 func filterBatch(b *types.Batch, cond *ExprProgs) (*types.Batch, error) {
@@ -230,48 +202,6 @@ func projectBatch(b *types.Batch, exprs *ExprProgs, schema *types.Schema) (*type
 	}
 	return types.NewBatch(schema, cols)
 }
-
-// filterOp evaluates a predicate (possibly UDF-bearing) per batch.
-type filterOp struct {
-	child operator
-	cond  *ExprProgs
-}
-
-func (o *filterOp) Next() (*types.Batch, error) {
-	for {
-		b, err := o.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		out, err := filterBatch(b, o.cond)
-		if err != nil {
-			return nil, err
-		}
-		if out.NumRows() == 0 {
-			continue
-		}
-		return out, nil
-	}
-}
-
-func (o *filterOp) Close() error { return o.child.Close() }
-
-// projectOp computes output expressions per batch.
-type projectOp struct {
-	child  operator
-	exprs  *ExprProgs
-	schema *types.Schema
-}
-
-func (o *projectOp) Next() (*types.Batch, error) {
-	b, err := o.child.Next()
-	if err != nil {
-		return nil, err
-	}
-	return projectBatch(b, o.exprs, o.schema)
-}
-
-func (o *projectOp) Close() error { return o.child.Close() }
 
 // limitOp truncates the stream.
 type limitOp struct {

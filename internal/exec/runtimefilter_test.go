@@ -54,8 +54,16 @@ func (w *world) profiledRun(t testing.TB, query string) (*types.Batch, *telemetr
 // TestRuntimeFilterPrunesProbeReads asserts the core runtime-filter win: on
 // a selective inner join, build-side min/max + bloom filters skip probe-side
 // files before any storage GET, composing with zone maps — and the result is
-// identical with filters off.
+// identical with filters off. The second query puts a projection between the
+// join and its probe scan: above one worker that projection is a parallel
+// stream, and it must not pull the scan before the join installed its
+// filters. Each query runs 20 times, because a stream started too early
+// reads a varying number of files.
 func TestRuntimeFilterPrunesProbeReads(t *testing.T) {
+	queries := []string{
+		"SELECT e.id, e.v FROM events e JOIN tiny t ON e.id = t.k",
+		"SELECT e.id, e.w FROM (SELECT id, v * 2 AS w FROM events) e JOIN tiny t ON e.id = t.k",
+	}
 	for _, workers := range []int{1, 4} {
 		w := newWorld(t)
 		const files = 16
@@ -66,39 +74,42 @@ func TestRuntimeFilterPrunesProbeReads(t *testing.T) {
 		w.engine.Tables = counting
 		w.engine.Parallelism = workers
 
-		const q = "SELECT e.id, e.v FROM events e JOIN tiny t ON e.id = t.k"
+		for _, q := range queries {
+			counting.reads.Store(0)
+			w.engine.disableRuntimeFilters = true
+			plain, err := w.runWithOptions(q, optimizer.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			plainReads := counting.reads.Load()
 
-		w.engine.disableRuntimeFilters = true
-		plain, err := w.runWithOptions(q, optimizer.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		plainReads := counting.reads.Load()
+			w.engine.disableRuntimeFilters = false
+			for run := 0; run < 20; run++ {
+				counting.reads.Store(0)
+				filtered, err := w.runWithOptions(q, optimizer.DefaultOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				rfReads := counting.reads.Load()
 
-		counting.reads.Store(0)
-		w.engine.disableRuntimeFilters = false
-		filtered, err := w.runWithOptions(q, optimizer.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rfReads := counting.reads.Load()
-
-		if orderedRows(plain) != orderedRows(filtered) {
-			t.Fatalf("workers=%d: runtime filter changed the result:\noff:\n%s\non:\n%s",
-				workers, orderedRows(plain), orderedRows(filtered))
-		}
-		if filtered.NumRows() != 3 {
-			t.Fatalf("workers=%d: join returned %d rows, want 3", workers, filtered.NumRows())
-		}
-		// Keys 5/9/60 all live in the first of the 16 probe files; every other
-		// file's [min,max] id range is disjoint from the filter's [5,60] and
-		// must be skipped before any GET. (plainReads includes the build
-		// side's file too.)
-		if rfReads >= plainReads {
-			t.Fatalf("workers=%d: runtime filter saved no reads: %d with rf vs %d without", workers, rfReads, plainReads)
-		}
-		if maxReads := int64(1 + 1); rfReads > maxReads {
-			t.Fatalf("workers=%d: runtime filter left %d reads, want <= %d", workers, rfReads, maxReads)
+				if orderedRows(plain) != orderedRows(filtered) {
+					t.Fatalf("workers=%d run %d %q: runtime filter changed the result:\noff:\n%s\non:\n%s",
+						workers, run, q, orderedRows(plain), orderedRows(filtered))
+				}
+				if filtered.NumRows() != 3 {
+					t.Fatalf("workers=%d run %d %q: join returned %d rows, want 3", workers, run, q, filtered.NumRows())
+				}
+				// Keys 5/9/60 all live in the first of the 16 probe files; every
+				// other file's [min,max] id range is disjoint from the filter's
+				// [5,60] and must be skipped before any GET. (plainReads
+				// includes the build side's file too.)
+				if rfReads >= plainReads {
+					t.Fatalf("workers=%d run %d %q: runtime filter saved no reads: %d with rf vs %d without", workers, run, q, rfReads, plainReads)
+				}
+				if maxReads := int64(1 + 1); rfReads > maxReads {
+					t.Fatalf("workers=%d run %d %q: runtime filter left %d reads, want <= %d", workers, run, q, rfReads, maxReads)
+				}
+			}
 		}
 	}
 }

@@ -27,10 +27,10 @@ type aggInput struct {
 // Groups form by Value.Equal over key rows in first-occurrence order, NULL
 // arguments are skipped (except COUNT(*)), and DISTINCT arguments keep a
 // seen-map per group. Float sums accumulate in stream order so results stay
-// byte-identical at any parallelism: with Parallelism > 1 and UDF-free
-// expressions, group-key and argument evaluation runs on exchange workers,
-// but accumulation stays serial over batches in input order — merging
-// per-worker partial sums would reassociate float additions.
+// byte-identical at any parallelism: group-key and argument evaluation runs
+// on the input stream's workers, but accumulation stays serial over batches
+// in input order — merging per-worker partial sums would reassociate float
+// additions.
 //
 // When the group state outgrows Engine.SpillBytes the table freezes: rows
 // matching existing groups keep accumulating in memory, rows with unseen
@@ -40,15 +40,13 @@ type aggInput struct {
 // emitting memory groups first and rid-merging partition outputs reproduces
 // the in-memory emission order exactly.
 type vecAggOp struct {
-	child  operator
-	qc     *QueryContext
-	engine *Engine
-	node   *plan.Aggregate
-	// inputs evaluates the GROUP BY expressions, then one argument per
-	// aggregate (may contain UDFs).
-	inputs     *ExprProgs
+	// in evaluates the GROUP BY expressions, then one argument per aggregate
+	// (may contain UDFs), over the child's batches.
+	in         *stream[*types.Batch, *aggInput]
+	qc         *QueryContext
+	engine     *Engine
+	node       *plan.Aggregate
 	aggs       []*plan.AggFunc
-	parallel   int // exchange workers for input evaluation (<=1 = serial)
 	spillLimit int64
 
 	started    bool
@@ -75,55 +73,23 @@ func (e *Engine) newVecAggOp(qc *QueryContext, node *plan.Aggregate, child opera
 	if err != nil {
 		return nil, err
 	}
-	op := &vecAggOp{
-		child: child, qc: qc, engine: e, node: node, inputs: inputs,
-		aggs: aggs, spillLimit: e.spillLimit(),
-	}
-	if w := e.workers(); w > 1 && inputs.udf == nil {
-		op.parallel = w
-	}
-	return op, nil
-}
-
-// evalAggInput turns one child batch into evaluated key/argument columns.
-func (o *vecAggOp) evalAggInput(b *types.Batch) (*aggInput, error) {
-	cols, err := o.inputs.Run(b.Cols, b.NumRows())
-	if err != nil {
-		return nil, err
-	}
-	k := len(o.node.GroupBy)
-	return &aggInput{n: b.NumRows(), keyCols: cols[:k:k], argCols: cols[k:]}, nil
-}
-
-// inputStream returns an ordered stream of evaluated inputs: an exchange
-// over the child when parallel, a direct pull otherwise.
-func (o *vecAggOp) inputStream() (pull func() (*aggInput, error), cleanup func(), err error) {
-	if o.parallel <= 1 {
-		return func() (*aggInput, error) {
-			b, err := o.child.Next()
+	k := len(node.GroupBy)
+	in := newStream(qc.GoContext(), e.streamWorkers(inputs, unknownMorsels), child, batchSource(child),
+		func(_ context.Context, b *types.Batch) (*aggInput, error) {
+			cols, err := inputs.Run(b.Cols, b.NumRows())
 			if err != nil {
 				return nil, err
 			}
-			return o.evalAggInput(b)
-		}, func() {}, nil
-	}
-	ex, err := newExchange(o.qc.GoContext(), o.parallel, batchSource(o.child),
-		func() (func(context.Context, *types.Batch) (*aggInput, error), error) {
-			return func(_ context.Context, b *types.Batch) (*aggInput, error) {
-				return o.evalAggInput(b)
-			}, nil
+			return &aggInput{n: b.NumRows(), keyCols: cols[:k:k], argCols: cols[k:]}, nil
 		}, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ex.Next, func() { ex.Close() }, nil
+	return &vecAggOp{in: in, qc: qc, engine: e, node: node, aggs: aggs, spillLimit: e.spillLimit()}, nil
 }
 
 func (o *vecAggOp) Close() error {
 	for _, sf := range o.spillFiles {
 		sf.cleanup()
 	}
-	return o.child.Close()
+	return o.in.Close()
 }
 
 func (o *vecAggOp) trackSpill(sf *spillFile) { o.spillFiles = append(o.spillFiles, sf) }
@@ -141,15 +107,9 @@ func (o *vecAggOp) Next() (*types.Batch, error) {
 // run consumes the whole input and leaves a pull function over the finalized
 // group batches.
 func (o *vecAggOp) run() error {
-	in, cleanup, err := o.inputStream()
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-
 	var rid int64
 	pull := func() (*aggInput, []int64, error) {
-		b, err := in()
+		b, err := o.in.Next()
 		if err != nil {
 			return nil, nil, err
 		}

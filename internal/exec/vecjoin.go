@@ -124,7 +124,8 @@ type vecJoinOp struct {
 	qc            *QueryContext
 	e             *Engine
 	node          *plan.Join
-	left, right   operator
+	left          operator
+	right         *stream[*types.Batch, *vecRightPart] // build parts, keys evaluated
 	leftKeys      []plan.Expr
 	rightKeys     []plan.Expr
 	leftSchema    *types.Schema
@@ -135,7 +136,6 @@ type vecJoinOp struct {
 	residual      *ExprProgs // conjuncts over the combined row, in order
 	stats         *telemetry.OpStats
 	spillLimit    int64
-	buildWorkers  int
 	rfBuilders    []*rfBuilder
 
 	built       bool
@@ -157,16 +157,18 @@ type vecJoinOp struct {
 
 func (e *Engine) newVecJoinOp(qc *QueryContext, t *plan.Join, l, r operator, leftKeys, rightKeys, residual []plan.Expr) *vecJoinOp {
 	o := &vecJoinOp{
-		qc: qc, e: e, node: t, left: l, right: r,
+		qc: qc, e: e, node: t, left: l,
 		leftKeys: leftKeys, rightKeys: rightKeys,
 		leftSchema: t.L.Schema(), rightSchema: t.R.Schema(),
-		stats:        qc.opParent,
-		spillLimit:   e.spillLimit(),
-		buildWorkers: e.workers(),
+		stats:      qc.opParent,
+		spillLimit: e.spillLimit(),
 	}
 	o.combined = o.leftSchema.Concat(o.rightSchema)
 	o.leftKeyProgs = e.compileProgs(qc.Eval, qc.opParent, leftKeys, o.leftSchema.Kinds(), nil)
 	o.rightKeyProgs = e.compileProgs(qc.Eval, qc.opParent, rightKeys, o.rightSchema.Kinds(), nil)
+	// Build parts merge in batch order, so the table layout is the same at
+	// any worker count.
+	o.right = newStream(qc.GoContext(), e.streamWorkers(o.rightKeyProgs, unknownMorsels), r, batchSource(r), o.makeRightPart, nil)
 	o.residual = e.compileProgs(qc.Eval, qc.opParent, residual, o.combined.Kinds(), boolKinds(len(residual)))
 	// Resolve runtime-filter targets: each equi-key that is a bare column
 	// reference traceable to a registered probe-side scan gets a filter
@@ -256,7 +258,7 @@ func (t *joinTable) bucket(h uint64) []int32 {
 }
 
 // vecRightPart is one build-side batch with its evaluated keys and hashes,
-// produced (possibly on an exchange worker) before merging into the table.
+// produced (possibly on a stream worker) before merging into the table.
 type vecRightPart struct {
 	b      *types.Batch
 	keys   []*types.Column
@@ -264,7 +266,7 @@ type vecRightPart struct {
 	rfHash [][]uint64 // per rfBuilder: single-column hashes for bloom inserts
 }
 
-func (o *vecJoinOp) makeRightPart(b *types.Batch) (*vecRightPart, error) {
+func (o *vecJoinOp) makeRightPart(_ context.Context, b *types.Batch) (*vecRightPart, error) {
 	keys, err := o.rightKeyProgs.Run(b.Cols, b.NumRows())
 	if err != nil {
 		return nil, err
@@ -280,31 +282,6 @@ func (o *vecJoinOp) makeRightPart(b *types.Batch) (*vecRightPart, error) {
 	return p, nil
 }
 
-// rightStream pulls build parts, evaluating keys on exchange workers when
-// parallel (parts merge in batch order, so the table layout is identical to
-// a serial build).
-func (o *vecJoinOp) rightStream() (pull func() (*vecRightPart, error), cleanup func(), err error) {
-	if o.buildWorkers <= 1 {
-		return func() (*vecRightPart, error) {
-			b, err := o.right.Next()
-			if err != nil {
-				return nil, err
-			}
-			return o.makeRightPart(b)
-		}, func() {}, nil
-	}
-	ex, err := newExchange(o.qc.GoContext(), o.buildWorkers, batchSource(o.right),
-		func() (func(context.Context, *types.Batch) (*vecRightPart, error), error) {
-			return func(_ context.Context, b *types.Batch) (*vecRightPart, error) {
-				return o.makeRightPart(b)
-			}, nil
-		}, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ex.Next, func() { ex.Close() }, nil
-}
-
 func (o *vecJoinOp) emptyKeyCols() []*types.Column {
 	out := make([]*types.Column, len(o.rightKeys))
 	for i, k := range o.rightKeys {
@@ -317,18 +294,12 @@ func (o *vecJoinOp) emptyKeyCols() []*types.Column {
 // fits, partitioned to spill files once it doesn't. Runtime filters observe
 // every build row either way and install after the build completes.
 func (o *vecJoinOp) buildRight() error {
-	pull, cleanup, err := o.rightStream()
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-
 	bb := types.NewBatchBuilder(o.rightSchema, 0)
 	var keyBs []*types.Builder
 	var hashes []uint64
 	var bytes int64
 	for {
-		p, err := pull()
+		p, err := o.right.Next()
 		if err == io.EOF {
 			break
 		}

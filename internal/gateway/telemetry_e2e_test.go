@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,10 +89,18 @@ func TestEndToEndQueryTrace(t *testing.T) {
 	// the predicate detail via the operator label; workers hang off the scan
 	// subtree and each reports the morsels it pulled.
 	// Both the parallel scan and the parallel aggregate contribute worker
-	// pools of Parallelism=2 each.
+	// pools of Parallelism=2 each, as direct children of their operator's
+	// span.
+	for _, op := range []string{"exec.Scan", "exec.Aggregate"} {
+		for _, s := range tr.Find(op) {
+			if !slices.ContainsFunc(s.Children(), func(c *telemetry.Span) bool { return c.Name() == "exec.worker" }) {
+				t.Errorf("%s span has no exec.worker child", op)
+			}
+		}
+	}
 	workers := tr.Find("exec.worker")
-	if len(workers) < 2 {
-		t.Fatalf("want >= 2 worker spans, got %d", len(workers))
+	if len(workers) < 4 {
+		t.Fatalf("want >= 4 worker spans, got %d", len(workers))
 	}
 	morsels := int64(0)
 	for _, w := range workers {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lakeguard/internal/plan"
-	"lakeguard/internal/types"
 )
 
 // ExtractedCall is one UDF invocation lifted out of a projection: the call
@@ -133,10 +132,4 @@ func groupCalls(calls []ExtractedCall, fuse bool) []UDFGroup {
 		groups[gi].Calls = append(groups[gi].Calls, c)
 	}
 	return groups
-}
-
-// ResultField returns the schema field an extracted call's output column
-// carries.
-func (c ExtractedCall) ResultField() types.Field {
-	return types.Field{Name: c.Call.Name, Kind: c.Call.ResultKind, Nullable: true}
 }

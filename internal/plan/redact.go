@@ -23,13 +23,3 @@ func RedactedString(e Expr) string {
 		return x
 	}).String()
 }
-
-// RedactedExprList renders a list of expressions with RedactedString, for
-// messages that report several conjuncts at once.
-func RedactedExprList(es []Expr) []string {
-	out := make([]string, len(es))
-	for i, e := range es {
-		out[i] = RedactedString(e)
-	}
-	return out
-}

@@ -90,9 +90,6 @@ func (v Value) AsFloat64() float64 {
 // AsString returns the string payload.
 func (v Value) AsString() string { return v.S }
 
-// AsBytes returns the binary payload.
-func (v Value) AsBytes() []byte { return []byte(v.S) }
-
 // IsTrue reports whether the value is a non-NULL true boolean.
 func (v Value) IsTrue() bool { return v.Kind == KindBool && !v.Null && v.I != 0 }
 
