@@ -172,7 +172,7 @@ func (c *Catalog) compactLog(log *delta.Log, cred *storage.Credential, targetByt
 					return stats, err
 				}
 				if card := f.DV.Cardinality(); card > 0 {
-					b = b.Gather(f.DV.KeepIndexes(b.NumRows()))
+					b = b.Gather(f.DV.KeepIndexes(b.NumRows(), nil))
 					stats.DVRowsDropped += card
 				}
 				if b.NumRows() > 0 {

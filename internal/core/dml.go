@@ -68,7 +68,7 @@ func (s *Server) compileAssignments(ectx *eval.Context, set []boundAssign, in *t
 // columns with each SET column replaced by its expression over cols (the
 // target columns, then the source columns for MERGE).
 func applyAssignments(target *types.Batch, cols []*types.Column, set []boundAssign, progs *exec.ExprProgs) (*types.Batch, error) {
-	vals, err := progs.Run(cols, target.NumRows())
+	vals, err := progs.Run(cols, target.NumRows(), nil)
 	var cast *exec.CastError
 	if errors.As(err, &cast) {
 		return nil, fmt.Errorf("core: SET column %d: %w", set[cast.Expr()].col+1, cast)
@@ -198,10 +198,10 @@ func (s *Server) executeRowDML(ctx catalog.RequestContext, st *session.State, ta
 				n := b.NumRows()
 				var rows []int // nil = every row
 				if f.DV.Cardinality() > 0 {
-					rows = f.DV.KeepIndexes(n)
+					rows = f.DV.KeepIndexes(n, nil)
 				}
 				if whereProgs != nil {
-					if rows, err = whereProgs.Select(b.Cols, n, rows); err != nil {
+					if rows, err = whereProgs.Select(b.Cols, n, rows, nil); err != nil {
 						return 0, 0, fmt.Errorf("core: %s WHERE: %w", op, err)
 					}
 				}
@@ -333,7 +333,7 @@ func (s *Server) executeMerge(qctx context.Context, ctx catalog.RequestContext, 
 			n := b.NumRows()
 			var live []int // nil = every row
 			if f.DV.Cardinality() > 0 {
-				live = f.DV.KeepIndexes(n)
+				live = f.DV.KeepIndexes(n, nil)
 			}
 			// ON runs once per source row, over every live target row with
 			// that source row's values as constant columns. The first
@@ -343,12 +343,13 @@ func (s *Server) executeMerge(qctx context.Context, ctx catalog.RequestContext, 
 				match[r] = -1
 			}
 			cols := append(make([]*types.Column, 0, bothSchema.Len()), b.Cols...)
+			var onSel exec.SelScratch // each source row's matches are read before the next
 			for si := 0; si < ns; si++ {
 				cols = cols[:len(b.Cols)]
 				for _, sc := range src.Cols {
 					cols = append(cols, types.ConstColumn(sc.Value(si), n))
 				}
-				sel, err := onProgs.Select(cols, n, live)
+				sel, err := onProgs.Select(cols, n, live, &onSel)
 				if err != nil {
 					return nil, nil, fmt.Errorf("core: MERGE ON: %w", err)
 				}
@@ -392,7 +393,7 @@ func (s *Server) executeMerge(qctx context.Context, ctx catalog.RequestContext, 
 			}
 			if len(unmatched) > 0 {
 				ins := src.Gather(unmatched)
-				vals, err := insertProgs.Run(ins.Cols, len(unmatched))
+				vals, err := insertProgs.Run(ins.Cols, len(unmatched), nil)
 				var cast *exec.CastError
 				if errors.As(err, &cast) {
 					return nil, nil, fmt.Errorf("core: MERGE INSERT column %q: %w", meta.Schema.Fields[cast.Expr()].Name, cast)

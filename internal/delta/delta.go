@@ -755,7 +755,7 @@ func (s *Snapshot) Read(store *storage.Store, cred *storage.Credential, fn func(
 			return fmt.Errorf("delta: decoding %s: %w", f.Path, err)
 		}
 		if f.DV.Cardinality() > 0 {
-			b = b.Gather(f.DV.KeepIndexes(b.NumRows()))
+			b = b.Gather(f.DV.KeepIndexes(b.NumRows(), nil))
 		}
 		if err := fn(b); err != nil {
 			return err

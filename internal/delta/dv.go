@@ -38,12 +38,15 @@ func (dv *DeletionVector) Has(r int64) bool {
 	return i < len(dv.Rows) && dv.Rows[i] == r
 }
 
-// KeepIndexes returns the ordinals of the surviving rows of an n-row file,
-// in order — the gather list a scan applies to mask deleted rows. Ordinals
+// KeepIndexes appends to keep (which may be nil) the ordinals of the
+// surviving rows of an n-row file, in order — the selection a scan starts
+// from to mask deleted rows — and returns the extended slice. Ordinals
 // outside [0, n) are ignored (a corrupt vector can hide rows, never invent
 // them).
-func (dv *DeletionVector) KeepIndexes(n int) []int {
-	keep := make([]int, 0, max(n-int(dv.Cardinality()), 0))
+func (dv *DeletionVector) KeepIndexes(n int, keep []int) []int {
+	if keep == nil {
+		keep = make([]int, 0, max(n-int(dv.Cardinality()), 0))
+	}
 	for i := 0; i < n; i++ {
 		if !dv.Has(int64(i)) {
 			keep = append(keep, i)

@@ -47,6 +47,16 @@ func (p *VecProg) Run(cols []*types.Column, n int, sel []int) *types.Column {
 	return p.root.eval(cols, rowsOf(n, sel), sel)
 }
 
+// Column reports the input column a program reads when it is a bare column
+// reference, possibly reached through an alias or through a CASE the bound
+// identity decided; a caller may then pass that column on unevaluated.
+func (p *VecProg) Column() (int, bool) {
+	if ref, ok := p.root.(*refNode); ok {
+		return ref.idx, true
+	}
+	return 0, false
+}
+
 // Select appends to out the input rows where a BOOLEAN program is TRUE (not
 // FALSE, not NULL), in selection order, and returns the extended slice. sel
 // restricts the candidates (nil = all n rows; a non-nil empty sel selects
@@ -295,15 +305,15 @@ func (nd *cmpNode) eval(cols []*types.Column, m int, sel []int) *types.Column {
 	case classInt:
 		l, ln := nd.l.intAcc(cols, m, sel)
 		r, rn := nd.r.intAcc(cols, m, sel)
-		return cmpKernel(nd.op, l, ln, r, rn, m)
+		return cmpKernel(nd.op, true, l, ln, r, rn, m)
 	case classFloat:
 		l, ln := nd.l.floatAcc(cols, m, sel)
 		r, rn := nd.r.floatAcc(cols, m, sel)
-		return cmpKernel(nd.op, l, ln, r, rn, m)
+		return cmpKernel(nd.op, false, l, ln, r, rn, m)
 	default:
 		l, ln := nd.l.strAcc(cols, m, sel)
 		r, rn := nd.r.strAcc(cols, m, sel)
-		return cmpKernel(nd.op, l, ln, r, rn, m)
+		return cmpKernel(nd.op, true, l, ln, r, rn, m)
 	}
 }
 
@@ -315,20 +325,20 @@ func (nd *cmpNode) selectRows(cols []*types.Column, n int, sel, out []int) []int
 	case classInt:
 		l, ln := nd.l.intSel(cols, m, sel)
 		r, rn := nd.r.intSel(cols, m, sel)
-		return cmpSelect(nd.op, l, ln, r, rn, m, sel, out)
+		return cmpSelect(nd.op, true, l, ln, r, rn, m, sel, out)
 	case classFloat:
 		l, ln := nd.l.floatSel(cols, m, sel)
 		r, rn := nd.r.floatSel(cols, m, sel)
-		return cmpSelect(nd.op, l, ln, r, rn, m, sel, out)
+		return cmpSelect(nd.op, false, l, ln, r, rn, m, sel, out)
 	default:
 		l, ln := nd.l.strSel(cols, m, sel)
 		r, rn := nd.r.strSel(cols, m, sel)
-		return cmpSelect(nd.op, l, ln, r, rn, m, sel, out)
+		return cmpSelect(nd.op, true, l, ln, r, rn, m, sel, out)
 	}
 }
 
-// cmpKernel evaluates a NULL-strict comparison.
-func cmpKernel[T int64 | float64 | string](op plan.BinOp, l acc[T], ln nullmask, r acc[T], rn nullmask, m int) *types.Column {
+// cmpKernel evaluates a NULL-strict comparison; exact is as for cmpHolds.
+func cmpKernel[T int64 | float64 | string](op plan.BinOp, exact bool, l acc[T], ln nullmask, r acc[T], rn nullmask, m int) *types.Column {
 	out := make([]int64, m)
 	var nulls []bool
 	for i := 0; i < m; i++ {
@@ -339,26 +349,36 @@ func cmpKernel[T int64 | float64 | string](op plan.BinOp, l acc[T], ln nullmask,
 			nulls[i] = true
 			continue
 		}
-		if cmpHolds(op, l.at(i), r.at(i)) {
+		if cmpHolds(op, exact, l.at(i), r.at(i)) {
 			out[i] = 1
 		}
 	}
 	return types.NewInt64Column(types.KindBool, out, nulls)
 }
 
-func cmpSelect[T int64 | float64 | string](op plan.BinOp, l acc[T], ln nullmask, r acc[T], rn nullmask, m int, sel, out []int) []int {
+func cmpSelect[T int64 | float64 | string](op plan.BinOp, exact bool, l acc[T], ln nullmask, r acc[T], rn nullmask, m int, sel, out []int) []int {
 	for j := 0; j < m; j++ {
 		i := rowAt(sel, j)
-		if !ln.get(j, i) && !rn.get(j, i) && cmpHolds(op, l.get(j, i), r.get(j, i)) {
+		if !ln.get(j, i) && !rn.get(j, i) && cmpHolds(op, exact, l.get(j, i), r.get(j, i)) {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-// cmpHolds derives a three-way cmp first (like Value.Compare) so float NaN
-// behaves identically to the row interpreter.
-func cmpHolds[T int64 | float64 | string](op plan.BinOp, a, b T) bool {
+// cmpHolds decides one comparison. For the exact classes (integer and
+// string payloads) = and <> are one equality test. Everything else derives
+// a three-way cmp first (like Value.Compare), so that a float NaN, which
+// Compare orders equal to every value, behaves as in the row interpreter.
+func cmpHolds[T int64 | float64 | string](op plan.BinOp, exact bool, a, b T) bool {
+	if exact {
+		switch op {
+		case plan.OpEq:
+			return a == b
+		case plan.OpNeq:
+			return a != b
+		}
+	}
 	c := 0
 	if a < b {
 		c = -1

@@ -211,8 +211,13 @@ func (e *Engine) ExecuteToBatch(qc *QueryContext, p plan.Node) (*types.Batch, er
 }
 
 // build compiles a plan node into an operator tree, instrumenting each
-// operator when the query is traced or profiled.
+// operator when the query is traced or profiled. A scan and every chain of
+// row-preserving nodes run as one pipeline (pipeline.go), which accounts for
+// each of its nodes itself.
 func (e *Engine) build(qc *QueryContext, p plan.Node) (operator, error) {
+	if _, scan := p.(*plan.Scan); scan || isChainNode(p) {
+		return e.buildPipeline(qc, p)
+	}
 	return e.instrument(qc, p, func(sub *QueryContext) (operator, error) { return e.buildNode(sub, p) })
 }
 
@@ -220,9 +225,25 @@ func (e *Engine) build(qc *QueryContext, p plan.Node) (operator, error) {
 // span and profile entry named for p when the query is traced or profiled.
 // Untraced, unprofiled queries call buildOp directly and pay nothing.
 func (e *Engine) instrument(qc *QueryContext, p plan.Node, buildOp func(*QueryContext) (operator, error)) (operator, error) {
+	sub, stats, span := opScope(qc, p)
+	if sub == qc {
+		return buildOp(qc)
+	}
+	op, err := buildOp(sub)
+	if err != nil {
+		span.EndErr(err)
+		return nil, err
+	}
+	return &instrumentedOp{op: op, span: span, stats: stats}, nil
+}
+
+// opScope opens plan node p's profile entry and span when the query is
+// traced or profiled, and returns the context p's operator and children
+// build in. Otherwise it returns qc itself and no sinks.
+func opScope(qc *QueryContext, p plan.Node) (*QueryContext, *telemetry.OpStats, *telemetry.Span) {
 	ctx := qc.GoContext()
 	if qc.Profile == nil && telemetry.SpanFrom(ctx) == nil {
-		return buildOp(qc)
+		return qc, nil, nil
 	}
 	name, detail := opLabel(p)
 	var stats *telemetry.OpStats
@@ -233,12 +254,7 @@ func (e *Engine) instrument(qc *QueryContext, p plan.Node, buildOp func(*QueryCo
 	sub := *qc
 	sub.Context = sctx
 	sub.opParent = stats
-	op, err := buildOp(&sub)
-	if err != nil {
-		span.EndErr(err)
-		return nil, err
-	}
-	return &instrumentedOp{op: op, span: span, stats: stats}, nil
+	return &sub, stats, span
 }
 
 // buildNode compiles one plan node; child compilation recurses through
@@ -247,9 +263,6 @@ func (e *Engine) buildNode(qc *QueryContext, p plan.Node) (operator, error) {
 	switch t := p.(type) {
 	case *plan.LocalRelation:
 		return &localOp{batch: t.Data}, nil
-
-	case *plan.Scan:
-		return e.buildScan(qc, t)
 
 	case *plan.RemoteScan:
 		if e.Remote == nil {
@@ -260,26 +273,6 @@ func (e *Engine) buildNode(qc *QueryContext, p plan.Node) (operator, error) {
 			return nil, fmt.Errorf("exec: remote scan %s: %w", t.Relation, err)
 		}
 		return &batchesOp{batches: batches}, nil
-
-	case *plan.SecureView:
-		return e.build(qc, t.Child)
-
-	case *plan.SubqueryAlias:
-		return e.build(qc, t.Child)
-
-	case *plan.Filter:
-		child, err := e.build(qc, t.Child)
-		if err != nil {
-			return nil, err
-		}
-		return e.buildFilter(qc, t, child)
-
-	case *plan.Project:
-		child, err := e.build(qc, t.Child)
-		if err != nil {
-			return nil, err
-		}
-		return e.buildProject(qc, t, child)
 
 	case *plan.Aggregate:
 		child, err := e.build(qc, t.Child)
@@ -338,7 +331,10 @@ func (e *Engine) buildNode(qc *QueryContext, p plan.Node) (operator, error) {
 	return nil, fmt.Errorf("exec: unsupported plan node %T", p)
 }
 
-func (e *Engine) buildScan(qc *QueryContext, t *plan.Scan) (operator, error) {
+// newScanSource opens a scan's snapshot and prunes its files: by zone maps
+// against the pushed filters, and by deletion vectors that cover a whole
+// file. The pipeline above reads what is left, one file per morsel.
+func (e *Engine) newScanSource(qc *QueryContext, t *plan.Scan) (*scanSource, error) {
 	// Definer rights: views resolve (and therefore read) their underlying
 	// tables as the view owner; the analyzer recorded that identity.
 	ctx := qc.Ctx
@@ -394,18 +390,7 @@ func (e *Engine) buildScan(qc *QueryContext, t *plan.Scan) (operator, error) {
 	// Register the scan so a hash join built above it can install runtime
 	// filters onto src before the first file is read.
 	qc.rf.register(t, src)
-	// File-granular morsels: every worker reads through the same
-	// credential-bound reader the TableProvider vended, so parallelism adds
-	// no new authority, and the gather keeps file order.
-	next := 0
-	return newStream(qc.GoContext(), e.streamWorkers(src.filters, len(files)), nil,
-		func() (int, bool, error) {
-			if next == len(files) {
-				return 0, true, nil
-			}
-			next++
-			return next - 1, false, nil
-		}, src.scanFileCtx, skipEmptyBatch), nil
+	return src, nil
 }
 
 func boolKinds(n int) []types.Kind {

@@ -237,10 +237,6 @@ func (ex *exchange[M, T]) Close() error {
 	return nil
 }
 
-// skipEmptyBatch is the skip rule of the scan and filter streams: neither
-// emits an empty batch mid-stream.
-func skipEmptyBatch(b *types.Batch) bool { return b == nil || b.NumRows() == 0 }
-
 // unknownMorsels is the morsel count of a stream over a child operator,
 // whose length is known only when it ends.
 const unknownMorsels = math.MaxInt
@@ -252,7 +248,7 @@ const unknownMorsels = math.MaxInt
 // when its source holds at most one morsel (a scan with at most one file
 // left after pruning).
 func (e *Engine) streamWorkers(exprs *ExprProgs, morsels int) int {
-	if e.Parallelism <= 1 || exprs.udf != nil || morsels <= 1 {
+	if e.Parallelism <= 1 || exprs != nil && exprs.udf != nil || morsels <= 1 {
 		return 1
 	}
 	return e.Parallelism

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sync"
-
 	"lakeguard/internal/eval"
 	"lakeguard/internal/plan"
 	"lakeguard/internal/telemetry"
@@ -90,6 +88,27 @@ func (e *Engine) compileProgs(ctx *eval.Context, stats *telemetry.OpStats, exprs
 	return p
 }
 
+// columnRefs returns the input column of every expression when each one
+// compiled to a bare column reference of the kind the list wants, so the
+// list only re-labels columns; otherwise nil.
+func (p *ExprProgs) columnRefs() []int {
+	if p.udf != nil {
+		return nil
+	}
+	refs := make([]int, len(p.progs))
+	for i, prog := range p.progs {
+		if prog == nil || prog.Kind() != p.kinds[i] {
+			return nil
+		}
+		c, ok := prog.Column()
+		if !ok {
+			return nil
+		}
+		refs[i] = c
+	}
+	return refs
+}
+
 // withUDFs returns cols followed by the UDF result columns the list's
 // expressions read (cols itself when the list has no UDF call).
 func (p *ExprProgs) withUDFs(cols []*types.Column, n int) ([]*types.Column, error) {
@@ -99,32 +118,39 @@ func (p *ExprProgs) withUDFs(cols []*types.Column, n int) ([]*types.Column, erro
 	return p.udf.run(cols, n)
 }
 
-// Run evaluates every expression over the n rows of cols, one column each,
-// of the kinds the list was compiled for.
-func (p *ExprProgs) Run(cols []*types.Column, n int) ([]*types.Column, error) {
+// Run evaluates every expression over the rows sel selects of the n rows of
+// cols (nil = all n), one column each, of the kinds the list was compiled
+// for; row j of each result is input row sel[j]. No expression reads a row
+// sel leaves out. UDF waves run over all n rows, so a list with UDF calls
+// takes sel == nil only.
+func (p *ExprProgs) Run(cols []*types.Column, n int, sel []int) ([]*types.Column, error) {
 	cols, err := p.withUDFs(cols, n)
 	if err != nil {
 		return nil, err
 	}
 	p.countEval()
+	m := n
+	if sel != nil {
+		m = len(sel)
+	}
 	out := make([]*types.Column, len(p.exprs))
 	for i, prog := range p.progs {
 		var value func(int) types.Value
 		if prog != nil {
-			c := prog.Run(cols, n, nil)
+			c := prog.Run(cols, n, sel)
 			if c.Kind() == p.kinds[i] {
 				out[i] = c
 				continue
 			}
 			value = c.Value
 		} else {
-			vals, err := p.interpret(i, cols, n, nil)
+			vals, err := p.interpret(i, cols, n, sel)
 			if err != nil {
 				return nil, err
 			}
 			value = func(j int) types.Value { return vals[j] }
 		}
-		if out[i], err = castValues(p.kinds[i], n, value); err != nil {
+		if out[i], err = castValues(p.kinds[i], m, value); err != nil {
 			return nil, &CastError{expr: i, err: err}
 		}
 	}
@@ -156,25 +182,21 @@ func (p *ExprProgs) countEval() {
 // conjunct runs only over the rows the earlier ones kept, so a conjunct that
 // can fail (a throwing cast) never sees a row an earlier one rejected. UDF
 // waves run over all n rows, so only sel == nil may reach a list with UDF
-// calls: compileExprs (the filter operator) lifts them, compileProgs (scan
+// calls: compileExprs (the filter step) lifts them, compileProgs (scan
 // filters, join residuals, DML) leaves them to the row interpreter.
 //
-// Conjuncts narrow through two pooled scratch selections in turn (a
-// conjunct's output never aliases its input), and the result is copied out
-// at its own size, so a selective predicate allocates for the rows it keeps
-// rather than for every candidate.
-func (p *ExprProgs) Select(cols []*types.Column, n int, sel []int) ([]int, error) {
+// Conjuncts narrow into sc's buffers, so a warmed scratch makes Select
+// allocate nothing; the result may alias sc (see SelScratch). A nil sc gets
+// a scratch of its own, which the result then holds.
+func (p *ExprProgs) Select(cols []*types.Column, n int, sel []int, sc *SelScratch) ([]int, error) {
 	cols, err := p.withUDFs(cols, n)
 	if err != nil {
 		return nil, err
 	}
 	p.countEval()
-	if len(p.progs) == 0 {
-		return sel, nil
+	if sc == nil {
+		sc = new(SelScratch)
 	}
-	scratch := [2]*[]int{selScratch.Get().(*[]int), selScratch.Get().(*[]int)}
-	defer selScratch.Put(scratch[0])
-	defer selScratch.Put(scratch[1])
 	for i, prog := range p.progs {
 		if sel != nil && len(sel) == 0 {
 			break
@@ -183,10 +205,7 @@ func (p *ExprProgs) Select(cols []*types.Column, n int, sel []int) ([]int, error
 		if sel != nil {
 			m = len(sel)
 		}
-		next := (*scratch[i%2])[:0]
-		if cap(next) < m {
-			next = make([]int, 0, m)
-		}
+		next := sc.next(m)
 		if prog != nil {
 			next = prog.Select(cols, n, sel, next)
 		} else {
@@ -204,14 +223,36 @@ func (p *ExprProgs) Select(cols []*types.Column, n int, sel []int) ([]int, error
 				}
 			}
 		}
-		*scratch[i%2] = next
+		sc.keep(next)
 		sel = next
 	}
-	return append(make([]int, 0, len(sel)), sel...), nil
+	return sel, nil
 }
 
-// selScratch holds the scratch selections Select narrows through.
-var selScratch = sync.Pool{New: func() any { return new([]int) }}
+// SelScratch is the scratch one worker narrows selections through: two
+// buffers that narrowing steps take in turn, so a step's output never
+// aliases the selection it reads, which is always the one handed out
+// last. A selection in the scratch stays valid until the second narrowing
+// after it; a caller that needs it longer copies it.
+type SelScratch struct {
+	bufs [2][]int
+	last int
+	// hashes is a row-hash buffer for runtime filters.
+	hashes []uint64
+}
+
+// next hands out the buffer not handed out last, emptied, with capacity
+// for at least m rows.
+func (s *SelScratch) next(m int) []int {
+	s.last ^= 1
+	if cap(s.bufs[s.last]) < m {
+		s.bufs[s.last] = make([]int, 0, m)
+	}
+	return s.bufs[s.last][:0]
+}
+
+// keep stores next's buffer back after appends, which may have grown it.
+func (s *SelScratch) keep(b []int) { s.bufs[s.last] = b }
 
 // interpret runs expression i through the row interpreter over the rows sel
 // selects (nil = all n), returning one value per selected row. It is the

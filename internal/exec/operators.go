@@ -46,7 +46,7 @@ func (o *batchesOp) Next() (*types.Batch, error) {
 func (o *batchesOp) Close() error { return nil }
 
 // scanSource reads and filters one snapshot file at a time, the morsel of
-// a scan stream: all state is read-only after construction, so any number
+// a scan's pipeline: all state is read-only after construction, so any number
 // of workers share it, and reads go through the credential-bound reader the
 // TableProvider vended — the operator never sees the credential itself.
 type scanSource struct {
@@ -90,11 +90,12 @@ func (s *scanSource) runtimeFilters() []*scanRF {
 	return nil
 }
 
-// scanFileCtx reads, decodes and filters one snapshot file. Each read gets a
+// scanFile reads, decodes and filters one snapshot file into a view: its
+// projected columns and the rows that survive. Each read gets a
 // "storage.get" span under ctx (a no-op when the query is untraced); a
 // failed read records the injected fault site so chaos runs are attributable
 // from the trace alone.
-func (s *scanSource) scanFileCtx(ctx context.Context, i int) (*types.Batch, error) {
+func (s *scanSource) scanFile(ctx context.Context, i int, sc *SelScratch) (view, error) {
 	f := s.snap.Files[s.files[i]]
 	// Runtime filters first: if a join's build-side bounds prove this file
 	// empty from its statistics alone, skip the storage GET entirely. This
@@ -106,7 +107,7 @@ func (s *scanSource) scanFileCtx(ctx context.Context, i int) (*types.Batch, erro
 			if s.metrics != nil {
 				s.metrics.Counter("scan.files.rf_pruned").Add(1)
 			}
-			return types.NewBatchBuilder(s.scan.Schema(), 0).Build(), nil
+			return view{schema: s.scan.Schema()}, nil
 		}
 	}
 	_, gs := telemetry.StartSpan(ctx, "storage.get")
@@ -122,51 +123,43 @@ func (s *scanSource) scanFileCtx(ctx context.Context, i int) (*types.Batch, erro
 	}
 	gs.EndErr(err)
 	if err != nil {
-		return nil, err
+		return view{}, err
 	}
 	// Deletion-vector masking starts the selection: DV ordinals refer to the
 	// file's physical row order, so the keep-list indexes the raw batch, and
-	// filters narrow it from there. Every downstream operator — and the
+	// filters narrow it from there. Every downstream step — and the
 	// serial/parallel equivalence guarantee — sees only surviving rows.
-	var sel []int // nil = all rows
+	v := view{schema: b.Schema, cols: b.Cols, n: b.NumRows()}
 	if f.DV.Cardinality() > 0 {
-		sel = f.DV.KeepIndexes(b.NumRows())
-		masked := b.NumRows() - len(sel)
+		v.sel = f.DV.KeepIndexes(v.n, sc.next(v.n))
+		sc.keep(v.sel)
+		masked := v.n - len(v.sel)
 		s.stats.AddDVMasked(masked)
 		if s.metrics != nil {
 			s.metrics.Counter("scan.rows.dv_masked").Add(int64(masked))
 		}
 	}
-	return s.applyScanOps(b, sel)
-}
-
-// applyScanOps projects a raw file batch, narrows the selection sel (nil =
-// every row) through the pushed filters and runtime filters, and gathers
-// the surviving rows of the projected columns once.
-func (s *scanSource) applyScanOps(b *types.Batch, sel []int) (*types.Batch, error) {
-	// Projection first, by reference: when the optimizer prunes columns it
-	// remaps the pushed-filter ordinals to the projected layout.
+	// Projection by reference: when the optimizer prunes columns it remaps
+	// the pushed-filter ordinals to the projected layout.
 	if s.scan.ProjectedCols != nil {
 		cols := make([]*types.Column, len(s.scan.ProjectedCols))
 		for i, c := range s.scan.ProjectedCols {
 			cols[i] = b.Cols[c]
 		}
-		b = types.MustBatch(s.scan.Schema(), cols)
+		v.schema, v.cols = s.scan.Schema(), cols
 	}
-	n := b.NumRows()
-	sel, err := s.filters.Select(b.Cols, n, sel)
-	if err != nil {
-		return nil, err
+	if v.sel, err = s.filters.Select(v.cols, v.n, v.sel, sc); err != nil {
+		return view{}, err
 	}
 	// Runtime filters refine the same selection after the pushed filters: the
 	// drop is an optimization (those rows cannot join), so it is attributed to
 	// the owning join's profile, not the scan's row counts.
 	for _, rf := range s.runtimeFilters() {
-		if sel != nil && len(sel) == 0 {
+		if v.sel != nil && len(v.sel) == 0 {
 			break
 		}
 		var dropped int
-		sel, dropped = rf.filterRows(b, sel, n)
+		v.sel, dropped = rf.filterRows(v.cols, v.n, v.sel, sc)
 		if dropped > 0 {
 			rf.joinStats.AddRuntimeFiltered(dropped)
 			if rf.metrics != nil {
@@ -174,33 +167,7 @@ func (s *scanSource) applyScanOps(b *types.Batch, sel []int) (*types.Batch, erro
 			}
 		}
 	}
-	if sel == nil || len(sel) == n {
-		return b, nil // selections only ever shrink: n survivors are all rows
-	}
-	return b.Gather(sel), nil
-}
-
-// filterBatch keeps the rows where the predicate is true (not NULL, not
-// false). It returns the input batch unchanged when every row passes.
-func filterBatch(b *types.Batch, cond *ExprProgs) (*types.Batch, error) {
-	n := b.NumRows()
-	keep, err := cond.Select(b.Cols, n, nil)
-	if err != nil {
-		return nil, err
-	}
-	if len(keep) == n {
-		return b, nil
-	}
-	return b.Gather(keep), nil
-}
-
-// projectBatch computes the output expressions over one batch.
-func projectBatch(b *types.Batch, exprs *ExprProgs, schema *types.Schema) (*types.Batch, error) {
-	cols, err := exprs.Run(b.Cols, b.NumRows())
-	if err != nil {
-		return nil, err
-	}
-	return types.NewBatch(schema, cols)
+	return v, nil
 }
 
 // limitOp truncates the stream.

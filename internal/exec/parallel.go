@@ -8,6 +8,9 @@
 //     whose worker count streamWorkers decides; results are gathered in
 //     morsel order, so every operator emits the same batch sequence serial
 //     execution would (byte-identical output).
+//   - A scan and every chain of Filter, Project, SecureView and
+//     SubqueryAlias nodes above one source are one stream (pipeline.go):
+//     one exchange, one selection narrowed in place, one gather at the end.
 //   - Expression stages with UDF calls stay inline; sandbox crossings
 //     already partition large batches across workers internally
 //     (udfrun.go), and stacking the two would oversubscribe trust-domain
@@ -15,11 +18,9 @@
 package exec
 
 import (
-	"context"
 	"slices"
 
 	"lakeguard/internal/plan"
-	"lakeguard/internal/types"
 )
 
 // exprsHaveUDF reports whether any expression contains a UDF call.
@@ -30,30 +31,4 @@ func exprsHaveUDF(exprs []plan.Expr) bool {
 			return ok
 		})
 	})
-}
-
-// buildFilter compiles a Filter node into a stream that drops the batches
-// no row of which passes.
-func (e *Engine) buildFilter(qc *QueryContext, t *plan.Filter, child operator) (operator, error) {
-	cond, err := e.compileExprs(qc, []plan.Expr{t.Cond}, t.Child.Schema().Kinds(), []types.Kind{types.KindBool})
-	if err != nil {
-		child.Close()
-		return nil, err
-	}
-	return newStream(qc.GoContext(), e.streamWorkers(cond, unknownMorsels), child, batchSource(child),
-		func(_ context.Context, b *types.Batch) (*types.Batch, error) { return filterBatch(b, cond) }, skipEmptyBatch), nil
-}
-
-// buildProject compiles a Project node into a stream; empty batches pass
-// through.
-func (e *Engine) buildProject(qc *QueryContext, t *plan.Project, child operator) (operator, error) {
-	exprs, err := e.compileExprs(qc, t.Exprs, t.Child.Schema().Kinds(), t.OutSchema.Kinds())
-	if err != nil {
-		child.Close()
-		return nil, err
-	}
-	return newStream(qc.GoContext(), e.streamWorkers(exprs, unknownMorsels), child, batchSource(child),
-		func(_ context.Context, b *types.Batch) (*types.Batch, error) {
-			return projectBatch(b, exprs, t.OutSchema)
-		}, nil), nil
 }

@@ -96,18 +96,30 @@ func findRFScan(reg *rfRegistry, node plan.Node, idx int) (*scanSource, int, boo
 	return nil, 0, false
 }
 
-// bloomFilter is a fixed-size blocked-probe bloom filter. The size is fixed
-// (128 KiB of bits) because build cardinality is unknown while streaming; an
-// oversized build side degrades toward keeping everything, which is correct.
+// bloomFilter is a blocked-probe bloom filter sized to the build side. The
+// build materializes before the probe starts, so the filter is allocated at
+// install from the observed key count; an oversized build side fills it
+// toward keeping everything, which is correct.
 type bloomFilter struct {
 	words []uint64
 	mask  uint64
 }
 
-const bloomBits = 1 << 20
+const (
+	// bloomBitsPerKey keeps the false-positive rate of four probes near
+	// 0.2 %: the density the former fixed 1<<20-bit filter had at 64Ki keys.
+	bloomBitsPerKey = 16
+	bloomMaxBits    = 1 << 20
+)
 
-func newBloomFilter() *bloomFilter {
-	return &bloomFilter{words: make([]uint64, bloomBits/64), mask: bloomBits - 1}
+// newBloomFilter sizes a filter for keys entries: a power of two of at least
+// bloomBitsPerKey bits per key and one word, capped at bloomMaxBits.
+func newBloomFilter(keys int) *bloomFilter {
+	bits := uint64(64)
+	for bits < uint64(keys)*bloomBitsPerKey && bits < bloomMaxBits {
+		bits <<= 1
+	}
+	return &bloomFilter{words: make([]uint64, bits/64), mask: bits - 1}
 }
 
 func (f *bloomFilter) add(h uint64) {
@@ -135,16 +147,16 @@ type rfBuilder struct {
 	src    *scanSource
 	col    int // column ordinal in the scan's output schema
 	keyIdx int // which equi-key this builder observes
-	bloom  *bloomFilter
+	hashes []uint64
 	min    types.Value
 	max    types.Value
-	any    bool // saw at least one non-NULL build key
 	nan    bool // build keys contain NaN: NaN equals everything, filter unusable
 }
 
 // observe folds one build part's key column into the filter. hashes are the
 // single-column hashes for keys (not the combined multi-column row hash), so
-// the probe side can test membership per column.
+// the probe side can test membership per column. The non-NULL keys' hashes
+// are kept until install, which sizes the bloom filter to their count.
 func (b *rfBuilder) observe(keys *types.Column, hashes []uint64) {
 	n := keys.Len()
 	for i := 0; i < n; i++ {
@@ -156,17 +168,14 @@ func (b *rfBuilder) observe(keys *types.Column, hashes []uint64) {
 			b.nan = true
 			continue
 		}
-		b.bloom.add(hashes[i])
-		if !b.any {
-			b.min, b.max, b.any = v, v, true
-			continue
-		}
-		if c, ok := v.Compare(b.min); ok && c < 0 {
+		if len(b.hashes) == 0 {
+			b.min, b.max = v, v
+		} else if c, ok := v.Compare(b.min); ok && c < 0 {
 			b.min = v
-		}
-		if c, ok := v.Compare(b.max); ok && c > 0 {
+		} else if c, ok := v.Compare(b.max); ok && c > 0 {
 			b.max = v
 		}
+		b.hashes = append(b.hashes, hashes[i])
 	}
 }
 
@@ -177,12 +186,16 @@ func (b *rfBuilder) install(joinStats *telemetry.OpStats, metrics *telemetry.Reg
 	if b.nan {
 		return
 	}
+	bloom := newBloomFilter(len(b.hashes))
+	for _, h := range b.hashes {
+		bloom.add(h)
+	}
 	b.src.installRF(&scanRF{
 		col:       b.col,
-		bloom:     b.bloom,
+		bloom:     bloom,
 		min:       b.min,
 		max:       b.max,
-		empty:     !b.any,
+		empty:     len(b.hashes) == 0,
 		joinStats: joinStats,
 		metrics:   metrics,
 	})
@@ -234,21 +247,21 @@ func (rf *scanRF) filePrunable(scan *plan.Scan, fs *delta.FileStats) bool {
 	return false
 }
 
-// filterRows refines a selection over b: sel lists the surviving row indices
-// (nil means all n rows). Returns the refined selection (never nil) and the
-// number of rows dropped. A row survives only if its key is non-NULL, within
-// the build [min, max], and bloom-positive.
-func (rf *scanRF) filterRows(b *types.Batch, sel []int, n int) ([]int, int) {
-	col := b.Cols[rf.col]
+// filterRows narrows a selection over the n rows of cols (sel nil = all n)
+// into sc. It returns the narrowed selection (never nil) and the number of
+// rows dropped. A row survives only if its key is non-NULL, within the
+// build [min, max], and bloom-positive.
+func (rf *scanRF) filterRows(cols []*types.Column, n int, sel []int, sc *SelScratch) ([]int, int) {
+	col := cols[rf.col]
 	m := n
 	if sel != nil {
 		m = len(sel)
 	}
-	next := make([]int, 0, m)
+	next := sc.next(m)
 	if rf.empty {
 		return next, m
 	}
-	hashes := eval.HashColumns([]*types.Column{col}, n, nil)
+	sc.hashes = eval.HashColumns([]*types.Column{col}, n, sc.hashes)
 	for j := 0; j < m; j++ {
 		i := j
 		if sel != nil {
@@ -257,7 +270,7 @@ func (rf *scanRF) filterRows(b *types.Batch, sel []int, n int) ([]int, int) {
 		if col.IsNull(i) {
 			continue
 		}
-		if !rf.bloom.mayContain(hashes[i]) {
+		if !rf.bloom.mayContain(sc.hashes[i]) {
 			continue
 		}
 		v := col.Value(i)
@@ -271,5 +284,6 @@ func (rf *scanRF) filterRows(b *types.Batch, sel []int, n int) ([]int, int) {
 		}
 		next = append(next, i)
 	}
+	sc.keep(next)
 	return next, m - len(next)
 }

@@ -205,3 +205,22 @@ func TestExplainAnalyzeJoinCounters(t *testing.T) {
 		t.Fatalf("aggregation spill did not move exec.spill.partitions (%d -> %d)", before, got)
 	}
 }
+
+// The bloom filter is sized to the build keys it holds: a power of two of
+// at least 16 bits per key, one word at the least and 1<<20 bits at the
+// most, and every key added is found again.
+func TestBloomSizedToBuild(t *testing.T) {
+	for _, c := range []struct{ keys, bits int }{{0, 64}, {3, 64}, {8, 128}, {1000, 16384}, {1 << 20, 1 << 20}} {
+		f := newBloomFilter(c.keys)
+		if got := len(f.words) * 64; got != c.bits || f.mask != uint64(got-1) {
+			t.Errorf("%d keys: %d bits (mask %#x), want %d", c.keys, got, f.mask, c.bits)
+		}
+		for k := 0; k < min(c.keys, 4096); k++ {
+			h := uint64(k) * 0x9e3779b97f4a7c15
+			f.add(h)
+			if !f.mayContain(h) {
+				t.Fatalf("%d keys: key %d lost", c.keys, k)
+			}
+		}
+	}
+}

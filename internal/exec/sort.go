@@ -80,7 +80,7 @@ func (o *sortOp) Next() (*types.Batch, error) {
 		if b.NumRows() == 0 {
 			continue
 		}
-		cols, err := o.keys.Run(b.Cols, b.NumRows())
+		cols, err := o.keys.Run(b.Cols, b.NumRows(), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -109,7 +109,7 @@ func (r *exprRunner) run(in []*types.Column, n int) ([]*types.Column, error) {
 // runGroup executes one fused sandbox crossing (or the unsafe in-process
 // baseline) and stores each call's result column at its lifted index.
 func (r *exprRunner) runGroup(g *udfGroup, cols []*types.Column, n int) error {
-	argCols, err := g.args.Run(cols, n)
+	argCols, err := g.args.Run(cols, n, nil)
 	if err != nil {
 		return err
 	}

@@ -11,11 +11,22 @@ import (
 )
 
 // aggInput is one batch with its group-key and aggregate-argument columns
-// already evaluated.
+// already evaluated, and its rows' global ids: rids[i], or base+i when rids
+// is nil (the input stream numbers its rows consecutively; only spilled
+// rows carry their ids).
 type aggInput struct {
 	n       int
 	keyCols []*types.Column
-	argCols []*types.Column
+	argCols []*types.Column // per argument-carrying aggregate (see vecAggOp.argOf)
+	base    int64
+	rids    []int64
+}
+
+func (in *aggInput) rid(i int) int64 {
+	if in.rids != nil {
+		return in.rids[i]
+	}
+	return in.base + int64(i)
 }
 
 // vecAggOp is the grouped-aggregation operator. Group keys are hashed a
@@ -40,13 +51,16 @@ type aggInput struct {
 // emitting memory groups first and rid-merging partition outputs reproduces
 // the in-memory emission order exactly.
 type vecAggOp struct {
-	// in evaluates the GROUP BY expressions, then one argument per aggregate
-	// (may contain UDFs), over the child's batches.
-	in         *stream[*types.Batch, *aggInput]
-	qc         *QueryContext
-	engine     *Engine
-	node       *plan.Aggregate
-	aggs       []*plan.AggFunc
+	// in evaluates the GROUP BY expressions, then the argument of every
+	// aggregate but COUNT(*) (may contain UDFs), over the child's batches.
+	in     *stream[*types.Batch, *aggInput]
+	qc     *QueryContext
+	engine *Engine
+	node   *plan.Aggregate
+	aggs   []*plan.AggFunc
+	// argOf maps each aggregate to its argument column, or -1 for COUNT(*),
+	// which counts rows and evaluates nothing.
+	argOf      []int
 	spillLimit int64
 
 	started    bool
@@ -56,6 +70,7 @@ type vecAggOp struct {
 
 func (e *Engine) newVecAggOp(qc *QueryContext, node *plan.Aggregate, child operator) (*vecAggOp, error) {
 	aggs := make([]*plan.AggFunc, len(node.Aggs))
+	argOf := make([]int, len(node.Aggs))
 	argExprs := make([]plan.Expr, 0, len(node.Aggs))
 	for i, a := range node.Aggs {
 		af, ok := a.(*plan.AggFunc)
@@ -63,11 +78,16 @@ func (e *Engine) newVecAggOp(qc *QueryContext, node *plan.Aggregate, child opera
 			return nil, fmt.Errorf("exec: aggregate slot %d is %T, expected AggFunc", i, a)
 		}
 		aggs[i] = af
-		if af.Arg != nil {
-			argExprs = append(argExprs, af.Arg)
-		} else {
-			argExprs = append(argExprs, plan.Lit(types.Int64(1))) // COUNT(*)
+		arg := af.Arg
+		if arg == nil {
+			if af.Name == "count" && !af.Distinct {
+				argOf[i] = -1 // COUNT(*)
+				continue
+			}
+			arg = plan.Lit(types.Int64(1))
 		}
+		argOf[i] = len(argExprs)
+		argExprs = append(argExprs, arg)
 	}
 	inputs, err := e.compileExprs(qc, append(append([]plan.Expr{}, node.GroupBy...), argExprs...), node.Child.Schema().Kinds(), nil)
 	if err != nil {
@@ -76,13 +96,13 @@ func (e *Engine) newVecAggOp(qc *QueryContext, node *plan.Aggregate, child opera
 	k := len(node.GroupBy)
 	in := newStream(qc.GoContext(), e.streamWorkers(inputs, unknownMorsels), child, batchSource(child),
 		func(_ context.Context, b *types.Batch) (*aggInput, error) {
-			cols, err := inputs.Run(b.Cols, b.NumRows())
+			cols, err := inputs.Run(b.Cols, b.NumRows(), nil)
 			if err != nil {
 				return nil, err
 			}
 			return &aggInput{n: b.NumRows(), keyCols: cols[:k:k], argCols: cols[k:]}, nil
 		}, nil)
-	return &vecAggOp{in: in, qc: qc, engine: e, node: node, aggs: aggs, spillLimit: e.spillLimit()}, nil
+	return &vecAggOp{in: in, qc: qc, engine: e, node: node, aggs: aggs, argOf: argOf, spillLimit: e.spillLimit()}, nil
 }
 
 func (o *vecAggOp) Close() error {
@@ -108,17 +128,14 @@ func (o *vecAggOp) Next() (*types.Batch, error) {
 // group batches.
 func (o *vecAggOp) run() error {
 	var rid int64
-	pull := func() (*aggInput, []int64, error) {
-		b, err := o.in.Next()
+	pull := func() (*aggInput, error) {
+		in, err := o.in.Next()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		rids := make([]int64, b.n)
-		for i := range rids {
-			rids[i] = rid
-			rid++
-		}
-		return b, rids, nil
+		in.base = rid
+		rid += int64(in.n)
+		return in, nil
 	}
 
 	t := newVecAggTable(o.aggs)
@@ -189,10 +206,10 @@ func (o *vecAggOp) run() error {
 // consume feeds evaluated inputs into t. When canSpill and the group state
 // outgrows the budget, the table freezes and unseen keys scatter into the
 // returned partitions (keys + args + __rid), hashed at the given spill level.
-func (o *vecAggOp) consume(t *vecAggTable, pull func() (*aggInput, []int64, error), level int, canSpill bool) (*spillPartitions, error) {
+func (o *vecAggOp) consume(t *vecAggTable, pull func() (*aggInput, error), level int, canSpill bool) (*spillPartitions, error) {
 	var parts *spillPartitions
 	for {
-		in, rids, err := pull()
+		in, err := pull()
 		if err == io.EOF {
 			return parts, nil
 		}
@@ -200,15 +217,19 @@ func (o *vecAggOp) consume(t *vecAggTable, pull func() (*aggInput, []int64, erro
 			return nil, err
 		}
 		hashes := eval.HashColumns(in.keyCols, in.n, nil)
-		gids, spillSel := t.assign(hashes, in.keyCols, rids)
+		gids, spillSel := t.assign(hashes, in)
 		for _, a := range t.accs {
 			a.grow(len(t.keys))
 		}
 		for ai, a := range t.accs {
-			a.accumulate(gids, in.argCols[ai], in.n)
+			if c := o.argOf[ai]; c >= 0 {
+				a.accumulate(gids, in.argCols[c], in.n)
+			} else {
+				a.countRows(gids)
+			}
 		}
 		if len(spillSel) > 0 {
-			sb := spillInputBatch(parts.schema, in, rids, spillSel)
+			sb := spillInputBatch(parts.schema, in, spillSel)
 			sh := make([]uint64, len(spillSel))
 			for i, r := range spillSel {
 				sh[i] = hashes[r]
@@ -233,17 +254,23 @@ func (o *vecAggOp) aggPartition(sf *spillFile, level int, outs *[]func() (*types
 	if err != nil {
 		return err
 	}
-	nk, na := len(o.node.GroupBy), len(o.aggs)
-	pull := func() (*aggInput, []int64, error) {
+	nk, na := len(o.node.GroupBy), len(o.node.Aggs)
+	for _, c := range o.argOf {
+		if c < 0 {
+			na--
+		}
+	}
+	pull := func() (*aggInput, error) {
 		b, err := rd()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		return &aggInput{
 			n:       b.NumRows(),
 			keyCols: b.Cols[:nk],
 			argCols: b.Cols[nk : nk+na],
-		}, b.Cols[nk+na].Int64s(), nil
+			rids:    b.Cols[nk+na].Int64s(),
+		}, nil
 	}
 
 	t := newVecAggTable(o.aggs)
@@ -316,7 +343,7 @@ func aggSpillSchema(in *aggInput) *types.Schema {
 
 // spillInputBatch gathers the sel rows of in (keys, args, rids) as a batch
 // over the spill schema.
-func spillInputBatch(schema *types.Schema, in *aggInput, rids []int64, sel []int) *types.Batch {
+func spillInputBatch(schema *types.Schema, in *aggInput, sel []int) *types.Batch {
 	cols := make([]*types.Column, 0, len(in.keyCols)+len(in.argCols)+1)
 	for _, c := range in.keyCols {
 		cols = append(cols, c.Gather(sel))
@@ -326,7 +353,7 @@ func spillInputBatch(schema *types.Schema, in *aggInput, rids []int64, sel []int
 	}
 	out := make([]int64, len(sel))
 	for i, r := range sel {
-		out[i] = rids[r]
+		out[i] = in.rid(r)
 	}
 	cols = append(cols, types.NewInt64Column(types.KindInt64, out, nil))
 	return &types.Batch{Schema: schema, Cols: cols}
@@ -400,11 +427,11 @@ func newVecAggTable(aggs []*plan.AggFunc) *vecAggTable {
 // assign resolves each row to a group id, creating groups in first-occurrence
 // order. On a frozen table, rows with unseen keys get gid -1 and their
 // indexes are returned for spilling.
-func (t *vecAggTable) assign(hashes []uint64, keyCols []*types.Column, rids []int64) (gids []int32, spillSel []int) {
+func (t *vecAggTable) assign(hashes []uint64, in *aggInput) (gids []int32, spillSel []int) {
 	n := len(hashes)
 	gids = make([]int32, n)
 	for i := 0; i < n; i++ {
-		g := t.findOrAdd(hashes[i], keyCols, i, rids[i])
+		g := t.findOrAdd(hashes[i], in.keyCols, i, in.rid(i))
 		if g < 0 {
 			spillSel = append(spillSel, i)
 		}
@@ -560,9 +587,18 @@ func (a *vecAcc) one(g int32, v types.Value) {
 	}
 }
 
+// countRows is COUNT(*): every row counts, except spilled ones (gid -1).
+func (a *vecAcc) countRows(gids []int32) {
+	for _, g := range gids {
+		if g >= 0 {
+			a.nonNull[g] = true
+			a.count[g]++
+		}
+	}
+}
+
 // accumulate feeds one argument column. gids entries of -1 (spilled rows)
-// are skipped. NULLs are skipped throughout: COUNT(*) arguments are the
-// literal 1 and never NULL, so COUNT(*) counts every row.
+// are skipped, and so are NULLs.
 func (a *vecAcc) accumulate(gids []int32, col *types.Column, n int) {
 	if a.af.Distinct {
 		a.distinct(gids, col, n)

@@ -134,6 +134,7 @@ type vecJoinOp struct {
 	leftKeyProgs  *ExprProgs
 	rightKeyProgs *ExprProgs
 	residual      *ExprProgs // conjuncts over the combined row, in order
+	residualSel   SelScratch // the serial probe's scratch for residual
 	stats         *telemetry.OpStats
 	spillLimit    int64
 	rfBuilders    []*rfBuilder
@@ -184,7 +185,7 @@ func (e *Engine) newVecJoinOp(qc *QueryContext, t *plan.Join, l, r operator, lef
 				continue
 			}
 			o.rfBuilders = append(o.rfBuilders, &rfBuilder{
-				src: src, col: col, keyIdx: i, bloom: newBloomFilter(),
+				src: src, col: col, keyIdx: i,
 			})
 		}
 	}
@@ -267,7 +268,7 @@ type vecRightPart struct {
 }
 
 func (o *vecJoinOp) makeRightPart(_ context.Context, b *types.Batch) (*vecRightPart, error) {
-	keys, err := o.rightKeyProgs.Run(b.Cols, b.NumRows())
+	keys, err := o.rightKeyProgs.Run(b.Cols, b.NumRows(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -471,7 +472,7 @@ func (p *joinProbe) done() bool { return p.next >= p.lb.NumRows() }
 // newProbe evaluates and hashes lb's keys for probing t.
 func (o *vecJoinOp) newProbe(t *joinTable, lb *types.Batch, lrids []int64) (*joinProbe, error) {
 	n := lb.NumRows()
-	keys, err := o.leftKeyProgs.Run(lb.Cols, lb.NumRows())
+	keys, err := o.leftKeyProgs.Run(lb.Cols, lb.NumRows(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -538,7 +539,7 @@ func (o *vecJoinOp) probeBlock(p *joinProbe) (*types.Batch, error) {
 	// Residual conjuncts, in order, over the combined candidate rows.
 	if len(o.residual.exprs) > 0 && len(pairL) > 0 {
 		comb := o.combineCols(lb, t.rows, pairL, pairR)
-		sel, err := o.residual.Select(comb, len(pairL), nil)
+		sel, err := o.residual.Select(comb, len(pairL), nil, &o.residualSel)
 		if err != nil {
 			return nil, err
 		}
@@ -814,7 +815,7 @@ func (o *vecJoinOp) runSpilled() error {
 		if err != nil {
 			return err
 		}
-		keys, err := o.leftKeyProgs.Run(lb.Cols, lb.NumRows())
+		keys, err := o.leftKeyProgs.Run(lb.Cols, lb.NumRows(), nil)
 		if err != nil {
 			return err
 		}
@@ -895,7 +896,7 @@ func (o *vecJoinOp) processPartition(rp, lp *spillFile, level int, outs, tails *
 		subR := newSpillPartitions(schemaWithRID(o.rightSchema), level, o.trackSpill)
 		for _, b := range rbatches {
 			rows, _ := splitRID(o.rightSchema, b)
-			keys, err := o.rightKeyProgs.Run(rows.Cols, rows.NumRows())
+			keys, err := o.rightKeyProgs.Run(rows.Cols, rows.NumRows(), nil)
 			if err != nil {
 				return err
 			}
@@ -919,7 +920,7 @@ func (o *vecJoinOp) processPartition(rp, lp *spillFile, level int, outs, tails *
 					return err
 				}
 				rows, _ := splitRID(o.leftSchema, b)
-				keys, err := o.leftKeyProgs.Run(rows.Cols, rows.NumRows())
+				keys, err := o.leftKeyProgs.Run(rows.Cols, rows.NumRows(), nil)
 				if err != nil {
 					return err
 				}
@@ -951,7 +952,7 @@ func (o *vecJoinOp) processPartition(rp, lp *spillFile, level int, outs, tails *
 	var hashes []uint64
 	if rows.NumRows() > 0 {
 		var err error
-		if keys, err = o.rightKeyProgs.Run(rows.Cols, rows.NumRows()); err != nil {
+		if keys, err = o.rightKeyProgs.Run(rows.Cols, rows.NumRows(), nil); err != nil {
 			return err
 		}
 		hashes = eval.HashColumns(keys, rows.NumRows(), nil)

@@ -89,6 +89,9 @@ func tryPrune(n plan.Node, used map[int]bool) (plan.Node, map[int]int) {
 	case *plan.SecureView:
 		return pruneBarrier(t, used)
 
+	case *plan.Join:
+		return pruneJoin(t, used)
+
 	case *plan.Scan:
 		collectRefs(t.PushedFilters, used)
 		total := t.Schema().Len()
@@ -134,6 +137,57 @@ func tryPrune(n plan.Node, used map[int]bool) (plan.Node, map[int]int) {
 		return &rs, remap
 	}
 	return n, nil
+}
+
+// pruneJoin narrows both sides of an inner or cross join to the columns used
+// above it plus those its condition reads, and remaps the join's output
+// ordinals. Each side prunes on its own, so a governed side goes through its
+// barrier (pruneBarrier) exactly as it would under a projection. Outer,
+// semi and anti joins are left as they are.
+func pruneJoin(j *plan.Join, used map[int]bool) (plan.Node, map[int]int) {
+	if j.Type != plan.JoinInner && j.Type != plan.JoinCross {
+		return j, nil
+	}
+	nl, nr := j.L.Schema().Len(), j.R.Schema().Len()
+	all := map[int]bool{}
+	for k := range used {
+		all[k] = true
+	}
+	if j.Cond != nil {
+		collectRefs([]plan.Expr{j.Cond}, all)
+	}
+	left, right := map[int]bool{}, map[int]bool{}
+	for k := range all {
+		switch {
+		case k >= 0 && k < nl:
+			left[k] = true
+		case k >= nl && k < nl+nr:
+			right[k-nl] = true
+		}
+	}
+	l, lremap := tryPrune(j.L, left)
+	r, rremap := tryPrune(j.R, right)
+	if lremap == nil && rremap == nil {
+		return j, nil
+	}
+	remap := make(map[int]int, nl+nr)
+	for _, s := range []struct {
+		from, n, to int
+		remap       map[int]int
+	}{{0, nl, 0, lremap}, {nl, nr, l.Schema().Len(), rremap}} {
+		for i := 0; i < s.n; i++ {
+			if ni, ok := s.remap[i]; ok {
+				remap[s.from+i] = s.to + ni
+			} else if s.remap == nil {
+				remap[s.from+i] = s.to + i
+			}
+		}
+	}
+	out := &plan.Join{Type: j.Type, L: l, R: r}
+	if j.Cond != nil {
+		out.Cond = remapExprs([]plan.Expr{j.Cond}, remap)[0]
+	}
+	return out, remap
 }
 
 // pruneBarrier narrows a governed table's SecureView to the outputs used

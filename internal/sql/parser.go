@@ -25,9 +25,12 @@ func Parse(src string) (*Statement, error) {
 	}
 	st, err := p.parseStatement()
 	if err != nil {
-		return nil, err
+		return nil, p.firstErr(err)
 	}
 	p.accept(";")
+	if p.err != nil {
+		return nil, p.err
+	}
 	if !p.atEOF() {
 		return nil, p.errorf("unexpected trailing input %q", p.cur.Text)
 	}
@@ -43,7 +46,10 @@ func ParseExpr(src string) (plan.Expr, error) {
 	}
 	e, err := p.parseExpr()
 	if err != nil {
-		return nil, err
+		return nil, p.firstErr(err)
+	}
+	if p.err != nil {
+		return nil, p.err
 	}
 	if !p.atEOF() {
 		return nil, p.errorf("unexpected trailing input %q", p.cur.Text)
@@ -67,6 +73,10 @@ type parser struct {
 	lex  *Lexer
 	cur  Token
 	prev Token
+	// err is the first lexer error. Once it is set the parser matches no
+	// further token, so no rule can re-enter itself on a token it never
+	// consumed, and the statement fails with this error.
+	err error
 }
 
 func newParser(src string) (*parser, error) {
@@ -78,9 +88,13 @@ func newParser(src string) (*parser, error) {
 }
 
 func (p *parser) advance() error {
+	if p.err != nil {
+		return p.err
+	}
 	p.prev = p.cur
 	t, err := p.lex.Next()
 	if err != nil {
+		p.err = err
 		return err
 	}
 	p.cur = t
@@ -100,22 +114,34 @@ func (p *parser) peekKeyword(kw string) bool {
 }
 
 // accept consumes the current token if it matches the keyword or operator.
+// It reports no match once a lexer error is pending, including the error
+// met while consuming this token.
 func (p *parser) accept(s string) bool {
+	if p.err != nil {
+		return false
+	}
 	if p.cur.Kind == TokOp && p.cur.Text == s || p.peekKeyword(s) {
-		// Error from advance is deferred: the bad token will surface on
-		// the next expect/accept.
-		_ = p.advance()
-		return true
+		return p.advance() == nil
 	}
 	return false
 }
 
-// expect consumes the keyword/operator or fails.
+// expect consumes the keyword/operator or fails, with the pending lexer
+// error when there is one.
 func (p *parser) expect(s string) error {
 	if !p.accept(s) {
-		return p.errorf("expected %q, found %q", s, p.cur.Text)
+		return p.firstErr(p.errorf("expected %q, found %q", s, p.cur.Text))
 	}
 	return nil
+}
+
+// firstErr returns the pending lexer error, or err when there is none: a
+// parse error met after a lexer error is a consequence of it.
+func (p *parser) firstErr(err error) error {
+	if p.err != nil {
+		return p.err
+	}
+	return err
 }
 
 // ident consumes an identifier (plain or quoted).

@@ -425,3 +425,23 @@ func TestParseDistinct(t *testing.T) {
 func TestTrailingSemicolon(t *testing.T) {
 	mustQuery(t, "SELECT 1;")
 }
+
+// A lexer error right after a token the parser matched fails the statement
+// with that error. Before the parser kept it, CASE and NOT re-entered
+// themselves on the token they never consumed until the stack overflowed.
+func TestLexerErrorAfterMatchedToken(t *testing.T) {
+	for _, src := range []string{
+		"SELECT CASE @ END", "SELECT NOT @", "SELECT 1 FROM t WHERE NOT NOT @",
+		"SELECT a FROM t INNER @", "SELECT 1;@",
+	} {
+		_, err := Parse(src)
+		if err == nil || !strings.Contains(err.Error(), "@") {
+			t.Errorf("Parse(%q) = %v, want the lexer error at @", src, err)
+		}
+	}
+	for _, src := range []string{"CASE @ END", "NOT NOT @", "a AND @"} {
+		if _, err := ParseExpr(src); err == nil || !strings.Contains(err.Error(), "@") {
+			t.Errorf("ParseExpr(%q) = %v, want the lexer error at @", src, err)
+		}
+	}
+}
