@@ -11,7 +11,6 @@ package lakeguard
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"lakeguard/internal/analyzer"
 	"lakeguard/internal/bench"
@@ -29,15 +28,13 @@ func benchWorld(b *testing.B, rows, numUDFs int, body string, returns types.Kind
 	if err := w.SeedPairs(rows); err != nil {
 		b.Fatal(err)
 	}
-	opts := optimizer.DefaultOptions()
-	opts.FuseUDFs = fuse
 	names := make([]string, numUDFs)
 	for i := range names {
 		names[i] = fmt.Sprintf("udf%d", i)
 	}
 	pl, err := w.PreparePlan(bench.UDFQuery(names), func(a *analyzer.Analyzer) {
 		bench.RegisterBenchUDFs(a, numUDFs, body, returns, bench.Admin)
-	}, opts)
+	}, optimizer.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -91,46 +88,6 @@ func BenchmarkTable2(b *testing.B) {
 			}
 		}
 	}
-}
-
-// BenchmarkColdStart regenerates the §5 startup experiment: the first UDF
-// query of a session pays sandbox provisioning; warm queries do not.
-func BenchmarkColdStart(b *testing.B) {
-	const provision = 100 * time.Millisecond
-	b.Run("FirstQuery", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := bench.RunColdStart(bench.ColdStartConfig{
-				Provision: provision, Rows: 2_000, WarmQueries: 0,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.ColdStarts != 1 {
-				b.Fatalf("cold starts = %d", res.ColdStarts)
-			}
-		}
-	})
-	b.Run("WarmQuery", func(b *testing.B) {
-		w := bench.NewWorld(sandbox.Config{ColdStart: provision})
-		if err := w.SeedPairs(2_000); err != nil {
-			b.Fatal(err)
-		}
-		pl, err := w.PreparePlan(bench.UDFQuery([]string{"udf0"}), func(a *analyzer.Analyzer) {
-			bench.RegisterBenchUDFs(a, 1, bench.SimpleUDFBody, types.KindInt64, bench.Admin)
-		}, optimizer.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := w.Run(pl); err != nil { // pay the cold start once
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := w.Run(pl); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkTable1CapabilityProbes regenerates Table 1 by timing the full
@@ -213,32 +170,5 @@ func BenchmarkAblationTrustDomains(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkMembraneComparison is ablation A3: shared sandbox pool vs static
-// two-domain split under bursty load (scheduling simulation).
-func BenchmarkMembraneComparison(b *testing.B) {
-	var last bench.MembraneResult
-	for i := 0; i < b.N; i++ {
-		last = bench.RunMembraneComparison()
-	}
-	b.ReportMetric(last.LakeguardUtilization*100, "lakeguard-util-%")
-	b.ReportMetric(last.MembraneUtilization*100, "membrane-util-%")
-}
-
-// BenchmarkEFGACResultModes is E8: inline vs cloud-spill result handling on
-// the dedicated→serverless eFGAC path.
-func BenchmarkEFGACResultModes(b *testing.B) {
-	if testing.Short() {
-		b.Skip("short mode")
-	}
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.RunEFGACModes(bench.EFGACModesConfig{RowCounts: []int{1_000}, Repetitions: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(rows[0].Inline.Microseconds()), "inline-us")
-		b.ReportMetric(float64(rows[0].Spill.Microseconds()), "spill-us")
 	}
 }

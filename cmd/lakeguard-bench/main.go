@@ -21,7 +21,7 @@ import (
 
 func main() {
 	experiment := flag.String("experiment", "all",
-		"which experiment to run: table1, table2, coldstart, membrane, efgac-modes, telemetry, tenancy, all")
+		"which experiment to run: table1, table2, telemetry, tenancy, all")
 	quick := flag.Bool("quick", false, "reduced problem sizes for a fast smoke run")
 	jsonOut := flag.String("json", "", "also write machine-readable results to this file (telemetry and tenancy experiments)")
 	maxOverheadPct := flag.Float64("max-overhead-pct", 0,
@@ -66,42 +66,6 @@ func main() {
 			return err
 		}
 		fmt.Println(bench.FormatTable2(rows))
-		return nil
-	})
-
-	wrap("coldstart", func() error {
-		cfg := bench.DefaultColdStartConfig()
-		if *quick {
-			cfg.Provision = 100 * time.Millisecond
-			cfg.Rows = 2_000
-		}
-		res, err := bench.RunColdStart(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("Sandbox startup (§5): simulated provisioning delay %v\n\n", cfg.Provision)
-		fmt.Printf("  first UDF query of the session: %v  (includes cold start)\n", res.FirstQuery.Round(time.Millisecond))
-		fmt.Printf("  warm queries (sandbox reused):  %v\n", res.WarmMedian().Round(time.Microsecond))
-		fmt.Printf("  sandbox provisions in session:  %d (paid once, then amortized)\n", res.ColdStarts)
-		return nil
-	})
-
-	wrap("membrane", func() error {
-		res := bench.RunMembraneComparison()
-		fmt.Println(bench.FormatMembrane(res))
-		return nil
-	})
-
-	wrap("efgac-modes", func() error {
-		cfg := bench.DefaultEFGACModesConfig()
-		if *quick {
-			cfg = bench.EFGACModesConfig{RowCounts: []int{100, 2_000}, Repetitions: 2}
-		}
-		rows, err := bench.RunEFGACModes(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatEFGACModes(rows))
 		return nil
 	})
 

@@ -3,7 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"lakeguard/internal/analyzer"
 	"lakeguard/internal/exec"
@@ -86,11 +85,9 @@ func TestFusionKeepsOverheadFlat(t *testing.T) {
 			if err := w.SeedPairs(k.rows); err != nil {
 				t.Fatal(err)
 			}
-			opts := optimizer.DefaultOptions()
-			opts.FuseUDFs = fuse
 			pl, err := w.PreparePlan(UDFQuery(udfNames(n)), func(a *analyzer.Analyzer) {
 				RegisterBenchUDFs(a, n, k.body, k.returns, Admin)
-			}, opts)
+			}, optimizer.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,24 +116,6 @@ func TestFusionKeepsOverheadFlat(t *testing.T) {
 	}
 }
 
-func TestColdStartAmortization(t *testing.T) {
-	cfg := ColdStartConfig{Provision: 150 * time.Millisecond, Rows: 2_000, WarmQueries: 3}
-	res, err := RunColdStart(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("first=%v warm=%v coldStarts=%d", res.FirstQuery, res.WarmMedian(), res.ColdStarts)
-	if res.ColdStarts != 1 {
-		t.Errorf("cold start paid %d times, want once per session", res.ColdStarts)
-	}
-	if res.FirstQuery < cfg.Provision {
-		t.Errorf("first query %v should include the %v provisioning delay", res.FirstQuery, cfg.Provision)
-	}
-	if res.WarmMedian() >= cfg.Provision {
-		t.Errorf("warm queries (%v) should not pay provisioning (%v)", res.WarmMedian(), cfg.Provision)
-	}
-}
-
 func TestTable1AllCapabilitiesProbeGreen(t *testing.T) {
 	rows, err := RunTable1()
 	if err != nil {
@@ -156,37 +135,6 @@ func TestTable1AllCapabilitiesProbeGreen(t *testing.T) {
 	out := FormatTable1(rows)
 	if !strings.Contains(out, "Row-Filter") {
 		t.Error("formatted table incomplete")
-	}
-}
-
-func TestMembraneComparisonShape(t *testing.T) {
-	res := RunMembraneComparison()
-	t.Logf("lakeguard util=%.2f backlog=%.1f | membrane util=%.2f backlog=%.1f",
-		res.LakeguardUtilization, res.LakeguardBacklog, res.MembraneUtilization, res.MembraneBacklog)
-	// The shared pool must dominate the static split under bursty load.
-	if res.LakeguardUtilization <= res.MembraneUtilization {
-		t.Errorf("shared pool utilization %.3f should exceed static split %.3f",
-			res.LakeguardUtilization, res.MembraneUtilization)
-	}
-	if res.LakeguardBacklog >= res.MembraneBacklog {
-		t.Errorf("shared pool backlog %.1f should be below static split %.1f",
-			res.LakeguardBacklog, res.MembraneBacklog)
-	}
-}
-
-func TestEFGACModesSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	rows, err := RunEFGACModes(EFGACModesConfig{RowCounts: []int{50, 2_000}, Repetitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		t.Logf("rows=%d inline=%v spill=%v", r.Rows, r.Inline, r.Spill)
-		if r.Inline <= 0 || r.Spill <= 0 {
-			t.Fatalf("bad timings: %+v", r)
-		}
 	}
 }
 

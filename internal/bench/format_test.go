@@ -21,30 +21,6 @@ func TestFormatTable2Layout(t *testing.T) {
 	}
 }
 
-func TestFormatMembraneLayout(t *testing.T) {
-	out := FormatMembrane(MembraneResult{
-		LakeguardUtilization: 0.965, MembraneUtilization: 0.957,
-		LakeguardBacklog: 94.6, MembraneBacklog: 231.5,
-	})
-	for _, want := range []string{"96.5%", "95.7%", "231.5", "static two-domain"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FormatMembrane missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFormatEFGACModesLayout(t *testing.T) {
-	out := FormatEFGACModes([]EFGACModeRow{
-		{Rows: 100, Inline: 409 * time.Microsecond, Spill: 512 * time.Microsecond},
-		{Rows: 50_000, Inline: 70 * time.Millisecond, Spill: 53 * time.Millisecond},
-	})
-	for _, want := range []string{"Result rows", "100", "50000", "Inline", "Spill"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("FormatEFGACModes missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestOverheadPct(t *testing.T) {
 	if got := overheadPct(110*time.Millisecond, 100*time.Millisecond); got < 9.9 || got > 10.1 {
 		t.Errorf("overhead = %f", got)

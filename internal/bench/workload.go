@@ -1,7 +1,7 @@
 // Package bench implements the experiment harness: workload generators, the
-// baselines (unisolated execution, unfused sandboxes, Membrane-style static
-// cluster splits), and runners that regenerate every table and figure of the
-// paper's evaluation (see DESIGN.md §2 for the experiment index).
+// baselines (unisolated execution, unfused sandboxes), and runners that
+// regenerate the paper's Table 1 and Table 2 plus the telemetry overhead and
+// tenancy saturation gates (see DESIGN.md §2 for the experiment index).
 package bench
 
 import (

@@ -209,8 +209,19 @@ func TestSessionUDFOverWire(t *testing.T) {
 		t.Fatalf("udf result:\n%s", b.String())
 	}
 	// UDF ran through the sandbox layer.
-	if e.server.Dispatcher().Stats().ColdStarts == 0 {
+	first := e.server.Dispatcher().Stats()
+	if first.ColdStarts == 0 {
 		t.Error("UDF bypassed the sandbox")
+	}
+	// Later UDF queries of the session reuse the warm sandbox: the cold
+	// start (§5) is paid once per session, not once per query.
+	for i := 0; i < 2; i++ {
+		if _, err := c.Sql("SELECT to_eur(amount) AS eur FROM sales WHERE seller = 'ann'").Collect(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.server.Dispatcher().Stats(); st.ColdStarts != first.ColdStarts || st.Reuses < first.Reuses+2 {
+		t.Errorf("warm queries provisioned again: stats %+v after the first query, %+v after two more", first, st)
 	}
 	// Another session cannot see the function.
 	c2 := e.client("tok-admin")
@@ -530,9 +541,14 @@ func TestEFGACEndToEnd(t *testing.T) {
 	if b.NumRows() != 2 {
 		t.Fatalf("eFGAC rows = %d\n%s", b.NumRows(), b.String())
 	}
-	rq, _ := efgac.Stats()
+	// A small result comes back inline with the remote query (§3.4); the
+	// spill mode is TestEFGACSpillMode.
+	rq, spilled := efgac.Stats()
 	if rq == 0 {
 		t.Error("no remote query recorded")
+	}
+	if spilled != 0 {
+		t.Errorf("%d spilled reads for an inline-size result", spilled)
 	}
 	// The dedicated plan shows a RemoteScan and no policy internals.
 	explain, err := aliceC.Sql("SELECT amount, date, seller FROM sales WHERE date = '2024-12-01'").Explain()

@@ -67,9 +67,6 @@ type Config struct {
 	// configuration (interpreter fuel, egress policy, cold start). The
 	// default environment is Config.Sandbox.
 	Environments map[string]sandbox.Config
-	// UnsafeInProcessUDFs runs user code without isolation (benchmark
-	// baseline only).
-	UnsafeInProcessUDFs bool
 	// Parallelism is the engine's morsel-parallel worker count: scans,
 	// filters, projections, aggregate input and join-build evaluation
 	// partition work across this many workers with a deterministic ordered
@@ -197,14 +194,13 @@ func NewServer(cfg Config) *Server {
 		envEngines: map[string]*exec.Engine{},
 	}
 	s.engine = &exec.Engine{
-		Tables:              cfg.Catalog,
-		Dispatcher:          dispatcher,
-		Remote:              cfg.Remote,
-		FuseUDFs:            opts.FuseUDFs,
-		Parallelism:         cfg.Parallelism,
-		SpillBytes:          cfg.SpillBytes,
-		UnsafeInProcessUDFs: cfg.UnsafeInProcessUDFs,
-		Metrics:             cfg.Metrics,
+		Tables:      cfg.Catalog,
+		Dispatcher:  dispatcher,
+		Remote:      cfg.Remote,
+		FuseUDFs:    true,
+		Parallelism: cfg.Parallelism,
+		SpillBytes:  cfg.SpillBytes,
+		Metrics:     cfg.Metrics,
 	}
 	s.met = serverMetrics{
 		hTotal:    cfg.Metrics.Histogram("query.total_ms", telemetry.DefLatencyBuckets),
@@ -367,14 +363,13 @@ func (s *Server) engineFor(env string) (*exec.Engine, error) {
 		Hosts: s.cfg.Hosts, Sandbox: spec, Faults: s.cfg.Faults,
 	})
 	e := &exec.Engine{
-		Tables:              s.cat,
-		Dispatcher:          sandbox.NewSupervised(mgr, s.cfg.Supervisor),
-		Remote:              s.cfg.Remote,
-		FuseUDFs:            s.opts.FuseUDFs,
-		Parallelism:         s.cfg.Parallelism,
-		SpillBytes:          s.cfg.SpillBytes,
-		UnsafeInProcessUDFs: s.cfg.UnsafeInProcessUDFs,
-		Metrics:             s.cfg.Metrics,
+		Tables:      s.cat,
+		Dispatcher:  sandbox.NewSupervised(mgr, s.cfg.Supervisor),
+		Remote:      s.cfg.Remote,
+		FuseUDFs:    true,
+		Parallelism: s.cfg.Parallelism,
+		SpillBytes:  s.cfg.SpillBytes,
+		Metrics:     s.cfg.Metrics,
 	}
 	s.envEngines[env] = e
 	return e, nil

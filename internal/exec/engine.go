@@ -58,7 +58,9 @@ type Engine struct {
 	Dispatcher *sandbox.Dispatcher
 	// Remote serves RemoteScan leaves; nil means eFGAC is unavailable.
 	Remote RemoteExecutor
-	// FuseUDFs mirrors the optimizer option at execution time.
+	// FuseUDFs groups the UDF calls of one trust domain into a single
+	// sandbox crossing per batch (see optimizer.PlanUDFs). Servers always
+	// fuse; the unfused engine is the A1 ablation's baseline.
 	FuseUDFs bool
 	// Parallelism is the number of executor workers for sandboxed UDF
 	// execution (0 or 1 = serial). Large batches split into partitions that

@@ -29,9 +29,6 @@ type Options struct {
 	// PushIntoRemote refines RemoteScan leaves with filters, projections,
 	// limits, and partial aggregations.
 	PushIntoRemote bool
-	// FuseUDFs groups UDF calls of one trust domain into single sandbox
-	// crossings (see PlanUDFGroups).
-	FuseUDFs bool
 	// ExtraRules run after the built-in rules, in order. They exist so tests
 	// can register deliberately broken rewrites and prove the sentinel
 	// catches them; production configurations leave this nil.
@@ -48,7 +45,6 @@ func DefaultOptions() Options {
 		PushFilters:    true,
 		PruneColumns:   true,
 		PushIntoRemote: true,
-		FuseUDFs:       true,
 	}
 }
 

@@ -7,6 +7,14 @@ import (
 	"lakeguard/internal/types"
 )
 
+// MaxNestingDepth bounds how deeply a statement may nest at the front doors:
+// parenthesized or prefix-operator expressions, CASE, function arguments and
+// subqueries in the SQL parser, and relations and expressions in the Connect
+// plan decoder. A deeper input fails as a parse or decode error, so no client
+// can make the server's recursive passes grow without bound. Spark Connect's
+// default plan recursion limit is the same.
+const MaxNestingDepth = 1024
+
 // Node is a logical plan operator.
 type Node interface {
 	// Schema returns the output schema. It is only meaningful after

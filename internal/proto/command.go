@@ -104,7 +104,7 @@ func DecodeRootPlan(data []byte) (*Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			out.Relation, err = decodeRelField(b)
+			out.Relation, err = decodeRelField(b, d.depth)
 			if err != nil {
 				return nil, err
 			}
@@ -221,7 +221,7 @@ func decodeCommand(data []byte) (*Command, error) {
 		}
 		tv := &CreateTempView{Name: ef.str(1)}
 		if msgs := ef.rawMsgs[2]; len(msgs) > 0 {
-			n, err := decodeRelField(msgs[0])
+			n, err := decodeRelField(msgs[0], ef.depth)
 			if err != nil {
 				return nil, err
 			}
@@ -257,7 +257,7 @@ func decodeCommand(data []byte) (*Command, error) {
 			ins.Table = append(ins.Table, string(t))
 		}
 		if msgs := ef.rawMsgs[2]; len(msgs) > 0 {
-			n, err := decodeRelField(msgs[0])
+			n, err := decodeRelField(msgs[0], ef.depth)
 			if err != nil {
 				return nil, err
 			}

@@ -55,7 +55,7 @@ func EncodeExpr(e plan.Expr) ([]byte, error) {
 
 // DecodeExpr reverses EncodeExpr.
 func DecodeExpr(data []byte) (plan.Expr, error) {
-	return decodeExprField(data)
+	return decodeExprField(data, 0)
 }
 
 func encodeExprField(e *encoder, field int, ex plan.Expr) error {
@@ -239,8 +239,12 @@ func decodeValue(b []byte) (types.Value, error) {
 	return v, nil
 }
 
-func decodeExprField(b []byte) (plan.Expr, error) {
-	d := &decoder{buf: b}
+// decodeExprField decodes an expression nested below depth.
+func decodeExprField(b []byte, depth int) (plan.Expr, error) {
+	d, err := nested(b, depth)
+	if err != nil {
+		return nil, err
+	}
 	var tag uint64
 	var body []byte
 	for !d.done() {
@@ -260,7 +264,7 @@ func decodeExprField(b []byte) (plan.Expr, error) {
 			return nil, err
 		}
 	}
-	return decodeExprBody(int(tag), &decoder{buf: body})
+	return decodeExprBody(int(tag), &decoder{buf: body, depth: d.depth})
 }
 
 // exprFields is a tiny helper to iterate fields and collect the common
@@ -270,12 +274,15 @@ type exprFields struct {
 	strs    map[int]string
 	ints    map[int]uint64
 	rawMsgs map[int][][]byte
+	// depth is the nesting depth of the message the fields came from.
+	depth int
 }
 
 func collectFields(d *decoder) (*exprFields, error) {
 	out := &exprFields{
 		exprs: map[int][]plan.Expr{}, strs: map[int]string{},
 		ints: map[int]uint64{}, rawMsgs: map[int][][]byte{},
+		depth: d.depth,
 	}
 	for !d.done() {
 		f, wire, err := d.field()
@@ -309,13 +316,13 @@ func (ef *exprFields) expr(f int) (plan.Expr, error) {
 	if len(msgs) == 0 {
 		return nil, nil
 	}
-	return decodeExprField(msgs[0])
+	return decodeExprField(msgs[0], ef.depth)
 }
 
 func (ef *exprFields) exprList(f int) ([]plan.Expr, error) {
 	var out []plan.Expr
 	for _, m := range ef.rawMsgs[f] {
-		e, err := decodeExprField(m)
+		e, err := decodeExprField(m, ef.depth)
 		if err != nil {
 			return nil, err
 		}
@@ -402,7 +409,7 @@ func decodeExprBody(tag int, d *decoder) (plan.Expr, error) {
 	case exTagCase:
 		out := &plan.Case{}
 		for _, wb := range ef.rawMsgs[1] {
-			wf, err := collectFields(&decoder{buf: wb})
+			wf, err := collectFields(&decoder{buf: wb, depth: ef.depth})
 			if err != nil {
 				return nil, err
 			}

@@ -213,11 +213,16 @@ func decodeRelation(d *decoder) (plan.Node, error) {
 	if tag == 0 {
 		return nil, fmt.Errorf("proto: relation missing type tag")
 	}
-	return decodeRelationBody(int(tag), &decoder{buf: body})
+	return decodeRelationBody(int(tag), &decoder{buf: body, depth: d.depth})
 }
 
-func decodeRelField(b []byte) (plan.Node, error) {
-	return decodeRelation(&decoder{buf: b})
+// decodeRelField decodes a relation nested below depth.
+func decodeRelField(b []byte, depth int) (plan.Node, error) {
+	d, err := nested(b, depth)
+	if err != nil {
+		return nil, err
+	}
+	return decodeRelation(d)
 }
 
 func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
@@ -288,7 +293,7 @@ func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				out.Cond, err = decodeExprField(b)
+				out.Cond, err = decodeExprField(b, d.depth)
 				if err != nil {
 					return nil, err
 				}
@@ -297,7 +302,7 @@ func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				out.Child, err = decodeRelField(b)
+				out.Child, err = decodeRelField(b, d.depth)
 				if err != nil {
 					return nil, err
 				}
@@ -322,7 +327,7 @@ func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				ex, err := decodeExprField(b)
+				ex, err := decodeExprField(b, d.depth)
 				if err != nil {
 					return nil, err
 				}
@@ -332,7 +337,7 @@ func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				out.Child, err = decodeRelField(b)
+				out.Child, err = decodeRelField(b, d.depth)
 				if err != nil {
 					return nil, err
 				}
@@ -357,7 +362,7 @@ func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				ex, err := decodeExprField(b)
+				ex, err := decodeExprField(b, d.depth)
 				if err != nil {
 					return nil, err
 				}
@@ -371,7 +376,7 @@ func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				out.Child, err = decodeRelField(b)
+				out.Child, err = decodeRelField(b, d.depth)
 				if err != nil {
 					return nil, err
 				}
@@ -402,7 +407,7 @@ func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				out.Cond, err = decodeExprField(b)
+				out.Cond, err = decodeExprField(b, d.depth)
 				if err != nil {
 					return nil, err
 				}
@@ -411,7 +416,7 @@ func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				out.L, err = decodeRelField(b)
+				out.L, err = decodeRelField(b, d.depth)
 				if err != nil {
 					return nil, err
 				}
@@ -420,7 +425,7 @@ func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				out.R, err = decodeRelField(b)
+				out.R, err = decodeRelField(b, d.depth)
 				if err != nil {
 					return nil, err
 				}
@@ -445,7 +450,7 @@ func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				ord, err := decodeSortOrder(b)
+				ord, err := decodeSortOrder(b, d.depth)
 				if err != nil {
 					return nil, err
 				}
@@ -455,7 +460,7 @@ func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				out.Child, err = decodeRelField(b)
+				out.Child, err = decodeRelField(b, d.depth)
 				if err != nil {
 					return nil, err
 				}
@@ -492,7 +497,7 @@ func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				out.Child, err = decodeRelField(b)
+				out.Child, err = decodeRelField(b, d.depth)
 				if err != nil {
 					return nil, err
 				}
@@ -524,7 +529,7 @@ func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				n, err := decodeRelField(b)
+				n, err := decodeRelField(b, d.depth)
 				if err != nil {
 					return nil, err
 				}
@@ -560,7 +565,7 @@ func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				out.Child, err = decodeRelField(b)
+				out.Child, err = decodeRelField(b, d.depth)
 				if err != nil {
 					return nil, err
 				}
@@ -635,7 +640,7 @@ func decodeSingleChild(d *decoder, set func(plan.Node)) error {
 			if err != nil {
 				return err
 			}
-			n, err := decodeRelField(b)
+			n, err := decodeRelField(b, d.depth)
 			if err != nil {
 				return err
 			}
@@ -647,8 +652,8 @@ func decodeSingleChild(d *decoder, set func(plan.Node)) error {
 	return nil
 }
 
-func decodeSortOrder(b []byte) (plan.SortOrder, error) {
-	d := &decoder{buf: b}
+func decodeSortOrder(b []byte, depth int) (plan.SortOrder, error) {
+	d := &decoder{buf: b, depth: depth}
 	var out plan.SortOrder
 	for !d.done() {
 		f, wire, err := d.field()
@@ -661,7 +666,7 @@ func decodeSortOrder(b []byte) (plan.SortOrder, error) {
 			if err != nil {
 				return out, err
 			}
-			out.Expr, err = decodeExprField(eb)
+			out.Expr, err = decodeExprField(eb, d.depth)
 			if err != nil {
 				return out, err
 			}

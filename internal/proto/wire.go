@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"lakeguard/internal/plan"
 )
 
 // Wire types (protobuf-compatible subset).
@@ -97,6 +99,18 @@ func (e *encoder) Msg(field int, fn func(*encoder)) {
 type decoder struct {
 	buf []byte
 	pos int
+	// depth counts the relations and expressions the message is nested in.
+	depth int
+}
+
+// nested returns a decoder for a relation or expression one level below
+// depth. Past plan.MaxNestingDepth it fails instead, so a deeply nested plan
+// is a decode error and never a deep recursion.
+func nested(b []byte, depth int) (*decoder, error) {
+	if depth >= plan.MaxNestingDepth {
+		return nil, fmt.Errorf("proto: plan nested deeper than %d levels", plan.MaxNestingDepth)
+	}
+	return &decoder{buf: b, depth: depth + 1}, nil
 }
 
 func (d *decoder) done() bool { return d.pos >= len(d.buf) }

@@ -23,7 +23,13 @@ import (
 //	primary  := literal | CAST(...) | CASE ... | func(...) | ident[.ident]*
 //	           | ( expr )
 
-func (p *parser) parseExpr() (plan.Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (plan.Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
+	return p.parseOr()
+}
 
 func (p *parser) parseOr() (plan.Expr, error) {
 	left, err := p.parseAnd()
@@ -60,6 +66,10 @@ func (p *parser) parseAnd() (plan.Expr, error) {
 
 func (p *parser) parseNot() (plan.Expr, error) {
 	if p.accept("NOT") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
 		child, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -231,6 +241,10 @@ func (p *parser) parseUnary() (plan.Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
 		child, err := p.parseUnary()
 		if err != nil {
 			return nil, err

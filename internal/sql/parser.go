@@ -77,6 +77,8 @@ type parser struct {
 	// further token, so no rule can re-enter itself on a token it never
 	// consumed, and the statement fails with this error.
 	err error
+	// depth counts the nested rules open on the stack (see nest).
+	depth int
 }
 
 func newParser(src string) (*parser, error) {
@@ -102,6 +104,19 @@ func (p *parser) advance() error {
 }
 
 func (p *parser) atEOF() bool { return p.cur.Kind == TokEOF }
+
+// nest opens one level of nesting. Every recursive rule passes through it, so
+// a statement deeper than plan.MaxNestingDepth fails as a parse error instead
+// of growing the stack. The caller defers p.unnest() once nest succeeds.
+func (p *parser) nest() error {
+	if p.depth >= plan.MaxNestingDepth {
+		return p.errorf("statement nested deeper than %d levels", plan.MaxNestingDepth)
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) unnest() { p.depth-- }
 
 func (p *parser) errorf(format string, args ...any) error {
 	return fmt.Errorf("sql: %s (near position %d)", fmt.Sprintf(format, args...), p.cur.Pos)
@@ -182,6 +197,10 @@ func (p *parser) parseStatement() (*Statement, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		defer p.unnest()
 		inner, err := p.parseStatement()
 		if err != nil {
 			return nil, err
@@ -280,6 +299,10 @@ func (p *parser) parseDescribe() (*Statement, error) {
 
 // parseQueryExpr parses a query with optional WITH prefix and UNION chains.
 func (p *parser) parseQueryExpr() (plan.Node, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	defer p.unnest()
 	ctes := map[string]plan.Node{}
 	if p.accept("WITH") {
 		for {

@@ -311,17 +311,23 @@ func (v Value) Cast(to Kind) (Value, error) {
 	case KindDate:
 		switch v.Kind {
 		case KindString:
-			return DateFromString(v.S)
+			if d, err := DateFromString(v.S); err == nil {
+				return d, nil
+			}
 		case KindTimestamp:
 			return Date(v.I / (86400 * 1_000_000)), nil
 		}
 	case KindTimestamp:
 		switch v.Kind {
 		case KindString:
-			return TimestampFromString(v.S)
+			if ts, err := TimestampFromString(v.S); err == nil {
+				return ts, nil
+			}
 		case KindDate:
 			return Timestamp(v.I * 86400 * 1_000_000), nil
 		}
 	}
-	return Value{}, fmt.Errorf("cannot cast %s %q to %s", v.Kind, v.String(), to)
+	// The error names the two kinds and never the value: a cast inside a
+	// mask or a row filter runs on values the caller may not see.
+	return Value{}, fmt.Errorf("cannot cast %s to %s", v.Kind, to)
 }

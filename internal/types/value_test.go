@@ -185,8 +185,12 @@ func TestCast(t *testing.T) {
 			t.Errorf("Cast(%v, %v) = %q want %q", c.v, c.to, got.String(), c.want)
 		}
 	}
-	if _, err := String("xyz").Cast(KindInt64); err == nil {
-		t.Error("expected cast error for non-numeric string")
+	// A failed cast names the two kinds, never the value.
+	for _, to := range []Kind{KindInt64, KindDate, KindTimestamp} {
+		want := "cannot cast STRING to " + to.String()
+		if _, err := String("xyz").Cast(to); err == nil || err.Error() != want {
+			t.Errorf("Cast(xyz, %v) err = %v, want %q", to, err, want)
+		}
 	}
 	// NULL casts to NULL of target kind.
 	n, err := Null(KindString).Cast(KindInt64)
