@@ -29,6 +29,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync"
 
 	"lakeguard/internal/types"
 )
@@ -47,68 +48,82 @@ const MaxFrameSize = 64 << 20
 // frameHeaderLen is the u32 length plus the u8 message type.
 const frameHeaderLen = 5
 
-// readChunk is how much of a frame body a stream reader allocates before
-// the bytes arrive; larger bodies grow as they are read, so a corrupt
-// length prefix costs at most this much memory, not MaxFrameSize.
+// readChunk is how much of a frame body a stream reader reserves before the
+// bytes arrive; larger bodies grow as they are read, so a corrupt length
+// prefix costs at most this much memory, not MaxFrameSize.
 const readChunk = 1 << 20
 
 // ErrClosed is returned when reading past the end marker.
 var ErrClosed = errors.New("arrowipc: stream closed")
 
-// Writer encodes a stream of batches sharing one schema.
+// writeBufs holds frame buffers between Writers: a Writer takes one when it
+// opens and gives it back at Close, so a server streaming one response after
+// another grows a frame buffer only for a frame larger than it has held.
+var writeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Writer encodes a stream of batches sharing one schema. Its frame buffer
+// comes from writeBufs and goes back there at Close; a Writer that is never
+// closed leaves its buffer to the garbage collector.
 type Writer struct {
 	w      io.Writer
 	schema *types.Schema
-	buf    []byte
-	closed bool
+	buf    *[]byte // nil once closed
 }
 
 // NewWriter starts a stream by writing the schema message.
 func NewWriter(w io.Writer, schema *types.Schema) (*Writer, error) {
-	wr := &Writer{w: w, schema: schema}
-	frame, err := appendSchemaFrame(nil, schema)
+	buf := writeBufs.Get().(*[]byte)
+	frame, err := appendSchemaFrame((*buf)[:0], schema)
+	if err == nil {
+		*buf = frame
+		_, err = w.Write(frame)
+	}
 	if err != nil {
+		writeBufs.Put(buf)
 		return nil, err
 	}
-	if _, err := w.Write(frame); err != nil {
-		return nil, err
-	}
-	return wr, nil
+	return &Writer{w: w, schema: schema, buf: buf}, nil
 }
 
 // WriteBatch appends one record batch to the stream.
 func (wr *Writer) WriteBatch(b *types.Batch) error {
-	if wr.closed {
+	if wr.buf == nil {
 		return ErrClosed
 	}
 	if !b.Schema.Equal(wr.schema) {
 		return fmt.Errorf("arrowipc: batch schema %s does not match stream schema %s", b.Schema, wr.schema)
 	}
-	frame, err := appendBatchFrame(wr.buf[:0], b, batchLen(b))
+	frame, err := appendBatchFrame((*wr.buf)[:0], b, batchLen(b))
 	if err != nil {
 		return err
 	}
-	wr.buf = frame
+	*wr.buf = frame
 	_, err = wr.w.Write(frame)
 	return err
 }
 
-// Close writes the end marker. The underlying writer is not closed.
+// Close writes the end marker and gives the frame buffer back. The
+// underlying writer is not closed.
 func (wr *Writer) Close() error {
-	if wr.closed {
+	if wr.buf == nil {
 		return nil
 	}
-	wr.closed = true
-	end, _ := appendFrameHeader(wr.buf[:0], msgEnd, 0) // an empty payload is within every limit
+	end, _ := appendFrameHeader((*wr.buf)[:0], msgEnd, 0) // an empty payload is within every limit
 	_, err := wr.w.Write(end)
+	writeBufs.Put(wr.buf)
+	wr.buf = nil
 	return err
 }
 
 // Reader decodes a stream written by Writer, either from an io.Reader or —
-// for DecodeBatch — in place from a byte slice.
+// for DecodeBatch — in place from a byte slice. A stream reader reads frame
+// bodies into a buffer it owns: Next reads each frame over the one before,
+// and Drain lays every batch frame of the stream side by side in it. No
+// batch a Reader returns shares memory with that buffer.
 type Reader struct {
 	r      io.Reader
 	data   []byte // the unread stream when r is nil
+	buf    []byte // frame bodies read from r
 	hdr    [4]byte
 	schema *types.Schema
 	done   bool
@@ -116,11 +131,19 @@ type Reader struct {
 
 // NewReader consumes the schema message and prepares to read batches.
 func NewReader(r io.Reader) (*Reader, error) {
-	return openReader(&Reader{r: r})
+	return NewReaderBuffer(r, nil)
+}
+
+// NewReaderBuffer is NewReader reading frame bodies into buf's memory. A
+// caller that reads one stream after another passes each reader the buffer
+// Buffer returned from the reader before, so only a stream larger than all
+// before it grows the buffer.
+func NewReaderBuffer(r io.Reader, buf []byte) (*Reader, error) {
+	return openReader(&Reader{r: r, buf: buf[:0]})
 }
 
 func openReader(rd *Reader) (*Reader, error) {
-	msgType, payload, err := rd.readFrame()
+	msgType, payload, err := rd.readFrame(0)
 	if err != nil {
 		return nil, err
 	}
@@ -138,13 +161,16 @@ func openReader(rd *Reader) (*Reader, error) {
 // Schema returns the stream schema.
 func (rd *Reader) Schema() *types.Schema { return rd.schema }
 
+// Buffer returns the reader's frame buffer, for a later NewReaderBuffer.
+func (rd *Reader) Buffer() []byte { return rd.buf }
+
 // Next returns the next batch, or io.EOF after the end marker. A stream that
 // stops before its end marker fails with io.ErrUnexpectedEOF.
 func (rd *Reader) Next() (*types.Batch, error) {
 	if rd.done {
 		return nil, io.EOF
 	}
-	msgType, payload, err := rd.readFrame()
+	msgType, payload, err := rd.readFrame(0)
 	if err != nil {
 		return nil, err
 	}
@@ -162,21 +188,6 @@ func (rd *Reader) Next() (*types.Batch, error) {
 	return nil, fmt.Errorf("arrowipc: unexpected message type %d", msgType)
 }
 
-// ReadAll drains the stream into a slice of batches.
-func (rd *Reader) ReadAll() ([]*types.Batch, error) {
-	var out []*types.Batch
-	for {
-		b, err := rd.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, b)
-	}
-}
-
 // Drain reads every remaining frame and decodes all their batches into one
 // batch, presized from the frames' row counts, with no batch per frame and
 // no concat. frames is the number of batch frames in that batch. When the
@@ -186,18 +197,27 @@ func (rd *Reader) ReadAll() ([]*types.Batch, error) {
 func (rd *Reader) Drain() (b *types.Batch, frames int, err error) {
 	var payloads [][]byte
 	var readErr error
+	at := 0 // where the next frame goes: batch frames sit side by side
 	for !rd.done && readErr == nil {
-		msgType, payload, ferr := rd.readFrame()
+		msgType, payload, ferr := rd.readFrame(at)
 		switch {
 		case ferr != nil:
 			readErr = ferr
 		case msgType == msgBatch:
 			payloads = append(payloads, payload)
+			at += 1 + len(payload)
 		case msgType == msgEnd:
 			rd.done = true
 		default:
 			readErr = fmt.Errorf("arrowipc: unexpected message type %d", msgType)
 		}
+	}
+	// A frame read after a payload may have moved the buffer: point every
+	// payload at its bytes in the buffer as it is now.
+	at = 0
+	for i, p := range payloads {
+		payloads[i] = rd.buf[at+1 : at+1+len(p)]
+		at += 1 + len(p)
 	}
 	b, frames, err = decodeFrames(make([]colSink, rd.schema.Len()), rd.schema, payloads)
 	if err == nil {
@@ -206,7 +226,9 @@ func (rd *Reader) Drain() (b *types.Batch, frames int, err error) {
 	return b, frames, err
 }
 
-func (rd *Reader) readFrame() (byte, []byte, error) {
+// readFrame returns the next frame's message type and payload. A streamed
+// frame's body is read into the reader's buffer at offset at.
+func (rd *Reader) readFrame(at int) (byte, []byte, error) {
 	if rd.r == nil {
 		return rd.sliceFrame()
 	}
@@ -217,10 +239,10 @@ func (rd *Reader) readFrame() (byte, []byte, error) {
 	if n == 0 || n > MaxFrameSize {
 		return 0, nil, fmt.Errorf("arrowipc: invalid frame length %d", n)
 	}
-	body, err := readBody(rd.r, int(n))
-	if err != nil {
+	if err := rd.readBody(at, int(n)); err != nil {
 		return 0, nil, err
 	}
+	body := rd.buf[at:]
 	return body[0], body[1:], nil
 }
 
@@ -241,22 +263,28 @@ func (rd *Reader) sliceFrame() (byte, []byte, error) {
 	return body[0], body[1:], nil
 }
 
-// readBody reads an n-byte frame body, allocating at most readChunk ahead
-// of the bytes that have actually arrived.
-func readBody(r io.Reader, n int) ([]byte, error) {
-	body := make([]byte, min(n, readChunk))
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, noEOF(err)
-	}
-	for len(body) < n {
-		have := len(body)
-		body = slices.Grow(body, min(n-have, have))
-		body = body[:min(n, cap(body))]
-		if _, err := io.ReadFull(r, body[have:]); err != nil {
-			return nil, noEOF(err)
+// readBody reads an n-byte frame body into rd.buf[at:at+n]. Room the buffer
+// lacks is reserved at most readChunk ahead of the bytes that have arrived,
+// so a corrupt length prefix costs at most that, not MaxFrameSize. A buffer
+// that must grow at least doubles, so filling it costs a few copies of the
+// bytes that arrived, not one allocation per frame.
+func (rd *Reader) readBody(at, n int) error {
+	end := at + n
+	rd.buf = rd.buf[:at]
+	for len(rd.buf) < end {
+		have := len(rd.buf)
+		want := min(end, max(have+readChunk, cap(rd.buf)))
+		if want > cap(rd.buf) {
+			grown := make([]byte, want, max(want, 2*cap(rd.buf)))
+			copy(grown, rd.buf)
+			rd.buf = grown
+		}
+		rd.buf = rd.buf[:want]
+		if _, err := io.ReadFull(rd.r, rd.buf[have:]); err != nil {
+			return noEOF(err)
 		}
 	}
-	return body, nil
+	return nil
 }
 
 // noEOF turns a clean EOF into io.ErrUnexpectedEOF: a stream may end only
@@ -496,7 +524,7 @@ func readStream(data []byte) (*types.Schema, [][]byte, int, error) {
 	var payloads [][]byte
 	rows := 0
 	for !rd.done {
-		msgType, payload, err := rd.readFrame()
+		msgType, payload, err := rd.readFrame(0)
 		if err != nil {
 			return nil, nil, 0, err
 		}

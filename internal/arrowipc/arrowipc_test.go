@@ -93,6 +93,21 @@ func batchesEqual(a, b *types.Batch) bool {
 	return true
 }
 
+// nextAll reads the rest of a stream with Next, one batch per frame.
+func nextAll(rd *Reader) ([]*types.Batch, error) {
+	var out []*types.Batch
+	for {
+		b, err := rd.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, b)
+	}
+}
+
 func TestStreamRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	schema := sampleSchema()
@@ -118,7 +133,7 @@ func TestStreamRoundTrip(t *testing.T) {
 	if !rd.Schema().Equal(schema) {
 		t.Fatalf("schema mismatch: %s", rd.Schema())
 	}
-	got, err := rd.ReadAll()
+	got, err := nextAll(rd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +161,7 @@ func TestEmptyBatchAndEmptyStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := rd.ReadAll()
+	got, err := nextAll(rd)
 	if err != nil {
 		t.Fatal(err)
 	}

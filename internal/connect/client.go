@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,6 +33,7 @@ type Client struct {
 	maxRetries  int
 	sleep       func(time.Duration)
 	http        *http.Client
+	frames      frameBuffer
 }
 
 // Dial creates a client with a fresh session id. The client keeps a pool of
@@ -183,7 +185,7 @@ func (c *Client) executePlanOnce(body []byte) (*types.Batch, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, decodeHTTPError(resp)
 	}
-	batch, frames, streamErr := drainStream(resp.Body)
+	batch, frames, streamErr := c.frames.drain(resp.Body)
 	if streamErr == nil {
 		return batch, nil
 	}
@@ -216,7 +218,7 @@ func (c *Client) reattach(opID string, start int) (*types.Batch, int, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, 0, decodeHTTPError(resp)
 	}
-	return drainStream(resp.Body)
+	return c.frames.drain(resp.Body)
 }
 
 func (c *Client) release(opID string) {
@@ -232,15 +234,35 @@ func (c *Client) release(opID string) {
 	}
 }
 
-// drainStream decodes an arrowipc stream into one batch. On an interrupted
-// stream it returns the batch of the frames received whole (nil when the
-// schema never arrived), how many there were, and the error.
-func drainStream(r io.Reader) (*types.Batch, int, error) {
-	rd, err := arrowipc.NewReader(r)
-	if err != nil {
-		return nil, 0, err
+// frameBuffer is the buffer a Client's drains read stream frames into, kept
+// from one drain to the next, reattach drains included. A drain takes the
+// buffer, so a concurrent drain reads into a fresh one, and the larger comes
+// back: a Client holds one buffer, as large as the largest stream it drained.
+type frameBuffer struct {
+	mu  sync.Mutex
+	buf []byte
+}
+
+// drain decodes an arrowipc stream into one batch, which shares no memory
+// with the buffer. On an interrupted stream it returns the batch of the
+// frames received whole (nil when the schema never arrived), how many there
+// were, and the error.
+func (fb *frameBuffer) drain(r io.Reader) (b *types.Batch, frames int, err error) {
+	fb.mu.Lock()
+	buf := fb.buf
+	fb.buf = nil
+	fb.mu.Unlock()
+	rd, err := arrowipc.NewReaderBuffer(r, buf)
+	if err == nil {
+		b, frames, err = rd.Drain()
+		buf = rd.Buffer()
 	}
-	return rd.Drain()
+	fb.mu.Lock()
+	if cap(buf) > cap(fb.buf) {
+		fb.buf = buf
+	}
+	fb.mu.Unlock()
+	return b, frames, err
 }
 
 // AnalyzePlan returns the schema and (redacted) EXPLAIN text of a relation.

@@ -204,12 +204,12 @@ func TestReattachResumesFromOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rest, err := rd.ReadAll()
+	rest, frames, err := rd.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rest) != 2 || rest[0].Cols[0].Int64(0) != 2 || rest[1].Cols[0].Int64(0) != 3 {
-		t.Fatalf("reattach delivered %d batches", len(rest))
+	if frames != 2 || rest.NumRows() != 2 || rest.Cols[0].Int64(0) != 2 || rest.Cols[0].Int64(1) != 3 {
+		t.Fatalf("reattach delivered %d batches", frames)
 	}
 }
 
@@ -586,7 +586,7 @@ func TestReattachRacesSweeper(t *testing.T) {
 					}
 					switch resp.StatusCode {
 					case http.StatusOK:
-						if b, _, err := drainStream(resp.Body); err != nil || b.NumRows() != 2 {
+						if b, _, err := new(frameBuffer).drain(resp.Body); err != nil || b.NumRows() != 2 {
 							t.Errorf("reattach answered a partial stream: %v", err)
 						}
 					case http.StatusGone, http.StatusNotFound:

@@ -370,7 +370,7 @@ func TestSelfReleasedAnswerMatchesHeldPath(t *testing.T) {
 		}
 		rec := httptest.NewRecorder()
 		streamBatches(rec, schema, batches)
-		want, _, err := drainStream(rec.Body)
+		want, _, err := new(frameBuffer).drain(rec.Body)
 		if err != nil {
 			t.Fatalf("%s: held stream: %v", name, err)
 		}

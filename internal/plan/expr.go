@@ -54,6 +54,9 @@ var binOpNames = [...]string{
 // String returns the SQL spelling of the operator.
 func (op BinOp) String() string { return binOpNames[op] }
 
+// Valid reports whether op is a defined operator.
+func (op BinOp) Valid() bool { return int(op) < len(binOpNames) }
+
 // IsComparison reports whether the operator yields a boolean from two
 // comparable operands.
 func (op BinOp) IsComparison() bool { return op >= OpEq && op <= OpGte }

@@ -249,6 +249,9 @@ var joinNames = [...]string{
 // String returns the SQL name of the join type.
 func (t JoinType) String() string { return joinNames[t] }
 
+// Valid reports whether t is a defined join type.
+func (t JoinType) Valid() bool { return int(t) < len(joinNames) }
+
 // Join combines two inputs.
 type Join struct {
 	Type JoinType

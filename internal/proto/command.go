@@ -135,8 +135,8 @@ func DecodeRootPlan(data []byte) (*Plan, error) {
 			}
 		}
 	}
-	if out.Relation == nil && out.Command == nil {
-		return nil, fmt.Errorf("proto: plan has neither relation nor command")
+	if (out.Relation == nil) == (out.Command == nil) {
+		return nil, fmt.Errorf("proto: plan must have exactly one of a relation and a command")
 	}
 	return out, nil
 }
@@ -212,6 +212,9 @@ func decodeCommand(data []byte) (*Command, error) {
 		ef, err := collectFields(bd)
 		if err != nil {
 			return nil, err
+		}
+		if ef.str(1) == "" {
+			return nil, fmt.Errorf("proto: SQL command without text")
 		}
 		return &Command{SQL: ef.str(1)}, nil
 	case cmdTempView:

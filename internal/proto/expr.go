@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"math"
 
 	"lakeguard/internal/plan"
 	"lakeguard/internal/types"
@@ -184,7 +185,7 @@ func encodeValue(e *encoder, field int, v types.Value) {
 		if v.I != 0 {
 			sub.Int(3, v.I)
 		}
-		if v.F != 0 {
+		if math.Float64bits(v.F) != 0 { // -0 is written
 			sub.Float(4, v.F)
 		}
 		sub.String(5, v.S)
@@ -264,7 +265,16 @@ func decodeExprField(b []byte, depth int) (plan.Expr, error) {
 			return nil, err
 		}
 	}
-	return decodeExprBody(int(tag), &decoder{buf: body, depth: d.depth})
+	ex, err := decodeExprBody(int(tag), &decoder{buf: body, depth: d.depth})
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range ex.ChildExprs() {
+		if c == nil {
+			return nil, fmt.Errorf("proto: expression %T missing an operand", ex)
+		}
+	}
+	return ex, nil
 }
 
 // exprFields is a tiny helper to iterate fields and collect the common
@@ -373,13 +383,21 @@ func decodeExprBody(tag int, d *decoder) (plan.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &plan.Binary{Op: plan.BinOp(ef.ints[1]), L: l, R: r}, nil
+		op := plan.BinOp(ef.ints[1])
+		if uint64(op) != ef.ints[1] || !op.Valid() {
+			return nil, fmt.Errorf("proto: unknown binary operator %d", ef.ints[1])
+		}
+		return &plan.Binary{Op: op, L: l, R: r}, nil
 	case exTagUnary:
 		child, err := ef.expr(2)
 		if err != nil {
 			return nil, err
 		}
-		return &plan.Unary{Op: plan.UnaryOp(ef.ints[1]), Child: child}, nil
+		op := plan.UnaryOp(ef.ints[1])
+		if uint64(op) != ef.ints[1] || op > plan.OpNeg {
+			return nil, fmt.Errorf("proto: unknown unary operator %d", ef.ints[1])
+		}
+		return &plan.Unary{Op: op, Child: child}, nil
 	case exTagIsNull:
 		child, err := ef.expr(1)
 		if err != nil {
@@ -422,6 +440,9 @@ func decodeExprBody(tag int, d *decoder) (plan.Expr, error) {
 				return nil, err
 			}
 			out.Whens = append(out.Whens, plan.WhenClause{Cond: cond, Then: then})
+		}
+		if len(out.Whens) == 0 {
+			return nil, fmt.Errorf("proto: CASE without WHEN")
 		}
 		els, err := ef.expr(2)
 		if err != nil {

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -65,13 +66,58 @@ func TestNestingDepthBound(t *testing.T) {
 	}
 }
 
+// explainRoot renders what a root plan carries: its relation, or its
+// command's input relation.
+func explainRoot(p *Plan) string {
+	switch {
+	case p.Relation != nil:
+		return plan.Explain(p.Relation)
+	case p.Command.CreateTempView != nil:
+		return plan.Explain(p.Command.CreateTempView.Input)
+	case p.Command.InsertInto != nil:
+		return plan.Explain(p.Command.InsertInto.Input)
+	}
+	return ""
+}
+
+// checkRedecode asserts that a decoded value renders without panicking and
+// re-encodes to bytes that decode to the same value: the same rendering,
+// and the same bytes when encoded once more.
+func checkRedecode[T any](t *testing.T, what string, v T, encode func(T) ([]byte, error), decode func([]byte) (T, error), render func(T) string) {
+	t.Helper()
+	text := render(v)
+	enc, err := encode(v)
+	if err != nil {
+		t.Fatalf("%s: re-encoding a decoded value: %v", what, err)
+	}
+	again, err := decode(enc)
+	if err != nil {
+		t.Fatalf("%s: decoding a re-encoded value: %v", what, err)
+	}
+	if got := render(again); got != text {
+		t.Fatalf("%s: re-decoded value differs:\n got %s\nwant %s", what, got, text)
+	}
+	if enc2, err := encode(again); err != nil || !bytes.Equal(enc2, enc) {
+		t.Fatalf("%s: encoding is not a fixed point (%v)", what, err)
+	}
+}
+
 // FuzzDecodePlan feeds the same bytes to the three decoders a Connect client
 // reaches: DecodePlan, DecodeRootPlan and DecodeExpr. None may panic or
-// recurse without bound. (A decoded plan may still lack a required input or
-// condition; the analyzer rejects those, so no round trip is asserted.)
+// recurse without bound, and whatever decodes carries every input it
+// requires: it explains without panicking and re-encodes to bytes that
+// decode to the same plan.
 func FuzzDecodePlan(f *testing.F) {
 	f.Add(mustEncode(f, samplePlan()))
 	f.Add(mustEncode(f, filterChain(plan.MaxNestingDepth+1)))
+	f.Add([]byte("\b\n")) // a bare Union
+	var child, condless encoder
+	if err := encodeRelField(&child, 2, plan.NewUnresolvedRelation("t")); err != nil {
+		f.Fatal(err)
+	}
+	condless.Varint(1, relFilter)
+	condless.Bytes(2, child.buf)
+	f.Add(condless.buf) // a Filter without a condition
 	for _, sql := range []string{"SELECT CASE @ END", "SELECT NOT @", "SELECT seller FROM sales WHERE NOT NOT @"} {
 		root, err := EncodeRootPlan(&Plan{Command: &Command{SQL: sql}})
 		if err != nil {
@@ -90,8 +136,14 @@ func FuzzDecodePlan(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodePlan(data)
-		_, _ = DecodeRootPlan(data)
-		_, _ = DecodeExpr(data)
+		if n, err := DecodePlan(data); err == nil {
+			checkRedecode(t, "DecodePlan", n, EncodePlan, DecodePlan, plan.Explain)
+		}
+		if p, err := DecodeRootPlan(data); err == nil {
+			checkRedecode(t, "DecodeRootPlan", p, EncodeRootPlan, DecodeRootPlan, explainRoot)
+		}
+		if e, err := DecodeExpr(data); err == nil {
+			checkRedecode(t, "DecodeExpr", e, EncodeExpr, DecodeExpr, plan.Expr.String)
+		}
 	})
 }

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"fmt"
+	"math"
 
 	"lakeguard/internal/arrowipc"
 	"lakeguard/internal/plan"
@@ -213,7 +214,19 @@ func decodeRelation(d *decoder) (plan.Node, error) {
 	if tag == 0 {
 		return nil, fmt.Errorf("proto: relation missing type tag")
 	}
-	return decodeRelationBody(int(tag), &decoder{buf: body, depth: d.depth})
+	n, err := decodeRelationBody(int(tag), &decoder{buf: body, depth: d.depth})
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range n.Children() {
+		if c == nil {
+			return nil, fmt.Errorf("proto: relation %T missing an input", n)
+		}
+	}
+	if f, ok := n.(*plan.Filter); ok && f.Cond == nil {
+		return nil, fmt.Errorf("proto: filter missing its condition")
+	}
+	return n, nil
 }
 
 // decodeRelField decodes a relation nested below depth.
@@ -245,6 +258,9 @@ func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
 				v, err := d.varint()
 				if err != nil {
 					return nil, err
+				}
+				if v > math.MaxInt64 {
+					return nil, fmt.Errorf("proto: invalid table version %d", v-1)
 				}
 				out.AsOfVersion = int64(v) - 1
 			default:
@@ -402,6 +418,9 @@ func decodeRelationBody(tag int, d *decoder) (plan.Node, error) {
 					return nil, err
 				}
 				out.Type = plan.JoinType(v)
+				if uint64(out.Type) != v || !out.Type.Valid() {
+					return nil, fmt.Errorf("proto: unknown join type %d", v)
+				}
 			case 2:
 				b, err := d.bytes()
 				if err != nil {
@@ -681,6 +700,9 @@ func decodeSortOrder(b []byte, depth int) (plan.SortOrder, error) {
 				return out, err
 			}
 		}
+	}
+	if out.Expr == nil {
+		return out, fmt.Errorf("proto: sort order missing its expression")
 	}
 	return out, nil
 }

@@ -159,7 +159,7 @@ func (d *decoder) bytes() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(d.pos)+n > uint64(len(d.buf)) {
+	if n > uint64(len(d.buf)-d.pos) {
 		return nil, ErrTruncated
 	}
 	b := d.buf[d.pos : d.pos+int(n)]
