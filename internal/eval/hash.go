@@ -67,59 +67,62 @@ func hashFloat64(f float64) uint64 {
 	return mix64(math.Float64bits(f) ^ hashFloatTag)
 }
 
-// HashColumns computes one 64-bit hash per row over n rows of the given key
-// columns, combining columns with an FNV-1a fold for multi-column keys. With
-// no columns every row gets the same hash (keyless joins rely on it). out is reused when it has capacity; the (possibly
+// HashColumns computes one 64-bit hash per row over the rows sel selects of
+// the n rows of the key columns (nil = all n): out[j] hashes row rowAt(sel,
+// j), and no other row is read. Columns combine with an FNV-1a fold for
+// multi-column keys. With no columns every row gets the same hash (keyless
+// joins rely on it). out is reused when it has capacity; the (possibly
 // reallocated) slice is returned.
-func HashColumns(cols []*types.Column, n int, out []uint64) []uint64 {
-	if cap(out) < n {
-		out = make([]uint64, n)
+func HashColumns(cols []*types.Column, n int, sel []int, out []uint64) []uint64 {
+	m := rowsOf(n, sel)
+	if cap(out) < m {
+		out = make([]uint64, m)
 	} else {
-		out = out[:n]
+		out = out[:m]
 	}
-	for i := range out {
-		out[i] = hashOffset64
+	for j := range out {
+		out[j] = hashOffset64
 	}
 	for _, c := range cols {
-		combineColumnHash(c, n, out)
+		combineColumnHash(c, sel, out)
 	}
 	return out
 }
 
-func combineColumnHash(c *types.Column, n int, out []uint64) {
+func combineColumnHash(c *types.Column, sel []int, out []uint64) {
 	nulls := c.NullMask()
 	switch c.Kind() {
 	case types.KindBool, types.KindInt64, types.KindDate, types.KindTimestamp:
 		vals := c.Int64s()
-		for i := 0; i < n; i++ {
+		for j := range out {
 			h := hashNullClass
-			if nulls == nil || !nulls[i] {
+			if i := rowAt(sel, j); nulls == nil || !nulls[i] {
 				h = hashInt64(vals[i])
 			}
-			out[i] = (out[i] ^ h) * hashPrime64
+			out[j] = (out[j] ^ h) * hashPrime64
 		}
 	case types.KindFloat64:
 		vals := c.Float64s()
-		for i := 0; i < n; i++ {
+		for j := range out {
 			h := hashNullClass
-			if nulls == nil || !nulls[i] {
+			if i := rowAt(sel, j); nulls == nil || !nulls[i] {
 				h = hashFloat64(vals[i])
 			}
-			out[i] = (out[i] ^ h) * hashPrime64
+			out[j] = (out[j] ^ h) * hashPrime64
 		}
 	case types.KindString, types.KindBinary:
 		vals := c.Strings()
-		for i := 0; i < n; i++ {
+		for j := range out {
 			h := hashNullClass
-			if nulls == nil || !nulls[i] {
+			if i := rowAt(sel, j); nulls == nil || !nulls[i] {
 				h = hashBytes(vals[i])
 			}
-			out[i] = (out[i] ^ h) * hashPrime64
+			out[j] = (out[j] ^ h) * hashPrime64
 		}
 	default:
 		// KindNull and friends carry no payload: every row is the NULL class.
-		for i := 0; i < n; i++ {
-			out[i] = (out[i] ^ hashNullClass) * hashPrime64
+		for j := range out {
+			out[j] = (out[j] ^ hashNullClass) * hashPrime64
 		}
 	}
 }

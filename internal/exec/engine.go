@@ -218,7 +218,11 @@ func (e *Engine) ExecuteToBatch(qc *QueryContext, p plan.Node) (*types.Batch, er
 // each of its nodes itself.
 func (e *Engine) build(qc *QueryContext, p plan.Node) (operator, error) {
 	if _, scan := p.(*plan.Scan); scan || isChainNode(p) {
-		return e.buildPipeline(qc, p)
+		pl, err := e.buildPipeline(qc, p, nil)
+		if err != nil {
+			return nil, err
+		}
+		return pl, nil
 	}
 	return e.instrument(qc, p, func(sub *QueryContext) (operator, error) { return e.buildNode(sub, p) })
 }
@@ -277,13 +281,8 @@ func (e *Engine) buildNode(qc *QueryContext, p plan.Node) (operator, error) {
 		return &batchesOp{batches: batches}, nil
 
 	case *plan.Aggregate:
-		child, err := e.build(qc, t.Child)
+		op, err := e.newVecAggOp(qc, t)
 		if err != nil {
-			return nil, err
-		}
-		op, err := e.newVecAggOp(qc, t, child)
-		if err != nil {
-			child.Close()
 			return nil, err
 		}
 		return op, nil

@@ -270,6 +270,10 @@ type stream[M, T any] struct {
 	source  func() (M, bool, error)
 	run     func(context.Context, M) (T, error)
 	skip    func(T) bool // nil = emit everything
+	// also, when set, is the context of a further operator whose work the
+	// morsels do (an aggregate's input step ending a pipeline): each worker
+	// opens a span under it too.
+	also context.Context
 
 	started bool
 	ex      *exchange[M, T] // nil while inline or not started
@@ -333,19 +337,29 @@ func (s *stream[M, T]) Next() (T, error) {
 }
 
 // worker builds one exchange worker's morsel function, under its own
-// exec.worker span when the query is traced.
+// exec.worker span when the query is traced (and one under also).
 func (s *stream[M, T]) worker() (func(context.Context, M) (T, error), error) {
 	wctx, ws := telemetry.StartSpan(s.ctx, "exec.worker")
 	if ws == nil {
 		return s.run, nil
 	}
-	ws.SetInt("worker", int64(len(s.wspans)))
-	s.wspans = append(s.wspans, ws)
+	spans := []*telemetry.Span{ws}
+	if s.also != nil {
+		_, as := telemetry.StartSpan(s.also, "exec.worker")
+		spans = append(spans, as)
+	}
+	w := int64(len(s.wspans) / len(spans))
+	for _, sp := range spans {
+		sp.SetInt("worker", w)
+	}
+	s.wspans = append(s.wspans, spans...)
 	return func(_ context.Context, m M) (T, error) {
 		out, err := s.run(wctx, m)
-		ws.Count("morsels", 1)
-		if err != nil {
-			ws.Fail(err)
+		for _, sp := range spans {
+			sp.Count("morsels", 1)
+			if err != nil {
+				sp.Fail(err)
+			}
 		}
 		return out, err
 	}, nil

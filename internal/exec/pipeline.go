@@ -27,13 +27,22 @@ import (
 //     and its output is dense.
 //   - SecureView and SubqueryAlias pass the view on.
 //   - The chain's end gathers the surviving rows of the columns it outputs,
-//     once.
+//     once. A chain under an aggregate ends in the aggregate's input step
+//     instead (aggEnd): it gathers nothing, and hands the aggregate its key
+//     and argument columns with the selection.
+//
+// A morsel's selection lives in the scratch it took from selScratches. The
+// scratch goes back to the pool when the morsel's survivors are gathered;
+// one whose selection an aggregate input holds travels with that input and
+// goes back once the aggregate has consumed it.
 //
 // No expression reads a row an earlier step dropped. A Filter or Project
 // whose expressions call UDFs ends the chain below it: it is the first step
 // of the chain above, whose source is the chain below, so its sandbox waves
 // run over a dense batch of rows every earlier step authorized. Such a
-// chain runs inline (streamWorkers).
+// chain runs inline (streamWorkers). Under an aggregate the chain stops
+// below such a step instead, so the aggregate's evaluation keeps its own
+// workers.
 //
 // Every node of the chain keeps its own EXPLAIN ANALYZE entry and span. A
 // step's rows and batches count what its operator emitted when each node
@@ -43,7 +52,10 @@ type pipeline struct {
 	// steps run bottom-up. A scan source has a step of its own first, which
 	// only accounts for what the scan emitted.
 	steps []pipeStep
-	in    interface {
+	// agg, when set, ends the chain in an aggregate's input step in place of
+	// the gather.
+	agg *aggEnd
+	in  interface {
 		Next() (*pipeOut, error)
 		Close() error
 	}
@@ -63,6 +75,14 @@ type pipeStep struct {
 	schema *types.Schema // Project: the output schema
 }
 
+// rowAt maps selection position j to its row (sel nil = all rows).
+func rowAt(sel []int, j int) int {
+	if sel != nil {
+		return sel[j]
+	}
+	return j
+}
+
 // view is a morsel on its way up a chain: rows sel (nil = all n) of cols.
 type view struct {
 	schema *types.Schema
@@ -78,11 +98,13 @@ func (v *view) rows() int {
 	return v.n
 }
 
-// pipeOut is one morsel's result: the gathered batch (nil when a step left
-// it empty) and the rows each step emitted, bottom-up, for the steps the
-// morsel got through.
+// pipeOut is one morsel's result: the gathered batch, or the aggregate's
+// input under an aggregate (both nil when a step left the morsel empty),
+// and the rows each step emitted, bottom-up, for the steps the morsel got
+// through.
 type pipeOut struct {
 	batch *types.Batch
+	in    *aggInput
 	rows  []int
 }
 
@@ -97,19 +119,26 @@ func isChainNode(p plan.Node) bool {
 
 // buildPipeline compiles the chain from top down to its source. top is a
 // chain node or a Scan, which is then a chain of no step above its files.
-func (e *Engine) buildPipeline(qc *QueryContext, top plan.Node) (operator, error) {
-	p := &pipeline{}
+// Under an aggregate, agg is the aggregate's input step and top its child,
+// which may be any node: a chain of no step then reads it as its source.
+func (e *Engine) buildPipeline(qc *QueryContext, top plan.Node, agg *aggEnd) (*pipeline, error) {
+	p := &pipeline{agg: agg}
 	var down []pipeStep // top-down while building
-	fail := func(err error) (operator, error) {
+	fail := func(err error) (*pipeline, error) {
 		for i := len(down) - 1; i >= 0; i-- {
 			down[i].span.EndErr(err)
 		}
 		return nil, err
 	}
-	// udf is the bottom step's expression list when it has UDF waves.
+	// udf is the bottom step's expression list when it has UDF waves. An
+	// aggregate's input step with UDF waves is a chain of its own, over a
+	// dense source.
 	var udf *ExprProgs
+	if agg != nil && agg.exprs.udf != nil {
+		udf = agg.exprs
+	}
 	n, sub := top, qc
-	for isChainNode(n) && udf == nil {
+	for isChainNode(n) && udf == nil && (agg == nil || !chainNodeHasUDF(n)) {
 		var st pipeStep
 		sub, st.stats, st.span = opScope(sub, n)
 		var child plan.Node
@@ -154,11 +183,15 @@ func (e *Engine) buildPipeline(qc *QueryContext, top plan.Node) (operator, error
 		}
 		p.steps = append([]pipeStep{st}, p.steps...)
 		p.timed = p.isTimed()
+		workers := e.streamWorkers(src.filters, len(src.files))
+		if agg != nil {
+			workers = e.streamWorkers(agg.exprs, unknownMorsels)
+		}
 		// File-granular morsels: every worker reads through the one
 		// credential-bound reader the TableProvider vended, so parallelism
 		// adds no authority, and the ordered gather keeps file order.
 		next := 0
-		p.in = newStream(sub.GoContext(), e.streamWorkers(src.filters, len(src.files)), nil,
+		s := newStream(sub.GoContext(), workers, nil,
 			func() (int, bool, error) {
 				if next == len(src.files) {
 					return 0, true, nil
@@ -166,6 +199,8 @@ func (e *Engine) buildPipeline(qc *QueryContext, top plan.Node) (operator, error
 				next++
 				return next - 1, false, nil
 			}, pipeRun(p, src.scanFile), nil)
+		s.also = p.aggSpanCtx(qc, sub)
+		p.in = s
 		return p, nil
 	}
 
@@ -175,16 +210,42 @@ func (e *Engine) buildPipeline(qc *QueryContext, top plan.Node) (operator, error
 	}
 	p.timed = p.isTimed()
 	// A chain that only passes batches on or re-labels their columns has no
-	// work to spread over workers.
+	// work to spread over workers. An aggregate's input step keeps the
+	// workers its own expressions allow, as the aggregate's input did when
+	// it was a stream of its own.
 	workers := 1
-	if slices.ContainsFunc(p.steps, func(st pipeStep) bool { return st.cond != nil || st.exprs != nil && st.refs == nil }) {
+	if agg != nil || slices.ContainsFunc(p.steps, func(st pipeStep) bool { return st.cond != nil || st.exprs != nil && st.refs == nil }) {
 		workers = e.streamWorkers(udf, unknownMorsels)
 	}
-	p.in = newStream(sub.GoContext(), workers, child, batchSource(child),
+	s := newStream(sub.GoContext(), workers, child, batchSource(child),
 		pipeRun(p, func(_ context.Context, b *types.Batch, _ *SelScratch) (view, error) {
 			return view{schema: b.Schema, cols: b.Cols, n: b.NumRows()}, nil
 		}), nil)
+	s.also = p.aggSpanCtx(qc, sub)
+	p.in = s
 	return p, nil
+}
+
+// aggSpanCtx returns, for a chain that ends in an aggregate's input step
+// above its lowest node sub, the aggregate's context qc: the stream's
+// workers open a span under it too, as the aggregate's own input stream
+// did. Otherwise it returns nil.
+func (p *pipeline) aggSpanCtx(qc, sub *QueryContext) context.Context {
+	if p.agg == nil || sub == qc {
+		return nil
+	}
+	return qc.GoContext()
+}
+
+// chainNodeHasUDF reports whether a chain node's expressions call UDFs.
+func chainNodeHasUDF(n plan.Node) bool {
+	switch t := n.(type) {
+	case *plan.Filter:
+		return exprsHaveUDF([]plan.Expr{t.Cond})
+	case *plan.Project:
+		return exprsHaveUDF(t.Exprs)
+	}
+	return false
 }
 
 // selScratches serves the scratch of each morsel a pipeline runs.
@@ -192,21 +253,26 @@ var selScratches = sync.Pool{New: func() any { return new(SelScratch) }}
 
 // pipeRun turns a source's morsel-to-view function into p's morsel
 // function: each morsel takes a scratch for its selections and returns it
-// once its survivors are gathered.
+// once its survivors are gathered, or, when an aggregate input holds its
+// selection, leaves it to that input (aggInput.release).
 func pipeRun[M any](p *pipeline, open func(context.Context, M, *SelScratch) (view, error)) func(context.Context, M) (*pipeOut, error) {
 	return func(ctx context.Context, m M) (*pipeOut, error) {
 		sc := selScratches.Get().(*SelScratch)
-		defer selScratches.Put(sc)
 		v, err := open(ctx, m, sc)
-		if err != nil {
-			return nil, err
+		var out *pipeOut
+		if err == nil {
+			out, err = p.run(v, sc)
 		}
-		return p.run(v, sc)
+		if err != nil || out.in == nil || out.in.sc == nil {
+			selScratches.Put(sc)
+		}
+		return out, err
 	}
 }
 
-// run takes one view up the chain and gathers its survivors. The rows
-// each step emitted are kept only when some step accounts for them.
+// run takes one view up the chain and gathers its survivors, or hands the
+// view to the aggregate's input step. The rows each step emitted are kept
+// only when some step accounts for them.
 func (p *pipeline) run(v view, sc *SelScratch) (*pipeOut, error) {
 	out := &pipeOut{}
 	if p.timed {
@@ -223,6 +289,14 @@ func (p *pipeline) run(v view, sc *SelScratch) (*pipeOut, error) {
 		if p.timed {
 			out.rows = append(out.rows, rows)
 		}
+	}
+	if p.agg != nil {
+		in, err := p.agg.input(v, sc)
+		if err != nil {
+			return nil, err
+		}
+		out.in = in
+		return out, nil
 	}
 	cols := v.cols
 	if v.sel != nil && len(v.sel) < v.n {
@@ -262,18 +336,30 @@ func (st *pipeStep) apply(v *view, sc *SelScratch) error {
 }
 
 // isTimed reports whether the steps have profile entries or spans; opScope
-// gives either all steps of a chain or none.
-func (p *pipeline) isTimed() bool { return p.steps[0].stats != nil || p.steps[0].span != nil }
+// gives either all steps of a chain or none. An aggregate's input step has
+// neither: it accounts to the aggregate's own entry.
+func (p *pipeline) isTimed() bool {
+	return len(p.steps) > 0 && (p.steps[0].stats != nil || p.steps[0].span != nil)
+}
 
-// Next returns the next gathered batch. Traced or profiled, it accounts as
-// each node's own operator did: every step gets the call's wall time, and
-// fails its span on an error.
+// Next returns the next gathered batch.
 func (p *pipeline) Next() (*types.Batch, error) {
+	o, err := p.pull()
+	if err != nil {
+		return nil, err
+	}
+	return o.batch, nil
+}
+
+// pull returns the next morsel with rows to emit. Traced or profiled, it
+// accounts as each node's own operator did: every step gets the call's wall
+// time, and fails its span on an error.
+func (p *pipeline) pull() (*pipeOut, error) {
 	if !p.timed {
 		return p.next()
 	}
 	start := time.Now()
-	b, err := p.next()
+	o, err := p.next()
 	d := time.Since(start)
 	for _, st := range p.steps {
 		st.stats.AddWall(d)
@@ -281,12 +367,12 @@ func (p *pipeline) Next() (*types.Batch, error) {
 			st.span.Fail(err)
 		}
 	}
-	return b, err
+	return o, err
 }
 
 // next pulls morsels until one has rows to emit, accounting to each step
 // the batch it emitted.
-func (p *pipeline) next() (*types.Batch, error) {
+func (p *pipeline) next() (*pipeOut, error) {
 	for {
 		o, err := p.in.Next()
 		if err != nil {
@@ -298,8 +384,8 @@ func (p *pipeline) next() (*types.Batch, error) {
 			st.span.Count("rows", int64(r))
 			st.span.Count("batches", 1)
 		}
-		if o.batch != nil {
-			return o.batch, nil
+		if o.batch != nil || o.in != nil {
+			return o, nil
 		}
 	}
 }

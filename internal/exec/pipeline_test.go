@@ -218,6 +218,41 @@ func TestGovernedScanAggAllocatesForSurvivors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation")
 	}
+	w, p, survivors := governedScanAgg(t)
+	const width = 24 // cat (a string header) and v
+	for _, workers := range []int{1, 2} {
+		least := w.leastAlloc(t, workers, p)
+		if bound := float64(2*width*survivors + 256<<10); least > bound {
+			t.Errorf("workers=%d: a governed scan-aggregate of %d survivors allocated %.0f bytes, want at most %.0f",
+				workers, survivors, least, bound)
+		}
+	}
+}
+
+// The same governed scan-aggregate allocates less than one gather of its
+// survivors' two columns would: the aggregate reads the scan's cached
+// columns through the selection its filters left, and its hash and group-id
+// buffers serve every batch.
+func TestGovernedScanAggGathersNoSurvivors(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation")
+	}
+	w, p, survivors := governedScanAgg(t)
+	const width = 24 // cat (a string header) and v
+	for _, workers := range []int{1, 2} {
+		least := w.leastAlloc(t, workers, p)
+		t.Logf("workers=%d: %d survivors, %.0f bytes", workers, survivors, least)
+		if bound := float64(width * survivors); least >= bound {
+			t.Errorf("workers=%d: a governed scan-aggregate of %d survivors allocated %.0f bytes, want less than one gather of them, %.0f",
+				workers, survivors, least, bound)
+		}
+	}
+}
+
+// governedScanAgg seeds 16 files of 4,096 rows behind a row filter and a
+// column mask, and plans alice's filtered scan-aggregate over them. It
+// returns the plan and the number of rows that survive its filters.
+func governedScanAgg(t testing.TB) (*world, plan.Node, int) {
 	w := newWorld(t)
 	const rowsPerFile = 4096
 	seedEventsTableNamed(t, w, "gov", 16, rowsPerFile)
@@ -238,29 +273,31 @@ func TestGovernedScanAggAllocatesForSurvivors(t *testing.T) {
 			survivors++
 		}
 	}
-	const width = 24 // cat (a string header) and v
-	for _, workers := range []int{1, 2} {
-		w.engine.Parallelism = workers
-		run := func() {
-			if _, err := w.engine.Execute(NewQueryContext(w.cat, aliceCtx), p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run() // fills the batch cache
-		least := math.Inf(1)
-		for i := 0; i < 5; i++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			run()
-			runtime.ReadMemStats(&after)
-			least = min(least, float64(after.TotalAlloc-before.TotalAlloc))
-		}
-		if bound := float64(2*width*survivors + 256<<10); least > bound {
-			t.Errorf("workers=%d: a governed scan-aggregate of %d survivors allocated %.0f bytes, want at most %.0f",
-				workers, survivors, least, bound)
+	return w, p, survivors
+}
+
+// leastAlloc runs p as alice at the given parallelism once to fill the
+// batch cache, then returns the fewest bytes any of five more runs
+// allocated. Allocation is read process-wide, so the smallest window is
+// the one that counts.
+func (w *world) leastAlloc(t *testing.T, workers int, p plan.Node) float64 {
+	w.engine.Parallelism = workers
+	defer func() { w.engine.Parallelism = 0 }()
+	run := func() {
+		if _, err := w.engine.Execute(NewQueryContext(w.cat, aliceCtx), p); err != nil {
+			t.Fatal(err)
 		}
 	}
-	w.engine.Parallelism = 0
+	run()
+	least := math.Inf(1)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		least = min(least, float64(after.TotalAlloc-before.TotalAlloc))
+	}
+	return least
 }
 
 // planAs parses, analyzes and optimizes sqlText for ctx's user.

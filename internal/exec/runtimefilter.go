@@ -261,16 +261,13 @@ func (rf *scanRF) filterRows(cols []*types.Column, n int, sel []int, sc *SelScra
 	if rf.empty {
 		return next, m
 	}
-	sc.hashes = eval.HashColumns([]*types.Column{col}, n, sc.hashes)
+	sc.hashes = eval.HashColumns([]*types.Column{col}, n, sel, sc.hashes)
 	for j := 0; j < m; j++ {
-		i := j
-		if sel != nil {
-			i = sel[j]
-		}
+		i := rowAt(sel, j)
 		if col.IsNull(i) {
 			continue
 		}
-		if !rf.bloom.mayContain(sc.hashes[i]) {
+		if !rf.bloom.mayContain(sc.hashes[j]) {
 			continue
 		}
 		v := col.Value(i)

@@ -1,32 +1,91 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"lakeguard/internal/eval"
 	"lakeguard/internal/plan"
 	"lakeguard/internal/types"
 )
 
-// aggInput is one batch with its group-key and aggregate-argument columns
-// already evaluated, and its rows' global ids: rids[i], or base+i when rids
-// is nil (the input stream numbers its rows consecutively; only spilled
-// rows carry their ids).
+// aggInput is one morsel's group-key and aggregate-argument columns, read
+// through a selection: input row j is row rowAt(sel, j) of the n rows of
+// every column (sel nil = all n). A filtered row is in no column's
+// selection, so it touches no hash, group or sum. Row j's global id is
+// rids[j], or base+j when rids is nil (the input stream numbers its rows
+// consecutively; only spilled rows carry their ids).
 type aggInput struct {
 	n       int
+	sel     []int
 	keyCols []*types.Column
 	argCols []*types.Column // per argument-carrying aggregate (see vecAggOp.argOf)
 	base    int64
 	rids    []int64
+	// sc, when set, is the morsel's scratch, which holds sel; release gives
+	// it back to selScratches once the aggregate consumed the input.
+	sc *SelScratch
 }
 
-func (in *aggInput) rid(i int) int64 {
-	if in.rids != nil {
-		return in.rids[i]
+func (in *aggInput) rows() int {
+	if in.sel != nil {
+		return len(in.sel)
 	}
-	return in.base + int64(i)
+	return in.n
+}
+
+func (in *aggInput) rid(j int) int64 {
+	if in.rids != nil {
+		return in.rids[j]
+	}
+	return in.base + int64(j)
+}
+
+func (in *aggInput) release() {
+	if in.sc != nil {
+		selScratches.Put(in.sc)
+		in.sc = nil
+	}
+}
+
+// aggEnd is an aggregate's input step, which ends the pipeline under the
+// aggregate (pipeline.go) in place of its gather. It evaluates the GROUP BY
+// expressions, then the argument of every aggregate but COUNT(*).
+type aggEnd struct {
+	exprs *ExprProgs
+	// refs is, when every expression compiled to a bare column reference,
+	// the input column of each.
+	refs []int
+	keys int // exprs[:keys] are the GROUP BY expressions
+}
+
+// input turns one view into the aggregate's input. A list of bare
+// references hands on the view's own columns and selection, which keeps
+// the morsel's scratch sc; any other list is evaluated through the
+// selection into dense columns, as a computing Project is.
+func (a *aggEnd) input(v view, sc *SelScratch) (*aggInput, error) {
+	in := &aggInput{n: v.n}
+	var cols []*types.Column
+	if a.refs != nil {
+		a.exprs.countEval()
+		cols = make([]*types.Column, len(a.refs))
+		for i, c := range a.refs {
+			cols[i] = v.cols[c]
+		}
+		// A selection that kept every row is all of them.
+		if v.sel != nil && len(v.sel) < v.n {
+			in.sel, in.sc = v.sel, sc
+		}
+	} else {
+		var err error
+		if cols, err = a.exprs.Run(v.cols, v.n, v.sel); err != nil {
+			return nil, err
+		}
+		in.n = v.rows()
+	}
+	in.keyCols, in.argCols = cols[:a.keys:a.keys], cols[a.keys:]
+	return in, nil
 }
 
 // vecAggOp is the grouped-aggregation operator. Group keys are hashed a
@@ -37,11 +96,21 @@ func (in *aggInput) rid(i int) int64 {
 //
 // Groups form by Value.Equal over key rows in first-occurrence order, NULL
 // arguments are skipped (except COUNT(*)), and DISTINCT arguments keep a
-// seen-map per group. Float sums accumulate in stream order so results stay
+// seen-map per group. An aggregate without GROUP BY has one group, 0, which
+// every row joins without a hash or a probe, and which exists even over no
+// rows. Float sums accumulate in stream order so results stay
 // byte-identical at any parallelism: group-key and argument evaluation runs
-// on the input stream's workers, but accumulation stays serial over batches
-// in input order — merging per-worker partial sums would reassociate float
-// additions.
+// on the workers of the pipeline under the aggregate, as its last step
+// (aggEnd), but accumulation stays serial over batches in input order —
+// merging per-worker partial sums would reassociate float additions.
+//
+// The input reaches the aggregate as its pipeline's view: bare-reference
+// keys and arguments are the source's columns read through the selection
+// the chain's filters left, so no survivor is gathered. Every kernel below
+// (HashColumns, assign, accumulate, distinct, spillInputBatch) visits the
+// selected rows only, and the morsel's scratch goes back to its pool once
+// the batch is consumed. The hash and group-id buffers live on the operator
+// and serve every batch.
 //
 // When the group state outgrows Engine.SpillBytes the table freezes: rows
 // matching existing groups keep accumulating in memory, rows with unseen
@@ -51,9 +120,8 @@ func (in *aggInput) rid(i int) int64 {
 // emitting memory groups first and rid-merging partition outputs reproduces
 // the in-memory emission order exactly.
 type vecAggOp struct {
-	// in evaluates the GROUP BY expressions, then the argument of every
-	// aggregate but COUNT(*) (may contain UDFs), over the child's batches.
-	in     *stream[*types.Batch, *aggInput]
+	// in is the child's pipeline, ending in the aggregate's input step.
+	in     *pipeline
 	qc     *QueryContext
 	engine *Engine
 	node   *plan.Aggregate
@@ -66,9 +134,15 @@ type vecAggOp struct {
 	started    bool
 	pull       func() (*types.Batch, error)
 	spillFiles []*spillFile
+
+	// consume's per-batch buffers: row hashes, group ids and the rows to
+	// spill.
+	hashes   []uint64
+	gids     []int32
+	spillSel []int
 }
 
-func (e *Engine) newVecAggOp(qc *QueryContext, node *plan.Aggregate, child operator) (*vecAggOp, error) {
+func (e *Engine) newVecAggOp(qc *QueryContext, node *plan.Aggregate) (*vecAggOp, error) {
 	aggs := make([]*plan.AggFunc, len(node.Aggs))
 	argOf := make([]int, len(node.Aggs))
 	argExprs := make([]plan.Expr, 0, len(node.Aggs))
@@ -93,15 +167,10 @@ func (e *Engine) newVecAggOp(qc *QueryContext, node *plan.Aggregate, child opera
 	if err != nil {
 		return nil, err
 	}
-	k := len(node.GroupBy)
-	in := newStream(qc.GoContext(), e.streamWorkers(inputs, unknownMorsels), child, batchSource(child),
-		func(_ context.Context, b *types.Batch) (*aggInput, error) {
-			cols, err := inputs.Run(b.Cols, b.NumRows(), nil)
-			if err != nil {
-				return nil, err
-			}
-			return &aggInput{n: b.NumRows(), keyCols: cols[:k:k], argCols: cols[k:]}, nil
-		}, nil)
+	in, err := e.buildPipeline(qc, node.Child, &aggEnd{exprs: inputs, refs: inputs.columnRefs(), keys: len(node.GroupBy)})
+	if err != nil {
+		return nil, err
+	}
 	return &vecAggOp{in: in, qc: qc, engine: e, node: node, aggs: aggs, argOf: argOf, spillLimit: e.spillLimit()}, nil
 }
 
@@ -129,28 +198,27 @@ func (o *vecAggOp) Next() (*types.Batch, error) {
 func (o *vecAggOp) run() error {
 	var rid int64
 	pull := func() (*aggInput, error) {
-		in, err := o.in.Next()
+		out, err := o.in.pull()
 		if err != nil {
 			return nil, err
 		}
+		in := out.in
 		in.base = rid
-		rid += int64(in.n)
+		rid += int64(in.rows())
 		return in, nil
 	}
 
 	t := newVecAggTable(o.aggs)
-	parts, err := o.consume(t, pull, 0, true)
-	if err != nil {
-		return err
-	}
-
-	// Global aggregation over empty input still yields one row (COUNT(*)=0).
-	if len(t.keys) == 0 && parts == nil && len(o.node.GroupBy) == 0 {
-		t.keys = append(t.keys, nil)
-		t.firstRid = append(t.firstRid, 0)
+	if len(o.node.GroupBy) == 0 {
+		// Group 0 exists even over no rows: COUNT(*) = 0.
+		t.keys, t.hashes, t.firstRid = [][]types.Value{nil}, []uint64{0}, []int64{0}
 		for _, a := range t.accs {
 			a.grow(1)
 		}
+	}
+	parts, err := o.consume(t, pull, 0, true)
+	if err != nil {
+		return err
 	}
 
 	mem := o.groupsBatch(t, false)
@@ -203,10 +271,13 @@ func (o *vecAggOp) run() error {
 	return nil
 }
 
-// consume feeds evaluated inputs into t. When canSpill and the group state
-// outgrows the budget, the table freezes and unseen keys scatter into the
-// returned partitions (keys + args + __rid), hashed at the given spill level.
+// consume feeds evaluated inputs into t. Without GROUP BY every row joins
+// group 0, which the caller created. Otherwise, when canSpill and the group
+// state outgrows the budget, the table freezes and unseen keys scatter into
+// the returned partitions (keys + args + __rid), hashed at the given spill
+// level.
 func (o *vecAggOp) consume(t *vecAggTable, pull func() (*aggInput, error), level int, canSpill bool) (*spillPartitions, error) {
+	global := len(o.node.GroupBy) == 0
 	var parts *spillPartitions
 	for {
 		in, err := pull()
@@ -216,29 +287,37 @@ func (o *vecAggOp) consume(t *vecAggTable, pull func() (*aggInput, error), level
 		if err != nil {
 			return nil, err
 		}
-		hashes := eval.HashColumns(in.keyCols, in.n, nil)
-		gids, spillSel := t.assign(hashes, in)
+		m := in.rows()
+		o.gids = slices.Grow(o.gids[:0], m)[:m]
+		o.spillSel = o.spillSel[:0]
+		if global {
+			clear(o.gids)
+		} else {
+			o.hashes = eval.HashColumns(in.keyCols, in.n, in.sel, o.hashes)
+			o.spillSel = t.assign(o.hashes, in, o.gids, o.spillSel)
+		}
 		for _, a := range t.accs {
 			a.grow(len(t.keys))
 		}
 		for ai, a := range t.accs {
 			if c := o.argOf[ai]; c >= 0 {
-				a.accumulate(gids, in.argCols[c], in.n)
+				a.accumulate(o.gids, in.argCols[c], in.sel)
 			} else {
-				a.countRows(gids)
+				a.countRows(o.gids)
 			}
 		}
-		if len(spillSel) > 0 {
-			sb := spillInputBatch(parts.schema, in, spillSel)
-			sh := make([]uint64, len(spillSel))
-			for i, r := range spillSel {
-				sh[i] = hashes[r]
+		if len(o.spillSel) > 0 {
+			sb := spillInputBatch(parts.schema, in, o.spillSel)
+			sh := make([]uint64, len(o.spillSel))
+			for i, j := range o.spillSel {
+				sh[i] = o.hashes[j]
 			}
 			if err := parts.scatter(sb, sh); err != nil {
 				return nil, err
 			}
 		}
-		if canSpill && !t.frozen && t.bytes > o.spillLimit {
+		in.release()
+		if canSpill && !global && !t.frozen && t.bytes > o.spillLimit {
 			t.frozen = true
 			parts = newSpillPartitions(aggSpillSchema(in), level, o.trackSpill)
 		}
@@ -341,19 +420,26 @@ func aggSpillSchema(in *aggInput) *types.Schema {
 	return types.NewSchema(fields...)
 }
 
-// spillInputBatch gathers the sel rows of in (keys, args, rids) as a batch
-// over the spill schema.
-func spillInputBatch(schema *types.Schema, in *aggInput, sel []int) *types.Batch {
+// spillInputBatch gathers in's input rows spill (keys, args, rids) as a
+// batch over the spill schema.
+func spillInputBatch(schema *types.Schema, in *aggInput, spill []int) *types.Batch {
+	rows := spill
+	if in.sel != nil {
+		rows = make([]int, len(spill))
+		for i, j := range spill {
+			rows[i] = in.sel[j]
+		}
+	}
 	cols := make([]*types.Column, 0, len(in.keyCols)+len(in.argCols)+1)
 	for _, c := range in.keyCols {
-		cols = append(cols, c.Gather(sel))
+		cols = append(cols, c.Gather(rows))
 	}
 	for _, c := range in.argCols {
-		cols = append(cols, c.Gather(sel))
+		cols = append(cols, c.Gather(rows))
 	}
-	out := make([]int64, len(sel))
-	for i, r := range sel {
-		out[i] = in.rid(r)
+	out := make([]int64, len(spill))
+	for i, j := range spill {
+		out[i] = in.rid(j)
 	}
 	cols = append(cols, types.NewInt64Column(types.KindInt64, out, nil))
 	return &types.Batch{Schema: schema, Cols: cols}
@@ -377,7 +463,7 @@ func (o *vecDistinctOp) Next() (*types.Batch, error) {
 			return nil, err
 		}
 		n := b.NumRows()
-		o.hashes = eval.HashColumns(b.Cols, n, o.hashes)
+		o.hashes = eval.HashColumns(b.Cols, n, nil, o.hashes)
 		groups := int32(len(o.table.keys))
 		var created []int
 		for i := 0; i < n; i++ {
@@ -424,20 +510,19 @@ func newVecAggTable(aggs []*plan.AggFunc) *vecAggTable {
 	return t
 }
 
-// assign resolves each row to a group id, creating groups in first-occurrence
-// order. On a frozen table, rows with unseen keys get gid -1 and their
-// indexes are returned for spilling.
-func (t *vecAggTable) assign(hashes []uint64, in *aggInput) (gids []int32, spillSel []int) {
-	n := len(hashes)
-	gids = make([]int32, n)
-	for i := 0; i < n; i++ {
-		g := t.findOrAdd(hashes[i], in.keyCols, i, in.rid(i))
+// assign resolves each input row j, whose key hashes to hashes[j], to its
+// group id gids[j], creating groups in first-occurrence order. On a frozen
+// table, rows with unseen keys get gid -1 and are appended to spill, which
+// is returned.
+func (t *vecAggTable) assign(hashes []uint64, in *aggInput, gids []int32, spill []int) []int {
+	for j, h := range hashes {
+		g := t.findOrAdd(h, in.keyCols, rowAt(in.sel, j), in.rid(j))
 		if g < 0 {
-			spillSel = append(spillSel, i)
+			spill = append(spill, j)
 		}
-		gids[i] = g
+		gids[j] = g
 	}
-	return gids, spillSel
+	return spill
 }
 
 func (t *vecAggTable) findOrAdd(h uint64, keyCols []*types.Column, row int, rid int64) int32 {
@@ -494,9 +579,11 @@ func (t *vecAggTable) grow() {
 	t.slots, t.mask = slots, mask
 }
 
+// keyEqualAt compares a group's key with a row's on the columns' raw
+// payloads, as Value.Equal would.
 func keyEqualAt(key []types.Value, cols []*types.Column, row int) bool {
 	for k, c := range cols {
-		if !key[k].Equal(c.Value(row)) {
+		if !c.EqualAt(row, key[k]) {
 			return false
 		}
 	}
@@ -597,19 +684,19 @@ func (a *vecAcc) countRows(gids []int32) {
 	}
 }
 
-// accumulate feeds one argument column. gids entries of -1 (spilled rows)
-// are skipped, and so are NULLs.
-func (a *vecAcc) accumulate(gids []int32, col *types.Column, n int) {
+// accumulate feeds one argument column: input row j, with group gids[j],
+// is column row rowAt(sel, j). gids entries of -1 (spilled rows) are
+// skipped, and so are NULLs.
+func (a *vecAcc) accumulate(gids []int32, col *types.Column, sel []int) {
 	if a.af.Distinct {
-		a.distinct(gids, col, n)
+		a.distinct(gids, col, sel)
 		return
 	}
 	nulls := col.NullMask()
 	switch {
 	case a.op == accCount:
-		for i := 0; i < n; i++ {
-			g := gids[i]
-			if g < 0 || (nulls != nil && nulls[i]) {
+		for j, g := range gids {
+			if g < 0 || (nulls != nil && nulls[rowAt(sel, j)]) {
 				continue
 			}
 			a.nonNull[g] = true
@@ -617,8 +704,8 @@ func (a *vecAcc) accumulate(gids []int32, col *types.Column, n int) {
 		}
 	case a.op == accSum && col.Kind() == types.KindInt64:
 		vs := col.Int64s()
-		for i := 0; i < n; i++ {
-			g := gids[i]
+		for j, g := range gids {
+			i := rowAt(sel, j)
 			if g < 0 || (nulls != nil && nulls[i]) {
 				continue
 			}
@@ -629,8 +716,8 @@ func (a *vecAcc) accumulate(gids []int32, col *types.Column, n int) {
 		}
 	case a.op == accSum && col.Kind() == types.KindFloat64:
 		vs := col.Float64s()
-		for i := 0; i < n; i++ {
-			g := gids[i]
+		for j, g := range gids {
+			i := rowAt(sel, j)
 			if g < 0 || (nulls != nil && nulls[i]) {
 				continue
 			}
@@ -640,8 +727,8 @@ func (a *vecAcc) accumulate(gids []int32, col *types.Column, n int) {
 		}
 	case (a.op == accMin || a.op == accMax) && col.Kind() == types.KindInt64:
 		vs := col.Int64s()
-		for i := 0; i < n; i++ {
-			g := gids[i]
+		for j, g := range gids {
+			i := rowAt(sel, j)
 			if g < 0 || (nulls != nil && nulls[i]) {
 				continue
 			}
@@ -662,8 +749,8 @@ func (a *vecAcc) accumulate(gids []int32, col *types.Column, n int) {
 		// comparisons involving NaN are false, so NaN never displaces a
 		// stored extreme and is never displaced once stored.
 		vs := col.Float64s()
-		for i := 0; i < n; i++ {
-			g := gids[i]
+		for j, g := range gids {
+			i := rowAt(sel, j)
 			if g < 0 || (nulls != nil && nulls[i]) {
 				continue
 			}
@@ -680,8 +767,8 @@ func (a *vecAcc) accumulate(gids []int32, col *types.Column, n int) {
 			a.one(g, col.Value(i))
 		}
 	default:
-		for i := 0; i < n; i++ {
-			g := gids[i]
+		for j, g := range gids {
+			i := rowAt(sel, j)
 			if g < 0 || (nulls != nil && nulls[i]) {
 				continue
 			}
@@ -692,10 +779,10 @@ func (a *vecAcc) accumulate(gids []int32, col *types.Column, n int) {
 
 // distinct is the DISTINCT slow path: per-group seen maps keyed on
 // Value.Hash, with Value.Equal deciding duplicates.
-func (a *vecAcc) distinct(gids []int32, col *types.Column, n int) {
+func (a *vecAcc) distinct(gids []int32, col *types.Column, sel []int) {
 	nulls := col.NullMask()
-	for i := 0; i < n; i++ {
-		g := gids[i]
+	for j, g := range gids {
+		i := rowAt(sel, j)
 		if g < 0 || (nulls != nil && nulls[i]) {
 			continue
 		}

@@ -129,6 +129,16 @@ var vecEquivQueries = []string{
 	"SELECT k, COUNT(*) AS n FROM nothing GROUP BY k",
 	"SELECT COUNT(*) AS n FROM nothing",
 	"SELECT cat, v % 5 AS m, COUNT(*) AS n, AVG(v) AS av FROM events GROUP BY cat, v % 5",
+	// Filtered aggregations over bare-reference keys and arguments: the
+	// aggregate reads the scan's columns through the filter's selection,
+	// and under a tiny budget spills rows picked through it.
+	"SELECT v, MIN(cat) AS lo, MAX(cat) AS hi, COUNT(*) AS n FROM events WHERE id % 3 <> 0 GROUP BY v",
+	"SELECT bo, MIN(st) AS lo, MAX(st) AS hi, COUNT(st) AS c FROM edges WHERE bi <> 2 OR bi IS NULL GROUP BY bo",
+	"SELECT cat, COUNT(DISTINCT v) AS dv, SUM(DISTINCT score) AS ds FROM events WHERE id % 5 <> 1 GROUP BY cat",
+	"SELECT cat, AVG(score) AS a, AVG(v) AS av FROM events WHERE v < 700 GROUP BY cat",
+	"SELECT d, COUNT(*) AS n, MAX(i) AS hi FROM dvals WHERE b GROUP BY d",
+	"SELECT cat, v % 7 AS m, SUM(score) AS s, COUNT(*) AS n FROM events WHERE id > 100 GROUP BY cat, v % 7",
+	"SELECT COUNT(*) AS n, SUM(v) AS s, AVG(score) AS a, MIN(cat) AS lo FROM events WHERE v % 1000 = 1000",
 	// Join feeding an aggregation: both vectorized operators stacked.
 	"SELECT e.cat, COUNT(*) AS n, SUM(f.v) AS s FROM events e JOIN events f ON e.id = f.v GROUP BY e.cat",
 	// Residual conjuncts run in order, each only on the pairs the earlier

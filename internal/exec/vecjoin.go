@@ -273,11 +273,11 @@ func (o *vecJoinOp) makeRightPart(_ context.Context, b *types.Batch) (*vecRightP
 		return nil, err
 	}
 	p := &vecRightPart{b: b, keys: keys}
-	p.hashes = eval.HashColumns(keys, b.NumRows(), nil)
+	p.hashes = eval.HashColumns(keys, b.NumRows(), nil, nil)
 	if len(o.rfBuilders) > 0 {
 		p.rfHash = make([][]uint64, len(o.rfBuilders))
 		for i, rb := range o.rfBuilders {
-			p.rfHash[i] = eval.HashColumns([]*types.Column{keys[rb.keyIdx]}, b.NumRows(), nil)
+			p.rfHash[i] = eval.HashColumns([]*types.Column{keys[rb.keyIdx]}, b.NumRows(), nil, nil)
 		}
 	}
 	return p, nil
@@ -477,7 +477,7 @@ func (o *vecJoinOp) newProbe(t *joinTable, lb *types.Batch, lrids []int64) (*joi
 		return nil, err
 	}
 	o.stats.AddProbe(n)
-	p := &joinProbe{t: t, lb: lb, lrids: lrids, keys: keys, hashes: eval.HashColumns(keys, n, nil)}
+	p := &joinProbe{t: t, lb: lb, lrids: lrids, keys: keys, hashes: eval.HashColumns(keys, n, nil, nil)}
 	// Rows with a NULL in any key column never match (three-valued equality).
 	for _, kc := range keys {
 		nulls := kc.NullMask()
@@ -819,7 +819,7 @@ func (o *vecJoinOp) runSpilled() error {
 		if err != nil {
 			return err
 		}
-		hashes := eval.HashColumns(keys, lb.NumRows(), nil)
+		hashes := eval.HashColumns(keys, lb.NumRows(), nil, nil)
 		if err := o.scatterWithRID(o.leftParts, lb, hashes, &o.leftRID); err != nil {
 			return err
 		}
@@ -900,7 +900,7 @@ func (o *vecJoinOp) processPartition(rp, lp *spillFile, level int, outs, tails *
 			if err != nil {
 				return err
 			}
-			if err := subR.scatter(b, eval.HashColumns(keys, rows.NumRows(), nil)); err != nil {
+			if err := subR.scatter(b, eval.HashColumns(keys, rows.NumRows(), nil, nil)); err != nil {
 				return err
 			}
 		}
@@ -924,7 +924,7 @@ func (o *vecJoinOp) processPartition(rp, lp *spillFile, level int, outs, tails *
 				if err != nil {
 					return err
 				}
-				if err := subL.scatter(b, eval.HashColumns(keys, rows.NumRows(), nil)); err != nil {
+				if err := subL.scatter(b, eval.HashColumns(keys, rows.NumRows(), nil, nil)); err != nil {
 					return err
 				}
 			}
@@ -955,7 +955,7 @@ func (o *vecJoinOp) processPartition(rp, lp *spillFile, level int, outs, tails *
 		if keys, err = o.rightKeyProgs.Run(rows.Cols, rows.NumRows(), nil); err != nil {
 			return err
 		}
-		hashes = eval.HashColumns(keys, rows.NumRows(), nil)
+		hashes = eval.HashColumns(keys, rows.NumRows(), nil, nil)
 	} else {
 		keys = o.emptyKeyCols()
 	}

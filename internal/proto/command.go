@@ -76,17 +76,17 @@ func EncodeRootPlan(p *Plan) ([]byte, error) {
 			return nil, err
 		}
 	case p.Command != nil:
-		var c encoder
-		if err := encodeCommand(&c, p.Command); err != nil {
+		e.begin(2)
+		if err := encodeCommand(&e, p.Command); err != nil {
 			return nil, err
 		}
-		e.Bytes(2, c.buf)
+		e.end()
 	default:
 		return nil, fmt.Errorf("proto: empty plan")
 	}
 	e.Bool(3, p.AllowSpill)
 	e.String(4, p.WorkloadEnv)
-	return e.buf, nil
+	return e.bytes(), nil
 }
 
 // DecodeRootPlan reverses EncodeRootPlan.
@@ -148,37 +148,37 @@ func encodeCommand(e *encoder, c *Command) error {
 		e.Msg(2, func(sub *encoder) { sub.StringAlways(1, c.SQL) })
 	case c.CreateTempView != nil:
 		e.Varint(1, cmdTempView)
-		var body encoder
-		body.StringAlways(1, c.CreateTempView.Name)
-		if err := encodeRelField(&body, 2, c.CreateTempView.Input); err != nil {
+		e.begin(2)
+		e.StringAlways(1, c.CreateTempView.Name)
+		if err := encodeRelField(e, 2, c.CreateTempView.Input); err != nil {
 			return err
 		}
-		e.Bytes(2, body.buf)
+		e.end()
 	case c.RegisterFunction != nil:
 		e.Varint(1, cmdRegister)
-		var body encoder
+		e.begin(2)
 		rf := c.RegisterFunction
-		body.StringAlways(1, rf.Name)
+		e.StringAlways(1, rf.Name)
 		for _, p := range rf.Params {
-			body.Msg(2, func(sub *encoder) {
+			e.Msg(2, func(sub *encoder) {
 				sub.StringAlways(1, p.Name)
 				sub.Varint(2, uint64(p.Kind))
 			})
 		}
-		body.Varint(3, uint64(rf.Returns))
-		body.StringAlways(4, rf.Body)
-		body.String(5, rf.Resources)
-		e.Bytes(2, body.buf)
+		e.Varint(3, uint64(rf.Returns))
+		e.StringAlways(4, rf.Body)
+		e.String(5, rf.Resources)
+		e.end()
 	case c.InsertInto != nil:
 		e.Varint(1, cmdInsert)
-		var body encoder
+		e.begin(2)
 		for _, p := range c.InsertInto.Table {
-			body.StringAlways(1, p)
+			e.StringAlways(1, p)
 		}
-		if err := encodeRelField(&body, 2, c.InsertInto.Input); err != nil {
+		if err := encodeRelField(e, 2, c.InsertInto.Input); err != nil {
 			return err
 		}
-		e.Bytes(2, body.buf)
+		e.end()
 	default:
 		return fmt.Errorf("proto: empty command")
 	}

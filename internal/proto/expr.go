@@ -51,7 +51,7 @@ func EncodeExpr(e plan.Expr) ([]byte, error) {
 	if err := encodeExpr(&enc, e); err != nil {
 		return nil, err
 	}
-	return enc.buf, nil
+	return enc.bytes(), nil
 }
 
 // DecodeExpr reverses EncodeExpr.
@@ -60,121 +60,123 @@ func DecodeExpr(data []byte) (plan.Expr, error) {
 }
 
 func encodeExprField(e *encoder, field int, ex plan.Expr) error {
-	var sub encoder
-	if err := encodeExpr(&sub, ex); err != nil {
+	e.begin(field)
+	if err := encodeExpr(e, ex); err != nil {
 		return err
 	}
-	e.Bytes(field, sub.buf)
+	e.end()
 	return nil
 }
 
 func encodeExpr(e *encoder, ex plan.Expr) error {
-	var tag int
-	var body encoder
+	// start writes the expression's tag and opens its body.
+	start := func(tag int) {
+		e.Varint(1, uint64(tag))
+		e.begin(2)
+	}
 	switch t := ex.(type) {
 	case *plan.Literal:
-		tag = exTagLiteral
-		encodeValue(&body, 1, t.Value)
+		start(exTagLiteral)
+		encodeValue(e, 1, t.Value)
 	case *plan.ColumnRef:
-		tag = exTagColumn
-		body.String(1, t.Qualifier)
-		body.StringAlways(2, t.Name)
+		start(exTagColumn)
+		e.String(1, t.Qualifier)
+		e.StringAlways(2, t.Name)
 	case *plan.Star:
-		tag = exTagStar
-		body.String(1, t.Qualifier)
+		start(exTagStar)
+		e.String(1, t.Qualifier)
 	case *plan.Alias:
-		tag = exTagAlias
-		if err := encodeExprField(&body, 1, t.Child); err != nil {
+		start(exTagAlias)
+		if err := encodeExprField(e, 1, t.Child); err != nil {
 			return err
 		}
-		body.StringAlways(2, t.Name)
+		e.StringAlways(2, t.Name)
 	case *plan.Binary:
-		tag = exTagBinary
-		body.Varint(1, uint64(t.Op))
-		if err := encodeExprField(&body, 2, t.L); err != nil {
+		start(exTagBinary)
+		e.Varint(1, uint64(t.Op))
+		if err := encodeExprField(e, 2, t.L); err != nil {
 			return err
 		}
-		if err := encodeExprField(&body, 3, t.R); err != nil {
+		if err := encodeExprField(e, 3, t.R); err != nil {
 			return err
 		}
 	case *plan.Unary:
-		tag = exTagUnary
-		body.Varint(1, uint64(t.Op))
-		if err := encodeExprField(&body, 2, t.Child); err != nil {
+		start(exTagUnary)
+		e.Varint(1, uint64(t.Op))
+		if err := encodeExprField(e, 2, t.Child); err != nil {
 			return err
 		}
 	case *plan.IsNull:
-		tag = exTagIsNull
-		if err := encodeExprField(&body, 1, t.Child); err != nil {
+		start(exTagIsNull)
+		if err := encodeExprField(e, 1, t.Child); err != nil {
 			return err
 		}
-		body.Bool(2, t.Negated)
+		e.Bool(2, t.Negated)
 	case *plan.InList:
-		tag = exTagInList
-		if err := encodeExprField(&body, 1, t.Child); err != nil {
+		start(exTagInList)
+		if err := encodeExprField(e, 1, t.Child); err != nil {
 			return err
 		}
 		for _, item := range t.List {
-			if err := encodeExprField(&body, 2, item); err != nil {
+			if err := encodeExprField(e, 2, item); err != nil {
 				return err
 			}
 		}
-		body.Bool(3, t.Negated)
+		e.Bool(3, t.Negated)
 	case *plan.Like:
-		tag = exTagLike
-		if err := encodeExprField(&body, 1, t.Child); err != nil {
+		start(exTagLike)
+		if err := encodeExprField(e, 1, t.Child); err != nil {
 			return err
 		}
-		if err := encodeExprField(&body, 2, t.Pattern); err != nil {
+		if err := encodeExprField(e, 2, t.Pattern); err != nil {
 			return err
 		}
-		body.Bool(3, t.Negated)
+		e.Bool(3, t.Negated)
 	case *plan.Case:
-		tag = exTagCase
+		start(exTagCase)
 		for _, w := range t.Whens {
-			var sub encoder
-			if err := encodeExprField(&sub, 1, w.Cond); err != nil {
+			e.begin(1)
+			if err := encodeExprField(e, 1, w.Cond); err != nil {
 				return err
 			}
-			if err := encodeExprField(&sub, 2, w.Then); err != nil {
+			if err := encodeExprField(e, 2, w.Then); err != nil {
 				return err
 			}
-			body.Bytes(1, sub.buf)
+			e.end()
 		}
 		if t.Else != nil {
-			if err := encodeExprField(&body, 2, t.Else); err != nil {
+			if err := encodeExprField(e, 2, t.Else); err != nil {
 				return err
 			}
 		}
 	case *plan.Cast:
-		tag = exTagCast
-		if err := encodeExprField(&body, 1, t.Child); err != nil {
+		start(exTagCast)
+		if err := encodeExprField(e, 1, t.Child); err != nil {
 			return err
 		}
-		body.Varint(2, uint64(t.To))
+		e.Varint(2, uint64(t.To))
 	case *plan.FuncCall:
-		tag = exTagFunc
-		body.StringAlways(1, t.Name)
+		start(exTagFunc)
+		e.StringAlways(1, t.Name)
 		for _, a := range t.Args {
-			if err := encodeExprField(&body, 2, a); err != nil {
+			if err := encodeExprField(e, 2, a); err != nil {
 				return err
 			}
 		}
-		body.Bool(3, t.Distinct)
+		e.Bool(3, t.Distinct)
 	case *plan.CurrentUser:
-		tag = exTagCurrentUser
+		start(exTagCurrentUser)
 	case *plan.GroupMember:
-		tag = exTagGroupMember
-		body.StringAlways(1, t.Group)
+		start(exTagGroupMember)
+		e.StringAlways(1, t.Group)
 	case *ExtensionExpr:
-		tag = exTagExtension
-		body.StringAlways(1, t.TypeURL)
-		body.Bytes(2, t.Payload)
+		start(exTagExtension)
+		e.StringAlways(1, t.TypeURL)
+		e.Bytes(2, t.Payload)
 	default:
 		return fmt.Errorf("proto: expression %T is not wire-encodable (unresolved expressions only)", ex)
 	}
-	e.Varint(1, uint64(tag))
-	e.Bytes(2, body.buf)
+	e.end()
 	return nil
 }
 

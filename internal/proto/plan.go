@@ -53,7 +53,7 @@ func EncodePlan(n plan.Node) ([]byte, error) {
 	if err := encodeRelation(&e, n); err != nil {
 		return nil, err
 	}
-	return e.buf, nil
+	return e.bytes(), nil
 }
 
 // DecodePlan reverses EncodePlan.
@@ -63,131 +63,133 @@ func DecodePlan(data []byte) (plan.Node, error) {
 
 // Relation message: field 1 = type tag (varint), field 2 = body (bytes).
 func encodeRelation(e *encoder, n plan.Node) error {
-	var tag int
-	var body encoder
+	// start writes the relation's tag and opens its body.
+	start := func(tag int) {
+		e.Varint(1, uint64(tag))
+		e.begin(2)
+	}
 	switch t := n.(type) {
 	case *plan.UnresolvedRelation:
-		tag = relUnresolved
+		start(relUnresolved)
 		for _, p := range t.Parts {
-			body.StringAlways(1, p)
+			e.StringAlways(1, p)
 		}
 		if t.AsOfVersion >= 0 {
-			body.Varint(2, uint64(t.AsOfVersion)+1) // +1 so 0 is distinguishable
+			e.Varint(2, uint64(t.AsOfVersion)+1) // +1 so 0 is distinguishable
 		}
 	case *plan.LocalRelation:
-		tag = relLocal
 		data, err := arrowipc.EncodeBatch(t.Data)
 		if err != nil {
 			return err
 		}
-		body.Bytes(1, data)
+		start(relLocal)
+		e.Bytes(1, data)
 	case *plan.Filter:
-		tag = relFilter
-		if err := encodeExprField(&body, 1, t.Cond); err != nil {
+		start(relFilter)
+		if err := encodeExprField(e, 1, t.Cond); err != nil {
 			return err
 		}
-		if err := encodeRelField(&body, 2, t.Child); err != nil {
+		if err := encodeRelField(e, 2, t.Child); err != nil {
 			return err
 		}
 	case *plan.Project:
-		tag = relProject
+		start(relProject)
 		for _, ex := range t.Exprs {
-			if err := encodeExprField(&body, 1, ex); err != nil {
+			if err := encodeExprField(e, 1, ex); err != nil {
 				return err
 			}
 		}
-		if err := encodeRelField(&body, 2, t.Child); err != nil {
+		if err := encodeRelField(e, 2, t.Child); err != nil {
 			return err
 		}
 	case *plan.Aggregate:
-		tag = relAggregate
+		start(relAggregate)
 		for _, g := range t.GroupBy {
-			if err := encodeExprField(&body, 1, g); err != nil {
+			if err := encodeExprField(e, 1, g); err != nil {
 				return err
 			}
 		}
 		for _, a := range t.Aggs {
-			if err := encodeExprField(&body, 2, a); err != nil {
+			if err := encodeExprField(e, 2, a); err != nil {
 				return err
 			}
 		}
-		if err := encodeRelField(&body, 3, t.Child); err != nil {
+		if err := encodeRelField(e, 3, t.Child); err != nil {
 			return err
 		}
 	case *plan.Join:
-		tag = relJoin
-		body.Varint(1, uint64(t.Type))
+		start(relJoin)
+		e.Varint(1, uint64(t.Type))
 		if t.Cond != nil {
-			if err := encodeExprField(&body, 2, t.Cond); err != nil {
+			if err := encodeExprField(e, 2, t.Cond); err != nil {
 				return err
 			}
 		}
-		if err := encodeRelField(&body, 3, t.L); err != nil {
+		if err := encodeRelField(e, 3, t.L); err != nil {
 			return err
 		}
-		if err := encodeRelField(&body, 4, t.R); err != nil {
+		if err := encodeRelField(e, 4, t.R); err != nil {
 			return err
 		}
 	case *plan.Sort:
-		tag = relSort
+		start(relSort)
 		for _, o := range t.Orders {
-			var sub encoder
-			if err := encodeExprField(&sub, 1, o.Expr); err != nil {
+			e.begin(1)
+			if err := encodeExprField(e, 1, o.Expr); err != nil {
 				return err
 			}
-			sub.Bool(2, o.Desc)
-			body.Bytes(1, sub.buf)
+			e.Bool(2, o.Desc)
+			e.end()
 		}
-		if err := encodeRelField(&body, 2, t.Child); err != nil {
+		if err := encodeRelField(e, 2, t.Child); err != nil {
 			return err
 		}
 	case *plan.Limit:
-		tag = relLimit
-		body.Varint(1, uint64(t.N))
-		body.Varint(2, uint64(t.Offset))
-		if err := encodeRelField(&body, 3, t.Child); err != nil {
+		start(relLimit)
+		e.Varint(1, uint64(t.N))
+		e.Varint(2, uint64(t.Offset))
+		if err := encodeRelField(e, 3, t.Child); err != nil {
 			return err
 		}
 	case *plan.Distinct:
-		tag = relDistinct
-		if err := encodeRelField(&body, 1, t.Child); err != nil {
+		start(relDistinct)
+		if err := encodeRelField(e, 1, t.Child); err != nil {
 			return err
 		}
 	case *plan.Union:
-		tag = relUnion
-		if err := encodeRelField(&body, 1, t.L); err != nil {
+		start(relUnion)
+		if err := encodeRelField(e, 1, t.L); err != nil {
 			return err
 		}
-		if err := encodeRelField(&body, 2, t.R); err != nil {
+		if err := encodeRelField(e, 2, t.R); err != nil {
 			return err
 		}
 	case *plan.SubqueryAlias:
-		tag = relAlias
-		body.StringAlways(1, t.Name)
-		if err := encodeRelField(&body, 2, t.Child); err != nil {
+		start(relAlias)
+		e.StringAlways(1, t.Name)
+		if err := encodeRelField(e, 2, t.Child); err != nil {
 			return err
 		}
 	case *plan.SQLRelation:
-		tag = relSQL
-		body.StringAlways(1, t.Query)
+		start(relSQL)
+		e.StringAlways(1, t.Query)
 	case *ExtensionNode:
-		tag = relExtension
-		body.StringAlways(1, t.TypeURL)
-		body.Bytes(2, t.Payload)
+		start(relExtension)
+		e.StringAlways(1, t.TypeURL)
+		e.Bytes(2, t.Payload)
 	default:
 		return fmt.Errorf("proto: relation %T is not wire-encodable (only unresolved plans cross the protocol)", n)
 	}
-	e.Varint(1, uint64(tag))
-	e.Bytes(2, body.buf)
+	e.end()
 	return nil
 }
 
 func encodeRelField(e *encoder, field int, n plan.Node) error {
-	var sub encoder
-	if err := encodeRelation(&sub, n); err != nil {
+	e.begin(field)
+	if err := encodeRelation(e, n); err != nil {
 		return err
 	}
-	e.Bytes(field, sub.buf)
+	e.end()
 	return nil
 }
 

@@ -13,9 +13,12 @@
 package proto
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"lakeguard/internal/plan"
 )
@@ -29,10 +32,84 @@ const (
 // ErrTruncated reports malformed input.
 var ErrTruncated = errors.New("proto: truncated message")
 
-// encoder appends protobuf-style fields to a buffer.
+// encoder appends protobuf-style fields to a buffer. A submessage is
+// written in place, in its parent's buffer, behind one byte reserved for
+// its length. When the body ends, a length under 128 fills that byte; a
+// longer one, whose varint needs more bytes, is noted as a patch, and bytes
+// splices the full varints in, in one pass. So each byte is written once
+// (and a plan with long bodies copied once more) at any nesting depth,
+// where building each submessage apart and copying it into its parent would
+// copy a byte once per level.
 type encoder struct {
-	buf []byte
+	buf     []byte
+	open    []openBody // bodies begun and not yet ended, innermost last
+	patches []patch
+	// grow is the bytes the top-level patches add to buf.
+	grow int
 }
+
+// openBody is a body that starts at buf[start]; grow is the bytes its
+// nested patches add to it.
+type openBody struct{ start, grow int }
+
+// patch is a body of n bytes, n >= 128, whose length's varint goes where
+// buf[at] holds its reserved byte.
+type patch struct{ at, n int }
+
+// begin starts a length-delimited field whose body the caller writes next,
+// up to the matching end.
+func (e *encoder) begin(field int) {
+	e.tag(field, wireBytes)
+	e.buf = append(e.buf, 0)
+	e.open = push(e.open, openBody{start: len(e.buf)})
+}
+
+// end closes the innermost body begin started.
+func (e *encoder) end() {
+	o := e.open[len(e.open)-1]
+	e.open = e.open[:len(e.open)-1]
+	n := len(e.buf) - o.start + o.grow
+	if n < 0x80 {
+		e.buf[o.start-1] = byte(n)
+		return
+	}
+	e.patches = push(e.patches, patch{at: o.start - 1, n: n})
+	grow := o.grow + uvarintLen(n) - 1
+	if len(e.open) > 0 {
+		e.open[len(e.open)-1].grow += grow
+	} else {
+		e.grow += grow
+	}
+}
+
+// push appends v, doubling s when it is full: append grows a large slice by
+// a quarter, which over a deep plan allocates several times its final size.
+func push[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, len(s)+1)
+	}
+	return append(s, v)
+}
+
+// bytes returns the encoded message, every patch's varint in place of its
+// reserved byte.
+func (e *encoder) bytes() []byte {
+	if len(e.patches) == 0 {
+		return e.buf
+	}
+	// Bodies end innermost first; the splice goes front to back.
+	slices.SortFunc(e.patches, func(a, b patch) int { return a.at - b.at })
+	out := make([]byte, 0, len(e.buf)+e.grow)
+	prev := 0
+	for _, p := range e.patches {
+		out = append(out, e.buf[prev:p.at]...)
+		out = binary.AppendUvarint(out, uint64(p.n))
+		prev = p.at + 1
+	}
+	return append(out, e.buf[prev:]...)
+}
+
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
 
 func (e *encoder) tag(field, wire int) {
 	e.uvarint(uint64(field)<<3 | uint64(wire))
@@ -90,9 +167,9 @@ func (e *encoder) StringAlways(field int, s string) {
 
 // Msg writes a nested message built by fn.
 func (e *encoder) Msg(field int, fn func(*encoder)) {
-	var sub encoder
-	fn(&sub)
-	e.Bytes(field, sub.buf)
+	e.begin(field)
+	fn(e)
+	e.end()
 }
 
 // decoder iterates protobuf-style fields.

@@ -95,6 +95,35 @@ func (c *Column) Value(i int) Value {
 	return Null(c.kind)
 }
 
+// EqualAt reports whether row i equals v as Value.Equal decides, reading
+// the row's payload without boxing it: NULL equals NULL, BIGINT and DOUBLE
+// compare as floats across kinds, and a NaN compares equal to every float.
+func (c *Column) EqualAt(i int, v Value) bool {
+	// A row of a kind without a payload boxes to NULL, as in Value.
+	rowNull := c.IsNull(i) || !c.kind.Orderable()
+	if rowNull || v.Null {
+		return rowNull && v.Null
+	}
+	if v.Kind != c.kind {
+		if !v.Kind.Numeric() || !c.kind.Numeric() {
+			return false
+		}
+		if c.kind == KindInt64 {
+			return cmpFloat(float64(c.ints[i]), v.F) == 0
+		}
+		return cmpFloat(c.flts[i], float64(v.I)) == 0
+	}
+	switch c.kind {
+	case KindBool, KindInt64, KindDate, KindTimestamp:
+		return c.ints[i] == v.I
+	case KindFloat64:
+		return cmpFloat(c.flts[i], v.F) == 0
+	case KindString, KindBinary:
+		return c.strs[i] == v.S
+	}
+	return false
+}
+
 // Gather returns a new column with the rows at the given indices, in order.
 // It copies raw payload slices directly instead of boxing each row.
 func (c *Column) Gather(indices []int) *Column {

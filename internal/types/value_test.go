@@ -235,3 +235,32 @@ func TestFloatSpecials(t *testing.T) {
 		t.Errorf("-inf < +inf: got %d,%v", c, ok)
 	}
 }
+
+// TestColumnEqualAtMatchesValueEqual checks Column.EqualAt against
+// Value.Equal on every pair drawn from values of every kind: NULLs of
+// several kinds, NaNs of two bit patterns, -0.0 and 0.0, integral floats
+// beside equal BIGINTs, booleans beside 0 and 1, and strings beside binary.
+func TestColumnEqualAtMatchesValueEqual(t *testing.T) {
+	nan, otherNaN := math.NaN(), math.Float64frombits(math.Float64bits(math.NaN())^1)
+	vals := []Value{
+		Null(KindInt64), Null(KindFloat64), Null(KindString), Null(KindNull),
+		Int64(0), Int64(1), Int64(-7), Int64(math.MaxInt64),
+		Float64(0), Float64(math.Copysign(0, -1)), Float64(1), Float64(1.5), Float64(-7),
+		Float64(nan), Float64(otherNaN), Float64(math.Inf(1)), Float64(math.MaxInt64),
+		Bool(true), Bool(false),
+		String(""), String("a"), String("1"),
+		{Kind: KindBinary, S: "a"},
+		{Kind: KindDate, I: 1}, {Kind: KindTimestamp, I: 1},
+	}
+	for _, row := range vals {
+		col := ColumnFromValues(row.Kind, []Value{Null(row.Kind), row})
+		for _, v := range vals {
+			if got, want := col.EqualAt(1, v), col.Value(1).Equal(v); got != want {
+				t.Errorf("EqualAt(%v (%v), %v (%v)) = %v, Value.Equal says %v", row, row.Kind, v, v.Kind, got, want)
+			}
+			if got, want := col.EqualAt(0, v), col.Value(0).Equal(v); got != want {
+				t.Errorf("EqualAt(NULL %v, %v (%v)) = %v, Value.Equal says %v", row.Kind, v, v.Kind, got, want)
+			}
+		}
+	}
+}
