@@ -315,7 +315,7 @@ func (c *Client) analyzePlan(path string, rel plan.Node) (*types.Schema, string,
 
 // ExplainAnalyze executes a plan with profiling enabled and returns the
 // annotated operator tree (per-operator wall time, rows, batches, and
-// vectorized-vs-row-fallback counts) plus the result row count.
+// evaluated-batch counts) plus the result row count.
 func (c *Client) ExplainAnalyze(pl *proto.Plan) (analyze string, rows int, err error) {
 	body, err := proto.EncodeRootPlan(pl)
 	if err != nil {

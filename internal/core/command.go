@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
 	"lakeguard/internal/analyzer"
 	"lakeguard/internal/arrowipc"
 	"lakeguard/internal/catalog"
+	"lakeguard/internal/exec"
 	"lakeguard/internal/plan"
 	"lakeguard/internal/proto"
 	"lakeguard/internal/session"
@@ -331,12 +333,8 @@ func (s *Server) executeInsert(qctx context.Context, ctx catalog.RequestContext,
 			return nil, nil, err
 		}
 		// Coerce to the table schema (names from the query may differ).
-		for _, b := range batches {
-			cb, err := coerceBatch(b, meta.Schema)
-			if err != nil {
-				return nil, nil, err
-			}
-			data = append(data, cb)
+		if data, err = s.coerceBatches(batches, meta.Schema); err != nil {
+			return nil, nil, err
 		}
 	} else {
 		bb := types.NewBatchBuilder(meta.Schema, len(rows))
@@ -364,25 +362,37 @@ func (s *Server) executeInsert(qctx context.Context, ctx catalog.RequestContext,
 	return schema, b, nil
 }
 
-// coerceBatch casts a batch column-by-column to a target schema.
-func coerceBatch(b *types.Batch, schema *types.Schema) (*types.Batch, error) {
-	if b.NumCols() != schema.Len() {
-		return nil, fmt.Errorf("core: INSERT source has %d columns for %d target columns", b.NumCols(), schema.Len())
+// coerceBatches casts query result batches column by column to a table's
+// schema, by the rule DML SET and MERGE INSERT cast with: the compiled
+// column references cast to the table's kinds.
+func (s *Server) coerceBatches(batches []*types.Batch, schema *types.Schema) ([]*types.Batch, error) {
+	if len(batches) == 0 {
+		return nil, nil
 	}
-	bb := types.NewBatchBuilder(schema, b.NumRows())
-	for i := 0; i < b.NumRows(); i++ {
-		row := b.Row(i)
-		cast := make([]types.Value, len(row))
-		for c, v := range row {
-			cv, err := v.Cast(schema.Fields[c].Kind)
-			if err != nil {
-				return nil, fmt.Errorf("core: INSERT column %q: %w", schema.Fields[c].Name, err)
-			}
-			cast[c] = cv
+	in := batches[0].Schema
+	if in.Len() != schema.Len() {
+		return nil, fmt.Errorf("core: INSERT source has %d columns for %d target columns", in.Len(), schema.Len())
+	}
+	refs := make([]plan.Expr, in.Len())
+	for i, f := range in.Fields {
+		refs[i] = &plan.BoundRef{Index: i, Name: f.Name, Kind: f.Kind}
+	}
+	progs := s.engine.CompileExprs(nil, refs, in, schema.Kinds())
+	out := make([]*types.Batch, len(batches))
+	for i, b := range batches {
+		cols, err := progs.Run(b.Cols, b.NumRows(), nil)
+		var cast *exec.CastError
+		if errors.As(err, &cast) {
+			return nil, fmt.Errorf("core: INSERT column %q: %w", schema.Fields[cast.Expr()].Name, cast)
 		}
-		bb.AppendRow(cast)
+		if err != nil {
+			return nil, err
+		}
+		if out[i], err = types.NewBatch(schema, cols); err != nil {
+			return nil, err
+		}
 	}
-	return bb.Build(), nil
+	return out, nil
 }
 
 // refreshMaterializedView recomputes an MV by executing its stored body as

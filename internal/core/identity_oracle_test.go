@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lakeguard/internal/catalog"
+	"lakeguard/internal/plan"
 	"lakeguard/internal/proto"
 	"lakeguard/internal/storage"
 	"lakeguard/internal/telemetry"
@@ -179,27 +180,22 @@ func TestIdentityPoliciesMatchAuthorizedViewOracle(t *testing.T) {
 	}
 }
 
-// fallbacks sums the exec.vec.fallback.* counters of a registry.
-func fallbacks(reg *telemetry.Registry) (int64, string) {
-	var total int64
+// fallbacks lists the exec.vec.fallback.* series of a registry.
+func fallbacks(reg *telemetry.Registry) []string {
 	var names []string
 	for _, line := range strings.Split(reg.RenderPrometheus(), "\n") {
-		if !strings.HasPrefix(line, "exec_vec_fallback_") {
-			continue
+		if strings.HasPrefix(line, "exec_vec_fallback_") {
+			names = append(names, line)
 		}
-		var name string
-		var n int64
-		fmt.Sscanf(line, "%s %d", &name, &n)
-		total += n
-		names = append(names, line)
 	}
-	return total, strings.Join(names, "; ")
+	return names
 }
 
 // The benchmark's governed_scan statements — a row filter and an email mask
 // on IS_ACCOUNT_GROUP_MEMBER, read by a scan-aggregate, a point lookup, a
-// join and a top-N — run without a single row-interpreter fallback, for an
-// analyst and for everyone else. A LIKE then shows the counter counts.
+// join and a top-N — and a LIKE filter all run compiled, for an analyst and
+// for everyone else: no fallback series exists, and no operator counts a
+// batch the row interpreter ran.
 func TestGovernedScanStatementsNeverFallBack(t *testing.T) {
 	cat := catalog.New(storage.NewStore(), nil)
 	cat.AddAdmin(admin)
@@ -232,19 +228,30 @@ func TestGovernedScanStatementsNeverFallBack(t *testing.T) {
 			"SELECT id, email, amount FROM events WHERE id = 17",
 			"SELECT d.name, SUM(e.v) AS s, COUNT(*) AS n FROM events e JOIN dims d ON e.dim = d.id GROUP BY d.name",
 			"SELECT id, amount FROM events ORDER BY amount DESC LIMIT 10",
+			"SELECT id FROM events WHERE email LIKE 'u1%'",
 		} {
-			if _, err := queryCanonical(srv, user, q); err != nil {
+			prof := telemetry.NewProfile()
+			if _, _, err := srv.execute(context.Background(), user+"/fb", user, &proto.Plan{Relation: &plan.SQLRelation{Query: q}}, prof); err != nil {
 				t.Fatalf("%s: %q: %v", user, q, err)
+			}
+			var vec int64
+			var walk func(op *telemetry.OpStats)
+			walk = func(op *telemetry.OpStats) {
+				if op.RowFallbackBatches() != 0 {
+					t.Errorf("%s: %q: %s counted %d row-interpreter batches", user, q, op.Name, op.RowFallbackBatches())
+				}
+				vec += op.VecBatches()
+				for _, k := range op.Children() {
+					walk(k)
+				}
+			}
+			walk(prof.Root())
+			if vec == 0 {
+				t.Errorf("%s: %q: no operator counted an evaluated batch:\n%s", user, q, prof.Render())
 			}
 		}
 	}
-	if n, which := fallbacks(reg); n != 0 {
-		t.Fatalf("governed_scan statements fell back to the row interpreter %d times: %s", n, which)
-	}
-	if _, err := queryCanonical(srv, bob, "SELECT id FROM events WHERE email LIKE 'u1%'"); err != nil {
-		t.Fatal(err)
-	}
-	if n, which := fallbacks(reg); n == 0 || !strings.Contains(which, "exec_vec_fallback_Like") {
-		t.Fatalf("a LIKE filter was not counted as a fallback: %d (%s)", n, which)
+	if names := fallbacks(reg); len(names) != 0 {
+		t.Fatalf("fallback series exist: %s", strings.Join(names, "; "))
 	}
 }

@@ -1,23 +1,47 @@
-package eval
+package eval_test
 
 import (
 	"errors"
 	"testing"
 	"testing/quick"
 
+	"lakeguard/internal/eval"
+	"lakeguard/internal/eval/evaltest"
 	"lakeguard/internal/plan"
 	"lakeguard/internal/types"
 )
 
 func lit(v types.Value) plan.Expr { return plan.Lit(v) }
 
+// evalConst evaluates a row-free expression through the reference and
+// through its compiled program, which must agree.
 func evalConst(t *testing.T, e plan.Expr) types.Value {
 	t.Helper()
-	v, err := Eval(e, nil, &Context{User: "alice"})
+	ctx := &eval.Context{User: "alice"}
+	v, err := evaltest.Eval(e, nil, ctx)
 	if err != nil {
 		t.Fatalf("Eval(%s): %v", e.String(), err)
 	}
+	got, err := eval.CompileVecBound(e, nil, ctx).Run(nil, 1, nil)
+	if err != nil {
+		t.Fatalf("compiled %s: %v", e.String(), err)
+	}
+	if !sameValue(got.Value(0), asKind(v, got.Kind())) {
+		t.Fatalf("%s: compiled %v, reference %v", e.String(), got.Value(0), v)
+	}
 	return v
+}
+
+// evalConstErr requires the reference and the compiled program to raise
+// the same error on a row-free expression.
+func evalConstErr(t *testing.T, e plan.Expr, ctx *eval.Context) error {
+	t.Helper()
+	_, want := evaltest.Eval(e, nil, ctx)
+	_, got := eval.CompileVecBound(e, nil, ctx).Run(nil, 1, nil)
+	if want == nil || got == nil || got.Error() != want.Error() {
+		t.Fatalf("%s: compiled raised %v, reference %v", e.String(), got, want)
+	}
+	return got
 }
 
 func bin(op plan.BinOp, l, r plan.Expr, rk types.Kind) plan.Expr {
@@ -139,8 +163,9 @@ func TestLikeMatching(t *testing.T) {
 func TestLikePropertyPrefix(t *testing.T) {
 	f := func(s string) bool {
 		e := &plan.Like{Child: lit(types.String(s)), Pattern: lit(types.String("%"))}
-		v, err := Eval(e, nil, nil)
-		return err == nil && v.IsTrue()
+		v, err := evaltest.Eval(e, nil, nil)
+		got, cerr := eval.CompileVecBound(e, nil, nil).Run(nil, 1, nil)
+		return err == nil && v.IsTrue() && cerr == nil && got.Value(0).IsTrue()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -169,22 +194,27 @@ func TestCaseEvaluation(t *testing.T) {
 }
 
 func TestSessionFunctions(t *testing.T) {
-	ctx := &Context{User: "alice", IsGroupMember: func(g string) bool { return g == "ds" }}
-	v, err := Eval(&plan.CurrentUser{}, nil, ctx)
-	if err != nil || v.S != "alice" {
-		t.Errorf("CURRENT_USER = %v, %v", v, err)
+	ctx := &eval.Context{User: "alice", IsGroupMember: func(g string) bool { return g == "ds" }}
+	run := func(e plan.Expr) types.Value {
+		t.Helper()
+		v, err := evaltest.Eval(e, nil, ctx)
+		got, cerr := eval.CompileVecBound(e, nil, ctx).Run(nil, 1, nil)
+		if err != nil || cerr != nil || !sameValue(got.Value(0), v) {
+			t.Fatalf("%s: compiled %v (%v), reference %v (%v)", e, got, cerr, v, err)
+		}
+		return v
 	}
-	v2, _ := Eval(&plan.GroupMember{Group: "ds"}, nil, ctx)
-	if !v2.IsTrue() {
+	if v := run(&plan.CurrentUser{}); v.S != "alice" {
+		t.Errorf("CURRENT_USER = %v", v)
+	}
+	if !run(&plan.GroupMember{Group: "ds"}).IsTrue() {
 		t.Error("group member")
 	}
-	v3, _ := Eval(&plan.GroupMember{Group: "hr"}, nil, ctx)
-	if v3.IsTrue() {
+	if run(&plan.GroupMember{Group: "hr"}).IsTrue() {
 		t.Error("non-member")
 	}
-	if _, err := Eval(&plan.CurrentUser{}, nil, nil); err == nil {
-		t.Error("CURRENT_USER without context should fail")
-	}
+	evalConstErr(t, &plan.CurrentUser{}, nil)
+	evalConstErr(t, &plan.GroupMember{Group: "ds"}, nil)
 }
 
 func TestScalarFunctions(t *testing.T) {
@@ -241,33 +271,33 @@ func TestScalarFunctions(t *testing.T) {
 func TestRowReference(t *testing.T) {
 	row := func(i int) types.Value { return types.Int64(int64(i * 100)) }
 	ref := &plan.BoundRef{Index: 2, Name: "x", Kind: types.KindInt64}
-	v, err := Eval(ref, row, nil)
+	v, err := evaltest.Eval(ref, row, nil)
 	if err != nil || v.I != 200 {
 		t.Errorf("ref = %v, %v", v, err)
 	}
-	if _, err := Eval(ref, nil, nil); err == nil {
+	if _, err := evaltest.Eval(ref, nil, nil); err == nil {
 		t.Error("ref without row should fail")
 	}
 }
 
 func TestUDFRejected(t *testing.T) {
 	u := &plan.UDFCall{Name: "f", ResultKind: types.KindInt64}
-	if _, err := Eval(u, nil, nil); !errors.Is(err, ErrUDFInRowEval) {
+	if err := evalConstErr(t, u, nil); !errors.Is(err, eval.ErrUDFInRowEval) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestIsConstant(t *testing.T) {
-	if !IsConstant(bin(plan.OpAdd, lit(types.Int64(1)), lit(types.Int64(2)), types.KindInt64)) {
+	if !eval.IsConstant(bin(plan.OpAdd, lit(types.Int64(1)), lit(types.Int64(2)), types.KindInt64)) {
 		t.Error("literal arith should be constant")
 	}
-	if IsConstant(&plan.BoundRef{Index: 0, Kind: types.KindInt64}) {
+	if eval.IsConstant(&plan.BoundRef{Index: 0, Kind: types.KindInt64}) {
 		t.Error("ref is not constant")
 	}
-	if IsConstant(&plan.CurrentUser{}) {
+	if eval.IsConstant(&plan.CurrentUser{}) {
 		t.Error("CURRENT_USER is not constant")
 	}
-	if IsConstant(&plan.UDFCall{}) {
+	if eval.IsConstant(&plan.UDFCall{}) {
 		t.Error("UDF is not constant")
 	}
 }
@@ -277,13 +307,11 @@ func TestCastEval(t *testing.T) {
 	if v.Kind != types.KindDate || v.String() != "2024-12-01" {
 		t.Errorf("cast = %v", v)
 	}
-	if _, err := Eval(&plan.Cast{Child: lit(types.String("zzz")), To: types.KindInt64}, nil, nil); err == nil {
-		t.Error("bad cast should error")
-	}
+	evalConstErr(t, &plan.Cast{Child: lit(types.String("zzz")), To: types.KindInt64}, nil)
 }
 
 func TestEvalPredicateNullIsFalse(t *testing.T) {
-	ok, err := EvalPredicate(lit(types.Null(types.KindBool)), nil, nil)
+	ok, err := evaltest.EvalPredicate(lit(types.Null(types.KindBool)), nil, nil)
 	if err != nil || ok {
 		t.Errorf("NULL predicate = %v, %v", ok, err)
 	}

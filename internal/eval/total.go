@@ -12,13 +12,13 @@ import (
 // that raises on a hidden row tells its caller the row exists (an error
 // oracle), even though the row itself never leaves the barrier.
 //
-// Total is a whitelist of shapes whose Eval and vector kernels have no error
-// path: column references, literals, AND/OR/NOT, IS [NOT] NULL, IN over
-// literals, comparisons whose operands share a kind (or are both numeric,
-// which Compare widens), and the statement's identity functions (Eval needs
-// a Context for those; every statement has one). It rejects casts,
-// arithmetic, scalar functions, LIKE, CASE, UDF calls and anything it does
-// not know, whether or not a particular instance could fail.
+// Total is a whitelist of shapes whose compiled nodes have no error path:
+// column references, literals, AND/OR/NOT, IS [NOT] NULL, IN over literals,
+// comparisons whose operands share a kind (or are both numeric, which
+// Compare widens), and the statement's identity functions (they need a
+// bound Context; every statement has one). It rejects casts, arithmetic,
+// scalar functions, LIKE, CASE, UDF calls and anything it does not know,
+// whether or not a particular instance could fail.
 func Total(e plan.Expr) bool {
 	switch t := e.(type) {
 	case *plan.Literal, *plan.BoundRef, *plan.CurrentUser, *plan.GroupMember:

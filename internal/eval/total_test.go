@@ -1,10 +1,12 @@
-package eval
+package eval_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
+	"lakeguard/internal/eval"
+	"lakeguard/internal/eval/evaltest"
 	"lakeguard/internal/plan"
 	"lakeguard/internal/types"
 )
@@ -34,7 +36,7 @@ func TestTotalWhitelist(t *testing.T) {
 		plan.As(cmp(plan.OpGt, f, plan.Lit(types.Float64(math.Inf(1)))), "p"),
 	}
 	for _, e := range accept {
-		if !Total(e) {
+		if !eval.Total(e) {
 			t.Errorf("Total(%s) = false, want true", e)
 		}
 	}
@@ -54,7 +56,7 @@ func TestTotalWhitelist(t *testing.T) {
 		cmp(plan.OpAnd, plan.Lit(types.Bool(true)), throwing),
 	}
 	for _, e := range reject {
-		if Total(e) {
+		if eval.Total(e) {
 			t.Errorf("Total(%s) = true, want false", e)
 		}
 	}
@@ -166,24 +168,22 @@ func FuzzTotalNeverErrors(f *testing.F) {
 	f.Add(int64(3), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(2))
 	f.Add(int64(30), []byte{0xff, 0x80, 0x7f, 0x01}, uint8(0))
 	const n = 24
-	ctxs := []*Context{identityContexts()["member"], identityContexts()["non-member"], identityContexts()["no-groups"]}
+	ctxs := []*eval.Context{identityContexts()["member"], identityContexts()["non-member"], identityContexts()["no-groups"]}
 	f.Fuzz(func(t *testing.T, seed int64, data []byte, who uint8) {
 		r := rand.New(rand.NewSource(seed))
 		e := randTotal(r, 4)
-		if !Total(e) {
+		if !eval.Total(e) {
 			t.Fatalf("Total rejects whitelisted %s", e)
 		}
 		cols := totalBatch(data, n)
 		ctx := ctxs[int(who)%len(ctxs)]
 		for i := 0; i < n; i++ {
-			if _, err := Eval(e, func(c int) types.Value { return cols[c].Value(i) }, ctx); err != nil {
+			if _, err := evaltest.Eval(e, func(c int) types.Value { return cols[c].Value(i) }, ctx); err != nil {
 				t.Fatalf("Eval(%s) at row %d: %v", e, i, err)
 			}
 		}
-		for _, bind := range []*Context{nil, ctx} {
-			if prog, _ := CompileVecBound(e, totalKinds, bind); prog != nil {
-				checkAgainstEval(t, e, prog, ctx, cols, n, nil)
-			}
+		for _, bind := range []*eval.Context{nil, ctx} {
+			checkAgainstEval(t, e, eval.CompileVecBound(e, totalKinds, bind), bind, cols, n, nil)
 		}
 	})
 }

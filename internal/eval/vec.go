@@ -1,25 +1,32 @@
-// Vectorized expression evaluation: a columnar fast path that computes
-// comparison, arithmetic, and boolean expressions over whole columns with
-// optional selection vectors, instead of boxing one Value per row. Only a
-// closed subset of the expression language compiles — anything with per-row
-// error paths or user code (LIKE, CAST, IN, scalar functions, UDF calls) is
-// rejected so callers fall back to the row interpreter with identical
-// semantics. Within the subset, kernels reproduce Eval exactly: Kleene
-// AND/OR, NULL-strict comparisons, division and modulo by zero yielding
-// NULL, and Compare's float ordering (NaN compares equal to everything).
+// Columnar expression evaluation: every expression compiles to a program
+// that computes whole columns with optional selection vectors, and that
+// program is the one evaluator the engine runs. Comparison, arithmetic and
+// boolean kernels read payload slices without boxing a Value per row; CAST,
+// IN, LIKE, CASE on row values and the scalar functions run per row over
+// boxed values through the rules in eval.go. Kernels reproduce the
+// row-at-a-time reference (evaltest) exactly: Kleene AND/OR, NULL-strict
+// comparisons, division and modulo by zero yielding NULL, and Compare's
+// float ordering (NaN compares equal to everything).
+//
+// Errors are part of that semantics. A node that can raise runs only on the
+// rows the reference would evaluate it on: AND/OR evaluate their right side
+// only where the left side does not decide, a CASE branch only where it is
+// chosen, each IN item only where no earlier item matched. Kernels that
+// cannot raise stay eager. When a batch raises, the program finds the first
+// selected row that raises, and reports that row's error.
 //
 // Session state is the one thing compilation can bind. CompileVecBound takes
 // the statement's Context and treats CURRENT_USER and
 // IS_ACCOUNT_GROUP_MEMBER as the constants they are for that statement, so a
 // dynamic-view guard is decided once per statement instead of once per row:
-// Kleene identities drop decided OR/AND arms, and a CASE whose conditions
-// are all constant compiles to the branch it picks. A bound program is
-// therefore only valid for the statement whose identity it froze. The
-// identity-free CompileVec rejects CURRENT_USER, IS_ACCOUNT_GROUP_MEMBER,
-// CASE and whole-constant expressions, as it always has.
+// constant subtrees fold, Kleene identities drop decided OR/AND arms, and a
+// CASE drops the WHENs its constant conditions decide. A bound program is
+// therefore only valid for the statement whose identity it froze. Without a
+// Context the identity functions raise on every row that reaches them.
 package eval
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -35,16 +42,20 @@ type VecProg struct {
 	root vecNode
 }
 
-// Kind returns the result kind of the compiled expression.
+// Kind returns the kind of the column Run returns.
 func (p *VecProg) Kind() types.Kind { return p.root.kind() }
 
 // Run evaluates the program over the batch columns. sel selects the input
 // rows to evaluate (nil = all n rows); the result column is aligned to the
-// selection, i.e. row j of the output corresponds to input row sel[j]. Run
-// never fails: every kind combination that could error per row was rejected
-// at compile time.
-func (p *VecProg) Run(cols []*types.Column, n int, sel []int) *types.Column {
-	return p.root.eval(cols, rowsOf(n, sel), sel)
+// selection, i.e. row j of the output corresponds to input row sel[j]. It
+// fails with the error the first selected row that raises would raise.
+func (p *VecProg) Run(cols []*types.Column, n int, sel []int) (*types.Column, error) {
+	ev := &evaluation{cols: cols}
+	c := p.root.eval(ev, rowsOf(n, sel), sel)
+	if ev.err != nil {
+		return nil, p.firstError(cols, n, sel, ev.err)
+	}
+	return c, nil
 }
 
 // Column reports the input column a program reads when it is a bare column
@@ -57,45 +68,97 @@ func (p *VecProg) Column() (int, bool) {
 	return 0, false
 }
 
-// Select appends to out the input rows where a BOOLEAN program is TRUE (not
-// FALSE, not NULL), in selection order, and returns the extended slice. sel
-// restricts the candidates (nil = all n rows; a non-nil empty sel selects
-// nothing). It produces no boolean column: comparisons and AND/OR chains
-// narrow the selection directly, reading referenced columns in place. out
-// must not alias sel.
-func (p *VecProg) Select(cols []*types.Column, n int, sel []int, out []int) []int {
-	return selectNode(p.root, cols, n, sel, out)
+// Select appends to out the input rows where the program is a BOOLEAN TRUE
+// (not FALSE, not NULL, not a value of another kind), in selection order,
+// and returns the extended slice. sel restricts the candidates (nil = all n
+// rows; a non-nil empty sel selects nothing). It produces no boolean column
+// where it can: comparisons and AND/OR chains narrow the selection directly,
+// reading referenced columns in place. out must not alias sel. It fails as
+// Run does.
+func (p *VecProg) Select(cols []*types.Column, n int, sel []int, out []int) ([]int, error) {
+	ev := &evaluation{cols: cols}
+	out = selectNode(ev, p.root, n, sel, out)
+	if ev.err != nil {
+		return nil, p.firstError(cols, n, sel, ev.err)
+	}
+	return out, nil
 }
 
-// CompileVec compiles an expression against the actual input column kinds,
-// with no session identity bound. ok=false means the expression is outside
-// the vectorizable subset (or its kind combination would need per-row
-// semantics the kernels don't model); callers must then use the row
-// interpreter.
+// firstError returns the error of the first selected row that raises. A
+// batch raises exactly when one of its rows does, but kernels evaluate
+// operand after operand over whole columns, so the error a batch meets
+// first may belong to a later row; one row at a time, the nodes run in the
+// reference's order and the first failure is the row's.
+func (p *VecProg) firstError(cols []*types.Column, n int, sel []int, batchErr error) error {
+	row := make([]int, 1)
+	for j := 0; j < rowsOf(n, sel); j++ {
+		row[0] = rowAt(sel, j)
+		ev := &evaluation{cols: cols}
+		if p.root.eval(ev, 1, row); ev.err != nil {
+			return ev.err
+		}
+	}
+	return batchErr
+}
+
+// evaluation is one run of a program: the input columns and the first
+// error a node raised. A node that raises records its error and yields
+// NULLs, and evaluation goes on, so kernels carry no error returns; a run
+// that raised is discarded.
+type evaluation struct {
+	cols []*types.Column
+	err  error
+}
+
+// fail records err unless an earlier node raised, and returns the m NULLs
+// of kind k the raising node yields.
+func (ev *evaluation) fail(err error, k types.Kind, m int) *types.Column {
+	if ev.err == nil {
+		ev.err = err
+	}
+	return types.ConstColumn(types.Null(k), m)
+}
+
+// CompileVec compiles an expression against the input column kinds with no
+// session identity bound. Every expression compiles, so ok is always true.
 func CompileVec(e plan.Expr, inKinds []types.Kind) (*VecProg, bool) {
-	p, _ := CompileVecBound(e, inKinds, nil)
-	return p, p != nil
+	return CompileVecBound(e, inKinds, nil), true
 }
 
 // CompileVecBound compiles an expression for one statement, binding ctx's
 // identity (CURRENT_USER, IS_ACCOUNT_GROUP_MEMBER) as constants; ctx == nil
-// is CompileVec. On failure it returns nil and the type name of the first
-// expression node the compiler rejected ("Like", "Cast", ...), which callers
-// report as the reason for the row-interpreter fallback.
-func CompileVecBound(e plan.Expr, inKinds []types.Kind, ctx *Context) (*VecProg, string) {
+// binds none. Column references read the input column's kind, as the
+// reference reads the row's values, whatever kind the analyzer gave them.
+func CompileVecBound(e plan.Expr, inKinds []types.Kind, ctx *Context) *VecProg {
 	c := &vecCompiler{kinds: inKinds, ctx: ctx}
-	n, ok := c.node(e)
-	if !ok {
-		return nil, nodeName(c.rejected)
-	}
-	return &VecProg{root: n}, ""
+	return &VecProg{root: c.node(e)}
 }
 
-// nodeName is an expression's Go type name without package or pointer
-// ("Binary", "GroupMember").
-func nodeName(e plan.Expr) string {
-	name := fmt.Sprintf("%T", e)
-	return name[strings.LastIndexByte(name, '.')+1:]
+// CastColumn casts every value of c to kind as Value.Cast does, failing on
+// the first value that does not cast.
+func CastColumn(c *types.Column, kind types.Kind) (*types.Column, error) {
+	if c.Kind() == kind {
+		return c, nil
+	}
+	b := types.NewBuilder(kind, c.Len())
+	for j := 0; j < c.Len(); j++ {
+		if err := appendAs(b, c.Value(j)); err != nil {
+			return nil, err
+		}
+	}
+	return b.Build(), nil
+}
+
+// appendAs appends v to b, cast to b's kind when it has another.
+func appendAs(b *types.Builder, v types.Value) error {
+	if !v.Null && v.Kind != b.Kind() {
+		var err error
+		if v, err = v.Cast(b.Kind()); err != nil {
+			return err
+		}
+	}
+	b.Append(v)
+	return nil
 }
 
 func rowsOf(n int, sel []int) int {
@@ -113,21 +176,36 @@ func rowAt(sel []int, j int) int {
 	return j
 }
 
+// evalAt evaluates nd over the selection positions pos of sel; the result
+// is aligned to pos.
+func evalAt(ev *evaluation, nd vecNode, sel, pos []int) *types.Column {
+	rows := make([]int, len(pos))
+	for k, j := range pos {
+		rows[k] = rowAt(sel, j)
+	}
+	return nd.eval(ev, len(rows), rows)
+}
+
 // vecNode evaluates to a column of m rows aligned to the selection.
 type vecNode interface {
 	kind() types.Kind
-	eval(cols []*types.Column, m int, sel []int) *types.Column
+	eval(ev *evaluation, m int, sel []int) *types.Column
 }
 
-// operand is one input of a kernel: either a sub-node producing a column or
-// a constant folded at compile time.
+// operand is one input of a kernel: a compiled node, whose payload a
+// constant caches so kernels read it as a scalar. raises marks a node that
+// can fail on some row.
 type operand struct {
-	node vecNode
-	null bool
-	i    int64
-	f    float64
-	s    string
+	node   vecNode
+	raises bool
+	konst  bool
+	null   bool
+	i      int64
+	f      float64
+	s      string
 }
+
+func (o *operand) kind() types.Kind { return o.node.kind() }
 
 // acc reads operand payloads: a slice for columns, a constant otherwise.
 // byRow marks a column read in place, indexed by input row rather than by
@@ -180,37 +258,61 @@ func (n nullmask) get(j, i int) bool {
 	return n.m[j]
 }
 
-func (o *operand) intAcc(cols []*types.Column, m int, sel []int) (acc[int64], nullmask) {
-	if o.node == nil {
+// The payload readers read a column as Value.AsInt64, AsFloat64 and
+// AsString read its values: a kind without that payload reads zero.
+
+func intsOf(c *types.Column) acc[int64] {
+	if intPayload(c.Kind()) {
+		return acc[int64]{v: c.Int64s()}
+	}
+	return acc[int64]{}
+}
+
+func floatsOf(c *types.Column) acc[float64] {
+	switch c.Kind() {
+	case types.KindFloat64:
+		return acc[float64]{v: c.Float64s()}
+	case types.KindInt64:
+		// Widen an integer column once per batch, mirroring Value.AsFloat64.
+		iv := c.Int64s()
+		fv := make([]float64, len(iv))
+		for i, x := range iv {
+			fv[i] = float64(x)
+		}
+		return acc[float64]{v: fv}
+	}
+	return acc[float64]{}
+}
+
+func stringsOf(c *types.Column) acc[string] {
+	if stringPayload(c.Kind()) {
+		return acc[string]{v: c.Strings()}
+	}
+	return acc[string]{}
+}
+
+func (o *operand) intAcc(ev *evaluation, m int, sel []int) (acc[int64], nullmask) {
+	if o.konst {
 		return acc[int64]{c: o.i}, nullmask{c: o.null}
 	}
-	col := o.node.eval(cols, m, sel)
-	return acc[int64]{v: col.Int64s()}, nullmask{m: col.NullMask()}
+	col := o.node.eval(ev, m, sel)
+	return intsOf(col), nullmask{m: col.NullMask()}
 }
 
-func (o *operand) floatAcc(cols []*types.Column, m int, sel []int) (acc[float64], nullmask) {
-	if o.node == nil {
+func (o *operand) floatAcc(ev *evaluation, m int, sel []int) (acc[float64], nullmask) {
+	if o.konst {
 		return acc[float64]{c: o.f}, nullmask{c: o.null}
 	}
-	col := o.node.eval(cols, m, sel)
-	if col.Kind() == types.KindFloat64 {
-		return acc[float64]{v: col.Float64s()}, nullmask{m: col.NullMask()}
-	}
-	// Widen an integer column once per batch, mirroring Value.AsFloat64.
-	iv := col.Int64s()
-	fv := make([]float64, len(iv))
-	for i, x := range iv {
-		fv[i] = float64(x)
-	}
-	return acc[float64]{v: fv}, nullmask{m: col.NullMask()}
+	col := o.node.eval(ev, m, sel)
+	return floatsOf(col), nullmask{m: col.NullMask()}
 }
 
-func (o *operand) strAcc(cols []*types.Column, m int, sel []int) (acc[string], nullmask) {
-	if o.node == nil {
+func (o *operand) strAcc(ev *evaluation, m int, sel []int) (acc[string], nullmask) {
+	if o.konst {
 		return acc[string]{c: o.s}, nullmask{c: o.null}
 	}
-	col := o.node.eval(cols, m, sel)
-	return acc[string]{v: col.Strings()}, nullmask{m: col.NullMask()}
+	col := o.node.eval(ev, m, sel)
+	return stringsOf(col), nullmask{m: col.NullMask()}
 }
 
 // inPlace returns the input column a plain column reference reads, so
@@ -223,25 +325,25 @@ func (o *operand) inPlace(cols []*types.Column) *types.Column {
 	return nil
 }
 
-func (o *operand) intSel(cols []*types.Column, m int, sel []int) (acc[int64], nullmask) {
-	if c := o.inPlace(cols); c != nil {
+func (o *operand) intSel(ev *evaluation, m int, sel []int) (acc[int64], nullmask) {
+	if c := o.inPlace(ev.cols); c != nil {
 		return acc[int64]{v: c.Int64s(), byRow: true}, nullmask{m: c.NullMask(), byRow: true}
 	}
-	return o.intAcc(cols, m, sel)
+	return o.intAcc(ev, m, sel)
 }
 
-func (o *operand) floatSel(cols []*types.Column, m int, sel []int) (acc[float64], nullmask) {
-	if c := o.inPlace(cols); c != nil && c.Kind() == types.KindFloat64 {
+func (o *operand) floatSel(ev *evaluation, m int, sel []int) (acc[float64], nullmask) {
+	if c := o.inPlace(ev.cols); c != nil && c.Kind() == types.KindFloat64 {
 		return acc[float64]{v: c.Float64s(), byRow: true}, nullmask{m: c.NullMask(), byRow: true}
 	}
-	return o.floatAcc(cols, m, sel) // widens an integer column
+	return o.floatAcc(ev, m, sel) // widens an integer column
 }
 
-func (o *operand) strSel(cols []*types.Column, m int, sel []int) (acc[string], nullmask) {
-	if c := o.inPlace(cols); c != nil {
+func (o *operand) strSel(ev *evaluation, m int, sel []int) (acc[string], nullmask) {
+	if c := o.inPlace(ev.cols); c != nil {
 		return acc[string]{v: c.Strings(), byRow: true}, nullmask{m: c.NullMask(), byRow: true}
 	}
-	return o.strAcc(cols, m, sel)
+	return o.strAcc(ev, m, sel)
 }
 
 // payload classes for binary kernels
@@ -271,8 +373,8 @@ type refNode struct {
 
 func (nd *refNode) kind() types.Kind { return nd.k }
 
-func (nd *refNode) eval(cols []*types.Column, m int, sel []int) *types.Column {
-	c := cols[nd.idx]
+func (nd *refNode) eval(ev *evaluation, m int, sel []int) *types.Column {
+	c := ev.cols[nd.idx]
 	if sel == nil {
 		return c
 	}
@@ -280,8 +382,8 @@ func (nd *refNode) eval(cols []*types.Column, m int, sel []int) *types.Column {
 }
 
 // selectRows keeps the TRUE rows of a BOOLEAN column, read in place.
-func (nd *refNode) selectRows(cols []*types.Column, n int, sel, out []int) []int {
-	c := cols[nd.idx]
+func (nd *refNode) selectRows(ev *evaluation, n int, sel, out []int) []int {
+	c := ev.cols[nd.idx]
 	vals, nulls := c.Int64s(), c.NullMask()
 	for j, m := 0, rowsOf(n, sel); j < m; j++ {
 		if i := rowAt(sel, j); vals[i] != 0 && (nulls == nil || !nulls[i]) {
@@ -300,39 +402,39 @@ type cmpNode struct {
 
 func (nd *cmpNode) kind() types.Kind { return types.KindBool }
 
-func (nd *cmpNode) eval(cols []*types.Column, m int, sel []int) *types.Column {
+func (nd *cmpNode) eval(ev *evaluation, m int, sel []int) *types.Column {
 	switch nd.class {
 	case classInt:
-		l, ln := nd.l.intAcc(cols, m, sel)
-		r, rn := nd.r.intAcc(cols, m, sel)
+		l, ln := nd.l.intAcc(ev, m, sel)
+		r, rn := nd.r.intAcc(ev, m, sel)
 		return cmpKernel(nd.op, true, l, ln, r, rn, m)
 	case classFloat:
-		l, ln := nd.l.floatAcc(cols, m, sel)
-		r, rn := nd.r.floatAcc(cols, m, sel)
+		l, ln := nd.l.floatAcc(ev, m, sel)
+		r, rn := nd.r.floatAcc(ev, m, sel)
 		return cmpKernel(nd.op, false, l, ln, r, rn, m)
 	default:
-		l, ln := nd.l.strAcc(cols, m, sel)
-		r, rn := nd.r.strAcc(cols, m, sel)
+		l, ln := nd.l.strAcc(ev, m, sel)
+		r, rn := nd.r.strAcc(ev, m, sel)
 		return cmpKernel(nd.op, true, l, ln, r, rn, m)
 	}
 }
 
 // selectRows narrows the selection to the rows where the comparison holds,
 // with no boolean column in between.
-func (nd *cmpNode) selectRows(cols []*types.Column, n int, sel, out []int) []int {
+func (nd *cmpNode) selectRows(ev *evaluation, n int, sel, out []int) []int {
 	m := rowsOf(n, sel)
 	switch nd.class {
 	case classInt:
-		l, ln := nd.l.intSel(cols, m, sel)
-		r, rn := nd.r.intSel(cols, m, sel)
+		l, ln := nd.l.intSel(ev, m, sel)
+		r, rn := nd.r.intSel(ev, m, sel)
 		return cmpSelect(nd.op, true, l, ln, r, rn, m, sel, out)
 	case classFloat:
-		l, ln := nd.l.floatSel(cols, m, sel)
-		r, rn := nd.r.floatSel(cols, m, sel)
+		l, ln := nd.l.floatSel(ev, m, sel)
+		r, rn := nd.r.floatSel(ev, m, sel)
 		return cmpSelect(nd.op, false, l, ln, r, rn, m, sel, out)
 	default:
-		l, ln := nd.l.strSel(cols, m, sel)
-		r, rn := nd.r.strSel(cols, m, sel)
+		l, ln := nd.l.strSel(ev, m, sel)
+		r, rn := nd.r.strSel(ev, m, sel)
 		return cmpSelect(nd.op, true, l, ln, r, rn, m, sel, out)
 	}
 }
@@ -369,7 +471,7 @@ func cmpSelect[T int64 | float64 | string](op plan.BinOp, exact bool, l acc[T], 
 // cmpHolds decides one comparison. For the exact classes (integer and
 // string payloads) = and <> are one equality test. Everything else derives
 // a three-way cmp first (like Value.Compare), so that a float NaN, which
-// Compare orders equal to every value, behaves as in the row interpreter.
+// Compare orders equal to every value, behaves as in the reference.
 func cmpHolds[T int64 | float64 | string](op plan.BinOp, exact bool, a, b T) bool {
 	if exact {
 		switch op {
@@ -402,8 +504,9 @@ func cmpHolds[T int64 | float64 | string](op plan.BinOp, exact bool, a, b T) boo
 	return false
 }
 
-// arithNode is numeric arithmetic; kernels mirror evalArith exactly,
-// including the NULL result on division or modulo by zero.
+// arithNode is numeric arithmetic, including the NULL result on division or
+// modulo by zero. It computes in BIGINT only when the result and both
+// operands are BIGINT, and in DOUBLE otherwise.
 type arithNode struct {
 	op    plan.BinOp
 	float bool
@@ -417,14 +520,14 @@ func (nd *arithNode) kind() types.Kind {
 	return types.KindInt64
 }
 
-func (nd *arithNode) eval(cols []*types.Column, m int, sel []int) *types.Column {
+func (nd *arithNode) eval(ev *evaluation, m int, sel []int) *types.Column {
 	if nd.float {
-		l, ln := nd.l.floatAcc(cols, m, sel)
-		r, rn := nd.r.floatAcc(cols, m, sel)
+		l, ln := nd.l.floatAcc(ev, m, sel)
+		r, rn := nd.r.floatAcc(ev, m, sel)
 		return arithFloatKernel(nd.op, l, ln, r, rn, m)
 	}
-	l, ln := nd.l.intAcc(cols, m, sel)
-	r, rn := nd.r.intAcc(cols, m, sel)
+	l, ln := nd.l.intAcc(ev, m, sel)
+	r, rn := nd.r.intAcc(ev, m, sel)
 	return arithIntKernel(nd.op, l, ln, r, rn, m)
 }
 
@@ -502,19 +605,27 @@ func arithFloatKernel(op plan.BinOp, l acc[float64], ln nullmask, r acc[float64]
 	return types.NewFloat64Column(out, nulls)
 }
 
-// andOrNode is Kleene AND/OR. Evaluating both sides eagerly (no short
-// circuit) is safe because every compiled sub-expression is total: within
-// the vectorizable subset no kernel can fail per row.
+// andOrNode is Kleene AND/OR; a non-NULL operand is true when its integer
+// payload is nonzero. The right side runs eagerly over every row when it
+// cannot raise, and otherwise (lazy) only where the left side does not
+// decide the result: FALSE for AND, TRUE for OR.
 type andOrNode struct {
 	isAnd bool
+	lazy  bool
 	l, r  operand
 }
 
 func (nd *andOrNode) kind() types.Kind { return types.KindBool }
 
-func (nd *andOrNode) eval(cols []*types.Column, m int, sel []int) *types.Column {
-	l, ln := nd.l.intAcc(cols, m, sel)
-	r, rn := nd.r.intAcc(cols, m, sel)
+func (nd *andOrNode) eval(ev *evaluation, m int, sel []int) *types.Column {
+	l, ln := nd.l.intAcc(ev, m, sel)
+	var r acc[int64]
+	var rn nullmask
+	if nd.lazy {
+		r, rn = nd.undecided(ev, m, sel, l, ln)
+	} else {
+		r, rn = nd.r.intAcc(ev, m, sel)
+	}
 	out := make([]int64, m)
 	var nulls []bool
 	for i := 0; i < m; i++ {
@@ -548,19 +659,43 @@ func (nd *andOrNode) eval(cols []*types.Column, m int, sel []int) *types.Column 
 	return types.NewInt64Column(types.KindBool, out, nulls)
 }
 
+// undecided evaluates the right side over the rows the left side leaves
+// open and spreads it over all m rows; the rows the left side decides read
+// a non-NULL zero, which the kernel never consults.
+func (nd *andOrNode) undecided(ev *evaluation, m int, sel []int, l acc[int64], ln nullmask) (acc[int64], nullmask) {
+	var pos []int
+	for j := 0; j < m; j++ {
+		if ln.at(j) || (l.at(j) != 0) == nd.isAnd {
+			pos = append(pos, j)
+		}
+	}
+	c := evalAt(ev, nd.r.node, sel, pos)
+	vals, nulls := make([]int64, m), make([]bool, m)
+	rv := intsOf(c)
+	for k, j := range pos {
+		vals[j], nulls[j] = rv.at(k), c.IsNull(k)
+	}
+	return acc[int64]{v: vals}, nullmask{m: nulls}
+}
+
 // selectRows narrows the selection through AND/OR without materializing
 // either side: AND selects its right side from what its left side kept; OR
 // selects its right side from what its left side dropped and merges the two
 // back into selection order. Only TRUE survives either way, exactly as
-// Kleene logic has it.
-func (nd *andOrNode) selectRows(cols []*types.Column, n int, sel, out []int) []int {
+// Kleene logic has it. A lazy AND, whose right side must also run where the
+// left side is NULL, and operands of another kind than BOOLEAN, whose truth
+// Select does not read, evaluate the node instead.
+func (nd *andOrNode) selectRows(ev *evaluation, n int, sel, out []int) []int {
+	if (nd.isAnd && nd.lazy) || nd.l.kind() != types.KindBool || nd.r.kind() != types.KindBool {
+		return selectByEval(ev, nd, n, sel, out)
+	}
 	m := rowsOf(n, sel)
-	left := selectOperand(&nd.l, cols, n, sel, make([]int, 0, m))
+	left := selectOperand(ev, &nd.l, n, sel, make([]int, 0, m))
 	if nd.isAnd {
 		if len(left) == 0 {
 			return out // an empty left selection must not read as "all rows"
 		}
-		return selectOperand(&nd.r, cols, n, left, out)
+		return selectOperand(ev, &nd.r, n, left, out)
 	}
 	if len(left) == m {
 		return append(out, left...)
@@ -573,7 +708,7 @@ func (nd *andOrNode) selectRows(cols []*types.Column, n int, sel, out []int) []i
 			rest = append(rest, i)
 		}
 	}
-	right := selectOperand(&nd.r, cols, n, rest, make([]int, 0, len(rest)))
+	right := selectOperand(ev, &nd.r, n, rest, make([]int, 0, len(rest)))
 	for j, a, b := 0, 0, 0; j < m; j++ {
 		switch i := rowAt(sel, j); {
 		case a < len(left) && left[a] == i:
@@ -589,30 +724,39 @@ func (nd *andOrNode) selectRows(cols []*types.Column, n int, sel, out []int) []i
 
 // selectOperand is selectNode for one side of AND/OR, which may be a
 // constant.
-func selectOperand(o *operand, cols []*types.Column, n int, sel, out []int) []int {
-	if o.node == nil {
+func selectOperand(ev *evaluation, o *operand, n int, sel, out []int) []int {
+	if o.konst {
 		if !o.null && o.i != 0 {
 			return appendRows(out, n, sel)
 		}
 		return out
 	}
-	return selectNode(o.node, cols, n, sel, out)
+	return selectNode(ev, o.node, n, sel, out)
 }
 
 // selector is implemented by BOOLEAN nodes that can narrow a selection
 // without producing a boolean column.
 type selector interface {
-	selectRows(cols []*types.Column, n int, sel, out []int) []int
+	selectRows(ev *evaluation, n int, sel, out []int) []int
 }
 
-// selectNode appends the TRUE rows of a BOOLEAN node. Nodes without their
-// own selection kernel are evaluated over the selection and scanned.
-func selectNode(nd vecNode, cols []*types.Column, n int, sel, out []int) []int {
-	if s, ok := nd.(selector); ok {
-		return s.selectRows(cols, n, sel, out)
+// selectNode appends the TRUE rows of a node. Nodes without their own
+// selection kernel are evaluated over the selection and scanned; a node of
+// another kind than BOOLEAN is evaluated for its errors and selects nothing.
+func selectNode(ev *evaluation, nd vecNode, n int, sel, out []int) []int {
+	if nd.kind() != types.KindBool {
+		nd.eval(ev, rowsOf(n, sel), sel)
+		return out
 	}
+	if s, ok := nd.(selector); ok {
+		return s.selectRows(ev, n, sel, out)
+	}
+	return selectByEval(ev, nd, n, sel, out)
+}
+
+func selectByEval(ev *evaluation, nd vecNode, n int, sel, out []int) []int {
 	m := rowsOf(n, sel)
-	c := nd.eval(cols, m, sel)
+	c := nd.eval(ev, m, sel)
 	vals, nulls := c.Int64s(), c.NullMask()
 	for j := 0; j < m; j++ {
 		if vals[j] != 0 && (nulls == nil || !nulls[j]) {
@@ -633,38 +777,56 @@ func appendRows(out []int, n int, sel []int) []int {
 	return out
 }
 
-// constNode is a value fixed for the whole statement: a CASE branch picked
-// by constant conditions, or an AND/OR decided by a constant arm.
+// constNode is a value fixed for the whole statement: a literal, or a
+// constant subtree folded at compile time.
 type constNode struct {
 	v types.Value
 }
 
 func (nd *constNode) kind() types.Kind { return nd.v.Kind }
 
-func (nd *constNode) eval(_ []*types.Column, m int, _ []int) *types.Column {
+func (nd *constNode) eval(ev *evaluation, m int, _ []int) *types.Column {
 	return types.ConstColumn(nd.v, m)
 }
 
-func (nd *constNode) selectRows(_ []*types.Column, n int, sel, out []int) []int {
+func (nd *constNode) selectRows(_ *evaluation, n int, sel, out []int) []int {
 	if nd.v.IsTrue() {
 		return appendRows(out, n, sel)
 	}
 	return out
 }
 
-// notNode is boolean NOT.
+// errNode raises err on every row it is evaluated on: a UDF call outside
+// the sandbox, an identity function with no session bound, or a constant
+// whose folding raised.
+type errNode struct {
+	err error
+	k   types.Kind
+}
+
+func (nd *errNode) kind() types.Kind { return nd.k }
+
+func (nd *errNode) eval(ev *evaluation, m int, _ []int) *types.Column {
+	if m == 0 {
+		return types.ConstColumn(types.Null(nd.k), 0)
+	}
+	return ev.fail(nd.err, nd.k, m)
+}
+
+// notNode is boolean NOT: TRUE exactly where the operand's integer payload
+// is zero.
 type notNode struct {
 	child vecNode
 }
 
 func (nd *notNode) kind() types.Kind { return types.KindBool }
 
-func (nd *notNode) eval(cols []*types.Column, m int, sel []int) *types.Column {
-	c := nd.child.eval(cols, m, sel)
-	in := c.Int64s()
+func (nd *notNode) eval(ev *evaluation, m int, sel []int) *types.Column {
+	c := nd.child.eval(ev, m, sel)
+	in := intsOf(c)
 	out := make([]int64, m)
 	for i := 0; i < m; i++ {
-		if in[i] == 0 {
+		if in.at(i) == 0 {
 			out[i] = 1
 		}
 	}
@@ -679,8 +841,8 @@ type negNode struct {
 
 func (nd *negNode) kind() types.Kind { return nd.k }
 
-func (nd *negNode) eval(cols []*types.Column, m int, sel []int) *types.Column {
-	c := nd.child.eval(cols, m, sel)
+func (nd *negNode) eval(ev *evaluation, m int, sel []int) *types.Column {
+	c := nd.child.eval(ev, m, sel)
 	if nd.k == types.KindFloat64 {
 		in := c.Float64s()
 		out := make([]float64, m)
@@ -705,8 +867,8 @@ type isNullNode struct {
 
 func (nd *isNullNode) kind() types.Kind { return types.KindBool }
 
-func (nd *isNullNode) eval(cols []*types.Column, m int, sel []int) *types.Column {
-	c := nd.child.eval(cols, m, sel)
+func (nd *isNullNode) eval(ev *evaluation, m int, sel []int) *types.Column {
+	c := nd.child.eval(ev, m, sel)
 	mask := c.NullMask()
 	out := make([]int64, m)
 	for i := 0; i < m; i++ {
@@ -725,9 +887,9 @@ type concatNode struct {
 
 func (nd *concatNode) kind() types.Kind { return types.KindString }
 
-func (nd *concatNode) eval(cols []*types.Column, m int, sel []int) *types.Column {
-	l, ln := nd.l.strAcc(cols, m, sel)
-	r, rn := nd.r.strAcc(cols, m, sel)
+func (nd *concatNode) eval(ev *evaluation, m int, sel []int) *types.Column {
+	l, ln := nd.l.strAcc(ev, m, sel)
+	r, rn := nd.r.strAcc(ev, m, sel)
 	out := make([]string, m)
 	var nulls []bool
 	for i := 0; i < m; i++ {
@@ -743,20 +905,212 @@ func (nd *concatNode) eval(cols []*types.Column, m int, sel []int) *types.Column
 	return types.NewStringColumn(types.KindString, out, nulls)
 }
 
-// vecCompiler compiles one expression. ctx, when set, is the statement
-// whose identity the program binds; rejected records the first node the
-// compiler could not handle.
-type vecCompiler struct {
-	kinds    []types.Kind
-	ctx      *Context
-	rejected plan.Expr
+// castNode is CAST: Value.Cast of every value, raising the first failure.
+type castNode struct {
+	child vecNode
+	to    types.Kind
 }
 
-func (c *vecCompiler) reject(e plan.Expr) (vecNode, bool) {
-	if c.rejected == nil {
-		c.rejected = e
+func (nd *castNode) kind() types.Kind { return nd.to }
+
+func (nd *castNode) eval(ev *evaluation, m int, sel []int) *types.Column {
+	c, err := CastColumn(nd.child.eval(ev, m, sel), nd.to)
+	if err != nil {
+		return ev.fail(fmt.Errorf("eval: %w", err), nd.to, m)
 	}
-	return nil, false
+	return c
+}
+
+// rowNode evaluates its arguments over the selection, then applies fn to
+// each row's boxed argument values: the scalar functions, LIKE, and the
+// operators whose operand kinds no kernel reads (an incomparable
+// comparison, a negated string), which are NULL or raise. A value of
+// another kind than the node's is cast to it. raises marks an fn that can
+// fail.
+type rowNode struct {
+	args   []vecNode
+	k      types.Kind
+	fn     func(args []types.Value) (types.Value, error)
+	raises bool
+}
+
+func (nd *rowNode) kind() types.Kind { return nd.k }
+
+func (nd *rowNode) eval(ev *evaluation, m int, sel []int) *types.Column {
+	in := make([]*types.Column, len(nd.args))
+	for a, arg := range nd.args {
+		in[a] = arg.eval(ev, m, sel)
+	}
+	b := types.NewBuilder(nd.k, m)
+	vals := make([]types.Value, len(in))
+	for j := 0; j < m; j++ {
+		for a, c := range in {
+			vals[a] = c.Value(j)
+		}
+		v, err := nd.fn(vals)
+		if err == nil {
+			err = appendAs(b, v)
+		}
+		if err != nil {
+			return ev.fail(err, nd.k, m)
+		}
+	}
+	return b.Build()
+}
+
+// strictError is an operator on operand kinds it has no meaning for: NULL
+// where an operand is NULL, and err everywhere else.
+func strictError(k types.Kind, err error, ops ...operand) vecNode {
+	args := make([]vecNode, len(ops))
+	for i, o := range ops {
+		args[i] = o.node
+	}
+	return &rowNode{args: args, k: k, raises: true, fn: func(vals []types.Value) (types.Value, error) {
+		for _, v := range vals {
+			if v.Null {
+				return types.Null(k), nil
+			}
+		}
+		return types.Value{}, err
+	}}
+}
+
+// inNode is [NOT] IN. Each list item runs only on the rows still open: a
+// non-NULL value that no earlier item matched.
+type inNode struct {
+	child   vecNode
+	items   []vecNode
+	negated bool
+}
+
+func (nd *inNode) kind() types.Kind { return types.KindBool }
+
+func (nd *inNode) eval(ev *evaluation, m int, sel []int) *types.Column {
+	c := nd.child.eval(ev, m, sel)
+	out, nulls, sawNull := make([]int64, m), make([]bool, m), make([]bool, m)
+	var open []int
+	for j := 0; j < m; j++ {
+		if c.IsNull(j) {
+			nulls[j] = true
+		} else {
+			open = append(open, j)
+		}
+	}
+	for _, item := range nd.items {
+		if len(open) == 0 {
+			break
+		}
+		ic := evalAt(ev, item, sel, open)
+		rest := open[:0]
+		for k, j := range open {
+			switch iv := ic.Value(k); {
+			case iv.Null:
+				sawNull[j] = true
+				rest = append(rest, j)
+			case Matches(c.Value(j), iv):
+				if !nd.negated {
+					out[j] = 1
+				}
+			default:
+				rest = append(rest, j)
+			}
+		}
+		open = rest
+	}
+	for _, j := range open {
+		if sawNull[j] {
+			nulls[j] = true
+		} else if nd.negated {
+			out[j] = 1
+		}
+	}
+	return types.NewInt64Column(types.KindBool, out, nulls)
+}
+
+// caseNode is a CASE on row values. Each WHEN runs only on the rows no
+// earlier WHEN took, and each branch only on the rows that chose it; rows
+// no WHEN takes run the ELSE branch, or are NULL without one.
+type caseNode struct {
+	whens []caseArm
+	els   vecNode
+	k     types.Kind
+}
+
+type caseArm struct{ cond, then vecNode }
+
+func (nd *caseNode) kind() types.Kind { return nd.k }
+
+func (nd *caseNode) eval(ev *evaluation, m int, sel []int) *types.Column {
+	vals := make([]types.Value, m)
+	open := make([]int, m)
+	for j := range open {
+		open[j], vals[j] = j, types.Null(nd.k)
+	}
+	take := func(branch vecNode, pos []int) {
+		c := evalAt(ev, branch, sel, pos)
+		for k, j := range pos {
+			vals[j] = c.Value(k)
+		}
+	}
+	for _, w := range nd.whens {
+		if len(open) == 0 {
+			break
+		}
+		cond := evalAt(ev, w.cond, sel, open)
+		var chosen []int
+		rest := open[:0]
+		for k, j := range open {
+			if cond.Value(k).IsTrue() {
+				chosen = append(chosen, j)
+			} else {
+				rest = append(rest, j)
+			}
+		}
+		take(w.then, chosen)
+		open = rest
+	}
+	if nd.els != nil && len(open) > 0 {
+		take(nd.els, open)
+	}
+	b := types.NewBuilder(nd.k, m)
+	for _, v := range vals {
+		if err := appendAs(b, v); err != nil {
+			return ev.fail(err, nd.k, m)
+		}
+	}
+	return b.Build()
+}
+
+// unify is the kind of a node that returns one of several values as it is
+// (CASE, COALESCE, IF, NULLIF, GREATEST, LEAST): the kind its non-NULL
+// values share, DOUBLE for a mix of numeric kinds, and otherwise the
+// analyzed kind k, to which the values of other kinds are cast.
+func unify(k types.Kind, nodes ...vecNode) types.Kind {
+	common := types.KindNull
+	for _, n := range nodes {
+		switch nk := n.kind(); {
+		case nk == types.KindNull || nk == common:
+		case common == types.KindNull:
+			common = nk
+		case common.Numeric() && nk.Numeric():
+			common = types.KindFloat64
+		default:
+			return k
+		}
+	}
+	if common == types.KindNull {
+		return k
+	}
+	return common
+}
+
+// vecCompiler compiles one expression. ctx, when set, is the statement
+// whose identity the program binds; raises is set once a node compiled
+// since it was last cleared can fail on some row.
+type vecCompiler struct {
+	kinds  []types.Kind
+	ctx    *Context
+	raises bool
 }
 
 // constant reports whether e has the same value on every row of the
@@ -778,216 +1132,227 @@ func (c *vecCompiler) constant(e plan.Expr) bool {
 	return constant
 }
 
-// fold evaluates a constant expression once and casts it to kind. An
-// expression that errors is left to the row interpreter, which raises the
-// same error if and when a row reaches it.
-func (c *vecCompiler) fold(e plan.Expr, kind types.Kind) (types.Value, bool) {
-	if kind == types.KindNull {
-		return types.Value{}, false
+// node compiles e. A subtree that is constant for the statement folds: its
+// compiled form runs over one row, and the value it yields becomes a
+// constant; a subtree whose one-row run raises compiles to a node that
+// raises the same error wherever a row reaches it.
+func (c *vecCompiler) node(e plan.Expr) vecNode {
+	outer := c.raises
+	c.raises = false
+	nd := c.build(e)
+	switch t := nd.(type) {
+	case *errNode, *castNode:
+		c.raises = true
+	case *rowNode:
+		c.raises = c.raises || t.raises
 	}
-	v, err := Eval(e, nil, c.ctx)
-	switch {
-	case err != nil:
-		return types.Value{}, false
-	case v.Null:
-		return types.Null(kind), true
-	case v.Kind != kind:
-		v, err = v.Cast(kind)
-	}
-	return v, err == nil
-}
-
-// operand compiles one side of a binary kernel: constants fold to a scalar,
-// everything else must compile to a node. The returned kind is the
-// operand's static kind, used for class selection.
-func (c *vecCompiler) operand(e plan.Expr) (operand, types.Kind, bool) {
-	if c.constant(e) {
-		k := e.Type()
-		v, ok := c.fold(e, k)
-		if !ok {
-			c.reject(e)
+	if _, done := nd.(*constNode); !done && c.constant(e) {
+		ev := &evaluation{}
+		col := nd.eval(ev, 1, nil)
+		if c.raises = ev.err != nil; c.raises {
+			nd = &errNode{err: ev.err, k: nd.kind()}
+		} else {
+			nd = &constNode{v: col.Value(0)}
 		}
-		return operand{null: v.Null, i: v.I, f: v.AsFloat64(), s: v.S}, k, ok
 	}
-	n, ok := c.node(e)
-	if !ok {
-		return operand{}, 0, false
-	}
-	return operand{node: n}, n.kind(), true
+	c.raises = c.raises || outer
+	return nd
 }
 
-// constNode folds e to a constant column of kind. Only bound compilation
-// makes constant nodes; identity-free callers leave whole-constant
-// expressions to the optimizer's folding, as they always have.
-func (c *vecCompiler) constNode(e plan.Expr, kind types.Kind) (vecNode, bool) {
-	if c.ctx == nil {
-		return c.reject(e)
+func (c *vecCompiler) nodes(es []plan.Expr) []vecNode {
+	out := make([]vecNode, len(es))
+	for i, e := range es {
+		out[i] = c.node(e)
 	}
-	v, ok := c.fold(e, kind)
-	if !ok {
-		return c.reject(e)
+	return out
+}
+
+// operand compiles one side of a binary kernel, caching a constant's
+// payload.
+func (c *vecCompiler) operand(e plan.Expr) operand {
+	outer := c.raises
+	c.raises = false
+	o := operand{node: c.node(e), raises: c.raises}
+	c.raises = c.raises || outer
+	if k, ok := o.node.(*constNode); ok {
+		o.konst, o.null, o.i, o.f, o.s = true, k.v.Null, k.v.I, k.v.AsFloat64(), k.v.S
 	}
-	return &constNode{v: v}, true
+	return o
 }
 
 // isBool reports whether a constant operand is the non-NULL boolean b.
 func (o *operand) isBool(b bool) bool {
-	return o.node == nil && !o.null && (o.i != 0) == b
+	return o.konst && o.kind() == types.KindBool && !o.null && (o.i != 0) == b
 }
 
-// node compiles an expression to a kernel tree, or reports that it is
-// outside the vectorizable subset.
-func (c *vecCompiler) node(e plan.Expr) (vecNode, bool) {
-	if c.ctx != nil && c.constant(e) {
-		return c.constNode(e, e.Type())
-	}
+func (c *vecCompiler) build(e plan.Expr) vecNode {
 	switch t := e.(type) {
+	case *plan.Literal:
+		return &constNode{v: t.Value}
+
 	case *plan.Alias:
 		return c.node(t.Child)
 
 	case *plan.BoundRef:
 		if t.Index < 0 || t.Index >= len(c.kinds) {
-			return c.reject(e)
+			return &errNode{err: fmt.Errorf("eval: column reference #%d is outside the input's %d columns", t.Index, len(c.kinds)), k: t.Kind}
 		}
-		k := c.kinds[t.Index]
-		// The analyzer's static kind must agree with the physical column;
-		// when they disagree the row path's per-value casts apply instead.
-		if k != t.Kind || k == types.KindNull {
-			return c.reject(e)
+		return &refNode{idx: t.Index, k: c.kinds[t.Index]}
+
+	case *plan.CurrentUser:
+		if c.ctx == nil {
+			return &errNode{err: errors.New("eval: CURRENT_USER without session context"), k: types.KindString}
 		}
-		return &refNode{idx: t.Index, k: k}, true
+		return &constNode{v: types.String(c.ctx.User)}
+
+	case *plan.GroupMember:
+		if c.ctx == nil {
+			return &errNode{err: errors.New("eval: IS_ACCOUNT_GROUP_MEMBER without session context"), k: types.KindBool}
+		}
+		return &constNode{v: types.Bool(c.ctx.IsGroupMember != nil && c.ctx.IsGroupMember(t.Group))}
 
 	case *plan.IsNull:
-		child, ok := c.node(t.Child)
-		if !ok {
-			return nil, false
-		}
-		return &isNullNode{child: child, negated: t.Negated}, true
+		return &isNullNode{child: c.node(t.Child), negated: t.Negated}
 
 	case *plan.Unary:
-		child, ok := c.node(t.Child)
-		if !ok {
-			return nil, false
-		}
+		child := c.node(t.Child)
 		if t.Op == plan.OpNot {
-			if child.kind() != types.KindBool {
-				return c.reject(e)
-			}
-			return &notNode{child: child}, true
+			return &notNode{child: child}
 		}
-		k := child.kind()
-		if (k != types.KindInt64 && k != types.KindFloat64) || t.ResultKind != k {
-			return c.reject(e)
+		switch k := child.kind(); k {
+		case types.KindInt64, types.KindFloat64:
+			return &negNode{child: child, k: k}
+		default:
+			return strictError(t.ResultKind, fmt.Errorf("eval: cannot negate %s", k), operand{node: child})
 		}
-		return &negNode{child: child, k: k}, true
+
+	case *plan.Binary:
+		return c.binary(t)
 
 	case *plan.Case:
 		return c.caseNode(t)
 
-	case *plan.Binary:
-		l, lk, ok := c.operand(t.L)
-		if !ok {
-			return nil, false
-		}
-		r, rk, ok := c.operand(t.R)
-		if !ok {
-			return nil, false
-		}
-		if l.node == nil && r.node == nil {
-			return c.reject(e) // all-constant: the optimizer's folding job
-		}
-		switch {
-		case t.Op == plan.OpAnd || t.Op == plan.OpOr:
-			if lk != types.KindBool || rk != types.KindBool {
-				return c.reject(e)
-			}
-			return andOr(t.Op == plan.OpAnd, l, r), true
+	case *plan.InList:
+		return &inNode{child: c.node(t.Child), items: c.nodes(t.List), negated: t.Negated}
 
-		case t.Op.IsComparison():
-			switch {
-			case lk == rk && intPayload(lk):
-				return &cmpNode{op: t.Op, class: classInt, l: l, r: r}, true
-			case lk == rk && lk == types.KindFloat64:
-				return &cmpNode{op: t.Op, class: classFloat, l: l, r: r}, true
-			case lk == rk && stringPayload(lk):
-				return &cmpNode{op: t.Op, class: classString, l: l, r: r}, true
-			case lk.Numeric() && rk.Numeric():
-				return &cmpNode{op: t.Op, class: classFloat, l: l, r: r}, true
-			}
-			return c.reject(e)
+	case *plan.Like:
+		negated := t.Negated
+		return &rowNode{args: c.nodes([]plan.Expr{t.Child, t.Pattern}), k: types.KindBool,
+			fn: func(v []types.Value) (types.Value, error) { return Like(v[0], v[1], negated), nil }}
 
-		case t.Op.IsArithmetic():
-			if t.ResultKind == types.KindInt64 && lk == types.KindInt64 && rk == types.KindInt64 {
-				return &arithNode{op: t.Op, float: false, l: l, r: r}, true
-			}
-			numeric := func(k types.Kind) bool { return k == types.KindInt64 || k == types.KindFloat64 }
-			if t.ResultKind == types.KindFloat64 && numeric(lk) && numeric(rk) {
-				return &arithNode{op: t.Op, float: true, l: l, r: r}, true
-			}
-			return c.reject(e)
+	case *plan.Cast:
+		return &castNode{child: c.node(t.Child), to: t.To}
 
-		case t.Op == plan.OpConcat:
-			if !stringPayload(lk) || !stringPayload(rk) || t.ResultKind != types.KindString {
-				return c.reject(e)
-			}
-			return &concatNode{l: l, r: r}, true
-		}
-		return c.reject(e)
+	case *plan.ScalarFunc:
+		args := c.nodes(t.Args)
+		name, kind := t.Name, t.ResultKind
+		return &rowNode{args: args, k: scalarKind(strings.ToLower(name), args, kind), raises: true,
+			fn: func(v []types.Value) (types.Value, error) { return Scalar(name, v, kind) }}
+
+	case *plan.UDFCall:
+		return &errNode{err: ErrUDFInRowEval, k: t.ResultKind}
+
+	case *plan.ColumnRef:
+		return &errNode{err: fmt.Errorf("eval: unresolved column %s reached execution", t.String()), k: types.KindNull}
 	}
-	return c.reject(e)
+	return &errNode{err: fmt.Errorf("eval: unsupported expression %T", e), k: e.Type()}
 }
 
-// andOr builds Kleene AND/OR over two compiled operands, one of which is a
-// node. A constant arm that decides nothing drops out (x AND TRUE = x,
-// x OR FALSE = x); one that decides everything makes the whole node
-// constant (x AND FALSE = FALSE, x OR TRUE = TRUE). The second fold is sound
-// only because x compiled: compiled operands are total, so skipping them
-// cannot skip an error the row interpreter would have raised.
-func andOr(isAnd bool, l, r operand) vecNode {
-	for _, side := range [2]struct{ c, x operand }{{l, r}, {r, l}} {
+// scalarKind is the kind of a scalar function's values: the analyzed kind,
+// except that the functions that return one of their arguments take the
+// kind of those arguments.
+func scalarKind(name string, args []vecNode, k types.Kind) types.Kind {
+	switch {
+	case name == "coalesce" || name == "greatest" || name == "least" || name == "nullif":
+		return unify(k, args...)
+	case name == "if" && len(args) == 3:
+		return unify(k, args[1:]...)
+	}
+	return k
+}
+
+func (c *vecCompiler) binary(t *plan.Binary) vecNode {
+	l, r := c.operand(t.L), c.operand(t.R)
+	lk, rk := l.kind(), r.kind()
+	switch {
+	case t.Op == plan.OpAnd || t.Op == plan.OpOr:
+		return andOr(t.Op == plan.OpAnd, l, r)
+
+	case t.Op.IsComparison():
 		switch {
-		case side.c.isBool(isAnd):
+		case lk == rk && intPayload(lk):
+			return &cmpNode{op: t.Op, class: classInt, l: l, r: r}
+		case lk == rk && lk == types.KindFloat64:
+			return &cmpNode{op: t.Op, class: classFloat, l: l, r: r}
+		case lk == rk && stringPayload(lk):
+			return &cmpNode{op: t.Op, class: classString, l: l, r: r}
+		case lk.Numeric() && rk.Numeric():
+			return &cmpNode{op: t.Op, class: classFloat, l: l, r: r}
+		}
+		// A NULL-kinded side makes every row NULL; other pairs raise.
+		return strictError(types.KindBool, fmt.Errorf("eval: cannot compare %s and %s", lk, rk), l, r)
+
+	case t.Op.IsArithmetic():
+		float := t.ResultKind != types.KindInt64 || lk != types.KindInt64 || rk != types.KindInt64
+		return &arithNode{op: t.Op, float: float, l: l, r: r}
+
+	case t.Op == plan.OpConcat:
+		return &concatNode{l: l, r: r}
+	}
+	return strictError(t.ResultKind, fmt.Errorf("eval: unsupported operator %s", t.Op), l, r)
+}
+
+// andOr builds Kleene AND/OR. A constant arm that decides nothing drops out
+// (TRUE AND x = x, x OR FALSE = x). One that decides everything makes the
+// whole node constant: always on the left, whose constant value means the
+// right side never runs (FALSE AND x = FALSE), and on the right only when
+// the left side cannot raise, since skipping it must not skip an error the
+// reference would raise (x AND FALSE = FALSE).
+func andOr(isAnd bool, l, r operand) vecNode {
+	for i, side := range [2]struct{ c, x operand }{{l, r}, {r, l}} {
+		switch {
+		case side.c.isBool(isAnd) && side.x.kind() == types.KindBool:
 			return side.x.node
-		case side.c.isBool(!isAnd):
+		case side.c.isBool(!isAnd) && (i == 0 || !side.x.raises):
 			return &constNode{v: types.Bool(!isAnd)}
 		}
 	}
-	return &andOrNode{isAnd: isAnd, l: l, r: r}
+	return &andOrNode{isAnd: isAnd, lazy: r.raises, l: l, r: r}
 }
 
-// caseNode compiles a CASE whose WHEN conditions are all constant for the
-// statement to the one branch they pick; any other CASE is rejected.
-// Conditions after the first TRUE one are never evaluated, as in Eval.
-func (c *vecCompiler) caseNode(t *plan.Case) (vecNode, bool) {
-	if c.ctx == nil {
-		return c.reject(t) // identity-free compilation keeps rejecting CASE
-	}
-	branch := t.Else
+// caseNode compiles a CASE. A WHEN whose condition is constant for the
+// statement is decided here: a TRUE one ends the CASE with its branch as
+// the ELSE, a FALSE or NULL one drops out. A CASE with no WHEN left is its
+// ELSE branch.
+func (c *vecCompiler) caseNode(t *plan.Case) vecNode {
+	nd := &caseNode{}
+	els := t.Else
 	for _, w := range t.Whens {
-		if !c.constant(w.Cond) {
-			return c.reject(t)
+		cond := c.node(w.Cond)
+		if k, ok := cond.(*constNode); ok {
+			if k.v.IsTrue() {
+				els = w.Then
+				break
+			}
+			continue
 		}
-		v, err := Eval(w.Cond, nil, c.ctx)
-		if err != nil {
-			return c.reject(t)
-		}
-		if v.IsTrue() {
-			branch = w.Then
-			break
-		}
+		nd.whens = append(nd.whens, caseArm{cond: cond, then: c.node(w.Then)})
 	}
-	if branch == nil {
-		branch = plan.Lit(types.Null(t.ResultKind))
+	var branches []vecNode
+	if els != nil {
+		nd.els = c.node(els)
+		branches = append(branches, nd.els)
 	}
-	if c.constant(branch) {
-		return c.constNode(branch, t.ResultKind)
+	switch {
+	case len(nd.whens) > 0:
+	case nd.els != nil:
+		return nd.els
+	default:
+		return &constNode{v: types.Null(t.ResultKind)}
 	}
-	n, ok := c.node(branch)
-	if !ok {
-		return nil, false
+	for _, w := range nd.whens {
+		branches = append(branches, w.then)
 	}
-	if n.kind() != t.ResultKind {
-		return c.reject(t) // the row path casts the branch value; kernels don't
-	}
-	return n, true
+	nd.k = unify(t.ResultKind, branches...)
+	return nd
 }

@@ -1,17 +1,21 @@
-package eval
+package eval_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"lakeguard/internal/eval"
+	"lakeguard/internal/eval/evaltest"
 	"lakeguard/internal/plan"
 	"lakeguard/internal/types"
 )
 
 // vecFixture builds the input columns the randomized cross-check runs over:
 // integers (with zeros for division), floats (with NULLs, NaN, infinities),
-// strings, and booleans.
+// strings, booleans, strings that cast to BIGINT except where i1 is 0, and
+// dates.
 func vecFixture(n int) ([]*types.Column, []types.Kind) {
 	i1 := types.NewBuilder(types.KindInt64, n)
 	i2 := types.NewBuilder(types.KindInt64, n)
@@ -19,6 +23,8 @@ func vecFixture(n int) ([]*types.Column, []types.Kind) {
 	f2 := types.NewBuilder(types.KindFloat64, n)
 	s1 := types.NewBuilder(types.KindString, n)
 	b1 := types.NewBuilder(types.KindBool, n)
+	s2 := types.NewBuilder(types.KindString, n)
+	d1 := types.NewBuilder(types.KindDate, n)
 	words := []string{"", "a", "ab", "zed", "zed", "kilo"}
 	for i := 0; i < n; i++ {
 		i1.Append(types.Int64(int64(i%21) - 10)) // includes zeros and negatives
@@ -50,9 +56,22 @@ func vecFixture(n int) ([]*types.Column, []types.Kind) {
 		} else {
 			b1.Append(types.Bool(i%2 == 0))
 		}
+		switch {
+		case i%21 == 10: // exactly where i1 is 0
+			s2.Append(types.String("x"))
+		case i%6 == 5:
+			s2.AppendNull()
+		default:
+			s2.Append(types.String(fmt.Sprint(i%7 - 3)))
+		}
+		if i%8 == 3 {
+			d1.AppendNull()
+		} else {
+			d1.Append(types.Date(int64(i*37 - 500)))
+		}
 	}
-	cols := []*types.Column{i1.Build(), i2.Build(), f1.Build(), f2.Build(), s1.Build(), b1.Build()}
-	kinds := []types.Kind{types.KindInt64, types.KindInt64, types.KindFloat64, types.KindFloat64, types.KindString, types.KindBool}
+	cols := []*types.Column{i1.Build(), i2.Build(), f1.Build(), f2.Build(), s1.Build(), b1.Build(), s2.Build(), d1.Build()}
+	kinds := []types.Kind{types.KindInt64, types.KindInt64, types.KindFloat64, types.KindFloat64, types.KindString, types.KindBool, types.KindString, types.KindDate}
 	return cols, kinds
 }
 
@@ -143,6 +162,76 @@ func sameValue(got, want types.Value) bool {
 	return got.Equal(want)
 }
 
+// asKind casts a reference value to the kind of the program's column, as
+// the program casts a value of another kind; one that does not cast stays
+// as it is, so the comparison fails.
+func asKind(v types.Value, k types.Kind) types.Value {
+	if v.Null || v.Kind == k {
+		return v
+	}
+	if c, err := v.Cast(k); err == nil {
+		return c
+	}
+	return v
+}
+
+func rowsOf(n int, sel []int) int {
+	if sel != nil {
+		return len(sel)
+	}
+	return n
+}
+
+func rowAt(sel []int, j int) int {
+	if sel != nil {
+		return sel[j]
+	}
+	return j
+}
+
+// checkAgainstEval runs a compiled program over sel (nil = all n rows) and
+// requires what the reference gives row by row, in selection order: when a
+// row raises, Run and Select both fail with the first such row's error
+// text; otherwise Run returns every value (cast to the program's kind) and
+// Select exactly the rows the reference finds TRUE, appended after what out
+// already held.
+func checkAgainstEval(t *testing.T, e plan.Expr, prog *eval.VecProg, ctx *eval.Context, cols []*types.Column, n int, sel []int) {
+	t.Helper()
+	m := rowsOf(n, sel)
+	want := make([]types.Value, m)
+	var wantErr error
+	for j := 0; j < m && wantErr == nil; j++ {
+		i := rowAt(sel, j)
+		want[j], wantErr = evaltest.Eval(e, func(c int) types.Value { return cols[c].Value(i) }, ctx)
+	}
+	out, err := prog.Run(cols, n, sel)
+	got, serr := prog.Select(cols, n, sel, []int{-7})
+	if wantErr != nil {
+		if err == nil || serr == nil || err.Error() != wantErr.Error() || serr.Error() != wantErr.Error() {
+			t.Fatalf("%s over sel %v: Run raised %v, Select %v; the reference raised %v", e, sel, err, serr, wantErr)
+		}
+		return
+	}
+	if err != nil || serr != nil {
+		t.Fatalf("%s over sel %v: Run raised %v, Select %v; the reference raised nothing", e, sel, err, serr)
+	}
+	if out.Len() != m {
+		t.Fatalf("%s: Run returned %d rows, want %d", e, out.Len(), m)
+	}
+	wantSel := []int{-7}
+	for j, w := range want {
+		if w.IsTrue() {
+			wantSel = append(wantSel, rowAt(sel, j))
+		}
+		if g := out.Value(j); !sameValue(g, asKind(w, prog.Kind())) {
+			t.Fatalf("%s at row %d: vec=%v row=%v", e, rowAt(sel, j), g, w)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(wantSel) {
+		t.Fatalf("%s over sel %v: Select %v, reference TRUE rows %v", e, sel, got, wantSel)
+	}
+}
+
 // TestVecMatchesRowEval cross-checks the columnar kernels against the row
 // interpreter on randomized expressions over columns with NULLs, zeros
 // (division/modulo), NaN, infinities, and mixed numeric kinds — both over the
@@ -156,8 +245,6 @@ func TestVecMatchesRowEval(t *testing.T) {
 	for i := 0; i < n; i += 3 {
 		sel = append(sel, (i*7)%n)
 	}
-
-	compiled := 0
 	for trial := 0; trial < 600; trial++ {
 		var e plan.Expr
 		if trial%2 == 0 {
@@ -165,56 +252,67 @@ func TestVecMatchesRowEval(t *testing.T) {
 		} else {
 			e = randNum(r, 3)
 		}
-		prog, ok := CompileVec(e, kinds)
+		prog, ok := eval.CompileVec(e, kinds)
 		if !ok {
-			continue
+			t.Fatalf("%s did not compile", e)
 		}
-		compiled++
-		check := func(got types.Value, row int) {
-			want, err := Eval(e, func(ci int) types.Value { return cols[ci].Value(row) }, nil)
-			if err != nil {
-				t.Fatalf("row eval failed for %s at row %d: %v", e, row, err)
-			}
-			if !sameValue(got, want) {
-				t.Fatalf("divergence for %s at row %d: vec=%v row=%v", e, row, got, want)
-			}
-		}
-		out := prog.Run(cols, n, nil)
-		if out.Len() != n {
-			t.Fatalf("%s: vec returned %d rows, want %d", e, out.Len(), n)
-		}
-		for i := 0; i < n; i++ {
-			check(out.Value(i), i)
-		}
-		outSel := prog.Run(cols, n, sel)
-		if outSel.Len() != len(sel) {
-			t.Fatalf("%s: vec over sel returned %d rows, want %d", e, outSel.Len(), len(sel))
-		}
-		for j, i := range sel {
-			check(outSel.Value(j), i)
-		}
+		checkAgainstEval(t, e, prog, nil, cols, n, nil)
+		checkAgainstEval(t, e, prog, nil, cols, n, sel)
 	}
-	// The generator must actually exercise the kernels, not fall back.
-	if compiled < 200 {
-		t.Fatalf("only %d/600 random expressions compiled; generator or compiler regressed", compiled)
-	}
-	t.Logf("cross-checked %d compiled expressions", compiled)
 }
 
-// TestVecRejectsOutsideSubset pins the fallback contract: expressions with
-// per-row error paths or session state must not compile.
-func TestVecRejectsOutsideSubset(t *testing.T) {
-	kinds := []types.Kind{types.KindString}
-	ref := &plan.BoundRef{Index: 0, Name: "s", Kind: types.KindString}
+// Every node compiles, including those no typed kernel covers, and raises
+// exactly where the reference does: LIKE, CAST, IN, CASE on row values,
+// scalar functions, identity functions with no session bound, UDF calls,
+// unresolved columns, incomparable comparisons, the untyped NULL literal
+// and column references whose analyzed kind is not the column's. A
+// constant subtree folds, one that raises included.
+func TestVecCompilesEveryNode(t *testing.T) {
+	const n = 64
+	cols, kinds := vecFixture(n)
+	i1, s1, s2 := &plan.BoundRef{Index: 0, Name: "i1", Kind: types.KindInt64}, refS1, &plan.BoundRef{Index: 6, Name: "s2", Kind: types.KindString}
+	toInt := func(x plan.Expr) plan.Expr { return &plan.Cast{Child: x, To: types.KindInt64} }
 	for _, e := range []plan.Expr{
-		&plan.Like{Child: ref, Pattern: plan.Lit(types.String("a%"))},
+		&plan.Like{Child: s1, Pattern: plan.Lit(types.String("a%"))},
+		&plan.Like{Child: s1, Pattern: plan.Lit(types.String("%e%")), Negated: true},
 		&plan.CurrentUser{},
-		&plan.Binary{Op: plan.OpAdd, L: plan.Lit(types.Int64(1)), R: plan.Lit(types.Int64(2)), ResultKind: types.KindInt64}, // all-constant
-		&plan.BoundRef{Index: 3, Name: "oob", Kind: types.KindInt64},                                                        // out of range
+		&plan.GroupMember{Group: "analysts"},
+		&plan.Binary{Op: plan.OpAdd, L: plan.Lit(types.Int64(1)), R: plan.Lit(types.Int64(2)), ResultKind: types.KindInt64},
+		boolOp(plan.OpGt, toInt(s2), plan.Lit(types.Int64(0))),
+		boolOp(plan.OpOr, boolOp(plan.OpEq, i1, plan.Lit(types.Int64(0))), boolOp(plan.OpGt, toInt(s2), plan.Lit(types.Int64(0)))),
+		boolOp(plan.OpOr, boolOp(plan.OpGt, i1, plan.Lit(types.Int64(0))), boolOp(plan.OpGt, toInt(plan.Lit(types.String("x"))), plan.Lit(types.Int64(0)))),
+		&plan.InList{Child: i1, List: []plan.Expr{plan.Lit(types.Int64(1)), toInt(s2), plan.Lit(types.Null(types.KindNull))}},
+		&plan.Case{Whens: []plan.WhenClause{{Cond: boolOp(plan.OpGt, i1, plan.Lit(types.Int64(0))), Then: toInt(s2)}}, Else: plan.Lit(types.Int64(0)), ResultKind: types.KindInt64},
+		&plan.ScalarFunc{Name: "coalesce", Args: []plan.Expr{plan.Lit(types.Null(types.KindNull)), refI2, i1}, ResultKind: types.KindNull},
+		&plan.ScalarFunc{Name: "year", Args: []plan.Expr{s1}, ResultKind: types.KindInt64},
+		&plan.ScalarFunc{Name: "nosuch", Args: []plan.Expr{s1}, ResultKind: types.KindString},
+		&plan.UDFCall{Name: "main.default.f", Args: []plan.Expr{s1}, ResultKind: types.KindBool},
+		&plan.ColumnRef{Name: "s1"},
+		boolOp(plan.OpEq, s1, i1),
+		boolOp(plan.OpEq, i1, plan.Lit(types.Null(types.KindNull))),
+		plan.Lit(types.Null(types.KindNull)),
+		boolOp(plan.OpGt, &plan.BoundRef{Index: 0, Name: "i1", Kind: types.KindFloat64}, plan.Lit(types.Float64(2.5))),
 	} {
-		if _, ok := CompileVec(e, kinds); ok {
-			t.Errorf("%s compiled; expected row-interpreter fallback", e)
+		for _, ctx := range []*eval.Context{nil, identityContexts()["member"]} {
+			prog, ok := eval.CompileVec(e, kinds)
+			if ctx != nil {
+				prog = eval.CompileVecBound(e, kinds, ctx)
+			}
+			if !ok || prog == nil {
+				t.Fatalf("%s did not compile", e)
+			}
+			checkAgainstEval(t, e, prog, ctx, cols, n, nil)
+			checkAgainstEval(t, e, prog, ctx, cols, n, []int{11, 32, 53})
+			checkAgainstEval(t, e, prog, ctx, cols, n, []int{})
 		}
+	}
+	// A column reference outside the input raises, once a row reaches it.
+	oob := eval.CompileVecBound(&plan.BoundRef{Index: 9, Name: "oob", Kind: types.KindInt64}, kinds, nil)
+	if _, err := oob.Run(cols, n, nil); err == nil {
+		t.Error("an out-of-range column reference evaluated")
+	}
+	if _, err := oob.Run(cols, n, []int{}); err != nil {
+		t.Errorf("an out-of-range column reference raised on no rows: %v", err)
 	}
 }
 
@@ -244,7 +342,7 @@ func BenchmarkFilterRowInterp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		kept = 0
 		for r := 0; r < n; r++ {
-			ok, err := EvalPredicate(pred, func(ci int) types.Value { return cols[ci].Value(r) }, nil)
+			ok, err := evaltest.EvalPredicate(pred, func(ci int) types.Value { return cols[ci].Value(r) }, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -263,7 +361,7 @@ func BenchmarkFilterRowInterp(b *testing.B) {
 func BenchmarkFilterVecKernel(b *testing.B) {
 	const n = 8192
 	cols, kinds, pred := benchPredicateInputs(n)
-	prog, ok := CompileVec(pred, kinds)
+	prog, ok := eval.CompileVec(pred, kinds)
 	if !ok {
 		b.Fatal("predicate did not compile")
 	}
@@ -271,7 +369,10 @@ func BenchmarkFilterVecKernel(b *testing.B) {
 	kept := 0
 	for i := 0; i < b.N; i++ {
 		kept = 0
-		out := prog.Run(cols, n, nil)
+		out, err := prog.Run(cols, n, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		bits := out.Int64s()
 		nulls := out.NullMask()
 		for r := 0; r < n; r++ {

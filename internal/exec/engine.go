@@ -386,7 +386,7 @@ func (e *Engine) newScanSource(qc *QueryContext, t *plan.Scan) (*scanSource, err
 	src := &scanSource{
 		scan: t, snap: snap, files: files, read: read, stats: qc.opParent,
 		metrics: e.Metrics,
-		filters: e.compileProgs(qc.Eval, qc.opParent, t.PushedFilters, t.Schema().Kinds(), boolKinds(len(t.PushedFilters))),
+		filters: compileProgs(qc.Eval, qc.opParent, t.PushedFilters, t.Schema().Kinds(), boolKinds(len(t.PushedFilters))),
 	}
 	// Register the scan so a hash join built above it can install runtime
 	// filters onto src before the first file is read.

@@ -7,83 +7,61 @@ import (
 	"lakeguard/internal/types"
 )
 
-// ExprProgs is one expression list compiled for one statement, and the one
-// place the engine decides how an expression is evaluated. Each expression
-// compiles once, with the statement's identity bound, to a vector program;
-// one outside the vectorizable subset runs on its own through the row
-// interpreter, and that fallback counts on exec.vec.fallback.<node>, named
-// for the first node the compiler rejected. UDF calls are lifted into
-// sandbox waves (exprRunner) whose results the expressions then read as
-// columns, so a sandbox crossing is never a fallback. Programs are
-// immutable: one ExprProgs without UDF calls serves every worker of the
-// statement, and none outlives it.
+// ExprProgs is one expression list compiled for one statement. Each
+// expression compiles once, with the statement's identity bound, to a
+// vector program, the one way the engine evaluates an expression. UDF calls
+// are lifted into sandbox waves (exprRunner) whose results the expressions
+// then read as columns. Programs are immutable: one ExprProgs without UDF
+// calls serves every worker of the statement, and none outlives it.
 type ExprProgs struct {
-	// exprs are evaluated over the input columns, plus the UDF result
+	// progs are evaluated over the input columns, plus the UDF result
 	// columns when udf is set.
-	exprs []plan.Expr
-	progs []*eval.VecProg // per expression; nil runs in the row interpreter
-	kinds []types.Kind    // per expression, the kind of the column Run returns
-	ctx   *eval.Context
-	stats *telemetry.OpStats // vectorized-vs-fallback accounting (nil ok)
-	udf   *exprRunner        // sandbox waves run before exprs; nil = no UDF call
-	// vectorized is set when no expression, UDF argument included, runs in
-	// the row interpreter.
-	vectorized bool
+	progs []*eval.VecProg
+	kinds []types.Kind       // per expression, the kind of the column Run returns
+	stats *telemetry.OpStats // evaluated-batch accounting (nil ok)
+	udf   *exprRunner        // sandbox waves run before progs; nil = no UDF call
 }
 
 // CompileExprs compiles a DML statement's expressions against its input
 // schema, with the statement's identity ectx bound; Run casts expression i
 // to want[i] (want nil: the expression's own kind). A UDF call is not
-// lifted into the sandbox here: it reaches the row interpreter, which
-// refuses it when a row is evaluated.
+// lifted into the sandbox here: it compiles to a program that refuses it
+// when a row is evaluated.
 func (e *Engine) CompileExprs(ectx *eval.Context, exprs []plan.Expr, in *types.Schema, want []types.Kind) *ExprProgs {
-	return e.compileProgs(ectx, nil, exprs, in.Kinds(), want)
+	return compileProgs(ectx, nil, exprs, in.Kinds(), want)
 }
 
 // compileExprs compiles an operator's expression list against its input
 // kinds for the statement qc runs; want is as for CompileExprs.
 func (e *Engine) compileExprs(qc *QueryContext, exprs []plan.Expr, in, want []types.Kind) (*ExprProgs, error) {
 	if !exprsHaveUDF(exprs) {
-		return e.compileProgs(qc.Eval, qc.opParent, exprs, in, want), nil
+		return compileProgs(qc.Eval, qc.opParent, exprs, in, want), nil
 	}
 	r, kinds, err := e.newExprRunner(qc, exprs, in)
 	if err != nil {
 		return nil, err
 	}
-	p := e.compileProgs(qc.Eval, qc.opParent, r.plan.Exprs, kinds, want)
+	p := compileProgs(qc.Eval, qc.opParent, r.plan.Exprs, kinds, want)
 	p.udf = r
-	p.vectorized = p.vectorized && r.vectorized
 	return p, nil
 }
 
 // compileProgs compiles exprs without lifting UDF calls; scan filters, join
 // keys and residuals, and DML use it. Each expression compiles on its own
-// against the input kinds, binding ctx's identity, and every expression left
-// to the row interpreter is counted. A program of another kind than want[i]
-// is kept and its column cast, except for a predicate (want BOOLEAN): Select
-// reads truth only from a BOOLEAN program. It is the engine's only caller of
-// eval.CompileVecBound.
-func (e *Engine) compileProgs(ctx *eval.Context, stats *telemetry.OpStats, exprs []plan.Expr, in, want []types.Kind) *ExprProgs {
-	p := &ExprProgs{exprs: exprs, ctx: ctx, stats: stats, vectorized: true,
-		progs: make([]*eval.VecProg, len(exprs)), kinds: make([]types.Kind, len(exprs))}
+// against the input kinds, binding ctx's identity. A program of another
+// kind than want[i] is kept, and Run casts its column. It is the engine's
+// only caller of eval.CompileVecBound.
+func compileProgs(ctx *eval.Context, stats *telemetry.OpStats, exprs []plan.Expr, in, want []types.Kind) *ExprProgs {
+	p := &ExprProgs{stats: stats, progs: make([]*eval.VecProg, len(exprs)), kinds: make([]types.Kind, len(exprs))}
 	for i, x := range exprs {
-		prog, rejected := eval.CompileVecBound(x, in, ctx)
+		p.progs[i] = eval.CompileVecBound(x, in, ctx)
 		p.kinds[i] = x.Type()
 		if want != nil {
 			p.kinds[i] = want[i]
-			if want[i] == types.KindBool && prog != nil && prog.Kind() != types.KindBool {
-				prog, rejected = nil, "ResultKind"
-			}
 		}
-		if prog != nil {
-			p.progs[i] = prog
-			if p.kinds[i] == types.KindNull {
-				p.kinds[i] = prog.Kind()
-			}
-			continue
+		if p.kinds[i] == types.KindNull {
+			p.kinds[i] = p.progs[i].Kind()
 		}
-		e.Metrics.Counter("exec.vec.fallback." + rejected).Inc()
-		p.vectorized = false
 	}
 	return p
 }
@@ -129,28 +107,12 @@ func (p *ExprProgs) Run(cols []*types.Column, n int, sel []int) ([]*types.Column
 		return nil, err
 	}
 	p.countEval()
-	m := n
-	if sel != nil {
-		m = len(sel)
-	}
-	out := make([]*types.Column, len(p.exprs))
+	out := make([]*types.Column, len(p.progs))
 	for i, prog := range p.progs {
-		var value func(int) types.Value
-		if prog != nil {
-			c := prog.Run(cols, n, sel)
-			if c.Kind() == p.kinds[i] {
-				out[i] = c
-				continue
-			}
-			value = c.Value
-		} else {
-			vals, err := p.interpret(i, cols, n, sel)
-			if err != nil {
-				return nil, err
-			}
-			value = func(j int) types.Value { return vals[j] }
+		if out[i], err = prog.Run(cols, n, sel); err != nil {
+			return nil, err
 		}
-		if out[i], err = castValues(p.kinds[i], m, value); err != nil {
+		if out[i], err = eval.CastColumn(out[i], p.kinds[i]); err != nil {
 			return nil, &CastError{expr: i, err: err}
 		}
 	}
@@ -169,11 +131,10 @@ func (e *CastError) Expr() int     { return e.expr }
 func (e *CastError) Error() string { return e.err.Error() }
 func (e *CastError) Unwrap() error { return e.err }
 
-// countEval records one evaluated batch on the operator profile: vectorized
-// when no expression, UDF argument included, ran in the row interpreter.
+// countEval records one evaluated batch on the operator profile.
 func (p *ExprProgs) countEval() {
-	if len(p.exprs) > 0 {
-		p.stats.CountEval(p.vectorized)
+	if len(p.progs) > 0 {
+		p.stats.CountEval()
 	}
 }
 
@@ -183,7 +144,7 @@ func (p *ExprProgs) countEval() {
 // can fail (a throwing cast) never sees a row an earlier one rejected. UDF
 // waves run over all n rows, so only sel == nil may reach a list with UDF
 // calls: compileExprs (the filter step) lifts them, compileProgs (scan
-// filters, join residuals, DML) leaves them to the row interpreter.
+// filters, join residuals, DML) compiles them to programs that refuse them.
 //
 // Conjuncts narrow into sc's buffers, so a warmed scratch makes Select
 // allocate nothing; the result may alias sc (see SelScratch). A nil sc gets
@@ -197,7 +158,7 @@ func (p *ExprProgs) Select(cols []*types.Column, n int, sel []int, sc *SelScratc
 	if sc == nil {
 		sc = new(SelScratch)
 	}
-	for i, prog := range p.progs {
+	for _, prog := range p.progs {
 		if sel != nil && len(sel) == 0 {
 			break
 		}
@@ -205,23 +166,9 @@ func (p *ExprProgs) Select(cols []*types.Column, n int, sel []int, sc *SelScratc
 		if sel != nil {
 			m = len(sel)
 		}
-		next := sc.next(m)
-		if prog != nil {
-			next = prog.Select(cols, n, sel, next)
-		} else {
-			vals, err := p.interpret(i, cols, n, sel)
-			if err != nil {
-				return nil, err
-			}
-			for j, v := range vals {
-				switch {
-				case !v.IsTrue():
-				case sel == nil:
-					next = append(next, j)
-				default:
-					next = append(next, sel[j])
-				}
-			}
+		next, err := prog.Select(cols, n, sel, sc.next(m))
+		if err != nil {
+			return nil, err
 		}
 		sc.keep(next)
 		sel = next
@@ -253,52 +200,3 @@ func (s *SelScratch) next(m int) []int {
 
 // keep stores next's buffer back after appends, which may have grown it.
 func (s *SelScratch) keep(b []int) { s.bufs[s.last] = b }
-
-// interpret runs expression i through the row interpreter over the rows sel
-// selects (nil = all n), returning one value per selected row. It is the
-// engine's only call of eval.Eval.
-func (p *ExprProgs) interpret(i int, cols []*types.Column, n int, sel []int) ([]types.Value, error) {
-	m := n
-	if sel != nil {
-		m = len(sel)
-	}
-	vals := make([]types.Value, m)
-	row := 0
-	get := func(c int) types.Value { return cols[c].Value(row) }
-	for j := range vals {
-		row = j
-		if sel != nil {
-			row = sel[j]
-		}
-		v, err := eval.Eval(p.exprs[i], get, p.ctx)
-		if err != nil {
-			return nil, err
-		}
-		vals[j] = v
-	}
-	return vals, nil
-}
-
-// castValues builds a column of kind from n values, casting each one whose
-// kind differs as Value.Cast does. An untyped interpreted expression (kind
-// NULL: a NULL literal, or a DML expression no analyzer typed, compiled
-// without a target kind) takes its first non-NULL value's kind.
-func castValues(kind types.Kind, n int, value func(int) types.Value) (*types.Column, error) {
-	for j := 0; kind == types.KindNull && j < n; j++ {
-		if v := value(j); !v.Null {
-			kind = v.Kind
-		}
-	}
-	b := types.NewBuilder(kind, n)
-	for j := 0; j < n; j++ {
-		v := value(j)
-		if !v.Null && v.Kind != kind {
-			var err error
-			if v, err = v.Cast(kind); err != nil {
-				return nil, err
-			}
-		}
-		b.Append(v)
-	}
-	return b.Build(), nil
-}

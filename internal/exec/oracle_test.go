@@ -3,7 +3,7 @@ package exec
 import (
 	"fmt"
 
-	"lakeguard/internal/eval"
+	"lakeguard/internal/eval/evaltest"
 	"lakeguard/internal/plan"
 	"lakeguard/internal/types"
 )
@@ -63,7 +63,7 @@ func oracleEvalAll(exprs []plan.Expr, row []types.Value, qc *QueryContext) ([]ty
 	rowFn := func(c int) types.Value { return row[c] }
 	out := make([]types.Value, len(exprs))
 	for i, x := range exprs {
-		v, err := eval.Eval(x, rowFn, qc.Eval)
+		v, err := evaltest.Eval(x, rowFn, qc.Eval)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +127,7 @@ func oracleJoin(e *Engine, qc *QueryContext, j *plan.Join) (*types.Batch, error)
 			}
 			ok := true
 			for _, c := range residual {
-				if ok, err = eval.EvalPredicate(c, combined, qc.Eval); err != nil {
+				if ok, err = evaltest.EvalPredicate(c, combined, qc.Eval); err != nil {
 					return nil, err
 				}
 				if !ok {
@@ -265,7 +265,7 @@ func oracleAggregate(e *Engine, qc *QueryContext, a *plan.Aggregate) (*types.Bat
 		for ai, af := range aggs {
 			v := types.Int64(1) // COUNT(*)
 			if af.Arg != nil {
-				if v, err = eval.Eval(af.Arg, func(c int) types.Value { return r[c] }, qc.Eval); err != nil {
+				if v, err = evaltest.Eval(af.Arg, func(c int) types.Value { return r[c] }, qc.Eval); err != nil {
 					return nil, err
 				}
 			}

@@ -61,10 +61,10 @@ func exprMayMatch(e plan.Expr, scan *plan.Scan, fs *delta.FileStats) bool {
 			return true
 		}
 		if col, lit, ok := splitComparison(t.L, t.R); ok {
-			return rangeMayMatch(t.Op, scan, fs, col, lit)
+			return rangeMayMatch(t.Op, scan, fs, col, lit.Value)
 		}
 		if col, lit, ok := splitComparison(t.R, t.L); ok {
-			return rangeMayMatch(flipCmp(t.Op), scan, fs, col, lit)
+			return rangeMayMatch(flipCmp(t.Op), scan, fs, col, lit.Value)
 		}
 		return true
 
@@ -95,7 +95,7 @@ func exprMayMatch(e plan.Expr, scan *plan.Scan, fs *delta.FileStats) bool {
 			if !ok {
 				return true // non-literal element: cannot bound, keep the file
 			}
-			if rangeMayMatch(plan.OpEq, scan, fs, col, lit) {
+			if rangeMayMatch(plan.OpEq, scan, fs, col, lit.Value) {
 				return true
 			}
 		}
@@ -140,9 +140,11 @@ func colStatsFor(scan *plan.Scan, fs *delta.FileStats, col *plan.BoundRef) (delt
 	return fs.Col(name)
 }
 
-// rangeMayMatch decides `col op lit` against the column's [min, max] range.
-func rangeMayMatch(op plan.BinOp, scan *plan.Scan, fs *delta.FileStats, col *plan.BoundRef, lit *plan.Literal) bool {
-	if lit.Value.Null {
+// rangeMayMatch decides `col op v` against the column's [min, max] range:
+// missing statistics keep the file, NaN keeps it, an all-NULL column prunes
+// it, and incomparable kinds keep it.
+func rangeMayMatch(op plan.BinOp, scan *plan.Scan, fs *delta.FileStats, col *plan.BoundRef, v types.Value) bool {
+	if v.Null {
 		// Comparison with NULL is NULL for every row; the filter keeps none.
 		return false
 	}
@@ -163,8 +165,8 @@ func rangeMayMatch(op plan.BinOp, scan *plan.Scan, fs *delta.FileStats, col *pla
 	if !ok {
 		return true // range not recorded (e.g. oversized strings)
 	}
-	cmpMin, okMin := min.Compare(lit.Value)
-	cmpMax, okMax := max.Compare(lit.Value)
+	cmpMin, okMin := min.Compare(v)
+	cmpMax, okMax := max.Compare(v)
 	if !okMin || !okMax {
 		return true // incomparable kinds: leave the decision to row filtering
 	}

@@ -213,38 +213,14 @@ type scanRF struct {
 }
 
 // filePrunable reports whether the file's statistics prove no row can match
-// any build key. Mirrors the conservatism of prune.go: missing stats keep
-// the file, NaN rows keep the file (NaN matches everything when the build is
-// non-empty), an all-NULL column proves no match.
+// any build key: no key column value lies in the build's [min, max], by the
+// zone-map rule scan pruning uses (prune.go).
 func (rf *scanRF) filePrunable(scan *plan.Scan, fs *delta.FileStats) bool {
 	if rf.empty {
 		return true
 	}
-	if fs == nil {
-		return false
-	}
-	name := scan.Schema().Fields[rf.col].Name
-	cs, ok := fs.Col(name)
-	if !ok {
-		return false
-	}
-	if cs.NullCount >= fs.NumRecords {
-		return true
-	}
-	if cs.HasNaN {
-		return false
-	}
-	fmin, fmax, ok := cs.Bounds()
-	if !ok {
-		return false
-	}
-	if c, ok := fmax.Compare(rf.min); ok && c < 0 {
-		return true
-	}
-	if c, ok := fmin.Compare(rf.max); ok && c > 0 {
-		return true
-	}
-	return false
+	key := &plan.BoundRef{Index: rf.col}
+	return !rangeMayMatch(plan.OpGte, scan, fs, key, rf.min) || !rangeMayMatch(plan.OpLte, scan, fs, key, rf.max)
 }
 
 // filterRows narrows a selection over the n rows of cols (sel nil = all n)

@@ -12,7 +12,7 @@ import (
 )
 
 // sortOp materializes its input and orders it by the ORDER BY keys, which
-// are evaluated per input batch (vectorized when they compile) and compared
+// are evaluated per input batch by their compiled programs and compared
 // through their raw payloads by one typed comparator. Unbounded, it is a
 // stable sort of every row. Bounded by k — a LIMIT n OFFSET m above it makes
 // k = n+m — it keeps a heap of the k best rows and gathers only those, which

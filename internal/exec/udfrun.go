@@ -24,8 +24,6 @@ type exprRunner struct {
 	plan   *optimizer.UDFPlan
 	width  int        // input columns the plan was lifted over
 	groups []udfGroup // per group, in plan order
-	// vectorized is set when every argument compiled to a vector program.
-	vectorized bool
 }
 
 // udfGroup is one fused crossing, prepared once per statement: its
@@ -52,7 +50,7 @@ func (e *Engine) newExprRunner(qc *QueryContext, exprs []plan.Expr, in []types.K
 	if e.Dispatcher == nil && !e.UnsafeInProcessUDFs {
 		return nil, nil, fmt.Errorf("exec: plan contains user code but the engine has no sandbox dispatcher")
 	}
-	r := &exprRunner{engine: e, qc: qc, plan: p, width: len(in), vectorized: true}
+	r := &exprRunner{engine: e, qc: qc, plan: p, width: len(in)}
 	kinds := make([]types.Kind, p.Width)
 	copy(kinds, in)
 	for _, wave := range p.Waves {
@@ -80,8 +78,7 @@ func (e *Engine) newExprRunner(qc *QueryContext, exprs []plan.Expr, in []types.K
 				g.argSchema.Fields = append(g.argSchema.Fields, types.Field{Name: "__rowid", Kind: types.KindInt64})
 			}
 			g.resultSchema = sandbox.ResultSchema(g.specs)
-			g.args = e.compileProgs(qc.Eval, nil, args, kinds, g.argSchema.Kinds()[:len(args)])
-			r.vectorized = r.vectorized && g.args.vectorized
+			g.args = compileProgs(qc.Eval, nil, args, kinds, g.argSchema.Kinds()[:len(args)])
 			r.groups = append(r.groups, g)
 		}
 		for _, group := range wave {

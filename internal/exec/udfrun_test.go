@@ -61,15 +61,34 @@ func TestUDFArgumentEdgesOnBothPaths(t *testing.T) {
 	}
 }
 
-// Argument columns come from the statement's vector kernels; only an
-// argument outside the vectorizable subset is evaluated row by row, and
-// that fallback is counted. A sandbox crossing is not a fallback: beside a
+// Argument columns come from the statement's compiled programs, a scalar
+// function's included, and a sandbox crossing is not a fallback: beside a
 // UDF, a CASE on group membership and CURRENT_USER() compile with the
-// statement's identity, no fallback counter moves, and the projection's
-// batch counts as vectorized.
+// statement's identity, no fallback series exists, and the projection's and
+// filter's batches count as vectorized.
 func TestUDFArgumentsUseVectorKernels(t *testing.T) {
 	w := newWorld(t)
 	w.engine.Metrics = telemetry.NewRegistry()
+	noFallback := func(prof *telemetry.Profile, name string) {
+		t.Helper()
+		if out := w.engine.Metrics.RenderPrometheus(); strings.Contains(out, "exec_vec_fallback_") {
+			t.Errorf("fallback series exist:\n%s", out)
+		}
+		for op := prof.Root(); op != nil; {
+			if op.Name == name {
+				if op.VecBatches() == 0 || op.RowFallbackBatches() != 0 {
+					t.Errorf("the %s's batches are not counted vectorized:\n%s", name, prof.Render())
+				}
+				return
+			}
+			kids := op.Children()
+			if len(kids) != 1 {
+				break
+			}
+			op = kids[0]
+		}
+		t.Fatalf("no %s operator:\n%s", name, prof.Render())
+	}
 	prof := telemetry.NewProfile()
 	b, err := w.udfQuery(t, "return s + ':' + str(x)", types.KindString,
 		"SELECT f(seller, amount) AS a, CASE WHEN IS_ACCOUNT_GROUP_MEMBER('nobody') THEN seller ELSE 'r' END AS g, CURRENT_USER() AS u FROM sales", prof)
@@ -79,53 +98,25 @@ func TestUDFArgumentsUseVectorKernels(t *testing.T) {
 	if got := col(b, "a").StringAt(0) + " " + col(b, "g").StringAt(0) + " " + col(b, "u").StringAt(0); got != "ann:100 r "+admin {
 		t.Errorf("got %q\n%s", got, b.String())
 	}
-	if out := w.engine.Metrics.RenderPrometheus(); strings.Contains(out, "exec_vec_fallback_") {
-		t.Errorf("fallback counters moved:\n%s", out)
-	}
-	proj := prof.Root()
-	if proj == nil || proj.Name != "Project" || proj.VecBatches() == 0 || proj.RowFallbackBatches() != 0 {
-		t.Fatalf("the UDF projection's batches are not counted vectorized:\n%s", prof.Render())
-	}
+	noFallback(prof, "Project")
 
-	w.engine.Metrics = telemetry.NewRegistry()
+	prof = telemetry.NewProfile()
 	b, err = w.udfQuery(t, "return s + ':' + str(x)", types.KindString,
-		"SELECT f(seller, amount + 1) AS a, f(upper(seller), amount) AS b FROM sales WHERE region = 'EU' ORDER BY amount", nil)
+		"SELECT f(seller, amount + 1) AS a, f(upper(seller), amount) AS b FROM sales WHERE region = 'EU' ORDER BY amount", prof)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := col(b, "a").StringAt(0) + " " + col(b, "b").StringAt(1); got != "ben:201 BEN:300" {
 		t.Errorf("got %q\n%s", got, b.String())
 	}
-	fallbacks := 0
-	for _, line := range strings.Split(w.engine.Metrics.RenderPrometheus(), "\n") {
-		if strings.HasPrefix(line, "exec_vec_fallback_") {
-			fallbacks++
-		}
-	}
-	if fallbacks != 1 || w.engine.Metrics.Counter("exec.vec.fallback.ScalarFunc").Value() == 0 {
-		t.Errorf("fallback counters:\n%s", w.engine.Metrics.RenderPrometheus())
-	}
+	noFallback(prof, "Project")
 
-	// A filter whose UDF argument ran row by row counts its batches as
-	// fallbacks, as a projection does.
 	prof = telemetry.NewProfile()
 	if _, err = w.udfQuery(t, "return s + ':' + str(x)", types.KindString,
 		"SELECT seller FROM sales WHERE f(upper(seller), amount) <> 'x'", prof); err != nil {
 		t.Fatal(err)
 	}
-	var filter *telemetry.OpStats
-	for op := prof.Root(); op != nil && filter == nil; {
-		if op.Name == "Filter" {
-			filter = op
-		} else if kids := op.Children(); len(kids) == 1 {
-			op = kids[0]
-		} else {
-			op = nil
-		}
-	}
-	if filter == nil || filter.RowFallbackBatches() == 0 || filter.VecBatches() != 0 {
-		t.Fatalf("the filter's interpreted UDF argument is not counted:\n%s", prof.Render())
-	}
+	noFallback(prof, "Filter")
 }
 
 // Fusion groups a wave's calls by trust domain, so the crossings run in an

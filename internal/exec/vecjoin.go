@@ -165,12 +165,12 @@ func (e *Engine) newVecJoinOp(qc *QueryContext, t *plan.Join, l, r operator, lef
 		spillLimit: e.spillLimit(),
 	}
 	o.combined = o.leftSchema.Concat(o.rightSchema)
-	o.leftKeyProgs = e.compileProgs(qc.Eval, qc.opParent, leftKeys, o.leftSchema.Kinds(), nil)
-	o.rightKeyProgs = e.compileProgs(qc.Eval, qc.opParent, rightKeys, o.rightSchema.Kinds(), nil)
+	o.leftKeyProgs = compileProgs(qc.Eval, qc.opParent, leftKeys, o.leftSchema.Kinds(), nil)
+	o.rightKeyProgs = compileProgs(qc.Eval, qc.opParent, rightKeys, o.rightSchema.Kinds(), nil)
 	// Build parts merge in batch order, so the table layout is the same at
 	// any worker count.
 	o.right = newStream(qc.GoContext(), e.streamWorkers(o.rightKeyProgs, unknownMorsels), r, batchSource(r), o.makeRightPart, nil)
-	o.residual = e.compileProgs(qc.Eval, qc.opParent, residual, o.combined.Kinds(), boolKinds(len(residual)))
+	o.residual = compileProgs(qc.Eval, qc.opParent, residual, o.combined.Kinds(), boolKinds(len(residual)))
 	// Resolve runtime-filter targets: each equi-key that is a bare column
 	// reference traceable to a registered probe-side scan gets a filter
 	// builder. Only join types where a probe miss produces no output qualify.
@@ -537,7 +537,7 @@ func (o *vecJoinOp) probeBlock(p *joinProbe) (*types.Batch, error) {
 	}
 
 	// Residual conjuncts, in order, over the combined candidate rows.
-	if len(o.residual.exprs) > 0 && len(pairL) > 0 {
+	if len(o.residual.progs) > 0 && len(pairL) > 0 {
 		comb := o.combineCols(lb, t.rows, pairL, pairR)
 		sel, err := o.residual.Select(comb, len(pairL), nil, &o.residualSel)
 		if err != nil {

@@ -85,7 +85,13 @@ var DefaultBoundaries = []Boundary{
 	{"internal/sandbox", "internal/catalog", "sandboxed user code must have no path to governance APIs"},
 	{"internal/sandbox", "internal/storage", "sandboxed user code must have no path to the object store"},
 	{"internal/udf", "internal/exec", "user-code plumbing must not depend on the engine that isolates it"},
+	{"internal", "internal/eval/evaltest", evalOracleWhy},
+	{"cmd", "internal/eval/evaltest", evalOracleWhy},
 }
+
+// evalOracleWhy keeps the reference interpreter a test oracle: production
+// evaluates expressions only through compiled programs.
+const evalOracleWhy = "the row-at-a-time reference interpreter is a test oracle; production evaluates compiled programs"
 
 // ctxExempt are exported methods on the governance surfaces that are
 // infrastructure accessors or deployment-time setup, not per-request entry

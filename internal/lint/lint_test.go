@@ -96,6 +96,27 @@ func TestImportBoundaryAllowsOthers(t *testing.T) {
 	wantNoRule(t, findings, RuleImportBoundary)
 }
 
+// No production package may evaluate through the reference interpreter;
+// tests, which the linter skips, may.
+func TestImportBoundaryEvalOracle(t *testing.T) {
+	oracle := "package evaltest\n\n// V is exported.\nvar V = 1\n"
+	use := func(pkg string) string {
+		return "package " + pkg + "\n\nimport \"lakeguard/internal/eval/evaltest\"\n\n// V re-exports.\nvar V = evaltest.V\n"
+	}
+	for path, pkg := range map[string]string{"internal/exec/engine.go": "exec", "cmd/lakeguard-server/main.go": "main"} {
+		findings := lintModule(t, map[string]string{
+			"internal/eval/evaltest/evaltest.go": oracle,
+			path:                                 use(pkg),
+		})
+		wantRule(t, findings, RuleImportBoundary, "must not import internal/eval/evaltest")
+	}
+	findings := lintModule(t, map[string]string{
+		"internal/eval/evaltest/evaltest.go": oracle,
+		"internal/exec/oracle_test.go":       use("exec"),
+	})
+	wantNoRule(t, findings, RuleImportBoundary)
+}
+
 func TestErrWrapViolation(t *testing.T) {
 	findings := lintModule(t, map[string]string{
 		"internal/a/a.go": `package a

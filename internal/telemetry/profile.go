@@ -17,8 +17,7 @@ type OpStats struct {
 	wall         atomic.Int64 // nanoseconds spent in Next()
 	rows         atomic.Int64
 	batches      atomic.Int64
-	vecBatches   atomic.Int64 // batches evaluated by vectorized kernels
-	rowBatches   atomic.Int64 // batches that fell back to the row interpreter
+	vecBatches   atomic.Int64 // batches whose expressions an operator evaluated
 	filesScanned atomic.Int64 // data files read by a scan
 	filesPruned  atomic.Int64 // data files skipped by zone-map statistics
 	rfFiles      atomic.Int64 // data files skipped by a join's runtime filter
@@ -50,17 +49,13 @@ func (o *OpStats) AddBatch(rows int) {
 	o.rows.Add(int64(rows))
 }
 
-// CountEval records whether a batch's expressions ran vectorized or fell
-// back to the row interpreter.
-func (o *OpStats) CountEval(vectorized bool) {
+// CountEval records one batch whose expressions ran through compiled
+// vector programs.
+func (o *OpStats) CountEval() {
 	if o == nil {
 		return
 	}
-	if vectorized {
-		o.vecBatches.Add(1)
-	} else {
-		o.rowBatches.Add(1)
-	}
+	o.vecBatches.Add(1)
 }
 
 // AddFiles records a scan's data-skipping outcome: files it will read vs.
@@ -193,13 +188,10 @@ func (o *OpStats) VecBatches() int64 {
 	return o.vecBatches.Load()
 }
 
-// RowFallbackBatches returns batches evaluated by the row interpreter.
-func (o *OpStats) RowFallbackBatches() int64 {
-	if o == nil {
-		return 0
-	}
-	return o.rowBatches.Load()
-}
+// RowFallbackBatches returns batches evaluated row by row: none, since
+// every expression compiles. The bench harness still reads it for its
+// vectorized share.
+func (o *OpStats) RowFallbackBatches() int64 { return 0 }
 
 // RuntimeFilePruned returns data files skipped by a runtime filter.
 func (o *OpStats) RuntimeFilePruned() int64 {
@@ -367,8 +359,8 @@ func renderOp(b *strings.Builder, o *OpStats, depth int) {
 		fmt.Fprintf(b, " (%s)", o.Detail)
 	}
 	fmt.Fprintf(b, "  [wall %s, rows %d, batches %d", fmtDur(o.wall.Load()), o.Rows(), o.Batches())
-	if v, r := o.VecBatches(), o.RowFallbackBatches(); v+r > 0 {
-		fmt.Fprintf(b, ", vectorized %d/%d", v, v+r)
+	if v := o.VecBatches(); v > 0 {
+		fmt.Fprintf(b, ", vectorized %d/%d", v, v)
 	}
 	if s, pr, rf := o.FilesScanned(), o.FilesPruned(), o.RuntimeFilePruned(); s+pr+rf > 0 {
 		fmt.Fprintf(b, ", files %d (pruned %d", s, pr)

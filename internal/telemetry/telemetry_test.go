@@ -127,7 +127,7 @@ func TestNilSafety(t *testing.T) {
 	op := prof.NewOp(nil, "Scan", "")
 	op.AddBatch(10)
 	op.AddWall(time.Millisecond)
-	op.CountEval(true)
+	op.CountEval()
 	if prof.Render() != "" || op.Rows() != 0 {
 		t.Fatal("nil profile")
 	}
@@ -222,8 +222,8 @@ func TestProfileRender(t *testing.T) {
 	sortOp.AddBatch(4)
 	filter := p.NewOp(sortOp, "Filter", "region = 'US'")
 	filter.AddBatch(4)
-	filter.CountEval(true)
-	filter.CountEval(false)
+	filter.CountEval()
+	filter.CountEval()
 	scan := p.NewOp(filter, "Scan", "main.default.sales")
 	scan.AddBatch(8)
 
@@ -233,7 +233,7 @@ func TestProfileRender(t *testing.T) {
 		"Sort (amount)",
 		"rows 4",
 		"Filter (region = 'US')",
-		"vectorized 1/2",
+		"vectorized 2/2",
 		"  Scan", // child indentation
 		"rows 8",
 	} {
