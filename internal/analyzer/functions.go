@@ -23,6 +23,20 @@ func sameAsArg(i int) func([]plan.Expr) (types.Kind, error) {
 	return func(args []plan.Expr) (types.Kind, error) { return args[i].Type(), nil }
 }
 
+// firstTyped types a function that returns one of its arguments from index
+// i on (COALESCE, GREATEST, LEAST, IF's branches): the kind of the first of
+// them that has one. The function casts the value it returns to that kind.
+func firstTyped(i int) func([]plan.Expr) (types.Kind, error) {
+	return func(args []plan.Expr) (types.Kind, error) {
+		for _, a := range args[i:] {
+			if k := a.Type(); k != types.KindNull {
+				return k, nil
+			}
+		}
+		return types.KindNull, nil
+	}
+}
+
 func numericResult(args []plan.Expr) (types.Kind, error) {
 	k := args[0].Type()
 	if !k.Numeric() {
@@ -55,15 +69,15 @@ var scalarBuiltins = map[string]builtinSig{
 	"floor":     {1, 1, fixedKind(types.KindFloat64)},
 	"ceil":      {1, 1, fixedKind(types.KindFloat64)},
 	"sqrt":      {1, 1, fixedKind(types.KindFloat64)},
-	"coalesce":  {1, 16, sameAsArg(0)},
+	"coalesce":  {1, 16, firstTyped(0)},
 	"nullif":    {2, 2, sameAsArg(0)},
 	"sha256":    {1, 1, stringArg0(types.KindString)},
-	"if":        {3, 3, sameAsArg(1)},
+	"if":        {3, 3, firstTyped(1)},
 	"year":      {1, 1, fixedKind(types.KindInt64)},
 	"month":     {1, 1, fixedKind(types.KindInt64)},
 	"day":       {1, 1, fixedKind(types.KindInt64)},
-	"greatest":  {2, 16, sameAsArg(0)},
-	"least":     {2, 16, sameAsArg(0)},
+	"greatest":  {2, 16, firstTyped(0)},
+	"least":     {2, 16, firstTyped(0)},
 }
 
 // aggKinds maps aggregate function names to a result-kind rule.

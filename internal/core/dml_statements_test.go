@@ -454,6 +454,11 @@ func TestDMLWhereKernelsMatchModel(t *testing.T) {
 			apply: rowDML(func(id int64, _ pt) bool { return id == 1 }, func(_ int64, p pt) pt { p.v, p.vNull = 9007199254740993, false; return p })},
 		{sql: "UPDATE pts SET v = v + 2 WHERE id = 1",
 			apply: rowDML(func(id int64, _ pt) bool { return id == 1 }, func(_ int64, p pt) pt { p.v += 2; return p })},
+		// A function that returns one of arguments of mixed kinds has its
+		// analyzed kind, v's BIGINT: exact above 2^53, never a DOUBLE.
+		{sql: "UPDATE pts SET v = GREATEST(v, 1.5) WHERE id = 1",
+			apply: rowDML(func(id int64, _ pt) bool { return id == 1 }, func(_ int64, p pt) pt { return p })},
+		{sql: "DELETE FROM pts WHERE COALESCE(v, 0.5) = 9007199254740996", apply: rowDML(func(int64, pt) bool { return false }, nil)},
 		// Scalar functions resolve in SET and WHERE.
 		{sql: "UPDATE pts SET d = COALESCE(d, 0) WHERE id < 40",
 			apply: rowDML(func(id int64, _ pt) bool { return id < 40 }, func(_ int64, p pt) pt {

@@ -84,27 +84,23 @@ func Matches(v, item types.Value) bool {
 // Scalar applies the scalar function name to one row's argument values.
 // COALESCE, IF and NULLIF handle NULL themselves; every other function is
 // NULL-strict. kind is the function's analyzed result kind, which a NULL
-// result takes.
+// result takes. The functions that return one of their arguments (COALESCE,
+// IF, NULLIF, GREATEST, LEAST) cast it to kind, so their value has the kind
+// the analyzer gave them whatever kinds their arguments mix: a BIGINT stays
+// exact beside a DOUBLE argument, and a cast that fails raises only on the
+// rows whose chosen value it is.
 func Scalar(name string, args []types.Value, kind types.Kind) (types.Value, error) {
 	fn := strings.ToLower(name)
 	switch fn {
-	case "coalesce":
-		for _, a := range args {
-			if !a.Null {
-				return a, nil
-			}
+	case "coalesce", "if", "nullif", "greatest", "least":
+		v, err := chosenArg(fn, args)
+		if err != nil {
+			return types.Value{}, err
 		}
-		return types.Null(kind), nil
-	case "if":
-		if args[0].IsTrue() {
-			return args[1], nil
+		if v, err = v.Cast(kind); err != nil {
+			return types.Value{}, fmt.Errorf("eval: %w", err)
 		}
-		return args[2], nil
-	case "nullif":
-		if !args[0].Null && !args[1].Null && Matches(args[0], args[1]) {
-			return types.Null(kind), nil
-		}
-		return args[0], nil
+		return v, nil
 	}
 	for _, a := range args {
 		if a.Null {
@@ -186,20 +182,48 @@ func Scalar(name string, args []types.Value, kind types.Kind) (types.Value, erro
 		default:
 			return types.Int64(int64(tm.Day())), nil
 		}
-	case "greatest", "least":
-		best := args[0]
-		for _, a := range args[1:] {
-			cmp, ok := a.Compare(best)
-			if !ok {
-				return types.Value{}, fmt.Errorf("eval: %s: incomparable arguments", fn)
-			}
-			if (fn == "greatest" && cmp > 0) || (fn == "least" && cmp < 0) {
-				best = a
-			}
-		}
-		return best, nil
 	}
 	return types.Value{}, fmt.Errorf("eval: unknown scalar function %q", name)
+}
+
+// chosenArg is the argument COALESCE, IF, NULLIF, GREATEST or LEAST returns,
+// as it is; a NULL one stands for a NULL result.
+func chosenArg(fn string, args []types.Value) (types.Value, error) {
+	switch fn {
+	case "coalesce":
+		for _, a := range args {
+			if !a.Null {
+				return a, nil
+			}
+		}
+		return types.Null(types.KindNull), nil
+	case "if":
+		if args[0].IsTrue() {
+			return args[1], nil
+		}
+		return args[2], nil
+	case "nullif":
+		if !args[0].Null && !args[1].Null && Matches(args[0], args[1]) {
+			return types.Null(types.KindNull), nil
+		}
+		return args[0], nil
+	}
+	for _, a := range args {
+		if a.Null {
+			return a, nil
+		}
+	}
+	best := args[0]
+	for _, a := range args[1:] {
+		cmp, ok := a.Compare(best)
+		if !ok {
+			return types.Value{}, fmt.Errorf("eval: %s: incomparable arguments", fn)
+		}
+		if (fn == "greatest" && cmp > 0) || (fn == "least" && cmp < 0) {
+			best = a
+		}
+	}
+	return best, nil
 }
 
 func toTime(v types.Value) (time.Time, error) {

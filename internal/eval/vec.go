@@ -29,7 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
+	"sync"
 
 	"lakeguard/internal/plan"
 	"lakeguard/internal/types"
@@ -50,10 +50,10 @@ func (p *VecProg) Kind() types.Kind { return p.root.kind() }
 // selection, i.e. row j of the output corresponds to input row sel[j]. It
 // fails with the error the first selected row that raises would raise.
 func (p *VecProg) Run(cols []*types.Column, n int, sel []int) (*types.Column, error) {
-	ev := &evaluation{cols: cols}
+	ev := newEvaluation(cols)
 	c := p.root.eval(ev, rowsOf(n, sel), sel)
-	if ev.err != nil {
-		return nil, p.firstError(cols, n, sel, ev.err)
+	if err := ev.release(); err != nil {
+		return nil, p.firstError(cols, n, sel, err)
 	}
 	return c, nil
 }
@@ -76,10 +76,10 @@ func (p *VecProg) Column() (int, bool) {
 // reading referenced columns in place. out must not alias sel. It fails as
 // Run does.
 func (p *VecProg) Select(cols []*types.Column, n int, sel []int, out []int) ([]int, error) {
-	ev := &evaluation{cols: cols}
+	ev := newEvaluation(cols)
 	out = selectNode(ev, p.root, n, sel, out)
-	if ev.err != nil {
-		return nil, p.firstError(cols, n, sel, ev.err)
+	if err := ev.release(); err != nil {
+		return nil, p.firstError(cols, n, sel, err)
 	}
 	return out, nil
 }
@@ -108,6 +108,25 @@ func (p *VecProg) firstError(cols []*types.Column, n int, sel []int, batchErr er
 type evaluation struct {
 	cols []*types.Column
 	err  error
+}
+
+// evaluations recycles the evaluations of Run and Select, which escape
+// through the node interfaces, so a Select that narrows its selection in
+// place allocates nothing.
+var evaluations = sync.Pool{New: func() any { return new(evaluation) }}
+
+func newEvaluation(cols []*types.Column) *evaluation {
+	ev := evaluations.Get().(*evaluation)
+	ev.cols = cols
+	return ev
+}
+
+// release returns ev to the pool and the error it recorded.
+func (ev *evaluation) release() error {
+	err := ev.err
+	*ev = evaluation{}
+	evaluations.Put(ev)
+	return err
 }
 
 // fail records err unless an earlier node raised, and returns the m NULLs
@@ -1081,29 +1100,6 @@ func (nd *caseNode) eval(ev *evaluation, m int, sel []int) *types.Column {
 	return b.Build()
 }
 
-// unify is the kind of a node that returns one of several values as it is
-// (CASE, COALESCE, IF, NULLIF, GREATEST, LEAST): the kind its non-NULL
-// values share, DOUBLE for a mix of numeric kinds, and otherwise the
-// analyzed kind k, to which the values of other kinds are cast.
-func unify(k types.Kind, nodes ...vecNode) types.Kind {
-	common := types.KindNull
-	for _, n := range nodes {
-		switch nk := n.kind(); {
-		case nk == types.KindNull || nk == common:
-		case common == types.KindNull:
-			common = nk
-		case common.Numeric() && nk.Numeric():
-			common = types.KindFloat64
-		default:
-			return k
-		}
-	}
-	if common == types.KindNull {
-		return k
-	}
-	return common
-}
-
 // vecCompiler compiles one expression. ctx, when set, is the statement
 // whose identity the program binds; raises is set once a node compiled
 // since it was last cleared can fail on some row.
@@ -1246,7 +1242,7 @@ func (c *vecCompiler) build(e plan.Expr) vecNode {
 	case *plan.ScalarFunc:
 		args := c.nodes(t.Args)
 		name, kind := t.Name, t.ResultKind
-		return &rowNode{args: args, k: scalarKind(strings.ToLower(name), args, kind), raises: true,
+		return &rowNode{args: args, k: kind, raises: true,
 			fn: func(v []types.Value) (types.Value, error) { return Scalar(name, v, kind) }}
 
 	case *plan.UDFCall:
@@ -1256,19 +1252,6 @@ func (c *vecCompiler) build(e plan.Expr) vecNode {
 		return &errNode{err: fmt.Errorf("eval: unresolved column %s reached execution", t.String()), k: types.KindNull}
 	}
 	return &errNode{err: fmt.Errorf("eval: unsupported expression %T", e), k: e.Type()}
-}
-
-// scalarKind is the kind of a scalar function's values: the analyzed kind,
-// except that the functions that return one of their arguments take the
-// kind of those arguments.
-func scalarKind(name string, args []vecNode, k types.Kind) types.Kind {
-	switch {
-	case name == "coalesce" || name == "greatest" || name == "least" || name == "nullif":
-		return unify(k, args...)
-	case name == "if" && len(args) == 3:
-		return unify(k, args[1:]...)
-	}
-	return k
 }
 
 func (c *vecCompiler) binary(t *plan.Binary) vecNode {
@@ -1338,10 +1321,8 @@ func (c *vecCompiler) caseNode(t *plan.Case) vecNode {
 		}
 		nd.whens = append(nd.whens, caseArm{cond: cond, then: c.node(w.Then)})
 	}
-	var branches []vecNode
 	if els != nil {
 		nd.els = c.node(els)
-		branches = append(branches, nd.els)
 	}
 	switch {
 	case len(nd.whens) > 0:
@@ -1350,9 +1331,6 @@ func (c *vecCompiler) caseNode(t *plan.Case) vecNode {
 	default:
 		return &constNode{v: types.Null(t.ResultKind)}
 	}
-	for _, w := range nd.whens {
-		branches = append(branches, w.then)
-	}
-	nd.k = unify(t.ResultKind, branches...)
+	nd.k = t.ResultKind
 	return nd
 }

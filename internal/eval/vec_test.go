@@ -162,11 +162,11 @@ func sameValue(got, want types.Value) bool {
 	return got.Equal(want)
 }
 
-// asKind casts a reference value to the kind of the program's column, as
-// the program casts a value of another kind; one that does not cast stays
-// as it is, so the comparison fails.
+// asKind casts a reference value to e's analyzed kind k, as a program
+// returns it; with k NULL, or a value that does not cast, it stays as it is,
+// so the comparison is strict.
 func asKind(v types.Value, k types.Kind) types.Value {
-	if v.Null || v.Kind == k {
+	if v.Null || v.Kind == k || k == types.KindNull {
 		return v
 	}
 	if c, err := v.Cast(k); err == nil {
@@ -192,7 +192,7 @@ func rowAt(sel []int, j int) int {
 // checkAgainstEval runs a compiled program over sel (nil = all n rows) and
 // requires what the reference gives row by row, in selection order: when a
 // row raises, Run and Select both fail with the first such row's error
-// text; otherwise Run returns every value (cast to the program's kind) and
+// text; otherwise Run returns every value (cast to e's analyzed kind) and
 // Select exactly the rows the reference finds TRUE, appended after what out
 // already held.
 func checkAgainstEval(t *testing.T, e plan.Expr, prog *eval.VecProg, ctx *eval.Context, cols []*types.Column, n int, sel []int) {
@@ -223,7 +223,7 @@ func checkAgainstEval(t *testing.T, e plan.Expr, prog *eval.VecProg, ctx *eval.C
 		if w.IsTrue() {
 			wantSel = append(wantSel, rowAt(sel, j))
 		}
-		if g := out.Value(j); !sameValue(g, asKind(w, prog.Kind())) {
+		if g := out.Value(j); !sameValue(g, asKind(w, e.Type())) {
 			t.Fatalf("%s at row %d: vec=%v row=%v", e, rowAt(sel, j), g, w)
 		}
 	}
@@ -272,6 +272,7 @@ func TestVecCompilesEveryNode(t *testing.T) {
 	cols, kinds := vecFixture(n)
 	i1, s1, s2 := &plan.BoundRef{Index: 0, Name: "i1", Kind: types.KindInt64}, refS1, &plan.BoundRef{Index: 6, Name: "s2", Kind: types.KindString}
 	toInt := func(x plan.Expr) plan.Expr { return &plan.Cast{Child: x, To: types.KindInt64} }
+	big := &plan.Binary{Op: plan.OpAdd, L: i1, R: plan.Lit(types.Int64(1<<53 + 1)), ResultKind: types.KindInt64}
 	for _, e := range []plan.Expr{
 		&plan.Like{Child: s1, Pattern: plan.Lit(types.String("a%"))},
 		&plan.Like{Child: s1, Pattern: plan.Lit(types.String("%e%")), Negated: true},
@@ -283,7 +284,17 @@ func TestVecCompilesEveryNode(t *testing.T) {
 		boolOp(plan.OpOr, boolOp(plan.OpGt, i1, plan.Lit(types.Int64(0))), boolOp(plan.OpGt, toInt(plan.Lit(types.String("x"))), plan.Lit(types.Int64(0)))),
 		&plan.InList{Child: i1, List: []plan.Expr{plan.Lit(types.Int64(1)), toInt(s2), plan.Lit(types.Null(types.KindNull))}},
 		&plan.Case{Whens: []plan.WhenClause{{Cond: boolOp(plan.OpGt, i1, plan.Lit(types.Int64(0))), Then: toInt(s2)}}, Else: plan.Lit(types.Int64(0)), ResultKind: types.KindInt64},
-		&plan.ScalarFunc{Name: "coalesce", Args: []plan.Expr{plan.Lit(types.Null(types.KindNull)), refI2, i1}, ResultKind: types.KindNull},
+		&plan.ScalarFunc{Name: "coalesce", Args: []plan.Expr{plan.Lit(types.Null(types.KindNull)), refI2, i1}, ResultKind: types.KindInt64},
+		// Functions that return an argument keep their analyzed kind when
+		// the arguments mix kinds: 2^53+1 stays exact beside a DOUBLE, and a
+		// STRING cast fails only on the rows whose value it is.
+		&plan.ScalarFunc{Name: "coalesce", Args: []plan.Expr{big, plan.Lit(types.Float64(0.5))}, ResultKind: types.KindInt64},
+		boolOp(plan.OpEq, &plan.ScalarFunc{Name: "coalesce", Args: []plan.Expr{big, refF1}, ResultKind: types.KindInt64}, plan.Lit(types.Int64(1<<53+1))),
+		&plan.ScalarFunc{Name: "greatest", Args: []plan.Expr{big, refF1}, ResultKind: types.KindInt64},
+		&plan.ScalarFunc{Name: "if", Args: []plan.Expr{boolOp(plan.OpGt, i1, plan.Lit(types.Int64(0))), big, refF1}, ResultKind: types.KindInt64},
+		&plan.ScalarFunc{Name: "nullif", Args: []plan.Expr{big, refF1}, ResultKind: types.KindInt64},
+		&plan.ScalarFunc{Name: "coalesce", Args: []plan.Expr{refF1, s2}, ResultKind: types.KindFloat64},
+		boolOp(plan.OpEq, &plan.ScalarFunc{Name: "coalesce", Args: []plan.Expr{s1, i1}, ResultKind: types.KindString}, plan.Lit(types.String("x"))),
 		&plan.ScalarFunc{Name: "year", Args: []plan.Expr{s1}, ResultKind: types.KindInt64},
 		&plan.ScalarFunc{Name: "nosuch", Args: []plan.Expr{s1}, ResultKind: types.KindString},
 		&plan.UDFCall{Name: "main.default.f", Args: []plan.Expr{s1}, ResultKind: types.KindBool},

@@ -31,6 +31,7 @@ func identityContexts() map[string]*eval.Context {
 var (
 	refI1 = &plan.BoundRef{Index: 0, Name: "i1", Kind: types.KindInt64}
 	refI2 = &plan.BoundRef{Index: 1, Name: "i2", Kind: types.KindInt64}
+	refF1 = &plan.BoundRef{Index: 2, Name: "f1", Kind: types.KindFloat64}
 	refS1 = &plan.BoundRef{Index: 4, Name: "s1", Kind: types.KindString}
 )
 
@@ -238,11 +239,15 @@ func pick[T any](r *rand.Rand, xs ...T) T { return xs[r.Intn(len(xs))] }
 // constant ones), IN, LIKE, every scalar function, CASE on row values,
 // incomparable comparisons, the identity functions, UDF calls, the untyped
 // NULL literal and a column reference whose analyzed kind is not its
-// column's. The arguments of functions that return one of them share a
-// kind, as the analyzer's casts make them.
+// column's. The functions that return one of their arguments take the
+// kind of the first typed one, as the analyzer types them, and mix it with
+// arguments of any kind (randMixed).
 func randInt(r *rand.Rand, depth int) plan.Expr {
 	if depth <= 0 || r.Intn(3) == 0 {
-		switch r.Intn(7) {
+		switch r.Intn(8) {
+		case 6:
+			// Above 2^53, where a BIGINT is not a DOUBLE.
+			return &plan.Binary{Op: plan.OpAdd, L: refI1, R: plan.Lit(types.Int64(1<<53 + 1)), ResultKind: types.KindInt64}
 		case 0:
 			return refI1
 		case 1:
@@ -266,15 +271,15 @@ func randInt(r *rand.Rand, depth int) plan.Expr {
 		return call("abs", types.KindInt64, a)
 	case 2:
 		if r.Intn(2) == 0 {
-			return call("coalesce", types.KindNull, untypedNull, a, b)
+			return call("coalesce", types.KindInt64, untypedNull, a, randMixed(r, depth-1))
 		}
-		return call("coalesce", types.KindInt64, a, b)
+		return call("coalesce", types.KindInt64, a, randMixed(r, depth-1), b)
 	case 3:
-		return call("if", types.KindInt64, randAny(r, depth-1), a, b)
+		return call("if", types.KindInt64, randAny(r, depth-1), a, randMixed(r, depth-1))
 	case 4:
-		return call("nullif", types.KindInt64, a, b)
+		return call("nullif", types.KindInt64, a, randMixed(r, depth-1))
 	case 5:
-		return call(pick(r, "greatest", "least"), types.KindInt64, a, b)
+		return call(pick(r, "greatest", "least"), types.KindInt64, a, randMixed(r, depth-1))
 	case 6:
 		c := &plan.Case{Whens: []plan.WhenClause{{Cond: randAny(r, depth-1), Then: a}}, ResultKind: types.KindInt64}
 		if r.Intn(2) == 0 {
@@ -314,13 +319,27 @@ func randStr(r *rand.Rand, depth int) plan.Expr {
 	case 3:
 		return call("substr", types.KindString, a, plan.Lit(types.Int64(int64(r.Intn(4)))), randInt(r, 0))
 	case 4:
-		return call("coalesce", types.KindString, a, b)
+		return call("coalesce", types.KindString, a, randMixed(r, depth-1))
 	case 5:
-		return call("if", types.KindString, randAny(r, depth-1), a, b)
+		return call("if", types.KindString, randAny(r, depth-1), a, randMixed(r, depth-1))
 	case 6:
 		return &plan.Case{Whens: []plan.WhenClause{{Cond: randAny(r, depth-1), Then: a}}, Else: b, ResultKind: types.KindString}
 	}
-	return call(pick(r, "greatest", "least"), types.KindString, a, b)
+	return call(pick(r, "greatest", "least"), types.KindString, a, randMixed(r, depth-1))
+}
+
+// randMixed draws an argument of any kind: BIGINT, DOUBLE, STRING or the
+// untyped NULL.
+func randMixed(r *rand.Rand, depth int) plan.Expr {
+	switch r.Intn(4) {
+	case 0:
+		return randInt(r, depth)
+	case 1:
+		return randNum(r, depth)
+	case 2:
+		return randStr(r, depth)
+	}
+	return untypedNull
 }
 
 func randAny(r *rand.Rand, depth int) plan.Expr {
@@ -382,7 +401,7 @@ func checkFold(t *testing.T, e plan.Expr) {
 			t.Fatalf("Fold(%s) = %s, but the reference raises %v", x, lit, err)
 		case err == nil && !folded:
 			t.Fatalf("Fold(%s) did not fold; the reference gives %v", x, want)
-		case err == nil && !sameValue(lit.Value, asKind(want, lit.Value.Kind)):
+		case err == nil && !sameValue(lit.Value, asKind(want, x.Type())):
 			t.Fatalf("Fold(%s) = %v, the reference gives %v", x, lit.Value, want)
 		}
 		return true

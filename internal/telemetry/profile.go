@@ -360,7 +360,7 @@ func renderOp(b *strings.Builder, o *OpStats, depth int) {
 	}
 	fmt.Fprintf(b, "  [wall %s, rows %d, batches %d", fmtDur(o.wall.Load()), o.Rows(), o.Batches())
 	if v := o.VecBatches(); v > 0 {
-		fmt.Fprintf(b, ", vectorized %d/%d", v, v)
+		fmt.Fprintf(b, ", evaluated %d", v)
 	}
 	if s, pr, rf := o.FilesScanned(), o.FilesPruned(), o.RuntimeFilePruned(); s+pr+rf > 0 {
 		fmt.Fprintf(b, ", files %d (pruned %d", s, pr)

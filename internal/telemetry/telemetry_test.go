@@ -233,7 +233,7 @@ func TestProfileRender(t *testing.T) {
 		"Sort (amount)",
 		"rows 4",
 		"Filter (region = 'US')",
-		"vectorized 2/2",
+		"evaluated 2",
 		"  Scan", // child indentation
 		"rows 8",
 	} {
