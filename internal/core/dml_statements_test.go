@@ -459,6 +459,11 @@ func TestDMLWhereKernelsMatchModel(t *testing.T) {
 		{sql: "UPDATE pts SET v = GREATEST(v, 1.5) WHERE id = 1",
 			apply: rowDML(func(id int64, _ pt) bool { return id == 1 }, func(_ int64, p pt) pt { return p })},
 		{sql: "DELETE FROM pts WHERE COALESCE(v, 0.5) = 9007199254740996", apply: rowDML(func(int64, pt) bool { return false }, nil)},
+		// The returned argument alone is cast: a STRING that does not cast
+		// raises only where COALESCE chooses it.
+		{sql: "UPDATE pts SET v = COALESCE(v, tag) WHERE v IS NOT NULL",
+			apply: rowDML(func(_ int64, p pt) bool { return !p.vNull }, func(_ int64, p pt) pt { return p })},
+		{sql: "UPDATE pts SET v = COALESCE(NULLIF(v, v), tag)", err: "cannot cast STRING to BIGINT"},
 		// Scalar functions resolve in SET and WHERE.
 		{sql: "UPDATE pts SET d = COALESCE(d, 0) WHERE id < 40",
 			apply: rowDML(func(id int64, _ pt) bool { return id < 40 }, func(_ int64, p pt) pt {

@@ -88,7 +88,8 @@ func Matches(v, item types.Value) bool {
 // IF, NULLIF, GREATEST, LEAST) cast it to kind, so their value has the kind
 // the analyzer gave them whatever kinds their arguments mix: a BIGINT stays
 // exact beside a DOUBLE argument, and a cast that fails raises only on the
-// rows whose chosen value it is.
+// rows whose chosen value it is, with the text of the cast to a result
+// column's kind.
 func Scalar(name string, args []types.Value, kind types.Kind) (types.Value, error) {
 	fn := strings.ToLower(name)
 	switch fn {
@@ -97,10 +98,7 @@ func Scalar(name string, args []types.Value, kind types.Kind) (types.Value, erro
 		if err != nil {
 			return types.Value{}, err
 		}
-		if v, err = v.Cast(kind); err != nil {
-			return types.Value{}, fmt.Errorf("eval: %w", err)
-		}
-		return v, nil
+		return v.Cast(kind)
 	}
 	for _, a := range args {
 		if a.Null {
